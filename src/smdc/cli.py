@@ -34,6 +34,7 @@ from .codec import (
     ssmdc_decode,
     ssmdc_encode,
 )
+from .exactlp import as_fraction
 from .subsets import EncoderSet
 
 EXIT_OK = 0
@@ -47,7 +48,7 @@ SCHEMES = {"smdc": SCHEME_SMDC, "smdc-a": SCHEME_SMDCA, "s-smdc": SCHEME_SSMDC}
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
-        return Fraction(text)
+        return as_fraction(text)
     if "." in text:
         whole, _, frac = text.partition(".")
         sign = -1 if whole.startswith("-") else 1

@@ -360,6 +360,13 @@ def ssmdc_encode(
         raise ValueError(f"need 1..{MAX_ENCODERS} encoders, got {L}")
     if not sources:
         raise ValueError("need at least one source")
+    # the top secure layer takes its L - N message, N key and L share
+    # points from one field
+    if num_keys and 2 * L > GF256.order:
+        raise ValueError(
+            f"{L} encoders with keys need {2 * L} points, "
+            f"more than GF({GF256.order}) has"
+        )
     lengths = tuple(len(w) for w in sources)
     needed = key_bytes_needed(lengths, num_keys)
     if len(key_stream) < needed:

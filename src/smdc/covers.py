@@ -5,9 +5,9 @@ per-level packing LP, and for each descent a family of fractional
 covers that reproduces level alpha-1 from level alpha by weighted
 parent sums.  The construction dispatches into three cases depending on
 how top-heavy the sorted weight vector is; every constructed level is
-re-verified against an independent LP solve and every cover against the
-covering inequality, so a bad construction raises instead of
-propagating.
+re-verified against the closed-form level optimum and every cover
+against the covering inequality, so a bad construction raises instead
+of propagating.
 
 The conditional variant additionally attaches to each subset a family
 of disjoint "adversary" sets of fixed size and splits the level weights
@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exactlp import as_fractions
-from .region import SubsetCoefficients, f_alpha
+from .exactlp import as_fraction, as_fractions
+from .region import SubsetCoefficients, f_alpha, f_value
 from .subsets import EncoderSet, subsets_of_size
 
 _ZERO = Fraction(0)
@@ -335,7 +335,7 @@ def han_chain(L: int) -> CoefficientChain:
 
 
 def verify_chain(chain: CoefficientChain) -> ChainReport:
-    """Exact structural audit: per-level feasibility and LP optimality,
+    """Exact structural audit: per-level feasibility and optimality,
     cover inequalities, and the parent-sum identity wherever covers exist."""
     failures: list[str] = []
     lam = chain.weights
@@ -357,13 +357,15 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
             )
             if load > lam[l - 1]:
                 failures.append(f"level {alpha}: capacity exceeded at encoder {l}")
-        if coeffs.total != f_alpha(lam, alpha).total:
-            failures.append(f"level {alpha}: total differs from the LP optimum")
-    for u, v in chain.levels[1].assignment.items():
-        if v != lam[u.members[0] - 1]:
-            failures.append("level 1 must equal the weight vector")
-            break
+        if coeffs.total != f_value(lam, alpha):
+            failures.append(f"level {alpha}: total differs from the optimum")
+    level1 = {EncoderSet((l,), L): w for l, w in enumerate(lam, 1)}
+    if chain.levels[1].assignment != level1:
+        failures.append("level 1 must equal the weight vector")
     for alpha, per_u in chain.covers.items():
+        if not 2 <= alpha <= L:
+            failures.append(f"descent {alpha}: no such level")
+            continue
         upper = chain.levels[alpha].assignment
         lower = chain.levels[alpha - 1].assignment
         for u, cover in per_u.items():
@@ -371,9 +373,9 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
                 failures.append(f"descent {alpha}: invalid cover at {u}")
         recon = {v: _ZERO for v in lower}
         for u, cover in per_u.items():
-            c = upper[u]
+            c = upper.get(u, _ZERO)
             for v, w in cover.weights.items():
-                recon[v] += w * c
+                recon[v] = recon.get(v, _ZERO) + w * c
         if recon != dict(lower):
             failures.append(f"descent {alpha}: parent-sum identity fails")
     return ChainReport(ok=not failures, failures=failures)
@@ -444,6 +446,8 @@ def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
     lam = assignment.weights
     L = assignment.ground_size
     N = assignment.n_secure
+    if not 0 <= N <= L - 1:
+        return ChainReport(ok=False, failures=[f"n_secure must be in 0..{L - 1}"])
     top = L - N
     if set(assignment.split) != set(range(1, top + 1)):
         return ChainReport(ok=False, failures=["levels must cover 1..L-N"])
@@ -464,8 +468,8 @@ def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
             level=alpha,
             assignment={u: sum(parts.values(), _ZERO) for u, parts in per_u.items()},
         )
-        if marginal.total != f_alpha(lam, alpha).total:
-            failures.append(f"level {alpha}: marginal differs from the LP optimum")
+        if marginal.total != f_value(lam, alpha):
+            failures.append(f"level {alpha}: marginal differs from the optimum")
         for l in range(1, L + 1):
             load = sum(
                 (v for u, v in marginal.assignment.items() if l in u), _ZERO
@@ -514,7 +518,7 @@ def chain_from_text(text: str) -> CoefficientChain:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _CHAIN_HEADER:
         raise ValueError(f"expected header {_CHAIN_HEADER!r}")
-    if not lines[1].startswith("lambda "):
+    if len(lines) < 2 or not lines[1].startswith("lambda "):
         raise ValueError("expected a lambda line")
     lam = as_fractions(lines[1].split()[1:])
     L = len(lam)
@@ -525,12 +529,12 @@ def chain_from_text(text: str) -> CoefficientChain:
         if parts[0] == "c" and len(parts) == 4:
             alpha = int(parts[1])
             u = _parse_subset(parts[2], L)
-            levels.setdefault(alpha, {})[u] = Fraction(parts[3])
+            levels.setdefault(alpha, {})[u] = as_fraction(parts[3])
         elif parts[0] == "g" and len(parts) == 5:
             alpha = int(parts[1])
             u = _parse_subset(parts[2], L)
             v = _parse_subset(parts[3], L)
-            covers.setdefault(alpha, {}).setdefault(u, {})[v] = Fraction(parts[4])
+            covers.setdefault(alpha, {}).setdefault(u, {})[v] = as_fraction(parts[4])
         else:
             raise ValueError(f"unrecognized chain line: {ln!r}")
     built_levels = {
@@ -566,10 +570,10 @@ def conditional_from_text(text: str) -> ConditionalAssignment:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _COND_HEADER:
         raise ValueError(f"expected header {_COND_HEADER!r}")
-    if not lines[1].startswith("lambda "):
+    if len(lines) < 2 or not lines[1].startswith("lambda "):
         raise ValueError("expected a lambda line")
     lam = as_fractions(lines[1].split()[1:])
-    if not lines[2].startswith("n "):
+    if len(lines) < 3 or not lines[2].startswith("n "):
         raise ValueError("expected an n line")
     n_secure = int(lines[2].split()[1])
     L = len(lam)
@@ -581,5 +585,5 @@ def conditional_from_text(text: str) -> ConditionalAssignment:
         alpha = int(parts[1])
         u = _parse_subset(parts[2], L)
         a = _parse_subset(parts[3], L)
-        split.setdefault(alpha, {}).setdefault(u, {})[a] = Fraction(parts[4])
+        split.setdefault(alpha, {}).setdefault(u, {})[a] = as_fraction(parts[4])
     return ConditionalAssignment(weights=lam, n_secure=n_secure, split=split)

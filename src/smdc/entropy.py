@@ -325,5 +325,5 @@ def pmf_from_text(text: str) -> JointPMF:
         outcome = tuple(int(x) for x in parts[:L])
         if outcome in table:
             raise ValueError(f"duplicate outcome {outcome}")
-        table[outcome] = Fraction(parts[L])
+        table[outcome] = as_fraction(parts[L])
     return JointPMF(sizes, table)

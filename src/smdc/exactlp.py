@@ -36,7 +36,10 @@ def as_fraction(x) -> Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("binary floats are not accepted; pass Fraction, int or str")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def as_fractions(xs) -> tuple[Fraction, ...]:
@@ -217,7 +220,8 @@ class _Simplex:
             costs[c] = -_ONE
         self._price(costs)
         status = self._run()
-        assert status == OPTIMAL, "phase-1 objective is bounded by zero"
+        if status != OPTIMAL:
+            raise AssertionError("phase-1 objective is bounded by zero")
         return self.zval == 0
 
     def farkas(self) -> tuple[Fraction, ...]:

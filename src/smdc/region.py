@@ -1,11 +1,14 @@
 """Rate regions for multilevel diversity coding.
 
-The region of each scheme is handled through its supporting-hyperplane
-coefficients f_alpha (a packing LP over the size-alpha subsets) and an
-exact primal feasibility system for membership.  Non-members come back
-with a separating weight vector extracted from the Farkas certificate;
-members come back with an explicit per-level rate allocation.  All
-arithmetic is rational, no floats.
+The region of each scheme is cut out by supporting hyperplanes whose
+level coefficients f_alpha have a closed form (`f_value`); the packing
+LP behind them (`f_alpha`) is solved only where an explicit subset
+assignment is wanted, and its optimum is checked against the closed
+form.  Membership is one exact primal feasibility system shared by the
+three schemes.  Non-members come back with a separating weight vector
+extracted from the Farkas certificate; members come back with an
+explicit per-level rate allocation.  All arithmetic is rational, no
+floats.
 """
 
 from __future__ import annotations
@@ -21,29 +24,17 @@ MAX_MEMBERSHIP_GROUND = 12
 _ZERO = Fraction(0)
 
 
-def _weights(weights) -> tuple[Fraction, ...]:
-    w = as_fractions(weights)
-    if not w:
-        raise ValueError("weight vector must be nonempty")
-    if any(x < 0 for x in w):
-        raise ValueError("weights must be nonnegative")
-    return w
+def _nonnegative(values, what: str) -> tuple[Fraction, ...]:
+    v = as_fractions(values)
+    if not v:
+        raise ValueError(f"{what} must be nonempty")
+    if any(x < 0 for x in v):
+        raise ValueError(f"{what} must be nonnegative")
+    return v
 
 
-def _entropies(entropies) -> tuple[Fraction, ...]:
-    h = as_fractions(entropies)
-    if not h:
-        raise ValueError("entropy profile must be nonempty")
-    if any(x < 0 for x in h):
-        raise ValueError("entropies must be nonnegative")
-    return h
-
-
-def _rates(rates) -> tuple[Fraction, ...]:
-    r = as_fractions(rates)
-    if any(x < 0 for x in r):
-        raise ValueError("rates must be nonnegative")
-    return r
+def _dot(xs, ys) -> Fraction:
+    return sum((a * b for a, b in zip(xs, ys)), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -76,32 +67,48 @@ class GreedyAllocation:
     level: int | None  # None once the all-access budget covers everything
 
 
+def _level_weights(weights, alpha: int) -> tuple[Fraction, ...]:
+    lam = _nonnegative(weights, "weights")
+    if not 1 <= alpha <= len(lam):
+        raise ValueError(f"alpha must be in 1..{len(lam)}, got {alpha}")
+    return lam
+
+
+def f_value(weights, alpha: int) -> Fraction:
+    """The level-alpha coefficient in closed form: with the weights sorted
+    nonincreasing, the minimum over j < alpha of the sum of all but the j
+    largest weights divided by alpha - j."""
+    lam = sorted(_level_weights(weights, alpha), reverse=True)
+    return min(sum(lam[j:], _ZERO) / (alpha - j) for j in range(alpha))
+
+
 def f_alpha(weights, alpha: int) -> SubsetCoefficients:
     """Optimal subset weights at one level: maximize the total weight put on
-    size-alpha subsets subject to per-encoder capacities."""
-    lam = _weights(weights)
+    size-alpha subsets subject to per-encoder capacities.  The LP optimum
+    is checked against `f_value`."""
+    lam = _level_weights(weights, alpha)
     L = len(lam)
-    if not 1 <= alpha <= L:
-        raise ValueError(f"alpha must be in 1..{L}, got {alpha}")
     family = subsets_of_size(L, alpha)
     lp = LinearProgram(len(family), [1] * len(family))
     for l in range(1, L + 1):
         lp.add([1 if l in u else 0 for u in family], LE, lam[l - 1])
     sol = solve_max(lp)
-    assert sol.status == "optimal"
-    assignment = {u: v for u, v in zip(family, sol.primal)}
-    return SubsetCoefficients(level=alpha, assignment=assignment)
+    if sol.status != "optimal":
+        raise AssertionError(f"packing LP ended {sol.status}")
+    if sol.value != f_value(lam, alpha):
+        raise AssertionError("packing LP optimum differs from the closed form")
+    return SubsetCoefficients(level=alpha, assignment=dict(zip(family, sol.primal)))
 
 
 def f_profile(weights) -> tuple[Fraction, ...]:
     """(f_1, ..., f_L); nonincreasing, with f_1 equal to the weight sum."""
-    lam = _weights(weights)
-    return tuple(f_alpha(lam, a).total for a in range(1, len(lam) + 1))
+    lam = _nonnegative(weights, "weights")
+    return tuple(f_value(lam, a) for a in range(1, len(lam) + 1))
 
 
 def min_sum_rate(entropies) -> Fraction:
     """Sum over levels of (L/alpha) times the level entropy."""
-    h = _entropies(entropies)
+    h = _nonnegative(entropies, "entropies")
     L = len(h)
     return sum((Fraction(L, a) * h[a - 1] for a in range(1, L + 1)), _ZERO)
 
@@ -111,99 +118,77 @@ def smdca_f(lambda0, weights, alpha: int) -> Fraction:
     l0 = as_fraction(lambda0)
     if l0 < 0:
         raise ValueError("lambda0 must be nonnegative")
-    return min(f_alpha(weights, alpha).total, l0)
+    return min(f_value(weights, alpha), l0)
 
 
 def smdca_hyperplane(m: int, weights, entropies) -> Fraction:
     """Right-hand side of the m-th all-access supporting hyperplane."""
-    lam = _weights(weights)
-    h = _entropies(entropies)
-    L = len(lam)
-    if len(h) != L:
-        raise ValueError("weights and entropies must have equal length")
-    if not 1 <= m <= L:
-        raise ValueError(f"m must be in 1..{L}, got {m}")
-    prof = f_profile(lam)
-    head = sum(h[:m], _ZERO)
-    tail = sum((prof[a - 1] * h[a - 1] for a in range(m + 1, L + 1)), _ZERO)
-    return prof[m - 1] * head + tail
+    return g_m(m, weights, entropies, 0)
 
 
 # membership ------------------------------------------------------------
 
 
-def _membership_system(rates, entropies, levels, with_r0, r0):
+def _rate_split(rates, entropies, levels, r0=None):
     """Feasibility LP for a per-level rate split.
 
-    Variables are r[level][slot]; slot 0 is the all-access encoder when
-    present.  Returns (lp, capacity row indices, slots).
+    Variables are r[level][slot]; slot 0 is the all-access encoder when r0
+    is given.  Returns (witness, None) when a split exists, else (None,
+    multipliers): the Farkas multipliers of the capacity rows scaled to a
+    maximum of 1, r0's first when present.
     """
     L = len(rates)
-    slots = L + 1 if with_r0 else L
-    nlevels = len(levels)
-    nvars = nlevels * slots
-
-    def var(ai, slot):
-        return ai * slots + slot
-
+    caps = tuple(rates) if r0 is None else (r0,) + tuple(rates)
+    slots = len(caps)
+    shift = slots - L  # 1 when slot 0 is the all-access encoder
+    nvars = len(levels) * slots
     lp = LinearProgram(nvars)
     for ai, alpha in enumerate(levels):
+        base = ai * slots
         for u in subsets_of_size(L, alpha):
             coeffs = [0] * nvars
-            if with_r0:
-                coeffs[var(ai, 0)] = 1
-                for l in u:
-                    coeffs[var(ai, l)] = 1
-            else:
-                for l in u:
-                    coeffs[var(ai, l - 1)] = 1
+            if shift:
+                coeffs[base] = 1
+            for l in u:
+                coeffs[base + shift + l - 1] = 1
             lp.add(coeffs, GE, entropies[ai])
-    capacity_rows = []
-    caps = ((r0,) + tuple(rates)) if with_r0 else tuple(rates)
+    first_cap = lp.num_rows
     for slot, cap in enumerate(caps):
         coeffs = [0] * nvars
-        for ai in range(nlevels):
-            coeffs[var(ai, slot)] = 1
-        capacity_rows.append(lp.num_rows)
+        coeffs[slot::slots] = [1] * len(levels)
         lp.add(coeffs, LE, cap)
-    return lp, capacity_rows, slots
+    res = feasible(lp)
+    if res.feasible:
+        point = res.point
+        return {
+            alpha: tuple(point[ai * slots : (ai + 1) * slots])
+            for ai, alpha in enumerate(levels)
+        }, None
+    mults = [-y for y in res.certificate[first_cap:]]
+    top = max(mults)
+    if not top > 0:
+        raise AssertionError("separating certificate cannot be identically zero")
+    return None, tuple(y / top for y in mults)
 
 
-def _witness_from_point(point, levels, slots):
-    out: dict[int, tuple[Fraction, ...]] = {}
-    for ai, alpha in enumerate(levels):
-        out[alpha] = tuple(point[ai * slots + s] for s in range(slots))
-    return out
-
-
-def _normalized(values):
-    top = max(values)
-    assert top > 0, "separating certificate cannot be identically zero"
-    return tuple(v / top for v in values)
+def _member_inputs(rates, entropies, n_secure: int):
+    """Validated rates, entropies and constraining levels of a query."""
+    r = _nonnegative(rates, "rates")
+    L = len(r)
+    if not 0 <= n_secure <= L - 1:
+        raise ValueError(f"n_secure must be in 0..{L - 1}, got {n_secure}")
+    h = _nonnegative(entropies, "entropies")
+    if len(h) != L - n_secure:
+        raise ValueError("entropies must have one entry per constraining level")
+    if L > MAX_MEMBERSHIP_GROUND:
+        raise ValueError(f"membership supports at most L={MAX_MEMBERSHIP_GROUND}")
+    return r, h, range(1, L - n_secure + 1)
 
 
 def smdc_member(rates, entropies) -> MembershipVerdict:
     """Exact membership in the superposition region, with witness or
     separating weight vector."""
-    r = _rates(rates)
-    h = _entropies(entropies)
-    L = len(r)
-    if len(h) != L:
-        raise ValueError("rates and entropies must have equal length")
-    if L > MAX_MEMBERSHIP_GROUND:
-        raise ValueError(f"membership supports at most L={MAX_MEMBERSHIP_GROUND}")
-    levels = tuple(range(1, L + 1))
-    lp, cap_rows, slots = _membership_system(r, h, levels, False, None)
-    res = feasible(lp)
-    if res.feasible:
-        return MembershipVerdict(
-            member=True, witness=_witness_from_point(res.point, levels, slots)
-        )
-    lam = _normalized([-res.certificate[i] for i in cap_rows])
-    lhs = sum((a * b for a, b in zip(lam, r)), _ZERO)
-    rhs = sum((f_alpha(lam, a).total * h[a - 1] for a in levels), _ZERO)
-    assert lhs < rhs, "Farkas certificate must violate a supporting hyperplane"
-    return MembershipVerdict(member=False, certificate=lam)
+    return ssmdc_member(rates, entropies, 0)
 
 
 def smdca_member(r0, rates, entropies) -> MembershipVerdict:
@@ -211,36 +196,20 @@ def smdca_member(r0, rates, entropies) -> MembershipVerdict:
     r0 = as_fraction(r0)
     if r0 < 0:
         raise ValueError("r0 must be nonnegative")
-    r = _rates(rates)
-    h = _entropies(entropies)
-    L = len(r)
-    if len(h) != L:
-        raise ValueError("rates and entropies must have equal length")
-    if L > MAX_MEMBERSHIP_GROUND:
-        raise ValueError(f"membership supports at most L={MAX_MEMBERSHIP_GROUND}")
-    levels = tuple(range(1, L + 1))
-    lp, cap_rows, slots = _membership_system(r, h, levels, True, r0)
-    res = feasible(lp)
-    if res.feasible:
-        return MembershipVerdict(
-            member=True, witness=_witness_from_point(res.point, levels, slots)
-        )
-    mults = _normalized([-res.certificate[i] for i in cap_rows])
+    r, h, levels = _member_inputs(rates, entropies, 0)
+    witness, mults = _rate_split(r, h, levels, r0)
+    if witness is not None:
+        return MembershipVerdict(member=True, witness=witness)
     lam0, lam = mults[0], mults[1:]
     prof = f_profile(lam)
-    lhs0 = lam0 * r0 + sum((a * b for a, b in zip(lam, r)), _ZERO)
-    rhs0 = sum((min(prof[a - 1], lam0) * h[a - 1] for a in levels), _ZERO)
-    assert lhs0 < rhs0, "certificate must violate the all-access hyperplane"
-    cert_m = None
-    for m in levels:
-        head = sum(h[:m], _ZERO)
-        tail = sum((prof[a - 1] * h[a - 1] for a in range(m + 1, L + 1)), _ZERO)
-        if prof[m - 1] * r0 + sum((a * b for a, b in zip(lam, r)), _ZERO) < (
-            prof[m - 1] * head + tail
-        ):
-            cert_m = m
-            break
-    assert cert_m is not None, "some boundary hyperplane must be violated"
+    lam_r = _dot(lam, r)
+    if not lam0 * r0 + lam_r < _dot((min(f, lam0) for f in prof), h):
+        raise AssertionError("certificate must violate the all-access hyperplane")
+    cert_m = next(
+        (m for m in levels if lam_r < residual_hyperplane(prof, h, m, r0)), None
+    )
+    if cert_m is None:
+        raise AssertionError("some boundary hyperplane must be violated")
     return MembershipVerdict(
         member=False,
         certificate=lam,
@@ -251,26 +220,12 @@ def smdca_member(r0, rates, entropies) -> MembershipVerdict:
 
 def ssmdc_member(rates, entropies, n_secure: int) -> MembershipVerdict:
     """Membership for the secure variant: only levels 1..L-N constrain."""
-    r = _rates(rates)
-    L = len(r)
-    if not 0 <= n_secure <= L - 1:
-        raise ValueError(f"n_secure must be in 0..{L - 1}, got {n_secure}")
-    h = _entropies(entropies)
-    if len(h) != L - n_secure:
-        raise ValueError("entropy profile must have length L - n_secure")
-    if L > MAX_MEMBERSHIP_GROUND:
-        raise ValueError(f"membership supports at most L={MAX_MEMBERSHIP_GROUND}")
-    levels = tuple(range(1, L - n_secure + 1))
-    lp, cap_rows, slots = _membership_system(r, h, levels, False, None)
-    res = feasible(lp)
-    if res.feasible:
-        return MembershipVerdict(
-            member=True, witness=_witness_from_point(res.point, levels, slots)
-        )
-    lam = _normalized([-res.certificate[i] for i in cap_rows])
-    lhs = sum((a * b for a, b in zip(lam, r)), _ZERO)
-    rhs = sum((f_alpha(lam, a).total * h[a - 1] for a in levels), _ZERO)
-    assert lhs < rhs, "Farkas certificate must violate a supporting hyperplane"
+    r, h, levels = _member_inputs(rates, entropies, n_secure)
+    witness, lam = _rate_split(r, h, levels)
+    if witness is not None:
+        return MembershipVerdict(member=True, witness=witness)
+    if not _dot(lam, r) < _dot((f_value(lam, a) for a in levels), h):
+        raise AssertionError("Farkas certificate must violate a supporting hyperplane")
     return MembershipVerdict(member=False, certificate=lam)
 
 
@@ -287,7 +242,7 @@ def greedy_allocation(r0, entropies) -> GreedyAllocation:
     r0 = as_fraction(r0)
     if r0 < 0:
         raise ValueError("r0 must be nonnegative")
-    h = _entropies(entropies)
+    h = _nonnegative(entropies, "entropies")
     L = len(h)
     total = sum(h, _ZERO)
     if r0 >= total:
@@ -319,8 +274,8 @@ def residual_hyperplane(profile, entropies, m: int, r0) -> Fraction:
 def g_m(m: int, weights, entropies, r0) -> Fraction:
     """Residual-region hyperplane value after storing the first m sources
     (less the budget) at the all-access encoder."""
-    lam = _weights(weights)
-    h = _entropies(entropies)
+    lam = _nonnegative(weights, "weights")
+    h = _nonnegative(entropies, "entropies")
     L = len(lam)
     if len(h) != L:
         raise ValueError("weights and entropies must have equal length")
@@ -331,8 +286,8 @@ def g_m(m: int, weights, entropies, r0) -> Fraction:
 
 def greedy_matches_region(weights, entropies, r0) -> bool:
     """The greedy split level attains the max over all residual hyperplanes."""
-    lam = _weights(weights)
-    h = _entropies(entropies)
+    lam = _nonnegative(weights, "weights")
+    h = _nonnegative(entropies, "entropies")
     L = len(lam)
     r0 = as_fraction(r0)
     alloc = greedy_allocation(r0, h)

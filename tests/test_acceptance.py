@@ -120,6 +120,8 @@ def test_criterion_3_chain_correctness():
         chain = yz_chain(lam)
         audit = verify_chain(chain)
         assert audit.ok, (lam, audit.failures)
+        for alpha in range(1, L + 1):
+            assert chain.levels[alpha].total == f_alpha(lam, alpha).total
         cases.update(c for _, c in chain.case_events)
     assert cases[CASE_1] > 0 and cases[CASE_2] > 0 and cases[CASE_3] > 0, cases
     report(

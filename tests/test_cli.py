@@ -23,6 +23,8 @@ class TestParsing:
     def test_rejects_junk(self):
         with pytest.raises(ValueError):
             parse_rational("1.2.3")
+        with pytest.raises(ValueError):
+            parse_rational("1/0")
 
 
 class TestRegionCommands:
@@ -154,6 +156,22 @@ class TestCoversCommands:
         doc = json.loads(out)
         assert "case2" in doc["result"]["cases"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "smdc-chain 1\n",
+            "smdc-cond-chain 1\nlambda 1 1\n",
+            "smdc-chain 1\nlambda 1 1/0\n",
+            "smdc-cond-chain 1\nlambda 1 1\nn 1\ns 1 1 2 1/0\n",
+        ],
+    )
+    def test_verify_rejects_truncated_or_zero_denominator(self, capsys, tmp_path, text):
+        path = tmp_path / "chain.txt"
+        path.write_text(text)
+        code, _, err = run(capsys, "covers", "verify", "--file", str(path))
+        assert code == 3
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 PMF_TEXT = "2 2 2\n0 0 1/3\n0 1 1/3\n1 0 1/3\n"
 
@@ -256,6 +274,15 @@ class TestEntropyCommands:
             capsys, "entropy", "h", "--pmf", str(pmf), "--set", "1"
         )
         assert code == 3
+
+    def test_zero_denominator_pmf_file(self, capsys, tmp_path):
+        pmf = tmp_path / "bad.pmf"
+        pmf.write_text("1 2\n0 1/0\n")
+        code, _, err = run(
+            capsys, "entropy", "h", "--pmf", str(pmf), "--set", "1"
+        )
+        assert code == 3
+        assert err.startswith("error:")
 
 
 class TestCodecCommands:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import smdc.codec as codec
 from smdc.codec import (
     BundleFormatError,
     ShareBundle,
@@ -267,6 +268,14 @@ class TestSecureScheme:
         bundles = ssmdc_encode(sources, 1, keys)
         with pytest.raises(InsufficientSharesError):
             ssmdc_decode(bundles[:1])
+
+    def test_point_budget_checked_before_encoding(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(codec, "encode_matrix", built.append)
+        keys = bytes(key_bytes_needed([1] * 127, 2))
+        with pytest.raises(ValueError, match="GF\\(256\\)"):
+            ssmdc_encode([b"x"] * 127, 2, keys)
+        assert built == []
 
     def test_insufficient_key_bytes(self):
         with pytest.raises(ValueError):

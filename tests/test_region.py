@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import smdc.region as region
 from smdc.region import (
     f_alpha,
     f_profile,
+    f_value,
     g_m,
     greedy_allocation,
     greedy_matches_region,
@@ -60,10 +64,33 @@ class TestFAlpha:
             assert v == lam[u.members[0] - 1]
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError):
-            f_alpha((1, 1), 3)
-        with pytest.raises(ValueError):
-            f_alpha((1, -1), 1)
+        for f in (f_alpha, f_value):
+            with pytest.raises(ValueError):
+                f((1, 1), 3)
+            with pytest.raises(ValueError):
+                f((1, 1), 0)
+            with pytest.raises(ValueError):
+                f((1, -1), 1)
+            with pytest.raises(ValueError):
+                f((), 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(F, st.integers(0, 6), st.sampled_from([1, 2, 3])),
+            min_size=1,
+            max_size=7,
+        ),
+        st.data(),
+    )
+    def test_closed_form_matches_lp(self, lam, data):
+        alpha = data.draw(st.integers(1, len(lam)))
+        assert f_alpha(lam, alpha).total == f_value(lam, alpha)
+
+    def test_lp_checked_against_closed_form(self, monkeypatch):
+        monkeypatch.setattr(region, "f_value", lambda lam, alpha: F(-1))
+        with pytest.raises(AssertionError):
+            f_alpha((1, 1, 1), 2)
 
 
 class TestFProfile:
