@@ -7,30 +7,41 @@ recover it; the all-access variant first stores a greedy uncoded prefix
 at encoder 0.  Per-encoder payload for source alpha is ceil(len/alpha)
 bytes, the symmetric point of each scheme's rate region.
 
-Bundle wire format (little endian):
+The three schemes are one superposition code: the plain scheme is the
+secure one with no keys, and the all-access scheme is the plain one
+after the prefix at encoder 0.  One encoder (`_encode`) and one decoder
+(`_decode`) run every layer for all three; the public functions only
+fix the scheme, the key count and the stored prefix lengths.
+
+Bundle wire format v2 (little endian):
   magic "SMDC" | version u8 | scheme u8 | L u8 | N u8 | encoder u8 |
   nsources u8 | nsources x (source_length u64, symbol_count u64) |
-  payload bytes (symbol_count bytes per source, in source order)
+  payload bytes (symbol_count bytes per source, in source order) |
+  crc32 u32 of everything before it
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .gf import GF256
 from .rs import InsufficientSharesError, coefficient_spec, decode_matrix, encode_matrix, ramp_spec
 
 MAGIC = b"SMDC"
-VERSION = 1
+VERSION = 2
 SCHEME_SMDC = 0
 SCHEME_SMDCA = 1
 SCHEME_SSMDC = 2
 MAX_ENCODERS = 200
 
+_SCHEME_NAMES = {SCHEME_SMDC: "plain", SCHEME_SMDCA: "all-access", SCHEME_SSMDC: "secure"}
 _HEAD = struct.Struct("<4sBBBBBB")
 _LENS = struct.Struct("<QQ")
+_CRC = struct.Struct("<I")
 
 
 class BundleFormatError(ValueError):
@@ -48,7 +59,7 @@ class ShareBundle:
     payload: bytes
 
     def __post_init__(self) -> None:
-        if self.scheme not in (SCHEME_SMDC, SCHEME_SMDCA, SCHEME_SSMDC):
+        if self.scheme not in _SCHEME_NAMES:
             raise BundleFormatError(f"unknown scheme {self.scheme}")
         if not 1 <= self.num_encoders <= MAX_ENCODERS:
             raise BundleFormatError("encoder count out of range")
@@ -83,46 +94,35 @@ class ShareBundle:
             self.num_keys,
             self.encoder_index,
             len(self.source_lengths),
-        )
-        lens = b"".join(
+        ) + b"".join(
             _LENS.pack(n, c)
             for n, c in zip(self.source_lengths, self.symbol_counts)
         )
-        return head + lens + self.payload
+        crc = zlib.crc32(self.payload, zlib.crc32(head))
+        return b"".join((head, self.payload, _CRC.pack(crc)))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ShareBundle":
-        if len(blob) < _HEAD.size:
+        if len(blob) < _HEAD.size + _CRC.size:
             raise BundleFormatError("truncated bundle header")
         magic, version, scheme, L, N, enc, nsrc = _HEAD.unpack_from(blob)
         if magic != MAGIC:
             raise BundleFormatError("bad magic")
         if version != VERSION:
             raise BundleFormatError(f"unsupported version {version}")
+        end = len(blob) - _CRC.size
+        if zlib.crc32(memoryview(blob)[:end]) != _CRC.unpack_from(blob, end)[0]:
+            raise BundleFormatError("checksum mismatch: corrupt or truncated bundle")
         off = _HEAD.size
         lengths, counts = [], []
         for _ in range(nsrc):
-            if off + _LENS.size > len(blob):
+            if off + _LENS.size > end:
                 raise BundleFormatError("truncated length table")
             n, c = _LENS.unpack_from(blob, off)
             off += _LENS.size
             lengths.append(n)
             counts.append(c)
-        payload = blob[off:]
-        try:
-            return cls(
-                scheme=scheme,
-                num_encoders=L,
-                num_keys=N,
-                encoder_index=enc,
-                source_lengths=tuple(lengths),
-                symbol_counts=tuple(counts),
-                payload=payload,
-            )
-        except BundleFormatError:
-            raise
-        except ValueError as err:
-            raise BundleFormatError(str(err)) from err
+        return cls(scheme, L, N, enc, tuple(lengths), tuple(counts), blob[off:end])
 
     def source_payload(self, alpha: int) -> bytes:
         """Payload slice for source alpha (1-based)."""
@@ -141,65 +141,77 @@ def key_bytes_needed(source_lengths: Sequence[int], num_keys: int) -> int:
     )
 
 
-# shared layer engine --------------------------------------------------------
+# the layer engine shared by the three schemes ----------------------------------
 
 
-def _encode_layers(payloads, num_encoders, num_keys, key_stream):
-    """Per-encoder coded streams for every source layer.
+def _layer_spec(num_encoders: int, num_keys: int, alpha: int):
+    """The code of layer alpha: ramp with keys, coefficient mode without."""
+    if num_keys:
+        return ramp_spec(num_encoders, num_keys, alpha)
+    return coefficient_spec(num_encoders, alpha)
 
-    Returns (per-encoder bytearrays, per-source symbol counts).  Consumes
-    num_keys fresh key bytes per word of the secure layers.
-    """
-    per_encoder = [bytearray() for _ in range(num_encoders)]
+
+def _encode(scheme, sources, num_keys=0, key_stream=b"", stored=None):
+    """Bundles 1..L, preceded in the all-access scheme by bundle 0, which
+    holds the first stored[alpha - 1] bytes of each source uncoded.  Layer
+    alpha codes the rest of source alpha with num_keys fresh key bytes per
+    word."""
+    L = len(sources) + num_keys
+    if not sources or L > MAX_ENCODERS:
+        raise ValueError(
+            f"need 1..{MAX_ENCODERS} encoders and at least one source, "
+            f"got {len(sources)} sources and {num_keys} keys"
+        )
+    # the top secure layer takes its L - N message, N key and L share
+    # points from one field
+    if num_keys and 2 * L > GF256.order:
+        raise ValueError(
+            f"{L} encoders with keys need {2 * L} points, "
+            f"more than GF({GF256.order}) has"
+        )
+    lengths = tuple(len(w) for w in sources)
+    stored = stored or [0] * len(sources)
+    residuals = [w[s:] for w, s in zip(sources, stored)]
+    needed = key_bytes_needed([len(w) for w in residuals], num_keys)
+    if len(key_stream) < needed:
+        raise ValueError(
+            f"insufficient key bytes: need {needed}, got {len(key_stream)}"
+        )
+    per_encoder = [bytearray() for _ in range(L)]
     counts = []
     key_off = 0
-    for alpha, data in enumerate(payloads, 1):
+    for alpha, data in enumerate(residuals, 1):
         nwords = words_needed(len(data), alpha)
         counts.append(nwords)
         if nwords == 0:
             continue
         padded = data + bytes(nwords * alpha - len(data))
         streams = [bytes(padded[j::alpha]) for j in range(alpha)]
-        if num_keys:
-            need = num_keys * nwords
-            block = key_stream[key_off : key_off + need]
-            if len(block) < need:
-                raise ValueError("insufficient key bytes for the secure layers")
-            key_off += need
-            streams += [bytes(block[i::num_keys]) for i in range(num_keys)]
-            spec = ramp_spec(num_encoders, num_keys, alpha)
-        else:
-            spec = coefficient_spec(num_encoders, alpha)
+        block = key_stream[key_off : key_off + num_keys * nwords]
+        key_off += len(block)
+        streams += [bytes(block[i::num_keys]) for i in range(num_keys)]
+        spec = _layer_spec(L, num_keys, alpha)
         outs = GF256.matmul_stream(encode_matrix(spec), streams, nwords)
-        for l in range(num_encoders):
+        for l in range(L):
             per_encoder[l] += outs[l]
-    return per_encoder, counts
+
+    def bundle(index, symbol_counts, payload):
+        return ShareBundle(
+            scheme, L, num_keys, index, lengths, tuple(symbol_counts), bytes(payload)
+        )
+
+    bundles = [bundle(l, counts, per_encoder[l - 1]) for l in range(1, L + 1)]
+    if scheme == SCHEME_SMDCA:
+        prefix = b"".join(w[:s] for w, s in zip(sources, stored))
+        bundles.insert(0, bundle(0, stored, prefix))
+    return bundles
 
 
-def _decode_layer(chunks, encoder_ids, alpha, num_encoders, num_keys, length):
-    """Recover one source from its per-encoder symbol streams.
-
-    chunks maps encoder index (1-based) to that encoder's stream for this
-    source; the lowest keys+alpha indices are used.
-    """
-    if length == 0:
-        return b""
-    nwords = words_needed(length, alpha)
-    k = num_keys + alpha
-    chosen = sorted(encoder_ids)[:k]
-    if num_keys:
-        spec = ramp_spec(num_encoders, num_keys, alpha)
-    else:
-        spec = coefficient_spec(num_encoders, alpha)
-    mat = decode_matrix(spec, [l - 1 for l in chosen])
-    outs = GF256.matmul_stream(mat, [chunks[l] for l in chosen], nwords)
-    data = bytearray(nwords * alpha)
-    for j in range(alpha):
-        data[j::alpha] = outs[j]
-    return bytes(data[:length])
-
-
-def _check_consistent(bundles) -> ShareBundle:
+def _decode(scheme, bundles):
+    """Sources 1..|coded| - N from a consistent bundle set of `scheme`,
+    each prefixed with its bundle-0 bytes in the all-access scheme."""
+    if not bundles:
+        raise ValueError("need at least one bundle")
     first = bundles[0]
     for b in bundles[1:]:
         if (
@@ -209,63 +221,57 @@ def _check_consistent(bundles) -> ShareBundle:
             or b.source_lengths != first.source_lengths
         ):
             raise BundleFormatError("bundles disagree on scheme parameters")
-    ids = [b.encoder_index for b in bundles]
-    if len(set(ids)) != len(ids):
+    if first.scheme != scheme:
+        raise BundleFormatError(f"not a {_SCHEME_NAMES[scheme]}-scheme bundle set")
+    coded = {b.encoder_index: b for b in bundles}
+    if len(coded) != len(bundles):
         raise BundleFormatError("duplicate encoder indices")
-    return first
+    # only the all-access scheme admits index 0
+    zero = coded.pop(0, None)
+    if scheme == SCHEME_SMDCA and zero is None:
+        raise ValueError("the all-access bundle (encoder 0) is required")
+    L, N = first.num_encoders, first.num_keys
+    if len(coded) <= N:
+        raise InsufficientSharesError(
+            f"{len(coded)} coded bundles, need more than the {N} of the secrecy threshold"
+        )
+    lengths = first.source_lengths
+    stored = zero.symbol_counts if zero else (0,) * len(lengths)
+    if any(s > n for s, n in zip(stored, lengths)):
+        raise BundleFormatError("stored prefix longer than its source")
+    residuals = [n - s for n, s in zip(lengths, stored)]
+    counts = tuple(words_needed(n, a) for a, n in enumerate(residuals, 1))
+    if any(b.symbol_counts != counts for b in coded.values()):
+        raise BundleFormatError("symbol counts disagree with the source lengths")
+    chosen = sorted(coded)
+    out = []
+    for alpha in range(1, len(coded) - N + 1):
+        nwords = counts[alpha - 1]
+        data = bytearray(nwords * alpha)
+        if nwords:
+            ids = chosen[: N + alpha]
+            mat = decode_matrix(_layer_spec(L, N, alpha), [l - 1 for l in ids])
+            outs = GF256.matmul_stream(
+                mat, [coded[l].source_payload(alpha) for l in ids], nwords
+            )
+            for j in range(alpha):
+                data[j::alpha] = outs[j]
+        prefix = zero.source_payload(alpha) if zero else b""
+        out.append(prefix + bytes(data[: residuals[alpha - 1]]))
+    return out
 
 
-# plain scheme ---------------------------------------------------------------
+# the three schemes ---------------------------------------------------------------
 
 
 def smdc_encode(sources: Sequence[bytes]) -> list[ShareBundle]:
     """One bundle per encoder; any |U| of them recover sources 1..|U|."""
-    L = len(sources)
-    if not 1 <= L <= MAX_ENCODERS:
-        raise ValueError(f"need 1..{MAX_ENCODERS} sources, got {L}")
-    lengths = tuple(len(w) for w in sources)
-    per_encoder, counts = _encode_layers(sources, L, 0, b"")
-    return [
-        ShareBundle(
-            scheme=SCHEME_SMDC,
-            num_encoders=L,
-            num_keys=0,
-            encoder_index=l,
-            source_lengths=lengths,
-            symbol_counts=tuple(counts),
-            payload=bytes(per_encoder[l - 1]),
-        )
-        for l in range(1, L + 1)
-    ]
+    return _encode(SCHEME_SMDC, sources)
 
 
 def smdc_decode(bundles: Sequence[ShareBundle]) -> list[bytes]:
     """Recover sources 1..|U| from the available bundles."""
-    if not bundles:
-        raise ValueError("need at least one bundle")
-    first = _check_consistent(bundles)
-    if first.scheme != SCHEME_SMDC:
-        raise BundleFormatError("not a plain-scheme bundle set")
-    L = first.num_encoders
-    for b in bundles:
-        for alpha in range(1, L + 1):
-            if b.symbol_counts[alpha - 1] != words_needed(
-                b.source_lengths[alpha - 1], alpha
-            ):
-                raise BundleFormatError("symbol counts disagree with lengths")
-    available = {b.encoder_index: b for b in bundles}
-    out = []
-    for alpha in range(1, len(bundles) + 1):
-        chunks = {l: b.source_payload(alpha) for l, b in available.items()}
-        out.append(
-            _decode_layer(
-                chunks, available, alpha, L, 0, first.source_lengths[alpha - 1]
-            )
-        )
-    return out
-
-
-# all-access scheme ----------------------------------------------------------
+    return _decode(SCHEME_SMDC, bundles)
 
 
 def smdca_encode(sources: Sequence[bytes], r0_budget: int) -> list[ShareBundle]:
@@ -273,79 +279,14 @@ def smdca_encode(sources: Sequence[bytes], r0_budget: int) -> list[ShareBundle]:
     coded across encoders 1..L.  Returns bundles indexed 0..L."""
     if r0_budget < 0:
         raise ValueError("r0 budget must be nonnegative")
-    L = len(sources)
-    if not 1 <= L <= MAX_ENCODERS:
-        raise ValueError(f"need 1..{MAX_ENCODERS} sources, got {L}")
-    lengths = tuple(len(w) for w in sources)
-    stored = _greedy_prefix(lengths, r0_budget)
-    residual_sources = [w[s:] for w, s in zip(sources, stored)]
-    per_encoder, counts = _encode_layers(residual_sources, L, 0, b"")
-    bundle0 = ShareBundle(
-        scheme=SCHEME_SMDCA,
-        num_encoders=L,
-        num_keys=0,
-        encoder_index=0,
-        source_lengths=lengths,
-        symbol_counts=tuple(stored),
-        payload=b"".join(w[:s] for w, s in zip(sources, stored)),
-    )
-    rest = [
-        ShareBundle(
-            scheme=SCHEME_SMDCA,
-            num_encoders=L,
-            num_keys=0,
-            encoder_index=l,
-            source_lengths=lengths,
-            symbol_counts=tuple(counts),
-            payload=bytes(per_encoder[l - 1]),
-        )
-        for l in range(1, L + 1)
-    ]
-    return [bundle0] + rest
-
-
-def _greedy_prefix(lengths: Sequence[int], budget: int) -> list[int]:
-    stored = []
-    left = budget
-    for n in lengths:
-        take = min(left, n)
-        stored.append(take)
-        left -= take
-    return stored
+    before = accumulate((len(w) for w in sources), initial=0)
+    stored = [min(len(w), max(0, r0_budget - b)) for w, b in zip(sources, before)]
+    return _encode(SCHEME_SMDCA, sources, stored=stored)
 
 
 def smdca_decode(bundles: Sequence[ShareBundle]) -> list[bytes]:
     """Recover sources 1..|U| from bundle 0 plus the available bundles."""
-    if not bundles:
-        raise ValueError("need at least one bundle")
-    first = _check_consistent(bundles)
-    if first.scheme != SCHEME_SMDCA:
-        raise BundleFormatError("not an all-access bundle set")
-    by_index = {b.encoder_index: b for b in bundles}
-    bundle0 = by_index.pop(0, None)
-    if bundle0 is None:
-        raise ValueError("the all-access bundle (encoder 0) is required")
-    if not by_index:
-        raise ValueError("need at least one randomly accessible bundle")
-    L = first.num_encoders
-    stored = bundle0.symbol_counts
-    for b in by_index.values():
-        for alpha in range(1, L + 1):
-            residual = b.source_lengths[alpha - 1] - stored[alpha - 1]
-            if b.symbol_counts[alpha - 1] != words_needed(residual, alpha):
-                raise BundleFormatError("symbol counts disagree with the prefix split")
-    out = []
-    for alpha in range(1, len(by_index) + 1):
-        length = first.source_lengths[alpha - 1]
-        prefix = bundle0.source_payload(alpha)
-        residual_len = length - stored[alpha - 1]
-        chunks = {l: b.source_payload(alpha) for l, b in by_index.items()}
-        suffix = _decode_layer(chunks, by_index, alpha, L, 0, residual_len)
-        out.append(prefix + suffix)
-    return out
-
-
-# secure scheme --------------------------------------------------------------
+    return _decode(SCHEME_SMDCA, bundles)
 
 
 def ssmdc_encode(
@@ -355,66 +296,10 @@ def ssmdc_encode(
     the sources, any num_keys+alpha recover sources 1..alpha."""
     if num_keys < 0:
         raise ValueError("num_keys must be nonnegative")
-    L = len(sources) + num_keys
-    if not 1 <= L <= MAX_ENCODERS:
-        raise ValueError(f"need 1..{MAX_ENCODERS} encoders, got {L}")
-    if not sources:
-        raise ValueError("need at least one source")
-    # the top secure layer takes its L - N message, N key and L share
-    # points from one field
-    if num_keys and 2 * L > GF256.order:
-        raise ValueError(
-            f"{L} encoders with keys need {2 * L} points, "
-            f"more than GF({GF256.order}) has"
-        )
-    lengths = tuple(len(w) for w in sources)
-    needed = key_bytes_needed(lengths, num_keys)
-    if len(key_stream) < needed:
-        raise ValueError(
-            f"insufficient key bytes: need {needed}, got {len(key_stream)}"
-        )
-    per_encoder, counts = _encode_layers(sources, L, num_keys, key_stream)
-    return [
-        ShareBundle(
-            scheme=SCHEME_SSMDC,
-            num_encoders=L,
-            num_keys=num_keys,
-            encoder_index=l,
-            source_lengths=lengths,
-            symbol_counts=tuple(counts),
-            payload=bytes(per_encoder[l - 1]),
-        )
-        for l in range(1, L + 1)
-    ]
+    return _encode(SCHEME_SSMDC, sources, num_keys, key_stream)
 
 
 def ssmdc_decode(bundles: Sequence[ShareBundle]) -> list[bytes]:
     """Recover sources 1..|U|-N; below the threshold nothing is recoverable
     by design."""
-    if not bundles:
-        raise ValueError("need at least one bundle")
-    first = _check_consistent(bundles)
-    if first.scheme != SCHEME_SSMDC:
-        raise BundleFormatError("not a secure-scheme bundle set")
-    L = first.num_encoders
-    N = first.num_keys
-    if len(bundles) <= N:
-        raise InsufficientSharesError(
-            f"{len(bundles)} bundles cannot exceed the secrecy threshold {N}"
-        )
-    for b in bundles:
-        for alpha in range(1, L - N + 1):
-            if b.symbol_counts[alpha - 1] != words_needed(
-                b.source_lengths[alpha - 1], alpha
-            ):
-                raise BundleFormatError("symbol counts disagree with lengths")
-    available = {b.encoder_index: b for b in bundles}
-    out = []
-    for alpha in range(1, len(bundles) - N + 1):
-        chunks = {l: b.source_payload(alpha) for l, b in available.items()}
-        out.append(
-            _decode_layer(
-                chunks, available, alpha, L, N, first.source_lengths[alpha - 1]
-            )
-        )
-    return out
+    return _decode(SCHEME_SSMDC, bundles)

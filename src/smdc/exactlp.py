@@ -36,6 +36,9 @@ def as_fraction(x) -> Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("binary floats are not accepted; pass Fraction, int or str")
+    # Fraction('1e10000000') would build a ten-million-digit integer
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise ValueError(f"exponent notation is not accepted: {x!r}")
     try:
         return Fraction(x)
     except ZeroDivisionError:

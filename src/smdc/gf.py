@@ -153,6 +153,9 @@ class GF:
             return [b""] * rows
         flat_mat = bytes(v for row in matrix for v in row)
         src = b"".join(streams)
+        # the log table has `order` entries; GF(256) holds every byte
+        if self.order < 256 and max(src, default=0) >= self.order:
+            raise ValueError(f"stream byte outside GF({self.order})")
         if _gfcore is not None:
             out = _gfcore.matmul(flat_mat, rows, cols, src, n, self.exp, self.log)
         else:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,16 @@ class TestCoversCommands:
         assert code == 3
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_verify_rejects_exponent_at_once(self, capsys, tmp_path):
+        # Fraction would expand this to a ten-million-digit integer
+        path = tmp_path / "chain.txt"
+        path.write_text("smdc-chain 1\nlambda 1e10000000 1\n")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "covers", "verify", "--file", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert "exponent" in err
+
 
 PMF_TEXT = "2 2 2\n0 0 1/3\n0 1 1/3\n1 0 1/3\n"
 
@@ -274,6 +285,15 @@ class TestEntropyCommands:
             capsys, "entropy", "h", "--pmf", str(pmf), "--set", "1"
         )
         assert code == 3
+
+    def test_exponent_pmf_file(self, capsys, tmp_path):
+        pmf = tmp_path / "bad.pmf"
+        pmf.write_text("1 2\n0 1e10000000\n1 0\n")
+        code, _, err = run(
+            capsys, "entropy", "h", "--pmf", str(pmf), "--set", "1"
+        )
+        assert code == 3
+        assert "exponent" in err
 
     def test_zero_denominator_pmf_file(self, capsys, tmp_path):
         pmf = tmp_path / "bad.pmf"
@@ -381,6 +401,24 @@ class TestCodecCommands:
         )
         assert code == 0
         assert (dec_dir / "source1.bin").read_bytes() == paths[0].read_bytes()
+
+    def test_one_corrupted_byte_is_data_error(self, capsys, tmp_path):
+        paths = self._write_sources(tmp_path, [10, 9])
+        out_dir = tmp_path / "enc"
+        run(
+            capsys, "codec", "encode", "--scheme", "smdc",
+            "--inputs", ",".join(str(p) for p in paths), "--out-dir", str(out_dir),
+        )
+        bundle = out_dir / "w1.enc2.smdc"
+        blob = bytearray(bundle.read_bytes())
+        blob[-5] ^= 1
+        bundle.write_bytes(bytes(blob))
+        code, _, err = run(
+            capsys, "codec", "decode", "--bundles",
+            f"{out_dir}/w1.enc1.smdc,{bundle}", "--out-dir", str(tmp_path / "dec"),
+        )
+        assert code == 3
+        assert err.startswith("error:") and "checksum" in err
 
     def test_corrupt_bundle_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.smdc"

@@ -55,6 +55,33 @@ class TestWireFormat:
         with pytest.raises(BundleFormatError):
             ShareBundle.from_bytes(blob[:-1])
 
+    def test_every_one_byte_corruption_detected(self):
+        rng = random.Random(15)
+        sources = make_sources(rng, [6, 5, 4])
+        keys = bytes(key_bytes_needed([6, 5], 1))
+        for bundle in (
+            smdc_encode(sources)[0],
+            smdca_encode(sources, 4)[0],
+            ssmdc_encode(sources[:2], 1, keys)[2],
+        ):
+            blob = bundle.to_bytes()
+            # header, length table, payload and checksum alike
+            for pos in range(len(blob)):
+                bad = bytearray(blob)
+                bad[pos] ^= 0xFF
+                with pytest.raises(BundleFormatError):
+                    ShareBundle.from_bytes(bytes(bad))
+
+    def test_version_1_rejected(self):
+        b = smdc_encode([b"ab"])[0]
+        v1 = (
+            codec._HEAD.pack(codec.MAGIC, 1, b.scheme, 1, 0, 1, 1)
+            + codec._LENS.pack(2, 2)
+            + b.payload
+        )
+        with pytest.raises(BundleFormatError, match="unsupported version 1"):
+            ShareBundle.from_bytes(v1)
+
     def test_scheme_consistency_enforced(self):
         with pytest.raises(BundleFormatError):
             ShareBundle(
@@ -211,6 +238,16 @@ class TestAllAccessScheme:
                     for subset in combinations(range(1, L + 1), size):
                         got = smdca_decode(pick(bundles, (0,) + subset))
                         assert got == sources[:size]
+
+    def test_prefix_longer_than_source_rejected(self):
+        # counts that agree with ceil((2 - 3) / 2) = 0 would otherwise
+        # hand back the 3 stored bytes as a 2-byte source
+        def bundle(index, counts, payload):
+            return ShareBundle(1, 2, 0, index, (4, 2), counts, payload)
+
+        coded = [bundle(l, (0, 0), b"") for l in (1, 2)]
+        with pytest.raises(BundleFormatError, match="prefix"):
+            smdca_decode([bundle(0, (4, 3), bytes(7))] + coded)
 
     def test_missing_all_access_bundle(self):
         bundles = smdca_encode([b"abcd", b"ef"], 2)

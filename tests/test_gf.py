@@ -21,6 +21,18 @@ def slow_mul(a, b, poly, order):
     return acc
 
 
+def slow_matmul(mat, streams, n, poly, order):
+    """Row-major product of mat with the byte streams, by slow_mul."""
+    out = bytearray()
+    for row in mat:
+        for i in range(n):
+            acc = 0
+            for a, s in zip(row, streams):
+                acc ^= slow_mul(a, s[i], poly, order)
+            out.append(acc)
+    return bytes(out)
+
+
 class TestScalarOps:
     def test_reduction_step(self):
         assert GF256.mul(0x02, 0x80) == 0x1D
@@ -73,22 +85,33 @@ class TestScalarOps:
 
 class TestStreamKernel:
     def test_backends_agree(self):
+        """Every importable kernel against the bitwise oracle, not against
+        one another: without `_gfcore`, matmul_stream runs matmul_python."""
+        try:
+            from smdc import _gfcore
+        except ImportError:
+            _gfcore = None
         rng = random.Random(99)
-        for f in (GF16, GF256):
-            for _ in range(20):
-                rows, cols, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 64)
+        for f, poly in ((GF16, 0x13), (GF256, 0x11D)):
+            for trial in range(24):
+                rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+                n = 0 if trial == 0 else rng.randint(1, 64)
+                # the low coefficients take the kernels' 0 and 1 shortcuts
                 mat = [
-                    [rng.randrange(f.order) for _ in range(cols)]
+                    [rng.choice((0, 1, rng.randrange(f.order))) for _ in range(cols)]
                     for _ in range(rows)
                 ]
                 streams = [
                     bytes(rng.randrange(f.order) for _ in range(n))
                     for _ in range(cols)
                 ]
-                via_class = f.matmul_stream(mat, streams, n)
+                want = slow_matmul(mat, streams, n, poly, f.order)
                 flat = bytes(v for row in mat for v in row)
-                pure = matmul_python(flat, rows, cols, b"".join(streams), n, f.exp, f.log)
-                assert b"".join(via_class) == pure
+                args = (flat, rows, cols, b"".join(streams), n, f.exp, f.log)
+                assert b"".join(f.matmul_stream(mat, streams, n)) == want
+                assert matmul_python(*args) == want
+                if _gfcore is not None:
+                    assert _gfcore.matmul(*args) == want
 
     def test_matches_scalar_ops(self):
         rng = random.Random(5)
@@ -108,6 +131,8 @@ class TestStreamKernel:
             GF256.matmul_stream([[1, 2]], [b"abc"], 3)
         with pytest.raises(ValueError):
             GF256.matmul_stream([[1]], [b"ab"], 3)
+        with pytest.raises(ValueError, match="GF\\(16\\)"):
+            GF16.matmul_stream([[2]], [b"\xff"], 1)
 
     def test_backend_reported(self):
         assert backend() in ("compiled", "pure")

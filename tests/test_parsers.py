@@ -2,6 +2,8 @@
 parses, fails with ValueError (exit code 3) and never with another
 exception."""
 
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from smdc.covers import (
     verify_conditional,
 )
 from smdc.entropy import pmf_from_text
+from smdc.exactlp import as_fraction
 
 _NUM = st.sampled_from(["0", "1", "2", "3", "-1", "1/2", "1/0", "0/0", "x"])
 _SUBSET = st.sampled_from(
@@ -70,15 +73,31 @@ def test_pmf_text(text):
     _only_value_error(pmf_from_text, text)
 
 
+def _with_crc(body):
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
 @_FUZZ
 @given(
     st.one_of(
         st.binary(max_size=80),
         st.binary(max_size=80).map(lambda tail: MAGIC + bytes([VERSION]) + tail),
+        # a valid checksum takes the parse past it, into the length table
+        st.binary(max_size=80).map(lambda tail: _with_crc(MAGIC + bytes([VERSION]) + tail)),
     )
 )
 def test_bundle_bytes(blob):
     _only_value_error(ShareBundle.from_bytes, blob)
+
+
+@pytest.mark.parametrize("text", ["1e2", "1E-3", "2.5e1", "1/1e5", "1e10000000"])
+def test_exponent_notation_rejected(text):
+    with pytest.raises(ValueError, match="exponent"):
+        as_fraction(text)
+    with pytest.raises(ValueError):
+        chain_from_text(f"smdc-chain 1\nlambda {text} 1\n")
+    with pytest.raises(ValueError):
+        pmf_from_text(f"1 2\n0 {text}\n1 0\n")
 
 
 @pytest.mark.parametrize(
