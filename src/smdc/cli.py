@@ -290,6 +290,8 @@ def cmd_entropy_h(args) -> int:
 
 def _single_check(args, pmf) -> ent.InequalityReport:
     which = args.which
+    if which != "mt" and args.alpha is None:
+        raise ValueError(f"--alpha is required for the {which} check")
     if which == "han":
         return ent.check_han(pmf, args.alpha)
     if which == "window":
@@ -299,8 +301,9 @@ def _single_check(args, pmf) -> ent.InequalityReport:
             raise ValueError("--u is required for the cover inequality")
         u = EncoderSet.of(args.u, pmf.variable_count)
         if args.weights:
-            chain = cov.yz_chain(args.weights)
-            cover = chain.covers[len(u)][u]
+            cover = cov.yz_chain(args.weights).covers.get(len(u), {}).get(u)
+            if cover is None:
+                raise ValueError(f"the chain for these weights has no cover at {u}")
         else:
             cover = cov.FractionalCover(
                 parent=u,
@@ -321,6 +324,8 @@ def _single_check(args, pmf) -> ent.InequalityReport:
 
 def cmd_entropy_check(args) -> int:
     if args.trials:
+        if args.trials < 1 or args.vars < 2:
+            raise ValueError("--trials sweeps need --trials >= 1 and --vars >= 2")
         rng = random.Random(default_seed(args))
         L = args.vars
         worst = None

@@ -3,10 +3,11 @@
 A chain holds, for each subset level alpha, an optimal solution of the
 per-level packing LP, and for each descent a family of fractional
 covers that reproduces level alpha-1 from level alpha by weighted
-parent sums.  The construction dispatches into three cases depending on
-how top-heavy the sorted weight vector is; every constructed level is
-re-verified against the closed-form level optimum and every cover
-against the covering inequality, so a bad construction raises instead
+parent sums.  No LP is solved: the descent starts from the one optimal
+top level and each step dispatches into three cases depending on how
+top-heavy the sorted weight vector is.  The finished chain is audited
+exactly (every level against the closed-form level optimum, every cover
+against the covering inequality), so a bad construction raises instead
 of propagating.
 
 The conditional variant additionally attaches to each subset a family
@@ -19,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .exactlp import as_fraction, as_fractions
-from .region import SubsetCoefficients, f_alpha, f_value
+from .region import SubsetCoefficients, f_value
+# re-exported: the benchmark tracer (perfbench/tracing.py) wraps covers.f_alpha
+from .region import f_alpha  # noqa: F401
 from .subsets import EncoderSet, subsets_of_size
 
 _ZERO = Fraction(0)
@@ -111,18 +113,6 @@ def _tuple_children(u: tuple[int, ...]):
     return combinations(u, len(u) - 1)
 
 
-def _check_tuple_cover(u, weights_u, label):
-    for w in weights_u.values():
-        if w < 0:
-            raise CoverConstructionError(f"{label}: negative cover weight on {u}")
-    for i in u:
-        total = sum((w for v, w in weights_u.items() if i in v), _ZERO)
-        if total < 1:
-            raise CoverConstructionError(
-                f"{label}: covering inequality fails at element {i} of {u}"
-            )
-
-
 def _descend(lam, ground, alpha, level, events):
     """Covers taking the given optimal level alpha down to alpha-1.
 
@@ -140,9 +130,7 @@ def _descend(lam, ground, alpha, level, events):
         lam2 = lam_list[1]
         if lam2 <= 0:
             raise CoverConstructionError("base descent needs a positive bottom weight")
-        g = {u: {(ground[0],): lam_list[0] / lam2, (ground[1],): _ONE}}
-        _check_tuple_cover(u, g[u], CASE_BASE)
-        return g
+        return {u: {(ground[0],): lam_list[0] / lam2, (ground[1],): _ONE}}
 
     if top <= rest / (alpha - 1):
         events.append((alpha, CASE_1))
@@ -188,7 +176,6 @@ def _case2(lam, ground, alpha, level, events):
                     gu[v] = sub_covers[ut].get(vt, _ZERO)
                 else:
                     gu[v] = _ZERO
-            _check_tuple_cover(u, gu, CASE_2)
             covers[u] = gu
         else:
             covers[u] = {v: uniform for v in _tuple_children(u)}
@@ -221,15 +208,16 @@ def _case3(lam, ground, alpha, level):
                 # drop the tau-th smallest element of u
                 v = u[: tau - 1] + u[tau:]
                 gu[v] += delta
-        _check_tuple_cover(u, gu, CASE_3)
         covers[u] = gu
     return covers
 
 
 def _reconstruct(covers, level, ground, alpha):
+    """Level alpha-1 as cover-weighted parent sums; `level` may omit
+    zero-weight subsets."""
     nxt = {v: _ZERO for v in combinations(ground, alpha - 1)}
     for u, gu in covers.items():
-        c = level[u]
+        c = level.get(u)
         if c:
             for v, w in gu.items():
                 if w:
@@ -244,16 +232,12 @@ def _to_encoder_set(t, order, L):
     return EncoderSet(tuple(sorted(order[p - 1] + 1 for p in t)), L)
 
 
-def _solve_level_sorted(slam_vector, alpha):
-    coeffs = f_alpha(slam_vector, alpha)
-    return {u.members: v for u, v in coeffs.assignment.items()}
-
-
 def yz_chain(weights) -> CoefficientChain:
     """Full chain of per-level optima linked by covers for one weight vector.
 
-    Levels where the LP value vanishes are re-solved fresh and carry no
-    covers into the level below.
+    With p positive weights the levels above p vanish and carry no covers;
+    level p is the one subset of the p largest weights, weighted by the
+    smallest of them, and the descent runs from there down to level 1.
     """
     lam = as_fractions(weights)
     if not lam or any(x < 0 for x in lam):
@@ -261,22 +245,21 @@ def yz_chain(weights) -> CoefficientChain:
     L = len(lam)
     order = sorted(range(L), key=lambda i: (-lam[i], i))
     slam_vector = tuple(lam[i] for i in order)
-    slam = {p: slam_vector[p - 1] for p in range(1, L + 1)}
+    slam = {i: slam_vector[i - 1] for i in range(1, L + 1)}
     ground = tuple(range(1, L + 1))
+    p = sum(1 for x in lam if x > 0)
 
     events: list[tuple[int, str]] = []
     levels_s: dict[int, dict[tuple[int, ...], Fraction]] = {
-        L: {ground: min(slam_vector)}
+        alpha: {} for alpha in range(p + 1, L + 1)
     }
     covers_s: dict[int, dict] = {}
-    for alpha in range(L, 1, -1):
-        cur = levels_s[alpha]
-        if sum(cur.values(), _ZERO) > 0:
-            g = _descend(slam, ground, alpha, cur, events)
-            covers_s[alpha] = g
-            levels_s[alpha - 1] = _reconstruct(g, cur, ground, alpha)
-        else:
-            levels_s[alpha - 1] = _solve_level_sorted(slam_vector, alpha - 1)
+    if p:
+        levels_s[p] = {ground[:p]: slam_vector[p - 1]}
+    for alpha in range(p, 1, -1):
+        g = _descend(slam, ground, alpha, levels_s[alpha], events)
+        covers_s[alpha] = g
+        levels_s[alpha - 1] = _reconstruct(g, levels_s[alpha], ground, alpha)
 
     levels: dict[int, SubsetCoefficients] = {}
     for alpha, lvl in levels_s.items():
@@ -310,28 +293,25 @@ def _verify_built_chain(chain: CoefficientChain) -> None:
 
 
 def han_chain(L: int) -> CoefficientChain:
-    """The classical uniform chain: level weights 1/(alpha*C(L,alpha)) with
-    uniform covers, optimal for equal per-encoder weights 1/L."""
+    """The classical uniform chain: the chain of equal weights 1/L, whose
+    level weights are 1/(alpha*C(L,alpha)) with uniform covers."""
     if L < 1:
         raise ValueError("need at least one encoder")
-    lam = (Fraction(1, L),) * L
-    levels = {}
-    for alpha in range(1, L + 1):
-        value = Fraction(1, alpha * comb(L, alpha))
-        levels[alpha] = SubsetCoefficients(
-            level=alpha,
-            assignment={u: value for u in subsets_of_size(L, alpha)},
-        )
-    covers = {}
-    for alpha in range(2, L + 1):
-        w = Fraction(1, alpha - 1)
-        per_u = {}
-        for u in subsets_of_size(L, alpha):
-            per_u[u] = FractionalCover(
-                parent=u, weights={v: w for v in u.children()}
-            )
-        covers[alpha] = per_u
-    return CoefficientChain(weights=lam, levels=levels, covers=covers)
+    return yz_chain((Fraction(1, L),) * L)
+
+
+def _audit_level(lam, alpha: int, coeffs: SubsetCoefficients) -> list[str]:
+    """Nonnegative, within every encoder's capacity, and optimal in total."""
+    failures = []
+    if any(v < 0 for v in coeffs.assignment.values()):
+        failures.append(f"level {alpha}: negative coefficient")
+    for l in range(1, len(lam) + 1):
+        load = sum((v for u, v in coeffs.assignment.items() if l in u), _ZERO)
+        if load > lam[l - 1]:
+            failures.append(f"level {alpha}: capacity exceeded at encoder {l}")
+    if coeffs.total != f_value(lam, alpha):
+        failures.append(f"level {alpha}: total differs from the optimum")
+    return failures
 
 
 def verify_chain(chain: CoefficientChain) -> ChainReport:
@@ -349,16 +329,7 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
         if set(coeffs.assignment) != expected:
             failures.append(f"level {alpha}: wrong subset family")
             continue
-        if any(v < 0 for v in coeffs.assignment.values()):
-            failures.append(f"level {alpha}: negative coefficient")
-        for l in range(1, L + 1):
-            load = sum(
-                (v for u, v in coeffs.assignment.items() if l in u), _ZERO
-            )
-            if load > lam[l - 1]:
-                failures.append(f"level {alpha}: capacity exceeded at encoder {l}")
-        if coeffs.total != f_value(lam, alpha):
-            failures.append(f"level {alpha}: total differs from the optimum")
+        failures += _audit_level(lam, alpha, coeffs)
     level1 = {EncoderSet((l,), L): w for l, w in enumerate(lam, 1)}
     if chain.levels[1].assignment != level1:
         failures.append("level 1 must equal the weight vector")
@@ -464,18 +435,7 @@ def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
                     failures.append(f"level {alpha}: adversary overlaps {u}")
                 if s < 0:
                     failures.append(f"level {alpha}: negative split weight at {u}")
-        marginal = SubsetCoefficients(
-            level=alpha,
-            assignment={u: sum(parts.values(), _ZERO) for u, parts in per_u.items()},
-        )
-        if marginal.total != f_value(lam, alpha):
-            failures.append(f"level {alpha}: marginal differs from the optimum")
-        for l in range(1, L + 1):
-            load = sum(
-                (v for u, v in marginal.assignment.items() if l in u), _ZERO
-            )
-            if load > lam[l - 1]:
-                failures.append(f"level {alpha}: capacity exceeded at encoder {l}")
+        failures += _audit_level(lam, alpha, assignment.level_coefficients(alpha))
     return ChainReport(ok=not failures, failures=failures)
 
 

@@ -138,14 +138,6 @@ class JointPMF:
         return self.subset_entropy(set(members) | set(cond)) - self.subset_entropy(cond)
 
 
-def subset_entropy(pmf: JointPMF, u) -> float:
-    return pmf.subset_entropy(u)
-
-
-def conditional_subset_entropy(pmf: JointPMF, u, given) -> float:
-    return pmf.conditional_entropy(u, given)
-
-
 @dataclass(frozen=True)
 class InequalityReport:
     name: str
@@ -271,6 +263,8 @@ def random_pmf(rng, alphabet_sizes, resolution: int = 256) -> JointPMF:
     """Rational random pmf on a grid of the given resolution, reproducible
     from the supplied rng."""
     sizes = tuple(int(k) for k in alphabet_sizes)
+    if any(k < 1 for k in sizes):
+        raise ValueError("alphabet sizes must be positive")
     while True:
         cells = {
             outcome: rng.randrange(resolution + 1)

@@ -3,23 +3,17 @@
 GF(256) carries all production coding; GF(16) exists so secrecy tests
 can enumerate the whole key space.  The stream matrix product, the one
 loop that touches every payload byte, dispatches to the compiled
-`_gfcore` kernel when it is importable and SMDC_PURE_PYTHON is unset.
+`_gfcore` kernel exactly when it is importable.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
-_PURE_REQUESTED = os.environ.get("SMDC_PURE_PYTHON", "") not in ("", "0")
-
-if _PURE_REQUESTED:
+try:
+    from . import _gfcore  # type: ignore[attr-defined]
+except ImportError:
     _gfcore = None
-else:
-    try:
-        from . import _gfcore  # type: ignore[attr-defined]
-    except ImportError:
-        _gfcore = None
 
 
 def backend() -> str:

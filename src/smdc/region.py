@@ -129,39 +129,32 @@ def smdca_hyperplane(m: int, weights, entropies) -> Fraction:
 # membership ------------------------------------------------------------
 
 
-def _rate_split(rates, entropies, levels, r0=None):
+def _rate_split(rates, entropies, levels):
     """Feasibility LP for a per-level rate split.
 
-    Variables are r[level][slot]; slot 0 is the all-access encoder when r0
-    is given.  Returns (witness, None) when a split exists, else (None,
-    multipliers): the Farkas multipliers of the capacity rows scaled to a
-    maximum of 1, r0's first when present.
+    Variables are r[level][encoder].  Returns (witness, None) when a split
+    exists, else (None, multipliers): the Farkas multipliers of the
+    capacity rows scaled to a maximum of 1.
     """
     L = len(rates)
-    caps = tuple(rates) if r0 is None else (r0,) + tuple(rates)
-    slots = len(caps)
-    shift = slots - L  # 1 when slot 0 is the all-access encoder
-    nvars = len(levels) * slots
+    nvars = len(levels) * L
     lp = LinearProgram(nvars)
     for ai, alpha in enumerate(levels):
-        base = ai * slots
         for u in subsets_of_size(L, alpha):
             coeffs = [0] * nvars
-            if shift:
-                coeffs[base] = 1
             for l in u:
-                coeffs[base + shift + l - 1] = 1
+                coeffs[ai * L + l - 1] = 1
             lp.add(coeffs, GE, entropies[ai])
     first_cap = lp.num_rows
-    for slot, cap in enumerate(caps):
+    for l, cap in enumerate(rates):
         coeffs = [0] * nvars
-        coeffs[slot::slots] = [1] * len(levels)
+        coeffs[l::L] = [1] * len(levels)
         lp.add(coeffs, LE, cap)
     res = feasible(lp)
     if res.feasible:
         point = res.point
         return {
-            alpha: tuple(point[ai * slots : (ai + 1) * slots])
+            alpha: tuple(point[ai * L : (ai + 1) * L])
             for ai, alpha in enumerate(levels)
         }, None
     mults = [-y for y in res.certificate[first_cap:]]
@@ -192,29 +185,28 @@ def smdc_member(rates, entropies) -> MembershipVerdict:
 
 
 def smdca_member(r0, rates, entropies) -> MembershipVerdict:
-    """Membership with an all-access encoder of rate r0."""
+    """Membership with an all-access encoder of rate r0: the all-access
+    encoder stores the greedy prefix, and the rates must carry the
+    residual in the plain region."""
     r0 = as_fraction(r0)
-    if r0 < 0:
-        raise ValueError("r0 must be nonnegative")
     r, h, levels = _member_inputs(rates, entropies, 0)
-    witness, mults = _rate_split(r, h, levels, r0)
-    if witness is not None:
+    alloc = greedy_allocation(r0, h)
+    split, lam = _rate_split(r, alloc.residual, levels)
+    if split is not None:
+        witness = {a: (alloc.stored_at_zero[a - 1],) + split[a] for a in levels}
         return MembershipVerdict(member=True, witness=witness)
-    lam0, lam = mults[0], mults[1:]
-    prof = f_profile(lam)
-    lam_r = _dot(lam, r)
-    if not lam0 * r0 + lam_r < _dot((min(f, lam0) for f in prof), h):
+    # the residual's violated hyperplane lam.r < sum_a f_a(lam) h'_a is
+    # g_q(lam) at the split level q, which is the all-access hyperplane
+    # at lambda0 = f_q(lam)
+    q = alloc.level
+    lam0 = f_value(lam, q)
+    scale = max(lam0, 1)
+    lam0, lam = lam0 / scale, tuple(x / scale for x in lam)
+    rhs = _dot((min(f_value(lam, a), lam0) for a in levels), h)
+    if not lam0 * r0 + _dot(lam, r) < rhs:
         raise AssertionError("certificate must violate the all-access hyperplane")
-    cert_m = next(
-        (m for m in levels if lam_r < residual_hyperplane(prof, h, m, r0)), None
-    )
-    if cert_m is None:
-        raise AssertionError("some boundary hyperplane must be violated")
     return MembershipVerdict(
-        member=False,
-        certificate=lam,
-        certificate_lambda0=lam0,
-        certificate_m=cert_m,
+        member=False, certificate=lam, certificate_lambda0=lam0, certificate_m=q
     )
 
 

@@ -10,14 +10,15 @@ Two encodings share the machinery:
     points, so any k = keys + message shares recover the message while
     any `keys` shares are independent of it.
 
-Word-level functions live here; byte-stream throughput goes through the
-fixed linear maps built by `encode_matrix` / `decode_matrix`.
+Both are used only as fixed linear maps: `encode_matrix` and
+`decode_matrix` build them, and `GF.matmul_stream` applies them to byte
+streams, one symbol per byte position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .gf import GF, GF256
 
@@ -88,81 +89,6 @@ def ramp_spec(n: int, num_keys: int, num_message: int, gf: GF = GF256) -> CodeSp
     )
 
 
-# word-level operations ----------------------------------------------------
-
-
-def rs_encode(data: Sequence[int], spec: CodeSpec) -> list[int]:
-    """Coefficient-mode encode: share i is the polynomial with coefficient
-    vector `data` evaluated at point i."""
-    if spec.is_ramp:
-        raise ValueError("rs_encode expects a coefficient-mode spec")
-    if len(data) != spec.k:
-        raise ValueError(f"expected {spec.k} data symbols, got {len(data)}")
-    return [spec.gf.poly_eval(data, x) for x in spec.eval_points]
-
-
-def _gather(shares, spec: CodeSpec, needed: int) -> tuple[list[int], list[int]]:
-    if isinstance(shares, Mapping):
-        pairs = sorted(shares.items())
-    else:
-        pairs = sorted(shares)
-    positions = [p for p, _ in pairs]
-    if len(set(positions)) != len(positions):
-        raise ValueError("duplicate share positions")
-    if any(not 0 <= p < spec.n for p in positions):
-        raise ValueError("share position out of range")
-    if len(pairs) != needed:
-        if len(pairs) < needed:
-            raise InsufficientSharesError(
-                f"need {needed} shares, got {len(pairs)}"
-            )
-        raise ValueError(f"need exactly {needed} shares, got {len(pairs)}")
-    return positions, [v for _, v in pairs]
-
-
-def rs_decode(shares, spec: CodeSpec) -> list[int]:
-    """Recover the k data symbols from exactly k (position, value) shares."""
-    if spec.is_ramp:
-        raise ValueError("rs_decode expects a coefficient-mode spec")
-    positions, values = _gather(shares, spec, spec.k)
-    pts = [spec.eval_points[p] for p in positions]
-    return spec.gf.solve(spec.gf.vandermonde(pts, spec.k), values)
-
-
-def ramp_encode(message: Sequence[int], keys: Sequence[int], spec: CodeSpec) -> list[int]:
-    """Ramp-mode encode with caller-supplied uniform key symbols."""
-    if not spec.is_ramp:
-        raise ValueError("ramp_encode expects a ramp-mode spec")
-    if len(message) != len(spec.message_points):
-        raise ValueError("message length must match the message points")
-    if len(keys) != spec.num_keys:
-        raise ValueError(f"expected {spec.num_keys} key symbols, got {len(keys)}")
-    src = spec.message_points + spec.key_points
-    mat = spec.gf.lagrange_matrix(src, spec.eval_points)
-    vals = list(message) + list(keys)
-    return [
-        _dot(spec.gf, row, vals) for row in mat
-    ]
-
-
-def ramp_decode(shares, spec: CodeSpec) -> list[int]:
-    """Recover the message from exactly k shares of a ramp encoding."""
-    if not spec.is_ramp:
-        raise ValueError("ramp_decode expects a ramp-mode spec")
-    positions, values = _gather(shares, spec, spec.k)
-    pts = [spec.eval_points[p] for p in positions]
-    mat = spec.gf.lagrange_matrix(pts, spec.message_points)
-    return [_dot(spec.gf, row, values) for row in mat]
-
-
-def _dot(gf: GF, row: Sequence[int], values: Sequence[int]) -> int:
-    acc = 0
-    for a, v in zip(row, values):
-        if a and v:
-            acc ^= gf.mul(a, v)
-    return acc
-
-
 # stream-level linear maps ---------------------------------------------------
 
 
@@ -184,6 +110,8 @@ def decode_matrix(spec: CodeSpec, positions: Sequence[int]) -> list[list[int]]:
         raise ValueError("duplicate share positions")
     if len(positions) != spec.k:
         raise ValueError(f"need exactly {spec.k} positions")
+    if any(not 0 <= p < spec.n for p in positions):
+        raise ValueError("share position out of range")
     pts = [spec.eval_points[p] for p in positions]
     if spec.is_ramp:
         return spec.gf.lagrange_matrix(pts, spec.message_points)

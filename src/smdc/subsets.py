@@ -72,9 +72,6 @@ class EncoderSet:
         )
         return EncoderSet(missing, self.ground_size)
 
-    def is_subset_of(self, other: "EncoderSet") -> bool:
-        return self.mask & ~other.mask == 0
-
     def children(self) -> list["EncoderSet"]:
         """The |U| subsets of U with one element removed, in lex order."""
         if len(self.members) < 2:

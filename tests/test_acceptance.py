@@ -43,7 +43,7 @@ from smdc.region import (
     smdca_member,
     ssmdc_member,
 )
-from smdc.rs import ramp_encode, ramp_spec
+from smdc.rs import encode_matrix, ramp_spec
 
 F = Fraction
 TOL = 1e-9
@@ -468,13 +468,15 @@ def test_criterion_11_perfect_secrecy_small_field():
     for N in (1, 2):
         for alpha in range(1, L - N + 1):
             spec = ramp_spec(L, N, alpha, gf=GF16)
+            mat = encode_matrix(spec)
+            # one byte position per key vector, through the stream kernel
+            keys = list(product(range(order), repeat=N))
+            key_streams = [bytes(k[j] for k in keys) for j in range(N)]
             shares_by_message = {}
             for message in product(range(order), repeat=alpha):
-                rows = [
-                    tuple(ramp_encode(list(message), list(keys), spec))
-                    for keys in product(range(order), repeat=N)
-                ]
-                shares_by_message[message] = rows
+                streams = [bytes([m]) * len(keys) for m in message] + key_streams
+                shares = GF16.matmul_stream(mat, streams, len(keys))
+                shares_by_message[message] = list(zip(*shares))
             for size in range(1, N + 1):
                 for observed in combinations(range(L), size):
                     reference = None

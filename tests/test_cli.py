@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from smdc.cli import main, parse_rational
+from smdc.region import f_value
 
 
 def run(capsys, *argv):
@@ -92,6 +93,29 @@ class TestRegionCommands:
         )
         assert code == 0
         assert "q = 1" in out
+
+    @pytest.mark.parametrize("weights,alpha", [("1,1,1", 2), ("3,1,0,2", 3), ("5,1,1", 1)])
+    def test_f_assignment(self, capsys, weights, alpha):
+        lam = [parse_rational(x) for x in weights.split(",")]
+        total = f_value(lam, alpha)
+        argv = ("region", "f", "--weights", weights, "--alpha", str(alpha))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        first, *rest = out.splitlines()
+        assert first == f"f_{alpha} = {total}"
+        shown = {
+            line.split()[1].strip("{}"): parse_rational(line.split()[3])
+            for line in rest
+        }
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assignment = {u: parse_rational(v) for u, v in result["assignment"].items()}
+        assert parse_rational(result["total"]) == sum(assignment.values()) == total
+        assert shown == {u: v for u, v in assignment.items() if v}
+        assert all(v >= 0 for v in assignment.values())
+        for l, cap in enumerate(lam, 1):
+            assert sum(v for u, v in assignment.items() if str(l) in u.split(",")) <= cap
 
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "region", "min-sum")
@@ -270,6 +294,46 @@ class TestEntropyCommands:
             "--pmf", str(pmf), "--weights", "1,1,1", "--n", "1", "--alpha", "2",
         )
         assert code == 0 and "holds" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--which", "han", "--trials", "3", "--vars", "1"),
+            ("--which", "han", "--trials", "-2"),
+            ("--which", "han", "--trials", "2", "--alphabet", "0"),
+        ],
+    )
+    def test_empty_trial_sweep_is_data_error(self, capsys, argv):
+        code, out, err = run(capsys, "entropy", "check", *argv)
+        assert code == 3
+        assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--which", "han"),
+            ("--which", "window"),
+            ("--which", "yz", "--weights", "1,1,1"),
+            ("--which", "cyz", "--weights", "1,1,1", "--n", "1"),
+        ],
+    )
+    def test_check_without_alpha_is_data_error(self, capsys, tmp_path, extra):
+        pmf = tmp_path / "p.pmf"
+        pmf.write_text(PMF_TEXT)
+        code, _, err = run(capsys, "entropy", "check", "--pmf", str(pmf), *extra)
+        assert code == 3
+        assert err.startswith("error:") and "--alpha" in err
+
+    @pytest.mark.parametrize("u,weights", [("1", "1,1"), ("1,2", "1,0")])
+    def test_cover_missing_from_chain_is_data_error(self, capsys, tmp_path, u, weights):
+        pmf = tmp_path / "p.pmf"
+        pmf.write_text(PMF_TEXT)
+        code, _, err = run(
+            capsys, "entropy", "check", "--which", "mt",
+            "--pmf", str(pmf), "--u", u, "--weights", weights,
+        )
+        assert code == 3
+        assert err.startswith("error:") and "no cover" in err
 
     def test_perm_identity(self, capsys):
         code, out, _ = run(

@@ -285,6 +285,44 @@ class TestConditionalChain:
             conditional_chain((1, 1), 2)
 
 
+class TestLpFree:
+    @pytest.fixture(autouse=True)
+    def _no_lp(self, monkeypatch):
+        import smdc.region as region
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("chain construction reached the LP")
+
+        monkeypatch.setattr(region, "solve_max", refuse)
+        monkeypatch.setattr(region, "feasible", refuse)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [(0,), (3,), (0, 0, 0), (1, 0, 0), (0, 2, 0, 1), (2, 0, 1, 0, 5), (1, 1, 0)],
+    )
+    def test_chains_with_zero_weights(self, lam):
+        chain = yz_chain(lam)
+        assert verify_chain(chain).ok
+        # levels above the positive count vanish and carry no covers
+        p = sum(1 for x in lam if x)
+        assert all(chain.levels[a].total == 0 for a in range(p + 1, len(lam) + 1))
+        assert all(a <= p for a in chain.covers)
+        for n in range(len(lam)):
+            assert verify_conditional(conditional_chain(lam, n)).ok
+
+    def test_random_chains(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            L = rng.randint(1, 6)
+            lam = rand_lambda(rng, L)
+            assert verify_chain(yz_chain(lam)).ok
+            assert verify_conditional(conditional_chain(lam, rng.randrange(L))).ok
+
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_han_chain(self, L):
+        assert verify_chain(han_chain(L)).ok
+
+
 class TestSerialization:
     def test_golden_format(self):
         assert cov.chain_to_text(han_chain(2)) == (

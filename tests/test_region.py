@@ -206,6 +206,25 @@ class TestSmdcaMember:
         assert lhs < rhs
         assert max(tuple(lam) + (lam0,)) == 1
 
+    def test_reduces_to_greedy_residual(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            L = rng.randint(2, 4)
+            h = [rand_frac(rng, 4, 3) for _ in range(L)]
+            r = [rand_frac(rng, 8, 4) for _ in range(L)]
+            r0 = rand_frac(rng, 6, 3)
+            alloc = greedy_allocation(r0, h)
+            verdict = smdca_member(r0, r, h)
+            assert verdict.member == smdc_member(r, alloc.residual).member
+            if verdict.member:
+                slot0 = tuple(verdict.witness[a][0] for a in range(1, L + 1))
+                assert slot0 == alloc.stored_at_zero
+            else:
+                lam, lam0 = verdict.certificate, verdict.certificate_lambda0
+                assert verdict.certificate_m == alloc.level
+                assert lam0 == f_value(lam, alloc.level)
+                assert max(tuple(lam) + (lam0,)) == 1
+
     def test_hyperplane_m_one_uniform(self):
         h = (1, F(1, 2), F(3, 4))
         assert smdca_hyperplane(1, (1, 1, 1), h) == min_sum_rate(h)

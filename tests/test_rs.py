@@ -11,63 +11,82 @@ from smdc.rs import (
     coefficient_spec,
     decode_matrix,
     encode_matrix,
-    ramp_decode,
-    ramp_encode,
     ramp_spec,
-    rs_decode,
-    rs_encode,
 )
+
+
+def encode(spec, *words):
+    """Share streams of data words laid side by side, one word per byte
+    position, through `encode_matrix` and the stream kernel."""
+    streams = [bytes(col) for col in zip(*words)]
+    return spec.gf.matmul_stream(encode_matrix(spec), streams, len(words))
+
+
+def decode(spec, shares):
+    """Data streams (message streams in ramp mode) back from a mapping
+    position -> share stream, through `decode_matrix`."""
+    positions = sorted(shares)
+    n = len(shares[positions[0]])
+    return spec.gf.matmul_stream(
+        decode_matrix(spec, positions), [shares[p] for p in positions], n
+    )
+
+
+def streams_of(*words):
+    return [bytes(col) for col in zip(*words)]
 
 
 class TestCoefficientCode:
     def test_k_one_replicates(self):
         spec = coefficient_spec(5, 1)
-        assert rs_encode([7], spec) == [7] * 5
+        assert encode(spec, [7], [9]) == [bytes([7, 9])] * 5
 
     def test_k_equals_n_round_trips(self):
         rng = random.Random(1)
         spec = coefficient_spec(4, 4)
-        data = [rng.randrange(256) for _ in range(4)]
-        shares = rs_encode(data, spec)
-        assert rs_decode(list(enumerate(shares)), spec) == data
+        words = [[rng.randrange(256) for _ in range(4)] for _ in range(3)]
+        shares = encode(spec, *words)
+        assert decode(spec, dict(enumerate(shares))) == streams_of(*words)
 
     def test_known_evaluation(self):
         # p(x) = 1 + x at points 1, 2, 3
         spec = CodeSpec(n=3, k=2, eval_points=(1, 2, 3))
-        assert rs_encode([1, 1], spec) == [0, 3, 2]
+        assert encode(spec, [1, 1]) == [bytes([0]), bytes([3]), bytes([2])]
 
     def test_every_subset_recovers(self):
         rng = random.Random(2)
         for n in range(1, 9):
             for k in range(1, n + 1):
                 spec = coefficient_spec(n, k)
-                data = [rng.randrange(256) for _ in range(k)]
-                shares = rs_encode(data, spec)
+                words = [[rng.randrange(256) for _ in range(k)] for _ in range(3)]
+                shares = encode(spec, *words)
                 for subset in combinations(range(n), k):
-                    got = rs_decode([(p, shares[p]) for p in subset], spec)
-                    assert got == data
+                    got = decode(spec, {p: shares[p] for p in subset})
+                    assert got == streams_of(*words)
 
     def test_share_count_errors(self):
         spec = coefficient_spec(4, 2)
-        shares = rs_encode([1, 2], spec)
-        with pytest.raises(InsufficientSharesError):
-            rs_decode([(0, shares[0])], spec)
         with pytest.raises(ValueError):
-            rs_decode([(0, shares[0]), (0, shares[0])], spec)
+            decode_matrix(spec, [0])
         with pytest.raises(ValueError):
-            rs_decode([(p, shares[p]) for p in range(3)], spec)
+            decode_matrix(spec, [0, 0])
+        with pytest.raises(ValueError):
+            decode_matrix(spec, [0, 1, 2])
+        for bad in ([-1, 0], [0, 4]):
+            with pytest.raises(ValueError):
+                decode_matrix(spec, bad)
+        # the codec's threshold error is still a data error
+        assert issubclass(InsufficientSharesError, ValueError)
 
     def test_decode_matrix_inverts(self):
         rng = random.Random(3)
         spec = coefficient_spec(6, 3)
         data = [rng.randrange(256) for _ in range(3)]
-        shares = rs_encode(data, spec)
+        shares = [s[0] for s in encode(spec, data)]
         for subset in combinations(range(6), 3):
             mat = decode_matrix(spec, subset)
             vals = [shares[p] for p in subset]
-            got = [
-                0 for _ in range(3)
-            ]
+            got = [0] * 3
             for i in range(3):
                 acc = 0
                 for j in range(3):
@@ -79,13 +98,8 @@ class TestCoefficientCode:
         rng = random.Random(4)
         spec = coefficient_spec(5, 3)
         data = [rng.randrange(256) for _ in range(3)]
-        mat = encode_matrix(spec)
-        direct = rs_encode(data, spec)
-        for i in range(5):
-            acc = 0
-            for j in range(3):
-                acc ^= GF256.mul(mat[i][j], data[j])
-            assert acc == direct[i]
+        direct = [GF256.poly_eval(data, x) for x in spec.eval_points]
+        assert [s[0] for s in encode(spec, data)] == direct
 
 
 class TestRampCode:
@@ -93,29 +107,27 @@ class TestRampCode:
         rng = random.Random(5)
         spec = ramp_spec(5, 0, 2)
         msg = [rng.randrange(256), rng.randrange(256)]
-        shares = ramp_encode(msg, [], spec)
+        shares = encode(spec, msg)
         for subset in combinations(range(5), 2):
-            assert ramp_decode([(p, shares[p]) for p in subset], spec) == msg
+            assert decode(spec, {p: shares[p] for p in subset}) == streams_of(msg)
 
     def test_threshold_scheme_recovers(self):
-        # 3 shares, 1 key, 1 message symbol: a (3, 2) threshold scheme
+        # 3 shares, 1 key, 1 message symbol: a (3, 2) threshold scheme;
+        # one byte position per (secret, key) pair
         spec = ramp_spec(3, 1, 1, gf=GF16)
-        for secret in range(16):
-            for key in range(16):
-                shares = ramp_encode([secret], [key], spec)
-                for subset in combinations(range(3), 2):
-                    got = ramp_decode([(p, shares[p]) for p in subset], spec)
-                    assert got == [secret]
+        words = list(product(range(16), range(16)))
+        shares = encode(spec, *words)
+        secrets = bytes(secret for secret, _ in words)
+        for subset in combinations(range(3), 2):
+            assert decode(spec, {p: shares[p] for p in subset}) == [secrets]
 
     def test_single_share_uniform(self):
         # each single share is uniform over the key, whatever the secret
         spec = ramp_spec(3, 1, 1, gf=GF16)
         for secret in (0, 7, 15):
+            shares = encode(spec, *[(secret, key) for key in range(16)])
             for pos in range(3):
-                seen = Counter(
-                    ramp_encode([secret], [key], spec)[pos] for key in range(16)
-                )
-                assert set(seen.values()) == {1}
+                assert set(Counter(shares[pos]).values()) == {1}
 
     def test_recovery_all_small_shapes(self):
         rng = random.Random(6)
@@ -123,12 +135,14 @@ class TestRampCode:
             for n_keys in range(0, L):
                 for a in range(1, L - n_keys + 1):
                     spec = ramp_spec(L, n_keys, a)
-                    msg = [rng.randrange(256) for _ in range(a)]
-                    keys = [rng.randrange(256) for _ in range(n_keys)]
-                    shares = ramp_encode(msg, keys, spec)
+                    words = [
+                        [rng.randrange(256) for _ in range(a + n_keys)]
+                        for _ in range(3)
+                    ]
+                    shares = encode(spec, *words)
+                    msg = streams_of(*words)[:a]
                     for subset in combinations(range(L), n_keys + a):
-                        got = ramp_decode([(p, shares[p]) for p in subset], spec)
-                        assert got == msg
+                        assert decode(spec, {p: shares[p] for p in subset}) == msg
 
     def test_exhaustive_secrecy_small_field(self):
         # joint share distribution on any N encoders is message-independent
@@ -136,15 +150,14 @@ class TestRampCode:
             L = 3
             spec = ramp_spec(L, n_keys, a, gf=GF16)
             msgs = list(product(range(16), repeat=a))[:6]
+            keys = list(product(range(16), repeat=n_keys))
+            share_sets = [encode(spec, *[msg + k for k in keys]) for msg in msgs]
             for size in range(1, n_keys + 1):
                 for subset in combinations(range(L), size):
-                    dists = []
-                    for msg in msgs:
-                        c = Counter(
-                            tuple(ramp_encode(list(msg), list(keys), spec)[p] for p in subset)
-                            for keys in product(range(16), repeat=n_keys)
-                        )
-                        dists.append(c)
+                    dists = [
+                        Counter(zip(*(shares[p] for p in subset)))
+                        for shares in share_sets
+                    ]
                     assert all(d == dists[0] for d in dists[1:])
 
     def test_point_budget(self):
@@ -152,15 +165,11 @@ class TestRampCode:
             ramp_spec(14, 1, 2, gf=GF16)
 
     def test_key_count_enforced(self):
+        # the encode map takes message and key streams together
         spec = ramp_spec(4, 2, 1)
+        assert len(encode_matrix(spec)[0]) == 3
         with pytest.raises(ValueError):
-            ramp_encode([1], [2], spec)
-
-    def test_mode_mixing_rejected(self):
-        with pytest.raises(ValueError):
-            rs_encode([1], ramp_spec(3, 1, 1))
-        with pytest.raises(ValueError):
-            ramp_encode([1], [], coefficient_spec(3, 1))
+            encode(spec, [1, 2])
 
     def test_spec_point_disjointness(self):
         with pytest.raises(ValueError):
