@@ -4,10 +4,13 @@ The region of each scheme is cut out by supporting hyperplanes whose
 level coefficients f_alpha have a closed form (`f_value`); the packing
 LP behind them (`f_alpha`) is solved only where an explicit subset
 assignment is wanted, and its optimum is checked against the closed
-form.  Membership is one exact primal feasibility system shared by the
-three schemes.  Non-members come back with a separating weight vector
-extracted from the Farkas certificate; members come back with an
-explicit per-level rate allocation.  All arithmetic is rational, no
+form.  Membership, shared by the three schemes, is one LP with O(L^2)
+entries over the encoders sorted by rate: f_alpha is symmetric, so the
+worst weight vector is ordered opposite to the rates.  Non-members come
+back with the separating weights lambda read off the Farkas multipliers
+of its prefix rows; members come back with a per-level rate allocation
+that Robin Hood transfers carry from the LP's sorted blocks onto the
+rates.  Both are re-checked exactly.  All arithmetic is rational, no
 floats.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .exactlp import GE, LE, LinearProgram, as_fraction, as_fractions, feasible, solve_max
 from .subsets import EncoderSet, subsets_of_size
@@ -130,38 +134,58 @@ def smdca_hyperplane(m: int, weights, entropies) -> Fraction:
 
 
 def _rate_split(rates, entropies, levels):
-    """Feasibility LP for a per-level rate split.
+    """Per-level rate split by one LP over the encoders sorted by rate.
 
-    Variables are r[level][encoder].  Returns (witness, None) when a split
-    exists, else (None, multipliers): the Farkas multipliers of the
-    capacity rows scaled to a maximum of 1.
+    With the rates ascending, column (alpha, j) for j < alpha is a block
+    of height mu on the L - j highest-rate encoders, of which any alpha
+    encoders hold at least (alpha - j) mu.  Rows: one demand row per
+    level, sum_j (alpha - j) mu >= H_alpha, and one prefix row per k: the
+    blocks' load on the k lowest-rate encoders is at most the sum of
+    their rates.  Returns (witness, None) when the LP is feasible: the
+    blocks' per-level loads, carried onto the rates by Robin Hood
+    transfers, which keep every level's sum of its alpha smallest shares.
+    Else (None, lam): with w the Farkas multipliers of the prefix rows,
+    lam sorts as the suffix sums of w, so lam.r < sum_a f_a(lam) H_a,
+    scaled to a maximum of 1.  The witness is re-checked exactly.
     """
     L = len(rates)
-    nvars = len(levels) * L
-    lp = LinearProgram(nvars)
-    for ai, alpha in enumerate(levels):
-        for u in subsets_of_size(L, alpha):
-            coeffs = [0] * nvars
-            for l in u:
-                coeffs[ai * L + l - 1] = 1
-            lp.add(coeffs, GE, entropies[ai])
-    first_cap = lp.num_rows
-    for l, cap in enumerate(rates):
-        coeffs = [0] * nvars
-        coeffs[l::L] = [1] * len(levels)
-        lp.add(coeffs, LE, cap)
+    order = sorted(range(L), key=rates.__getitem__)
+    rank = sorted(range(L), key=order.__getitem__)  # encoder -> sorted position
+    r = [rates[l] for l in order]
+    cols = [(ai, j) for ai, alpha in enumerate(levels) for j in range(alpha)]
+    lp = LinearProgram(len(cols))
+    for ai, (alpha, h) in enumerate(zip(levels, entropies)):
+        lp.add([alpha - j if bi == ai else 0 for bi, j in cols], GE, h)
+    for k, cap in enumerate(accumulate(r), 1):
+        lp.add([max(k - j, 0) for _, j in cols], LE, cap)
     res = feasible(lp)
-    if res.feasible:
-        point = res.point
-        return {
-            alpha: tuple(point[ai * L : (ai + 1) * L])
-            for ai, alpha in enumerate(levels)
-        }, None
-    mults = [-y for y in res.certificate[first_cap:]]
-    top = max(mults)
-    if not top > 0:
-        raise AssertionError("separating certificate cannot be identically zero")
-    return None, tuple(y / top for y in mults)
+    if not res.feasible:
+        w = [-y for y in res.certificate[len(levels):]]
+        lam = list(accumulate(reversed(w)))[::-1]
+        if not lam[0] > 0:
+            raise AssertionError("separating certificate cannot be identically zero")
+        return None, tuple(lam[p] / lam[0] for p in rank)
+    shares = [[_ZERO] * L for _ in levels]
+    for (ai, j), mu in zip(cols, res.point):
+        for p in range(j, L):
+            shares[ai][p] += mu
+    load = [sum(col, _ZERO) for col in zip(*shares)]
+    load[-1] += sum(r, _ZERO) - sum(load, _ZERO)
+    # r is majorized by load: move mass from the first entry above its rate
+    # to the last one below it, the same fraction in every level
+    while (i := next((p for p in range(L) if load[p] > r[p]), None)) is not None:
+        k = max(p for p in range(i) if load[p] < r[p])
+        t = min(load[i] - r[i], r[k] - load[k]) / (load[i] - load[k])
+        for x in shares + [load]:
+            d = t * (x[i] - x[k])
+            x[i] -= d
+            x[k] += d
+    for x, alpha, h in zip(shares, levels, entropies):
+        if any(v < 0 for v in x) or sum(sorted(x)[:alpha], _ZERO) < h:
+            raise AssertionError("witness misses a level demand")
+    if any(sum(col, _ZERO) > cap for col, cap in zip(zip(*shares), r)):
+        raise AssertionError("witness exceeds an encoder rate")
+    return {alpha: tuple(x[p] for p in rank) for x, alpha in zip(shares, levels)}, None
 
 
 def _member_inputs(rates, entropies, n_secure: int):

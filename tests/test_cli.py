@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from smdc.cli import main, parse_rational
-from smdc.region import f_value
+from smdc.region import MAX_MEMBERSHIP_GROUND, f_value
 
 
 def run(capsys, *argv):
@@ -71,6 +71,35 @@ class TestRegionCommands:
         assert doc["command"] == "region.member"
         assert doc["result"]["member"] is False
         assert "lambda" in doc["certificate"]
+
+    @pytest.mark.parametrize("member", [True, False])
+    def test_member_at_the_cap(self, capsys, member):
+        L = MAX_MEMBERSHIP_GROUND
+        h = [Fraction(a % 3 + 1, 2) for a in range(L)]
+        point = sum(x / a for a, x in enumerate(h, 1))
+        rates = [point + Fraction(l, 8) if member else point * Fraction(9, 10)
+                 for l in range(L)]
+        code, out, _ = run(
+            capsys,
+            "region",
+            "member",
+            "--rates",
+            ",".join(str(x) for x in rates),
+            "--entropies",
+            ",".join(str(x) for x in h),
+            "--json",
+        )
+        doc = json.loads(out)
+        if member:
+            assert code == 0
+            witness = doc["result"]["witness"]
+            assert sorted(witness, key=int) == [str(a) for a in range(1, L + 1)]
+            assert all(len(split) == L for split in witness.values())
+        else:
+            assert code == 1
+            assert doc["result"]["member"] is False
+            assert '"certificate"' in out
+            assert len(doc["certificate"]["lambda"]) == L
 
     def test_member_a(self, capsys):
         code, out, _ = run(

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import smdc.exactlp as exactlp
 import smdc.region as region
 from smdc.region import (
+    MAX_MEMBERSHIP_GROUND,
     f_alpha,
     f_profile,
     f_value,
@@ -22,7 +26,7 @@ from smdc.region import (
 )
 from smdc.subsets import EncoderSet
 
-from oracles import LE, brute_lp_max
+from oracles import LE, brute_lp_max, subset_system_member
 
 F = Fraction
 
@@ -307,3 +311,137 @@ class TestSsmdcMember:
     def test_bad_lengths(self):
         with pytest.raises(ValueError):
             ssmdc_member((1, 1, 1), (1, 1, 1), 1)
+
+
+def check_verdict(verdict, rates, entropies, n_secure=0, r0=None):
+    """Brute-force check of what backs a verdict: a member's witness covers
+    every alpha-subset at every level within the rates, a non-member's
+    certificate violates its (all-access) hyperplane."""
+    L = len(rates)
+    levels = range(1, L - n_secure + 1)
+    caps = tuple(rates) if r0 is None else (r0,) + tuple(rates)
+    shift = len(caps) - L
+    if verdict.member:
+        w = verdict.witness
+        assert set(w) == set(levels)
+        for alpha, h in zip(levels, entropies):
+            x = w[alpha]
+            assert len(x) == len(caps) and all(v >= 0 for v in x)
+            base = x[0] if shift else 0
+            for u in combinations(range(L), alpha):
+                assert base + sum(x[shift + l] for l in u) >= h
+        for slot, cap in enumerate(caps):
+            assert sum(w[a][slot] for a in levels) <= cap
+        return
+    lam = verdict.certificate
+    assert len(lam) == L and all(v >= 0 for v in lam)
+    lhs = sum(a * b for a, b in zip(lam, rates))
+    prof = [f_value(lam, a) for a in levels]
+    if r0 is None:
+        assert max(lam) == 1
+        assert lhs < sum(f * h for f, h in zip(prof, entropies))
+    else:
+        lam0 = verdict.certificate_lambda0
+        assert max(tuple(lam) + (lam0,)) == 1
+        rhs = sum(min(f, lam0) * h for f, h in zip(prof, entropies))
+        assert lam0 * r0 + lhs < rhs
+
+
+def decide(scheme, rates, entropies, n_secure, r0):
+    if scheme == "plain":
+        return smdc_member(rates, entropies)
+    if scheme == "secure":
+        return ssmdc_member(rates, entropies, n_secure)
+    return smdca_member(r0, rates, entropies)
+
+
+small = st.builds(F, st.integers(0, 6), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def member_queries(draw):
+    """Rates and entropies from a small grid, so that ties and zeros are
+    common; all-access budgets sometimes cover every source.  L=6 is drawn
+    rarely: the subset system takes about 2 s there."""
+    L = draw(st.sampled_from((1, 2, 3, 4, 5) * 2 + (6,)))
+    scheme = draw(st.sampled_from(["plain", "secure", "all-access"]))
+    n = draw(st.integers(0, L - 1)) if scheme == "secure" else 0
+    rates = draw(st.lists(small, min_size=L, max_size=L))
+    h = draw(st.lists(small.map(lambda x: x / 2), min_size=L - n, max_size=L - n))
+    r0 = None
+    if scheme == "all-access":
+        r0 = draw(st.one_of(small, small.map(lambda x: sum(h) + x)))
+    return scheme, rates, h, n, r0
+
+
+class TestMembershipProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(member_queries())
+    @example(("plain", [F(1)], [F(1)], 0, None))
+    @example(("plain", [F(0)], [F(1)], 0, None))
+    @example(("secure", [F(2)] * 4, [F(1)], 3, None))
+    @example(("plain", [F(1)] * 4, [F(0)] * 4, 0, None))
+    @example(("plain", [F(0), F(2), F(2), F(2)], [F(1), F(1), F(0), F(1)], 0, None))
+    @example(("all-access", [F(0)] * 3, [F(1)] * 3, 0, F(3)))
+    @example(("all-access", [F(1), F(1), F(1, 2)], [F(1)] * 3, 0, F(7)))
+    def test_verdict_witness_and_certificate(self, query):
+        scheme, rates, h, n, r0 = query
+        levels = range(1, len(rates) - n + 1)
+        verdict = decide(scheme, rates, h, n, r0)
+        assert verdict.member == subset_system_member(rates, h, levels, r0)
+        check_verdict(verdict, rates, h, n, r0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(member_queries(), st.randoms(use_true_random=False))
+    def test_witness_from_any_vertex(self, query, rnd):
+        # the phase-1 vertex rarely loads an encoder past its rate, so the
+        # Robin Hood transfers are steered into work by other vertices
+        def some_vertex(lp):
+            lp.objective = [F(rnd.randint(0, 3)) for _ in range(lp.num_vars)]
+            sol = exactlp.solve_max(lp)
+            return exactlp.FeasibilityResult(
+                sol.status == "optimal", sol.primal, sol.certificate
+            )
+
+        scheme, rates, h, n, r0 = query
+        with mock.patch.object(region, "feasible", some_vertex):
+            verdict = decide(scheme, rates, h, n, r0)
+        assert verdict.member == decide(scheme, rates, h, n, r0).member
+        check_verdict(verdict, rates, h, n, r0)
+
+
+def cap_queries(scheme, member, L=MAX_MEMBERSHIP_GROUND):
+    """A query at L encoders whose verdict is known: members dominate the
+    superposition point sum_alpha H_alpha / alpha of the constraining
+    levels (of the greedy residual, for all-access), non-members sum to
+    9/10 of it, so the uniform hyperplane fails."""
+    rng = random.Random(L)
+    n = 3 if scheme == "secure" else 0
+    h = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(L - n)]
+    r0 = h[0] + h[1] / 2 if scheme == "all-access" else None
+    residual = h if r0 is None else greedy_allocation(r0, h).residual
+    point = sum(x / a for a, x in enumerate(residual, 1))
+    if member:
+        rates = [point + F(rng.randint(0, 8), 4) for _ in range(L)]
+    else:
+        rates = [point * F(9, 10) + F(2 * l - L + 1, 40) for l in range(L)]
+    return rates, h, n, r0
+
+
+class TestMembershipCap:
+    @pytest.mark.parametrize("scheme", ["plain", "secure", "all-access"])
+    @pytest.mark.parametrize("member", [True, False])
+    def test_verdict_at_the_cap(self, scheme, member):
+        rates, h, n, r0 = cap_queries(scheme, member)
+        verdict = decide(scheme, rates, h, n, r0)
+        assert verdict.member is member
+        check_verdict(verdict, rates, h, n, r0)
+
+    def test_above_the_cap(self):
+        L = MAX_MEMBERSHIP_GROUND + 1
+        with pytest.raises(ValueError):
+            smdc_member([1] * L, [1] * L)
+        with pytest.raises(ValueError):
+            ssmdc_member([1] * L, [1] * (L - 1), 1)
+        with pytest.raises(ValueError):
+            smdca_member(1, [1] * L, [1] * L)
