@@ -1,10 +1,13 @@
 """Exact linear programming over rationals.
 
-Two-phase primal simplex with Bland's anti-cycling rule, all arithmetic
-in `fractions.Fraction`.  Optimal solves return a primal vertex and a
-dual vector whose objective matches the primal exactly; infeasible
-systems return a Farkas certificate.  Both are re-verified against the
-input before being handed back, so a returned solution is proof-checked.
+Two-phase primal simplex with Bland's anti-cycling rule on an
+integer-preserving tableau: each row is scaled to integers once, pivots
+divide exactly by the previous pivot, and `fractions.Fraction` appears
+only when the answer is read back.  Optimal solves return a primal
+vertex and a dual vector whose objective matches the primal exactly;
+infeasible systems return a Farkas certificate.  Both are re-verified in
+`Fraction`s against the input before being handed back, so a returned
+solution is proof-checked.
 
 Conventions for `max c.x, rows, x >= 0`:
   * dual[i]        >= 0 on `<=` rows, <= 0 on `>=` rows,
@@ -18,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 LE = "<="
 GE = ">="
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -97,7 +100,17 @@ class FeasibilityResult:
 
 
 class _Simplex:
-    """Dense tableau over Fractions; shared by solve_max and feasible."""
+    """Dense integer-preserving tableau; shared by solve_max and feasible.
+
+    Row i of [A | b], sign-flipped so that b >= 0, is scaled by sigma_i,
+    the lcm of its denominators; its slack, surplus and artificial
+    columns stay +-1.  The tableau holds D times the rational tableau of
+    that integer system, D > 0 being |det| of the current basis, so every
+    pivot divides exactly by the previous D (Edmonds 1967, Bareiss 1968)
+    and no gcd is taken.  Scaling a row, a column or the objective by a
+    positive number changes no sign and no ratio order within a column,
+    so Bland's rule takes the same pivots as on the rational tableau.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -117,41 +130,47 @@ class _Simplex:
                 ncols += 1
         self.ncols = ncols
 
-        self.T: list[list[Fraction]] = []
-        self.b: list[Fraction] = []
+        self.T: list[list[int]] = []
+        self.b: list[int] = []
         self.basis: list[int] = []
         self.ident: list[int] = []          # column that starts as +e_i for row i
         self.row_orig: list[int] = []       # original row index (rows may be dropped)
+        self.scale: list[int] = []          # sigma_i, by original row
 
         art_iter = iter(self.art_cols)
         for i in range(m):
-            row = [_ZERO] * ncols
+            coeffs, rhs = lp.rows[i], lp.rhs[i]
+            sigma = lcm(rhs.denominator, *(a.denominator for a in coeffs))
             f = self.flip[i]
-            for j, a in enumerate(lp.rows[i]):
+            row = [0] * ncols
+            for j, a in enumerate(coeffs):
                 if a:
-                    row[j] = a if f == 1 else -a
-            rhs = lp.rhs[i] if f == 1 else -lp.rhs[i]
+                    row[j] = f * a.numerator * (sigma // a.denominator)
             if senses[i] == LE:
-                row[n + i] = _ONE            # slack
+                row[n + i] = 1               # slack
                 self.basis.append(n + i)
                 self.ident.append(n + i)
             else:
-                row[n + i] = -_ONE           # surplus
+                row[n + i] = -1              # surplus
                 art = next(art_iter)
-                row[art] = _ONE
+                row[art] = 1
                 self.basis.append(art)
                 self.ident.append(art)
             self.T.append(row)
-            self.b.append(rhs)
+            self.b.append(f * rhs.numerator * (sigma // rhs.denominator))
             self.row_orig.append(i)
+            self.scale.append(sigma)
 
-        self.zrow: list[Fraction] = [_ZERO] * ncols
-        self.zval = _ZERO
+        self.D = 1                          # tableau = D * rational tableau
+        self.K = 1                          # objective = K * the phase's objective
+        self.zrow: list[int] = [0] * ncols
+        self.zval = 0
         self.banned: frozenset[int] = frozenset()
 
-    def _price(self, costs: list[Fraction]) -> None:
-        z = [-c for c in costs]
-        v = _ZERO
+    def _price(self, costs: list[int], K: int) -> None:
+        D = self.D
+        z = [-D * c for c in costs]
+        v = 0
         for i, row in enumerate(self.T):
             cb = costs[self.basis[i]]
             if cb:
@@ -161,27 +180,34 @@ class _Simplex:
                 v += cb * self.b[i]
         self.zrow = z
         self.zval = v
+        self.K = K
 
     def _pivot(self, r: int, c: int) -> None:
-        row = self.T[r]
-        piv = row[c]
-        if piv != 1:
-            self.T[r] = row = [a / piv for a in row]
-            self.b[r] /= piv
-        br = self.b[r]
-        for i, other in enumerate(self.T):
+        T, b, D = self.T, self.b, self.D
+        row = T[r]
+        p = row[c]
+        if p < 0:
+            # only drop_artificials pivots on a negative entry; negating
+            # the pivot row negates every new row, which keeps D > 0
+            T[r] = row = [-a for a in row]
+            b[r] = -b[r]
+            p = -p
+        br = b[r]
+        for i, other in enumerate(T):
             if i == r:
                 continue
             f = other[c]
             if f:
-                self.T[i] = [a - f * p for a, p in zip(other, row)]
-                if br:
-                    self.b[i] -= f * br
+                T[i] = [(p * a - f * t) // D for a, t in zip(other, row)]
+                b[i] = (p * b[i] - f * br) // D
+            elif p != D:
+                T[i] = [p * a // D for a in other]
+                b[i] = p * b[i] // D
         f = self.zrow[c]
-        if f:
-            self.zrow = [a - f * p for a, p in zip(self.zrow, row)]
-            if br:
-                self.zval -= f * br
+        if f or p != D:
+            self.zrow = [(p * a - f * t) // D for a, t in zip(self.zrow, row)]
+            self.zval = (p * self.zval - f * br) // D
+        self.D = p
         self.basis[r] = c
 
     def _entering(self) -> int | None:
@@ -191,16 +217,19 @@ class _Simplex:
         return None
 
     def _leaving(self, c: int) -> int | None:
-        best_key = None
-        best_row = None
+        # least b_i / a_i over a_i > 0, by cross-multiplication; ties go
+        # to the smaller basis index
+        best = None
         for i, row in enumerate(self.T):
             a = row[c]
             if a > 0:
-                key = (self.b[i] / a, self.basis[i])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_row = i
-        return best_row
+                if best is None:
+                    best, best_a = i, a
+                    continue
+                lhs, rhs = self.b[i] * best_a, self.b[best] * a
+                if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best]):
+                    best, best_a = i, a
+        return best
 
     def _run(self) -> str:
         while True:
@@ -218,22 +247,31 @@ class _Simplex:
         """Returns True when the system is feasible."""
         if not self.art_cols:
             return True
-        costs = [_ZERO] * self.ncols
-        for c in self.art_cols:
-            costs[c] = -_ONE
-        self._price(costs)
+        # row i is scaled by sigma_i but its artificial's column is not,
+        # so that artificial costs -1/sigma_i; times K to stay integral
+        art = set(self.art_cols)
+        arts = [(col, self.scale[i]) for i, col in enumerate(self.ident) if col in art]
+        K = lcm(*(sigma for _, sigma in arts))
+        costs = [0] * self.ncols
+        for col, sigma in arts:
+            costs[col] = -(K // sigma)
+        self._price(costs, K)
         status = self._run()
         if status != OPTIMAL:
             raise AssertionError("phase-1 objective is bounded by zero")
         return self.zval == 0
+
+    def _row_price(self, i: int) -> Fraction:
+        """Simplex multiplier of row i's flipped, unscaled constraint."""
+        orig = self.row_orig[i]
+        return Fraction(self.zrow[self.ident[i]] * self.scale[orig], self.D * self.K)
 
     def farkas(self) -> tuple[Fraction, ...]:
         """Infeasibility certificate in original row order."""
         art = set(self.art_cols)
         cert = [_ZERO] * self.lp.num_rows
         for i, orig in enumerate(self.row_orig):
-            col = self.ident[i]
-            y = self.zrow[col] + (-_ONE if col in art else _ZERO)
+            y = self._row_price(i) - (1 if self.ident[i] in art else 0)
             cert[orig] = -y * self.flip[orig]
         return tuple(cert)
 
@@ -257,25 +295,29 @@ class _Simplex:
         self.banned = frozenset(self.art_cols)
 
     def phase2(self) -> str:
-        costs = [_ZERO] * self.ncols
+        K = lcm(*(c.denominator for c in self.lp.objective))
+        costs = [0] * self.ncols
         for j, c in enumerate(self.lp.objective):
-            costs[j] = c
-        self._price(costs)
+            costs[j] = c.numerator * (K // c.denominator)
+        self._price(costs, K)
         return self._run()
 
     # extraction -------------------------------------------------------
+
+    def value(self) -> Fraction:
+        return Fraction(self.zval, self.D * self.K)
 
     def primal(self) -> tuple[Fraction, ...]:
         x = [_ZERO] * self.n
         for i, bcol in enumerate(self.basis):
             if bcol < self.n:
-                x[bcol] = self.b[i]
+                x[bcol] = Fraction(self.b[i], self.D)
         return tuple(x)
 
     def dual(self) -> tuple[Fraction, ...]:
         y = [_ZERO] * self.lp.num_rows
         for i, orig in enumerate(self.row_orig):
-            y[orig] = self.zrow[self.ident[i]] * self.flip[orig]
+            y[orig] = self._row_price(i) * self.flip[orig]
         return tuple(y)
 
 
@@ -338,7 +380,7 @@ def solve_max(lp: LinearProgram) -> LpSolution:
         return LpSolution(status=UNBOUNDED)
     sol = LpSolution(
         status=OPTIMAL,
-        value=sx.zval,
+        value=sx.value(),
         primal=sx.primal(),
         dual=sx.dual(),
     )

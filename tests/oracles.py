@@ -5,16 +5,30 @@ checked by enumerating basic feasible points of the polytope, linear
 systems by plain Gaussian elimination over Fractions.  Membership is
 decided by the full subset system, too large for vertex enumeration, so
 it goes through the general simplex, which no membership path uses, and
-its point or Farkas certificate is re-checked here.
+its point or Farkas certificate is re-checked here.  `FractionSimplex`
+is the dense `Fraction` tableau that the library's integer-preserving
+one replaced; both take the same pivots, so `reference_solve_max` and
+`reference_feasible` must give exactly the library's answers.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from smdc.exactlp import LinearProgram, feasible
+from smdc.exactlp import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    FeasibilityResult,
+    LinearProgram,
+    LpSolution,
+    feasible,
+)
 
 LE = "<="
 GE = ">="
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def solve_square(A, b):
@@ -129,3 +143,207 @@ def subset_system_member(rates, entropies, levels, r0=None):
     if not ok:
         raise AssertionError("general simplex returned an unchecked answer")
     return res.feasible
+
+
+class FractionSimplex:
+    """The dense `Fraction` tableau that `exactlp._Simplex` replaced: the
+    same two phases, Bland's rule and read-out, one normalised `Fraction`
+    per cell."""
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        n = lp.num_vars
+        m = lp.num_rows
+        self.n = n
+        self.flip = [-1 if r < 0 else 1 for r in lp.rhs]
+        senses = []
+        for s, f in zip(lp.senses, self.flip):
+            senses.append(s if f == 1 else (GE if s == LE else LE))
+
+        self.art_cols: list[int] = []
+        ncols = n + m
+        for s in senses:
+            if s == GE:
+                self.art_cols.append(ncols)
+                ncols += 1
+        self.ncols = ncols
+
+        self.T: list[list[Fraction]] = []
+        self.b: list[Fraction] = []
+        self.basis: list[int] = []
+        self.ident: list[int] = []          # column that starts as +e_i for row i
+        self.row_orig: list[int] = []       # original row index (rows may be dropped)
+
+        art_iter = iter(self.art_cols)
+        for i in range(m):
+            row = [_ZERO] * ncols
+            f = self.flip[i]
+            for j, a in enumerate(lp.rows[i]):
+                if a:
+                    row[j] = a if f == 1 else -a
+            rhs = lp.rhs[i] if f == 1 else -lp.rhs[i]
+            if senses[i] == LE:
+                row[n + i] = _ONE            # slack
+                self.basis.append(n + i)
+                self.ident.append(n + i)
+            else:
+                row[n + i] = -_ONE           # surplus
+                art = next(art_iter)
+                row[art] = _ONE
+                self.basis.append(art)
+                self.ident.append(art)
+            self.T.append(row)
+            self.b.append(rhs)
+            self.row_orig.append(i)
+
+        self.zrow: list[Fraction] = [_ZERO] * ncols
+        self.zval = _ZERO
+        self.banned: frozenset[int] = frozenset()
+
+    def _price(self, costs: list[Fraction]) -> None:
+        z = [-c for c in costs]
+        v = _ZERO
+        for i, row in enumerate(self.T):
+            cb = costs[self.basis[i]]
+            if cb:
+                for j, a in enumerate(row):
+                    if a:
+                        z[j] += cb * a
+                v += cb * self.b[i]
+        self.zrow = z
+        self.zval = v
+
+    def _pivot(self, r: int, c: int) -> None:
+        row = self.T[r]
+        piv = row[c]
+        if piv != 1:
+            self.T[r] = row = [a / piv for a in row]
+            self.b[r] /= piv
+        br = self.b[r]
+        for i, other in enumerate(self.T):
+            if i == r:
+                continue
+            f = other[c]
+            if f:
+                self.T[i] = [a - f * p for a, p in zip(other, row)]
+                if br:
+                    self.b[i] -= f * br
+        f = self.zrow[c]
+        if f:
+            self.zrow = [a - f * p for a, p in zip(self.zrow, row)]
+            if br:
+                self.zval -= f * br
+        self.basis[r] = c
+
+    def _entering(self) -> int | None:
+        for j, z in enumerate(self.zrow):
+            if z < 0 and j not in self.banned:
+                return j
+        return None
+
+    def _leaving(self, c: int) -> int | None:
+        best_key = None
+        best_row = None
+        for i, row in enumerate(self.T):
+            a = row[c]
+            if a > 0:
+                key = (self.b[i] / a, self.basis[i])
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_row = i
+        return best_row
+
+    def _run(self) -> str:
+        while True:
+            c = self._entering()
+            if c is None:
+                return OPTIMAL
+            r = self._leaving(c)
+            if r is None:
+                return UNBOUNDED
+            self._pivot(r, c)
+
+    # phases -----------------------------------------------------------
+
+    def phase1(self) -> bool:
+        """Returns True when the system is feasible."""
+        if not self.art_cols:
+            return True
+        costs = [_ZERO] * self.ncols
+        for c in self.art_cols:
+            costs[c] = -_ONE
+        self._price(costs)
+        status = self._run()
+        if status != OPTIMAL:
+            raise AssertionError("phase-1 objective is bounded by zero")
+        return self.zval == 0
+
+    def farkas(self) -> tuple[Fraction, ...]:
+        """Infeasibility certificate in original row order."""
+        art = set(self.art_cols)
+        cert = [_ZERO] * self.lp.num_rows
+        for i, orig in enumerate(self.row_orig):
+            col = self.ident[i]
+            y = self.zrow[col] + (-_ONE if col in art else _ZERO)
+            cert[orig] = -y * self.flip[orig]
+        return tuple(cert)
+
+    def drop_artificials(self) -> None:
+        art = set(self.art_cols)
+        r = 0
+        while r < len(self.T):
+            if self.basis[r] in art:
+                col = None
+                for j in range(self.ncols):
+                    if j not in art and self.T[r][j] != 0:
+                        col = j
+                        break
+                if col is None:
+                    # redundant row: remove it, dual contribution is zero
+                    del self.T[r], self.b[r], self.basis[r]
+                    del self.ident[r], self.row_orig[r]
+                    continue
+                self._pivot(r, col)
+            r += 1
+        self.banned = frozenset(self.art_cols)
+
+    def phase2(self) -> str:
+        costs = [_ZERO] * self.ncols
+        for j, c in enumerate(self.lp.objective):
+            costs[j] = c
+        self._price(costs)
+        return self._run()
+
+    # extraction -------------------------------------------------------
+
+    def primal(self) -> tuple[Fraction, ...]:
+        x = [_ZERO] * self.n
+        for i, bcol in enumerate(self.basis):
+            if bcol < self.n:
+                x[bcol] = self.b[i]
+        return tuple(x)
+
+    def dual(self) -> tuple[Fraction, ...]:
+        y = [_ZERO] * self.lp.num_rows
+        for i, orig in enumerate(self.row_orig):
+            y[orig] = self.zrow[self.ident[i]] * self.flip[orig]
+        return tuple(y)
+
+
+def reference_solve_max(lp):
+    """`exactlp.solve_max` on the Fraction tableau, without its checks."""
+    sx = FractionSimplex(lp)
+    if not sx.phase1():
+        return LpSolution(status=INFEASIBLE, certificate=sx.farkas())
+    sx.drop_artificials()
+    if sx.phase2() == UNBOUNDED:
+        return LpSolution(status=UNBOUNDED)
+    return LpSolution(OPTIMAL, sx.zval, sx.primal(), sx.dual())
+
+
+def reference_feasible(lp):
+    """`exactlp.feasible` on the Fraction tableau, without its checks."""
+    sx = FractionSimplex(lp)
+    if sx.phase1():
+        return FeasibilityResult(feasible=True, point=sx.primal())
+    return FeasibilityResult(feasible=False, certificate=sx.farkas())

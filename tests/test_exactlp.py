@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smdc.exactlp import (
     GE,
@@ -14,7 +16,12 @@ from smdc.exactlp import (
     solve_max,
 )
 
-from oracles import brute_lp_max
+from oracles import (
+    FractionSimplex,
+    brute_lp_max,
+    reference_feasible,
+    reference_solve_max,
+)
 
 F = Fraction
 
@@ -172,3 +179,68 @@ class TestRandomAgainstOracle:
             lp.add([1, 0, 1], LE, 1)
             lp.add([0, 1, 1], LE, 1)
         assert solve_max(lp1).primal == solve_max(lp2).primal
+
+
+# zeros and small denominators are common, so rows are often degenerate
+coef = st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4)])
+
+
+@st.composite
+def lp_specs(draw):
+    """(objective, [(coeffs, sense, rhs), ...]) with mixed senses, negative
+    right-hand sides, zero rows, and duplicate or scaled (redundant) rows;
+    about a third come out unbounded, a third infeasible."""
+    n = draw(st.integers(1, 4))
+    objective = draw(st.lists(coef, min_size=n, max_size=n))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["fresh"] * 3 + ["zero", "copy"]))
+        if kind == "copy" and rows:
+            coeffs, sense, rhs = draw(st.sampled_from(rows))
+            k = draw(st.sampled_from([1, 2, F(1, 3)]))
+            rows.append(([a * k for a in coeffs], sense, rhs * k))
+            continue
+        coeffs = [0] * n if kind == "zero" else draw(st.lists(coef, min_size=n, max_size=n))
+        rows.append((coeffs, draw(st.sampled_from([LE, GE])), draw(coef)))
+    return objective, rows
+
+
+def build(spec):
+    objective, rows = spec
+    lp = LinearProgram(len(objective), objective)
+    for coeffs, sense, rhs in rows:
+        lp.add(coeffs, sense, rhs)
+    return lp
+
+
+# phase 1 ends with an artificial basic at zero in a row whose first
+# structural entry is -3/2, so drop_artificials pivots on it
+NEGATIVE_PIVOT = ([F(5, 4)], [([F(-3, 2)], GE, 0), ([F(1, 2)], GE, -1)])
+BEALE = (
+    [F(3, 4), -150, F(1, 50), -6],
+    [
+        ([F(1, 4), -60, -F(1, 25), 9], LE, 0),
+        ([F(1, 2), -90, -F(1, 50), 3], LE, 0),
+        ([0, 0, 1, 0], LE, 1),
+    ],
+)
+
+
+class TestAgainstFractionTableau:
+    """The integer tableau must take the Fraction tableau's pivots, so every
+    field of every answer is the same."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lp_specs())
+    @example(NEGATIVE_PIVOT)
+    @example(BEALE)
+    def test_same_answers(self, spec):
+        lp = build(spec)
+        assert solve_max(lp) == reference_solve_max(lp)
+        assert feasible(lp) == reference_feasible(lp)
+
+    def test_negative_pivot_example(self):
+        sx = FractionSimplex(build(NEGATIVE_PIVOT))
+        assert sx.phase1()
+        (r,) = [i for i, col in enumerate(sx.basis) if col in sx.art_cols]
+        assert next(a for a in sx.T[r] if a) < 0
