@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (holds / member / recovered), 1 a checked property
 fails (non-member or violated inequality, certificate printed), 2 usage
-error, 3 data or format error.  Rationals print exactly as p/q; floats
-carry 12 significant digits.  `--json` wraps results in one envelope:
+error, 3 data or format error.  Rationals are read with the grammar of
+chain and pmf files (`exactlp.as_fraction`) and print exactly as p/q;
+floats carry 12 significant digits.  `--json` wraps results in one envelope:
 {"command", "inputs", "result", "certificate"?}.
 """
 
@@ -34,8 +35,8 @@ from .codec import (
     ssmdc_decode,
     ssmdc_encode,
 )
-from .exactlp import as_fraction
-from .subsets import EncoderSet
+from .exactlp import as_fraction, as_fractions
+from .subsets import EncoderSet, format_subset
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -45,22 +46,8 @@ EXIT_DATA = 3
 SCHEMES = {"smdc": SCHEME_SMDC, "smdc-a": SCHEME_SMDCA, "s-smdc": SCHEME_SSMDC}
 
 
-def parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        return as_fraction(text)
-    if "." in text:
-        whole, _, frac = text.partition(".")
-        sign = -1 if whole.startswith("-") else 1
-        whole = whole.lstrip("+-") or "0"
-        if not frac.isdigit() or not whole.isdigit():
-            raise ValueError(f"cannot parse rational {text!r}")
-        return sign * Fraction(int(whole) * 10 ** len(frac) + int(frac), 10 ** len(frac))
-    return Fraction(int(text))
-
-
 def rational_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(part) for part in text.split(","))
+    return as_fractions(text.split(","))
 
 
 def index_list(text: str) -> tuple[int, ...]:
@@ -83,18 +70,12 @@ def _jsonify(value):
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, EncoderSet):
-        return ",".join(str(m) for m in value.members) or "-"
+        return format_subset(value)
     if isinstance(value, dict):
-        return {_jsonify_key(k): _jsonify(v) for k, v in value.items()}
+        return {str(_jsonify(k)): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     return value
-
-
-def _jsonify_key(key):
-    if isinstance(key, EncoderSet):
-        return ",".join(str(m) for m in key.members) or "-"
-    return str(key)
 
 
 def emit(args, result: dict, certificate: dict | None = None, text=None) -> None:
@@ -252,11 +233,7 @@ def cmd_covers_conditional(args) -> int:
 
 def cmd_covers_verify(args) -> int:
     if args.file:
-        text = Path(args.file).read_text()
-        if text.startswith("smdc-cond-chain"):
-            report = cov.verify_conditional(cov.conditional_from_text(text))
-        else:
-            report = cov.verify_chain(cov.chain_from_text(text))
+        report = cov.verify_text(Path(args.file).read_text())
     elif args.weights is not None:
         if args.n:
             report = cov.verify_conditional(
@@ -288,20 +265,21 @@ def cmd_entropy_h(args) -> int:
     return EXIT_OK
 
 
-def _single_check(args, pmf) -> ent.InequalityReport:
+def _check(args, pmf, alpha, weights) -> ent.InequalityReport:
+    """The one map from --which to a check, for a pmf file and for sweeps."""
     which = args.which
-    if which != "mt" and args.alpha is None:
+    if which != "mt" and alpha is None:
         raise ValueError(f"--alpha is required for the {which} check")
     if which == "han":
-        return ent.check_han(pmf, args.alpha)
+        return ent.check_han(pmf, alpha)
     if which == "window":
-        return ent.check_sliding_window(pmf, args.alpha)
+        return ent.check_sliding_window(pmf, alpha)
     if which == "mt":
         if not args.u:
             raise ValueError("--u is required for the cover inequality")
         u = EncoderSet.of(args.u, pmf.variable_count)
-        if args.weights:
-            cover = cov.yz_chain(args.weights).covers.get(len(u), {}).get(u)
+        if weights:
+            cover = cov.yz_chain(weights).covers.get(len(u), {}).get(u)
             if cover is None:
                 raise ValueError(f"the chain for these weights has no cover at {u}")
         else:
@@ -310,16 +288,22 @@ def _single_check(args, pmf) -> ent.InequalityReport:
                 weights={v: Fraction(1, len(u) - 1) for v in u.children()},
             )
         return ent.check_mt(pmf, u, cover)
+    if not weights:
+        raise ValueError("--weights is required for the chain inequality")
     if which == "yz":
-        if not args.weights:
-            raise ValueError("--weights is required for the chain inequality")
-        return ent.check_yz(pmf, cov.yz_chain(args.weights), args.alpha)
-    if which == "cyz":
-        if not args.weights:
-            raise ValueError("--weights is required for the chain inequality")
-        cond = cov.conditional_chain(args.weights, args.n or 0)
-        return ent.check_conditional_yz(pmf, cond, args.alpha)
-    raise ValueError(f"unknown check {which!r}")
+        return ent.check_yz(pmf, cov.yz_chain(weights), alpha)
+    cond = cov.conditional_chain(weights, args.n or 0)
+    return ent.check_conditional_yz(pmf, cond, alpha)
+
+
+def _sweep_weights(which, rng, L):
+    """Fresh chain weights for every yz check of a sweep; han and window
+    take none, and the other checks do not sweep."""
+    if which == "yz":
+        return [Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(L)]
+    if which not in ("han", "window"):
+        raise ValueError("--trials supports han, window and yz sweeps")
+    return None
 
 
 def cmd_entropy_check(args) -> int:
@@ -332,22 +316,7 @@ def cmd_entropy_check(args) -> int:
         for _ in range(args.trials):
             pmf = ent.random_pmf(rng, [args.alphabet] * L)
             for alpha in range(2, L + 1):
-                if args.which in ("han", "window"):
-                    rep = (
-                        ent.check_han(pmf, alpha)
-                        if args.which == "han"
-                        else ent.check_sliding_window(pmf, alpha)
-                    )
-                elif args.which == "yz":
-                    lam = [
-                        Fraction(rng.randint(0, 8), rng.randint(1, 4))
-                        for _ in range(L)
-                    ]
-                    rep = ent.check_yz(pmf, cov.yz_chain(lam), alpha)
-                else:
-                    raise ValueError(
-                        "--trials supports han, window and yz sweeps"
-                    )
+                rep = _check(args, pmf, alpha, _sweep_weights(args.which, rng, L))
                 if worst is None or rep.slack < worst.slack:
                     worst = rep
         ok = worst.holds
@@ -359,7 +328,7 @@ def cmd_entropy_check(args) -> int:
         return EXIT_OK if ok else EXIT_VIOLATED
     if not args.pmf:
         raise ValueError("need --pmf or --trials")
-    rep = _single_check(args, _load_pmf(args.pmf))
+    rep = _check(args, _load_pmf(args.pmf), args.alpha, args.weights)
     lines = [
         f"lhs = {fmt(rep.lhs)}",
         f"rhs = {fmt(rep.rhs)}",
@@ -474,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", type=rational_list, required=True)
     p.add_argument("--entropies", type=rational_list, required=True)
     p = add(region_sub, "member-a", cmd_region_member_a, help="all-access membership")
-    p.add_argument("--r0", type=parse_rational, required=True)
+    p.add_argument("--r0", type=as_fraction, required=True)
     p.add_argument("--rates", type=rational_list, required=True)
     p.add_argument("--entropies", type=rational_list, required=True)
     p = add(region_sub, "member-s", cmd_region_member_s, help="secure membership")
@@ -482,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entropies", type=rational_list, required=True)
     p.add_argument("--n", type=int, required=True, help="secrecy threshold")
     p = add(region_sub, "greedy", cmd_region_greedy, help="all-access budget split")
-    p.add_argument("--r0", type=parse_rational, required=True)
+    p.add_argument("--r0", type=as_fraction, required=True)
     p.add_argument("--entropies", type=rational_list, required=True)
     p = add(region_sub, "hyperplane-a", cmd_region_hyperplane_a,
             help="all-access hyperplane right-hand side")

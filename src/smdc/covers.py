@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .exactlp import as_fraction, as_fractions
 from .region import SubsetCoefficients, f_value
 # re-exported: the benchmark tracer (perfbench/tracing.py) wraps covers.f_alpha
 from .region import f_alpha  # noqa: F401
-from .subsets import EncoderSet, subsets_of_size
+from .subsets import EncoderSet, check_ground, format_subset, parse_subset, subsets_of_size
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -314,6 +315,12 @@ def _audit_level(lam, alpha: int, coeffs: SubsetCoefficients) -> list[str]:
     return failures
 
 
+def _is_family(subsets, L: int, alpha: int) -> bool:
+    """Exactly the alpha-subsets of {1..L}, counted before they are enumerated."""
+    check_ground(L)  # past the cap, raise as enumerating would
+    return len(subsets) == comb(L, alpha) and set(subsets) == set(subsets_of_size(L, alpha))
+
+
 def verify_chain(chain: CoefficientChain) -> ChainReport:
     """Exact structural audit: per-level feasibility and optimality,
     cover inequalities, and the parent-sum identity wherever covers exist."""
@@ -325,8 +332,7 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
         return ChainReport(ok=False, failures=failures)
     for alpha in range(1, L + 1):
         coeffs = chain.levels[alpha]
-        expected = {u for u in subsets_of_size(L, alpha)}
-        if set(coeffs.assignment) != expected:
+        if not _is_family(coeffs.assignment, L, alpha):
             failures.append(f"level {alpha}: wrong subset family")
             continue
         failures += _audit_level(lam, alpha, coeffs)
@@ -424,7 +430,7 @@ def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
         return ChainReport(ok=False, failures=["levels must cover 1..L-N"])
     for alpha in range(1, top + 1):
         per_u = assignment.split[alpha]
-        if set(per_u) != set(subsets_of_size(L, alpha)):
+        if not _is_family(per_u, L, alpha):
             failures.append(f"level {alpha}: wrong subset family")
             continue
         for u, parts in per_u.items():
@@ -442,17 +448,19 @@ def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
 # line-oriented serialization ---------------------------------------------
 
 _CHAIN_HEADER = "smdc-chain 1"
-_COND_HEADER = "smdc-cond-chain 1"
+_COND_KIND = "smdc-cond-chain"
+_COND_HEADER = f"{_COND_KIND} 1"
 
 
-def _format_subset(u: EncoderSet) -> str:
-    return ",".join(str(m) for m in u.members) if u.members else "-"
-
-
-def _parse_subset(text: str, L: int) -> EncoderSet:
-    if text == "-":
-        return EncoderSet((), L)
-    return EncoderSet(tuple(int(x) for x in text.split(",")), L)
+def _read_head(text: str, header: str):
+    """The lambda vector of a chain file with this header, and the lines
+    after it."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != header:
+        raise ValueError(f"expected header {header!r}")
+    if len(lines) < 2 or not lines[1].startswith("lambda "):
+        raise ValueError("expected a lambda line")
+    return as_fractions(lines[1].split()[1:]), lines[2:]
 
 
 def chain_to_text(chain: CoefficientChain) -> str:
@@ -461,39 +469,34 @@ def chain_to_text(chain: CoefficientChain) -> str:
     for alpha in sorted(chain.levels):
         for u in sorted(chain.levels[alpha].assignment, key=lambda s: s.members):
             lines.append(
-                f"c {alpha} {_format_subset(u)} {chain.levels[alpha].assignment[u]}"
+                f"c {alpha} {format_subset(u)} {chain.levels[alpha].assignment[u]}"
             )
     for alpha in sorted(chain.covers):
         per_u = chain.covers[alpha]
         for u in sorted(per_u, key=lambda s: s.members):
             for v in sorted(per_u[u].weights, key=lambda s: s.members):
                 lines.append(
-                    f"g {alpha} {_format_subset(u)} {_format_subset(v)} "
+                    f"g {alpha} {format_subset(u)} {format_subset(v)} "
                     f"{per_u[u].weights[v]}"
                 )
     return "\n".join(lines) + "\n"
 
 
 def chain_from_text(text: str) -> CoefficientChain:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _CHAIN_HEADER:
-        raise ValueError(f"expected header {_CHAIN_HEADER!r}")
-    if len(lines) < 2 or not lines[1].startswith("lambda "):
-        raise ValueError("expected a lambda line")
-    lam = as_fractions(lines[1].split()[1:])
+    lam, records = _read_head(text, _CHAIN_HEADER)
     L = len(lam)
     levels: dict[int, dict[EncoderSet, Fraction]] = {}
     covers: dict[int, dict[EncoderSet, dict[EncoderSet, Fraction]]] = {}
-    for ln in lines[2:]:
+    for ln in records:
         parts = ln.split()
         if parts[0] == "c" and len(parts) == 4:
             alpha = int(parts[1])
-            u = _parse_subset(parts[2], L)
+            u = parse_subset(parts[2], L)
             levels.setdefault(alpha, {})[u] = as_fraction(parts[3])
         elif parts[0] == "g" and len(parts) == 5:
             alpha = int(parts[1])
-            u = _parse_subset(parts[2], L)
-            v = _parse_subset(parts[3], L)
+            u = parse_subset(parts[2], L)
+            v = parse_subset(parts[3], L)
             covers.setdefault(alpha, {}).setdefault(u, {})[v] = as_fraction(parts[4])
         else:
             raise ValueError(f"unrecognized chain line: {ln!r}")
@@ -520,30 +523,32 @@ def conditional_to_text(assignment: ConditionalAssignment) -> str:
         for u in sorted(per_u, key=lambda s: s.members):
             for a in sorted(per_u[u], key=lambda s: s.members):
                 lines.append(
-                    f"s {alpha} {_format_subset(u)} {_format_subset(a)} "
+                    f"s {alpha} {format_subset(u)} {format_subset(a)} "
                     f"{per_u[u][a]}"
                 )
     return "\n".join(lines) + "\n"
 
 
 def conditional_from_text(text: str) -> ConditionalAssignment:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _COND_HEADER:
-        raise ValueError(f"expected header {_COND_HEADER!r}")
-    if len(lines) < 2 or not lines[1].startswith("lambda "):
-        raise ValueError("expected a lambda line")
-    lam = as_fractions(lines[1].split()[1:])
-    if len(lines) < 3 or not lines[2].startswith("n "):
+    lam, records = _read_head(text, _COND_HEADER)
+    if not records or not records[0].startswith("n "):
         raise ValueError("expected an n line")
-    n_secure = int(lines[2].split()[1])
+    n_secure = int(records[0].split()[1])
     L = len(lam)
     split: dict[int, dict[EncoderSet, dict[EncoderSet, Fraction]]] = {}
-    for ln in lines[3:]:
+    for ln in records[1:]:
         parts = ln.split()
         if parts[0] != "s" or len(parts) != 5:
             raise ValueError(f"unrecognized conditional line: {ln!r}")
         alpha = int(parts[1])
-        u = _parse_subset(parts[2], L)
-        a = _parse_subset(parts[3], L)
+        u = parse_subset(parts[2], L)
+        a = parse_subset(parts[3], L)
         split.setdefault(alpha, {}).setdefault(u, {})[a] = as_fraction(parts[4])
     return ConditionalAssignment(weights=lam, n_secure=n_secure, split=split)
+
+
+def verify_text(text: str) -> ChainReport:
+    """Read and audit a chain file of either kind, told apart by its header."""
+    if text.startswith(_COND_KIND):
+        return verify_conditional(conditional_from_text(text))
+    return verify_chain(chain_from_text(text))

@@ -22,9 +22,22 @@ from .subsets import EncoderSet, subsets_of_size, windows
 
 TOLERANCE = 1e-9
 MAX_STATES = 10**7
+RESOLUTION = 256
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _state_space(alphabet_sizes) -> tuple[int, ...]:
+    """The alphabet sizes, checked to be positive and to span at most
+    MAX_STATES outcomes; called before any outcome table is built."""
+    sizes = tuple(int(k) for k in alphabet_sizes)
+    if not sizes or any(k < 1 for k in sizes):
+        raise ValueError("alphabet sizes must be positive")
+    states = math.prod(sizes)
+    if states > MAX_STATES:
+        raise ValueError(f"state space {states} exceeds {MAX_STATES}")
+    return sizes
 
 
 class JointPMF:
@@ -35,14 +48,7 @@ class JointPMF:
     """
 
     def __init__(self, alphabet_sizes: Iterable[int], probabilities: Mapping):
-        sizes = tuple(int(k) for k in alphabet_sizes)
-        if not sizes or any(k < 1 for k in sizes):
-            raise ValueError("alphabet sizes must be positive")
-        states = 1
-        for k in sizes:
-            states *= k
-        if states > MAX_STATES:
-            raise ValueError(f"state space {states} exceeds {MAX_STATES}")
+        sizes = _state_space(alphabet_sizes)
         table: dict[tuple[int, ...], Fraction] = {}
         total = _ZERO
         for outcome, p in probabilities.items():
@@ -72,7 +78,7 @@ class JointPMF:
     def independent(cls, marginals) -> "JointPMF":
         """Product distribution from per-variable marginals."""
         margs = [[as_fraction(p) for p in m] for m in marginals]
-        sizes = [len(m) for m in margs]
+        sizes = _state_space(len(m) for m in margs)
         table = {}
         for outcome in product(*(range(k) for k in sizes)):
             p = _ONE
@@ -259,15 +265,13 @@ def permutation_identity(L: int, alpha: int) -> bool:
 # random distributions -----------------------------------------------------
 
 
-def random_pmf(rng, alphabet_sizes, resolution: int = 256) -> JointPMF:
-    """Rational random pmf on a grid of the given resolution, reproducible
+def random_pmf(rng, alphabet_sizes) -> JointPMF:
+    """Rational random pmf on a grid of RESOLUTION steps, reproducible
     from the supplied rng."""
-    sizes = tuple(int(k) for k in alphabet_sizes)
-    if any(k < 1 for k in sizes):
-        raise ValueError("alphabet sizes must be positive")
+    sizes = _state_space(alphabet_sizes)
     while True:
         cells = {
-            outcome: rng.randrange(resolution + 1)
+            outcome: rng.randrange(RESOLUTION + 1)
             for outcome in product(*(range(k) for k in sizes))
         }
         total = sum(cells.values())
@@ -277,11 +281,11 @@ def random_pmf(rng, alphabet_sizes, resolution: int = 256) -> JointPMF:
     return JointPMF(sizes, table)
 
 
-def random_product_pmf(rng, alphabet_sizes, resolution: int = 256) -> JointPMF:
+def random_product_pmf(rng, alphabet_sizes) -> JointPMF:
     marginals = []
-    for k in alphabet_sizes:
+    for k in _state_space(alphabet_sizes):
         while True:
-            weights = [rng.randrange(resolution + 1) for _ in range(k)]
+            weights = [rng.randrange(RESOLUTION + 1) for _ in range(k)]
             total = sum(weights)
             if total:
                 break

@@ -251,30 +251,20 @@ def ssmdc_member(rates, entropies, n_secure: int) -> MembershipVerdict:
 def greedy_allocation(r0, entropies) -> GreedyAllocation:
     """Commit the all-access budget to sources in priority order.
 
-    Sources below the split level are stored whole, the split level gets
-    the leftover budget, everything above stays with the randomly
-    accessible encoders.
+    Source alpha stores min(h_alpha, r0 - sum of h_beta, beta < alpha),
+    clipped at zero: sources below the split level are stored whole, the
+    split level (the first with a residual) gets the leftover budget,
+    everything above stays with the randomly accessible encoders.
     """
     r0 = as_fraction(r0)
     if r0 < 0:
         raise ValueError("r0 must be nonnegative")
     h = _nonnegative(entropies, "entropies")
-    L = len(h)
-    total = sum(h, _ZERO)
-    if r0 >= total:
-        return GreedyAllocation(stored_at_zero=h, residual=(_ZERO,) * L, level=None)
-    cum = _ZERO
-    for q in range(1, L + 1):
-        if r0 < cum + h[q - 1]:
-            stored = list(h[: q - 1]) + [r0 - cum] + [_ZERO] * (L - q)
-            residual = (
-                [_ZERO] * (q - 1) + [cum + h[q - 1] - r0] + list(h[q:])
-            )
-            return GreedyAllocation(
-                stored_at_zero=tuple(stored), residual=tuple(residual), level=q
-            )
-        cum += h[q - 1]
-    raise AssertionError("unreachable: r0 < total implies a split level exists")
+    before = accumulate(h, initial=_ZERO)
+    stored = tuple(min(x, max(_ZERO, r0 - b)) for x, b in zip(h, before))
+    residual = tuple(x - s for x, s in zip(h, stored))
+    level = next((a for a, x in enumerate(residual, 1) if x), None)
+    return GreedyAllocation(stored_at_zero=stored, residual=residual, level=level)
 
 
 def residual_hyperplane(profile, entropies, m: int, r0) -> Fraction:

@@ -94,7 +94,19 @@ class EncoderSet:
         return out
 
 
-def _check_ground(ground_size: int) -> None:
+def format_subset(u: EncoderSet) -> str:
+    """Chain-file and JSON notation: `1,2`, or `-` for the empty set."""
+    return ",".join(str(m) for m in u.members) or "-"
+
+
+def parse_subset(text: str, ground_size: int) -> EncoderSet:
+    """Inverse of `format_subset`."""
+    if text == "-":
+        return EncoderSet((), ground_size)
+    return EncoderSet(tuple(int(x) for x in text.split(",")), ground_size)
+
+
+def check_ground(ground_size: int) -> None:
     if not 1 <= ground_size <= MAX_ENUMERATION_GROUND:
         raise ValueError(
             f"ground size must be in 1..{MAX_ENUMERATION_GROUND}, got {ground_size}"
@@ -103,7 +115,7 @@ def _check_ground(ground_size: int) -> None:
 
 def subsets_of_size(ground_size: int, size: int) -> list[EncoderSet]:
     """All subsets of {1..ground_size} with the given size, lex ordered."""
-    _check_ground(ground_size)
+    check_ground(ground_size)
     if not 1 <= size <= ground_size:
         raise ValueError(f"size must be in 1..{ground_size}, got {size}")
     return [
@@ -119,7 +131,7 @@ def wrap_index(index: int, ground_size: int) -> int:
 
 def window(start: int, length: int, ground_size: int) -> EncoderSet:
     """The cyclic window of `length` consecutive indices starting at `start`."""
-    _check_ground(ground_size)
+    check_ground(ground_size)
     if not 1 <= start <= ground_size:
         raise ValueError(f"start must be in 1..{ground_size}, got {start}")
     if not 1 <= length <= ground_size:

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from smdc.cli import main, parse_rational
+from smdc.cli import main, rational_list
+from smdc.exactlp import as_fraction
 from smdc.region import MAX_MEMBERSHIP_GROUND, f_value
 
 
@@ -17,16 +18,21 @@ def run(capsys, *argv):
 
 class TestParsing:
     def test_rational_forms(self):
-        assert parse_rational("3/4") == Fraction(3, 4)
-        assert parse_rational("1.4") == Fraction(7, 5)
-        assert parse_rational("2") == Fraction(2)
-        assert parse_rational("-0.25") == Fraction(-1, 4)
+        assert rational_list("3/4,1.4,2,-0.25") == (
+            Fraction(3, 4), Fraction(7, 5), Fraction(2), Fraction(-1, 4)
+        )
 
     def test_rejects_junk(self):
-        with pytest.raises(ValueError):
-            parse_rational("1.2.3")
-        with pytest.raises(ValueError):
-            parse_rational("1/0")
+        for text in ["1.2.3", "1/0", "1e5"]:
+            with pytest.raises(ValueError):
+                rational_list(f"1,{text}")
+
+    def test_arguments_share_the_file_grammar(self, capsys, tmp_path):
+        # a pmf file already reads "1." and "1_0" as rationals
+        code, out, _ = run(capsys, "region", "profile", "--weights", "1.,1_0.5")
+        assert code == 0 and out.split() == ["23/2", "1"]
+        code, out, _ = run(capsys, "region", "greedy", "--r0", "1.", "--entropies", "1,1")
+        assert code == 0 and out.startswith("q = 2")
 
 
 class TestRegionCommands:
@@ -125,7 +131,7 @@ class TestRegionCommands:
 
     @pytest.mark.parametrize("weights,alpha", [("1,1,1", 2), ("3,1,0,2", 3), ("5,1,1", 1)])
     def test_f_assignment(self, capsys, weights, alpha):
-        lam = [parse_rational(x) for x in weights.split(",")]
+        lam = rational_list(weights)
         total = f_value(lam, alpha)
         argv = ("region", "f", "--weights", weights, "--alpha", str(alpha))
         code, out, _ = run(capsys, *argv)
@@ -133,14 +139,14 @@ class TestRegionCommands:
         first, *rest = out.splitlines()
         assert first == f"f_{alpha} = {total}"
         shown = {
-            line.split()[1].strip("{}"): parse_rational(line.split()[3])
+            line.split()[1].strip("{}"): as_fraction(line.split()[3])
             for line in rest
         }
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         result = json.loads(out)["result"]
-        assignment = {u: parse_rational(v) for u, v in result["assignment"].items()}
-        assert parse_rational(result["total"]) == sum(assignment.values()) == total
+        assignment = {u: as_fraction(v) for u, v in result["assignment"].items()}
+        assert as_fraction(result["total"]) == sum(assignment.values()) == total
         assert shown == {u: v for u, v in assignment.items() if v}
         assert all(v >= 0 for v in assignment.values())
         for l, cap in enumerate(lam, 1):
@@ -225,6 +231,31 @@ class TestCoversCommands:
         code, _, err = run(capsys, "covers", "verify", "--file", str(path))
         assert code == 3
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "head,record",
+        [
+            ("smdc-chain 1", "c {a} {u} 1"),
+            ("smdc-cond-chain 1\nn 0", "s {a} {u} - 1"),
+        ],
+    )
+    def test_verify_rejects_short_family_at_once(self, capsys, tmp_path, head, record):
+        # 24 weights and one record per level: the full levels would hold
+        # 2^24 subsets, so the count is compared before enumerating
+        L = 24
+        header, *n_line = head.split("\n")
+        lines = [header, "lambda " + " ".join(["1"] * L), *n_line]
+        lines += [
+            record.format(a=a, u=",".join(str(m) for m in range(1, a + 1)))
+            for a in range(1, L + 1)
+        ]
+        path = tmp_path / "chain.txt"
+        path.write_text("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "covers", "verify", "--file", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert "wrong subset family" in out
 
     def test_verify_rejects_exponent_at_once(self, capsys, tmp_path):
         # Fraction would expand this to a ten-million-digit integer
@@ -363,6 +394,16 @@ class TestEntropyCommands:
         )
         assert code == 3
         assert err.startswith("error:") and "no cover" in err
+
+    def test_oversized_trial_sweep_fails_at_once(self, capsys):
+        # 2^40 outcomes: the state count is checked before enumerating
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "entropy", "check", "--which", "han", "--trials", "1", "--vars", "40"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert err.startswith("error:") and out == ""
 
     def test_perm_identity(self, capsys):
         code, out, _ = run(

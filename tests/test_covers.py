@@ -356,6 +356,13 @@ class TestSerialization:
         assert back.split == cond.split
         assert verify_conditional(back).ok
 
+    def test_verify_text_reads_either_kind(self):
+        assert cov.verify_text(chain_to_text(yz_chain((3, 1, 1)))).ok
+        assert cov.verify_text(conditional_to_text(conditional_chain((2, 1, 1), 1))).ok
+        text = conditional_to_text(conditional_chain((1, 1, 1), 1))
+        report = cov.verify_text(text.replace("s 1 1 2 ", "s 1 1 1 "))
+        assert "level 1: adversary overlaps {1}" in report.failures
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             chain_from_text("not a chain\n")

@@ -91,6 +91,19 @@ class TestPmfValidation:
         with pytest.raises(ValueError):
             JointPMF([100] * 4, {(0, 0, 0, 0): F(1)})
 
+    @pytest.mark.parametrize("sizes", [[2] * 40, [0], []])
+    def test_random_pmfs_check_the_space_before_enumerating(self, sizes):
+        # 2^40 outcomes would never finish; a size-0 alphabet never draws
+        rng = random.Random(0)
+        with pytest.raises(ValueError):
+            random_pmf(rng, sizes)
+        with pytest.raises(ValueError):
+            random_product_pmf(rng, sizes)
+
+    def test_product_checks_the_space_before_enumerating(self):
+        with pytest.raises(ValueError, match="state space"):
+            JointPMF.independent([[1, 0]] * 40)
+
 
 class TestHan:
     def test_equality_for_independent(self):

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smdc.subsets import EncoderSet, subsets_of_size, window, windows
+from smdc.subsets import (
+    EncoderSet,
+    format_subset,
+    parse_subset,
+    subsets_of_size,
+    window,
+    windows,
+)
 
 
 def members(sets):
@@ -138,3 +145,15 @@ class TestEncoderSet:
         u = EncoderSet.of(picks, L)
         for e in range(1, L + 1):
             assert (e in u) == (e in picks)
+
+
+class TestNotation:
+    def test_format(self):
+        assert format_subset(EncoderSet((1, 2), 3)) == "1,2"
+        assert format_subset(EncoderSet((), 3)) == "-"
+
+    @given(st.integers(1, 8), st.data())
+    def test_round_trip(self, L, data):
+        picks = data.draw(st.lists(st.integers(1, L), unique=True))
+        u = EncoderSet.of(picks, L)
+        assert parse_subset(format_subset(u), L) == u
