@@ -4,15 +4,20 @@ A chain holds, for each subset level alpha, an optimal solution of the
 per-level packing LP, and for each descent a family of fractional
 covers that reproduces level alpha-1 from level alpha by weighted
 parent sums.  No LP is solved: the descent starts from the one optimal
-top level and each step dispatches into three cases depending on how
-top-heavy the sorted weight vector is.  The finished chain is audited
-exactly (every level against the closed-form level optimum, every cover
-against the covering inequality), so a bad construction raises instead
-of propagating.
+top level, and each step is a base case (two encoders) or one of two
+cases, depending on how top-heavy the sorted weight vector is: a
+dominant top weight recurses on the rest of the ground set, and
+otherwise the uniform cover is shifted by the level's deficits (which
+are all zero when the weights are balanced).  The finished chain is
+audited exactly (every level against the closed-form level optimum,
+every cover against the covering inequality), so a bad construction
+raises instead of propagating.
 
 The conditional variant additionally attaches to each subset a family
 of disjoint "adversary" sets of fixed size and splits the level weights
-across them.
+across them.  Each descent pushes every parent's split through the
+chain's covers onto its children, so each child collects the adversary
+sets of all its parents.
 """
 
 from __future__ import annotations
@@ -133,22 +138,11 @@ def _descend(lam, ground, alpha, level, events):
             raise CoverConstructionError("base descent needs a positive bottom weight")
         return {u: {(ground[0],): lam_list[0] / lam2, (ground[1],): _ONE}}
 
-    if top <= rest / (alpha - 1):
-        events.append((alpha, CASE_1))
-        return _case1(ground, alpha)
     if alpha >= 3 and top > rest / (alpha - 2):
         events.append((alpha, CASE_2))
         return _case2(lam, ground, alpha, level, events)
-    events.append((alpha, CASE_3))
+    events.append((alpha, CASE_1 if top <= rest / (alpha - 1) else CASE_3))
     return _case3(lam, ground, alpha, level)
-
-
-def _case1(ground, alpha):
-    w = Fraction(1, alpha - 1)
-    covers = {}
-    for u in combinations(ground, alpha):
-        covers[u] = {v: w for v in _tuple_children(u)}
-    return covers
 
 
 def _case2(lam, ground, alpha, level, events):
@@ -184,9 +178,10 @@ def _case2(lam, ground, alpha, level, events):
 
 
 def _case3(lam, ground, alpha, level):
-    """Intermediate imbalance: start from the uniform cover scaled down by
-    the element deficits and push the deficit differences onto the
-    children that drop a low-position element."""
+    """Start from the uniform cover scaled down by the element deficits
+    and push the deficit differences onto the children that drop a
+    low-position element.  Balanced weights leave no deficits, and the
+    cover stays uniform."""
     f_val = sum(level.values(), _ZERO)
     if f_val <= 0:
         raise CoverConstructionError(f"{CASE_3}: needs a positive level total")
@@ -380,34 +375,21 @@ def conditional_chain(weights, n_secure: int) -> ConditionalAssignment:
         for u, c in chain.levels[top].assignment.items()
     }
     for alpha in range(top, 1, -1):
-        upper = split[alpha]
-        families: dict[EncoderSet, set[EncoderSet]] = {}
-        for v in subsets_of_size(L, alpha - 1):
-            fam = set()
-            for u in v.parents():
-                fam.update(upper[u].keys())
-            families[v] = fam
-        lower: dict[EncoderSet, dict[EncoderSet, Fraction]] = {}
         per_u = chain.covers.get(alpha)
-        if per_u is not None:
-            for v, fam in families.items():
-                parts = {a: _ZERO for a in fam}
-                for u in v.parents():
-                    g = per_u[u].weights[v]
-                    if g:
-                        for a, s in upper[u].items():
-                            if s:
-                                parts[a] += g * s
-                lower[v] = parts
-        else:
-            # vanished level above: restart from the fresh optimum below,
-            # put each subset's whole weight on its smallest adversary set
+        lower: dict[EncoderSet, dict[EncoderSet, Fraction]] = {}
+        for u, parts in split[alpha].items():
+            # a vanished level has no covers: push zeros to keep the keys
+            g_u = per_u[u].weights if per_u else dict.fromkeys(u.children(), _ZERO)
+            for v, g in g_u.items():
+                into = lower.setdefault(v, {})
+                for a, s in parts.items():
+                    into[a] = into.get(a, _ZERO) + g * s
+        if not per_u:
+            # restart from the fresh optimum below, each subset's whole
+            # weight on its smallest adversary set
             fresh = chain.levels[alpha - 1].assignment
-            for v, fam in families.items():
-                parts = {a: _ZERO for a in fam}
-                first = min(fam, key=lambda a: a.members)
-                parts[first] = fresh[v]
-                lower[v] = parts
+            for v, into in lower.items():
+                into[min(into, key=lambda a: a.members)] = fresh[v]
         split[alpha - 1] = lower
     assignment = ConditionalAssignment(
         weights=lam, n_secure=n_secure, split=split

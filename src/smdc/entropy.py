@@ -31,12 +31,15 @@ _ONE = Fraction(1)
 def _state_space(alphabet_sizes) -> tuple[int, ...]:
     """The alphabet sizes, checked to be positive and to span at most
     MAX_STATES outcomes; called before any outcome table is built."""
-    sizes = tuple(int(k) for k in alphabet_sizes)
-    if not sizes or any(k < 1 for k in sizes):
+    sizes = tuple(map(int, alphabet_sizes))
+    if not sizes or min(sizes) < 1:
         raise ValueError("alphabet sizes must be positive")
-    states = math.prod(sizes)
-    if states > MAX_STATES:
-        raise ValueError(f"state space {states} exceeds {MAX_STATES}")
+    states = 1
+    for k in sizes:
+        # stop at the cap: the full product can have thousands of digits
+        states *= k
+        if states > MAX_STATES:
+            raise ValueError(f"state space exceeds {MAX_STATES} outcomes")
     return sizes
 
 
@@ -160,6 +163,27 @@ class InequalityReport:
         return self.slack >= -TOLERANCE
 
 
+def _compare(pmf: JointPMF, name: str, lhs, rhs, details: dict) -> InequalityReport:
+    """lhs >= rhs, each side a list of (subset, conditioning set, exact
+    weight) terms summed as weight * H(subset | conditioning set); terms
+    without a conditioning set read the subset entropy directly."""
+
+    def side(terms):
+        total = 0.0
+        for u, given, w in terms:
+            if w:
+                h = pmf.conditional_entropy(u, given) if given else pmf.subset_entropy(u)
+                total += float(w) * h
+        return total
+
+    return InequalityReport(name, side(lhs), side(rhs), details)
+
+
+def _levels(pmf: JointPMF, name: str, alpha: int, terms) -> InequalityReport:
+    """Level alpha-1 against level alpha, terms(a) listing level a."""
+    return _compare(pmf, name, terms(alpha - 1), terms(alpha), {"alpha": alpha})
+
+
 def _level_range(pmf: JointPMF, alpha: int) -> int:
     L = pmf.variable_count
     if not 2 <= alpha <= L:
@@ -170,53 +194,36 @@ def _level_range(pmf: JointPMF, alpha: int) -> int:
 def check_han(pmf: JointPMF, alpha: int) -> InequalityReport:
     """Normalized average subset entropy at level alpha-1 dominates level alpha."""
     L = _level_range(pmf, alpha)
-
-    def side(a):
-        return sum(pmf.subset_entropy(u) for u in subsets_of_size(L, a)) / (
-            comb(L, a) * a
-        )
-
-    lhs, rhs = side(alpha - 1), side(alpha)
-    return InequalityReport("han", lhs, rhs, {"alpha": alpha})
+    return _levels(pmf, "han", alpha, lambda a: [
+        (u, None, Fraction(1, comb(L, a) * a)) for u in subsets_of_size(L, a)
+    ])
 
 
 def check_sliding_window(pmf: JointPMF, alpha: int) -> InequalityReport:
     """Cyclic-window analogue of the level comparison."""
     L = _level_range(pmf, alpha)
-
-    def side(a):
-        return sum(pmf.subset_entropy(w) for w in windows(L, a)) / a
-
-    lhs, rhs = side(alpha - 1), side(alpha)
-    return InequalityReport("sliding-window", lhs, rhs, {"alpha": alpha})
+    return _levels(pmf, "sliding-window", alpha, lambda a: [
+        (w, None, Fraction(1, a)) for w in windows(L, a)
+    ])
 
 
 def check_mt(pmf: JointPMF, u: EncoderSet, cover: FractionalCover) -> InequalityReport:
     """Cover-weighted child entropies dominate the parent entropy."""
     if cover.parent != u or not verify_cover(cover):
         raise ValueError("cover must be a verified fractional cover of u")
-    lhs = sum(
-        float(w) * pmf.subset_entropy(v) for v, w in cover.weights.items() if w
-    )
-    rhs = pmf.subset_entropy(u)
-    return InequalityReport("madiman-tetali", lhs, rhs, {"parent": str(u)})
+    lhs = [(v, None, w) for v, w in cover.weights.items()]
+    return _compare(pmf, "madiman-tetali", lhs, [(u, None, _ONE)], {"parent": str(u)})
 
 
 def check_yz(pmf: JointPMF, chain: CoefficientChain, alpha: int) -> InequalityReport:
-    """Chain-weighted subset entropies at level alpha-1 dominate level alpha."""
+    """Chain-weighted subset entropies at level alpha-1 dominate level alpha:
+    the conditional check with no conditioning sets."""
     L = _level_range(pmf, alpha)
     if chain.ground_size != L:
         raise ValueError("chain ground size must match the pmf")
-
-    def side(a):
-        return sum(
-            float(c) * pmf.subset_entropy(u)
-            for u, c in chain.levels[a].assignment.items()
-            if c
-        )
-
-    lhs, rhs = side(alpha - 1), side(alpha)
-    return InequalityReport("yeung-zhang", lhs, rhs, {"alpha": alpha})
+    return _levels(pmf, "yeung-zhang", alpha, lambda a: [
+        (u, None, c) for u, c in chain.levels[a].assignment.items()
+    ])
 
 
 def check_conditional_yz(
@@ -230,17 +237,9 @@ def check_conditional_yz(
     top = L - assignment.n_secure
     if not 2 <= alpha <= top:
         raise ValueError(f"alpha must be in 2..{top}, got {alpha}")
-
-    def side(a):
-        total = 0.0
-        for u, parts in assignment.split[a].items():
-            for adv, s in parts.items():
-                if s:
-                    total += float(s) * pmf.conditional_entropy(u, adv)
-        return total
-
-    lhs, rhs = side(alpha - 1), side(alpha)
-    return InequalityReport("conditional-yz", lhs, rhs, {"alpha": alpha})
+    return _levels(pmf, "conditional-yz", alpha, lambda a: [
+        (u, adv, s) for u, parts in assignment.split[a].items() for adv, s in parts.items()
+    ])
 
 
 def permutation_identity(L: int, alpha: int) -> bool:

@@ -19,6 +19,7 @@ Conventions for `max c.x, rows, x >= 0`:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -28,6 +29,7 @@ LE = "<="
 GE = ">="
 
 _ZERO = Fraction(0)
+_LONE_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -39,11 +41,17 @@ def as_fraction(x) -> Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("binary floats are not accepted; pass Fraction, int or str")
-    # Fraction('1e10000000') would build a ten-million-digit integer
-    if isinstance(x, str) and ("e" in x or "E" in x):
-        raise ValueError(f"exponent notation is not accepted: {x!r}")
+    text = x
+    if isinstance(x, str):
+        # Fraction('1e10000000') would build a ten-million-digit integer
+        if "e" in x or "E" in x:
+            raise ValueError(f"exponent notation is not accepted: {x!r}")
+        # Fraction reads digit groups such as 1_000 only from Python 3.11 on
+        if _LONE_UNDERSCORE.search(x):
+            raise ValueError(f"an underscore must sit between two digits: {x!r}")
+        text = x.replace("_", "")
     try:
-        return Fraction(x)
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
 

@@ -2,9 +2,9 @@
 
 Everything downstream (rate regions, coefficient chains, entropy checks,
 codecs) works with fixed-size subsets of {1..L}, cyclic sliding windows,
-and the parent/child structure between adjacent subset levels.  Full
-enumeration is capped at L=24; paths that never enumerate whole levels
-may accept larger ground sets.
+and the children of a subset one level down.  Full enumeration is
+capped at L=24; paths that never enumerate whole levels may accept
+larger ground sets.
 """
 
 from __future__ import annotations
@@ -80,18 +80,6 @@ class EncoderSet:
             EncoderSet(c, self.ground_size)
             for c in combinations(self.members, len(self.members) - 1)
         ]
-
-    def parents(self) -> list["EncoderSet"]:
-        """The L - |V| supersets of V with one element added, in lex order."""
-        if len(self.members) >= self.ground_size:
-            raise ValueError("parents require a proper subset of the ground set")
-        out = []
-        for e in range(1, self.ground_size + 1):
-            if e not in self:
-                out.append(
-                    EncoderSet(tuple(sorted(self.members + (e,))), self.ground_size)
-                )
-        return out
 
 
 def format_subset(u: EncoderSet) -> str:

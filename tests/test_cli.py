@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from smdc.cli import main, rational_list
+from smdc.entropy import MAX_STATES
 from smdc.exactlp import as_fraction
 from smdc.region import MAX_MEMBERSHIP_GROUND, f_value
 
@@ -396,14 +397,19 @@ class TestEntropyCommands:
         assert err.startswith("error:") and "no cover" in err
 
     def test_oversized_trial_sweep_fails_at_once(self, capsys):
-        # 2^40 outcomes: the state count is checked before enumerating
-        start = time.perf_counter()
-        code, out, err = run(
-            capsys, "entropy", "check", "--which", "han", "--trials", "1", "--vars", "40"
-        )
-        assert time.perf_counter() - start < 1
-        assert code == 3
-        assert err.startswith("error:") and out == ""
+        # 2^40 outcomes: the state count is checked before enumerating;
+        # 2^15000 has more digits than Python will print, so the error
+        # names the cap, not the count
+        for n_vars in ("40", "15000"):
+            start = time.perf_counter()
+            code, out, err = run(
+                capsys, "entropy", "check", "--which", "han", "--trials", "1",
+                "--vars", n_vars,
+            )
+            assert time.perf_counter() - start < 1
+            assert code == 3
+            assert err.startswith("error:") and out == ""
+            assert "state space" in err and str(MAX_STATES) in err
 
     def test_perm_identity(self, capsys):
         code, out, _ = run(

@@ -67,7 +67,7 @@ class TestHanChain:
         total = sum(
             chain.covers[2][u].weights[eset([1], 3)]
             * chain.levels[2].assignment[u]
-            for u in eset([1], 3).parents()
+            for u in (eset([1, 2], 3), eset([1, 3], 3))
         )
         assert total == F(1, 3)
 
@@ -333,6 +333,39 @@ class TestSerialization:
             "c 2 1,2 1/2\n"
             "g 2 1,2 1 1\n"
             "g 2 1,2 2 1\n"
+        )
+
+    def test_golden_conditional_format(self):
+        # zero split weights stay in the file as keys of every child
+        assert conditional_to_text(conditional_chain((1, 1, 0), 1)) == (
+            "smdc-cond-chain 1\n"
+            "lambda 1 1 0\n"
+            "n 1\n"
+            "s 1 1 2 0\n"
+            "s 1 1 3 1\n"
+            "s 1 2 1 0\n"
+            "s 1 2 3 1\n"
+            "s 1 3 1 0\n"
+            "s 1 3 2 0\n"
+            "s 2 1,2 3 1\n"
+            "s 2 1,3 2 0\n"
+            "s 2 2,3 1 0\n"
+        )
+        # level 2 vanishes with one positive weight: level 1 restarts from
+        # its own optimum, on each subset's smallest adversary set
+        assert conditional_to_text(conditional_chain((1, 0, 0), 1)) == (
+            "smdc-cond-chain 1\n"
+            "lambda 1 0 0\n"
+            "n 1\n"
+            "s 1 1 2 1\n"
+            "s 1 1 3 0\n"
+            "s 1 2 1 0\n"
+            "s 1 2 3 0\n"
+            "s 1 3 1 0\n"
+            "s 1 3 2 0\n"
+            "s 2 1,2 3 0\n"
+            "s 2 1,3 2 0\n"
+            "s 2 2,3 1 0\n"
         )
 
     def test_chain_round_trip(self):

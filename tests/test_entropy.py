@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,12 @@ class TestPmfValidation:
     def test_state_cap(self):
         with pytest.raises(ValueError):
             JointPMF([100] * 4, {(0, 0, 0, 0): F(1)})
+        # the count stops at the cap: the full product of 300,000 twos
+        # takes seconds to form and has too many digits to print
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="state space"):
+            JointPMF([2] * 300_000, {})
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("sizes", [[2] * 40, [0], []])
     def test_random_pmfs_check_the_space_before_enumerating(self, sizes):

@@ -3,6 +3,7 @@ parses, fails with ValueError (exit code 3) and never with another
 exception."""
 
 import zlib
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,22 @@ def test_exponent_notation_rejected(text):
         chain_from_text(f"smdc-chain 1\nlambda {text} 1\n")
     with pytest.raises(ValueError):
         pmf_from_text(f"1 2\n0 {text}\n1 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1_000", F(1000)), ("1_0.5", F(21, 2)), ("1/2_0", F(1, 20))],
+)
+def test_digit_groups_accepted(text, value):
+    # Fraction reads these only from Python 3.11 on; the grammar must not
+    # depend on the interpreter
+    assert as_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", ["_1", "1_", "1__0", "1_/2", "1._5"])
+def test_misplaced_underscore_rejected(text):
+    with pytest.raises(ValueError, match="underscore"):
+        as_fraction(text)
 
 
 @pytest.mark.parametrize(

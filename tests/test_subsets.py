@@ -91,34 +91,9 @@ class TestParentsChildren:
             u = EncoderSet(tuple(range(1, a + 1)), 8)
             assert len(u.children()) == a
 
-    def test_parents_examples(self):
-        v = EncoderSet((1,), 3)
-        assert members(v.parents()) == [(1, 2), (1, 3)]
-        v = EncoderSet((1, 2), 3)
-        assert members(v.parents()) == [(1, 2, 3)]
-
-    def test_parents_count(self):
-        L = 7
-        for a in range(2, L + 1):
-            v = EncoderSet(tuple(range(1, a)), L)
-            assert len(v.parents()) == L - (a - 1)
-
     def test_size_errors(self):
         with pytest.raises(ValueError):
             EncoderSet((1,), 3).children()
-        with pytest.raises(ValueError):
-            EncoderSet((1, 2, 3), 3).parents()
-
-    def test_duality_exhaustive(self):
-        L = 5
-        for a in range(2, L + 1):
-            for u in subsets_of_size(L, a):
-                for v in u.children():
-                    assert u in v.parents()
-        for a in range(1, L):
-            for v in subsets_of_size(L, a):
-                for u in v.parents():
-                    assert v in u.children()
 
 
 class TestEncoderSet:
