@@ -9,9 +9,12 @@ cases, depending on how top-heavy the sorted weight vector is: a
 dominant top weight recurses on the rest of the ground set, and
 otherwise the uniform cover is shifted by the level's deficits (which
 are all zero when the weights are balanced).  The finished chain is
-audited exactly (every level against the closed-form level optimum,
-every cover against the covering inequality), so a bad construction
-raises instead of propagating.
+audited exactly (every level against the closed-form level optimum and
+the encoder capacities, every cover against the covering inequality,
+every descent against the parent-sum identity), so a bad construction
+raises instead of propagating.  The audits put each level, cover or
+descent's weights over one common denominator and sum integer
+numerators, so no check takes a `Fraction` operation per term.
 
 The conditional variant additionally attaches to each subset a family
 of disjoint "adversary" sets of fixed size and splits the level weights
@@ -27,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exactlp import as_fraction, as_fractions
+from .exactlp import as_fraction, as_fractions, over_common_denominator
 from .region import SubsetCoefficients, f_value
 # re-exported: the benchmark tracer (perfbench/tracing.py) wraps covers.f_alpha
 from .region import f_alpha  # noqa: F401
@@ -55,19 +58,25 @@ class FractionalCover:
 
 
 def verify_cover(cover: FractionalCover) -> bool:
-    """Exact check of the covering inequality on every parent element."""
-    children = set(cover.parent.children())
-    if set(cover.weights) - children:
-        return False
-    if any(w < 0 for w in cover.weights.values()):
-        return False
-    for i in cover.parent:
-        total = sum(
-            (w for v, w in cover.weights.items() if i in v), _ZERO
-        )
-        if total < 1:
+    """Exact check of the covering inequality on every parent element.
+
+    Each child misses exactly one parent element, so element i is covered
+    by the total weight less that of the child without i; with the
+    weights as integers n over one denominator d, that is total - n >= d.
+    """
+    u = cover.parent
+    if len(u) < 2:
+        raise ValueError("children require a set of size at least 2")
+    counts, d = over_common_denominator(cover.weights.values())
+    dropped = {}  # parent element -> count of the child without it
+    for v, n in zip(cover.weights, counts):
+        if v.ground_size != u.ground_size or len(v) != len(u) - 1 or v.mask & ~u.mask:
             return False
-    return True
+        if n < 0:
+            return False
+        dropped[(u.mask ^ v.mask).bit_length() - 1] = n
+    total = sum(counts)
+    return all(total - dropped.get(i, 0) >= d for i in u.members)
 
 
 @dataclass
@@ -297,15 +306,24 @@ def han_chain(L: int) -> CoefficientChain:
 
 
 def _audit_level(lam, alpha: int, coeffs: SubsetCoefficients) -> list[str]:
-    """Nonnegative, within every encoder's capacity, and optimal in total."""
+    """Nonnegative, within every encoder's capacity, and optimal in total;
+    `coeffs` holds exactly the alpha-subsets of {1..len(lam)}.  The
+    coefficients are integers n over one denominator d, so one pass sums
+    every encoder's load."""
     failures = []
-    if any(v < 0 for v in coeffs.assignment.values()):
+    counts, d = over_common_denominator(coeffs.assignment.values())
+    if any(n < 0 for n in counts):
         failures.append(f"level {alpha}: negative coefficient")
-    for l in range(1, len(lam) + 1):
-        load = sum((v for u, v in coeffs.assignment.items() if l in u), _ZERO)
-        if load > lam[l - 1]:
+    load = [0] * (len(lam) + 1)
+    for u, n in zip(coeffs.assignment, counts):
+        if n:
+            for l in u.members:
+                load[l] += n
+    for l, cap in enumerate(lam, 1):
+        if load[l] * cap.denominator > cap.numerator * d:
             failures.append(f"level {alpha}: capacity exceeded at encoder {l}")
-    if coeffs.total != f_value(lam, alpha):
+    f = f_value(lam, alpha)
+    if sum(counts) * f.denominator != f.numerator * d:
         failures.append(f"level {alpha}: total differs from the optimum")
     return failures
 
@@ -313,7 +331,32 @@ def _audit_level(lam, alpha: int, coeffs: SubsetCoefficients) -> list[str]:
 def _is_family(subsets, L: int, alpha: int) -> bool:
     """Exactly the alpha-subsets of {1..L}, counted before they are enumerated."""
     check_ground(L)  # past the cap, raise as enumerating would
-    return len(subsets) == comb(L, alpha) and set(subsets) == set(subsets_of_size(L, alpha))
+    return (
+        len(subsets) == comb(L, alpha)
+        and all(u.ground_size == L for u in subsets)
+        and {u.members for u in subsets} == set(combinations(range(1, L + 1), alpha))
+    )
+
+
+def _parent_sums_match(per_u, upper, lower) -> bool:
+    """Each child v at level alpha-1 weighs the sum of upper[u] * g_u(v)
+    over its parents u, and no other subset gets a sum.  The cover
+    weights and each level go over one denominator apiece, so the sums
+    run on integers."""
+    g, dg = over_common_denominator([w for c in per_u.values() for w in c.weights.values()])
+    up, du = over_common_denominator(upper.values())
+    up = dict(zip(upper, up))
+    lo, dl = over_common_denominator(lower.values())
+    recon = dict.fromkeys(lower, 0)
+    weights = iter(g)
+    for u, cover in per_u.items():
+        c = up.get(u, 0)
+        for v, n in zip(cover.weights, weights):
+            recon[v] = recon.get(v, 0) + c * n
+    # recon[v] / (du * dg) against lower[v] == lo / dl, in lower's order
+    return recon.keys() == lower.keys() and all(
+        r * dl == n * du * dg for r, n in zip(recon.values(), lo)
+    )
 
 
 def verify_chain(chain: CoefficientChain) -> ChainReport:
@@ -343,12 +386,7 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
         for u, cover in per_u.items():
             if cover.parent != u or not verify_cover(cover):
                 failures.append(f"descent {alpha}: invalid cover at {u}")
-        recon = {v: _ZERO for v in lower}
-        for u, cover in per_u.items():
-            c = upper.get(u, _ZERO)
-            for v, w in cover.weights.items():
-                recon[v] = recon.get(v, _ZERO) + w * c
-        if recon != dict(lower):
+        if not _parent_sums_match(per_u, upper, lower):
             failures.append(f"descent {alpha}: parent-sum identity fails")
     return ChainReport(ok=not failures, failures=failures)
 

@@ -1,10 +1,13 @@
 """Shannon entropy on small joint distributions, and numerical checks of
 the subset entropy inequalities.
 
-Marginalization is exact (rational probabilities); only the final
-logarithms are floating point, so every inequality check carries a
-small absolute tolerance.  Checks return a report rather than raising:
-a violated inequality is a result, not an error.
+Marginalization is exact: a pmf keeps its masses once as integer counts
+over one common denominator d, a marginal sums counts, and each mass
+n / d becomes a float only as the correctly rounded value of that
+rational.  Only the final logarithms are floating point, so every
+inequality check carries a small absolute tolerance.  Checks return a
+report rather than raising: a violated inequality is a result, not an
+error.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .covers import CoefficientChain, ConditionalAssignment, FractionalCover, verify_cover
-from .exactlp import as_fraction
+from .exactlp import as_fraction, over_common_denominator
 from .subsets import EncoderSet, subsets_of_size, windows
 
 TOLERANCE = 1e-9
@@ -53,7 +57,6 @@ class JointPMF:
     def __init__(self, alphabet_sizes: Iterable[int], probabilities: Mapping):
         sizes = _state_space(alphabet_sizes)
         table: dict[tuple[int, ...], Fraction] = {}
-        total = _ZERO
         for outcome, p in probabilities.items():
             outcome = tuple(int(s) for s in outcome)
             if len(outcome) != len(sizes):
@@ -66,11 +69,15 @@ class JointPMF:
                 raise ValueError("probabilities must be nonnegative")
             if p:
                 table[outcome] = table.get(outcome, _ZERO) + p
-                total += p
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
+        counts, d = over_common_denominator(table.values())
+        if sum(counts) != d:
+            raise ValueError(f"probabilities sum to {Fraction(sum(counts), d)}, expected 1")
         self.alphabet_sizes = sizes
         self.probabilities = table
+        # the masses as integers over one denominator, in table order,
+        # which fixes the order in which every entropy is summed
+        self._counts = dict(zip(table, counts))
+        self._denominator = d
         self._entropy_cache: dict[int, float] = {}
 
     @property
@@ -108,15 +115,6 @@ class JointPMF:
                 raise ValueError(f"variable index {m} out of range")
         return members
 
-    def marginal(self, u) -> dict[tuple[int, ...], Fraction]:
-        members = self._members(u)
-        idx = [m - 1 for m in members]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for outcome, p in self.probabilities.items():
-            key = tuple(outcome[i] for i in idx)
-            out[key] = out.get(key, _ZERO) + p
-        return out
-
     def subset_entropy(self, u) -> float:
         """Base-2 entropy of the marginal on u (u nonempty)."""
         members = self._members(u)
@@ -128,9 +126,16 @@ class JointPMF:
         cached = self._entropy_cache.get(mask)
         if cached is not None:
             return cached
+        # one member gives bare symbols as keys, which group alike
+        key = itemgetter(*(m - 1 for m in members))
+        counts: dict = {}
+        for outcome, n in self._counts.items():
+            k = key(outcome)
+            counts[k] = counts.get(k, 0) + n
+        d = self._denominator
         h = 0.0
-        for p in self.marginal(members).values():
-            fp = float(p)
+        for n in counts.values():
+            fp = n / d  # int / int rounds correctly, as float(Fraction) does
             h -= fp * math.log2(fp)
         h = max(h, 0.0)
         self._entropy_cache[mask] = h

@@ -1,13 +1,15 @@
 """Exact linear programming over rationals.
 
 Two-phase primal simplex with Bland's anti-cycling rule on an
-integer-preserving tableau: each row is scaled to integers once, pivots
-divide exactly by the previous pivot, and `fractions.Fraction` appears
-only when the answer is read back.  Optimal solves return a primal
-vertex and a dual vector whose objective matches the primal exactly;
-infeasible systems return a Farkas certificate.  Both are re-verified in
-`Fraction`s against the input before being handed back, so a returned
-solution is proof-checked.
+integer-preserving tableau: `LinearProgram.add` scales each row to
+integers once, by the lcm of its denominators, pivots divide exactly by
+the previous pivot, and `fractions.Fraction` appears only when the
+answer is read back.  Optimal solves return a primal vertex and a dual
+vector whose objective matches the primal exactly; infeasible systems
+return a Farkas certificate.  Both are re-verified exactly against the
+integer rows before being handed back, the point and the multipliers
+each put over one common denominator (`over_common_denominator`), so a
+returned solution is proof-checked without a `Fraction` per term.
 
 Conventions for `max c.x, rows, x >= 0`:
   * dual[i]        >= 0 on `<=` rows, <= 0 on `>=` rows,
@@ -39,6 +41,8 @@ UNBOUNDED = "unbounded"
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, int):
+        return Fraction(x)
     if isinstance(x, float):
         raise TypeError("binary floats are not accepted; pass Fraction, int or str")
     text = x
@@ -60,6 +64,13 @@ def as_fractions(xs) -> tuple[Fraction, ...]:
     return tuple(as_fraction(x) for x in xs)
 
 
+def over_common_denominator(xs) -> tuple[list[int], int]:
+    """(ns, d) with xs[i] == ns[i] / d, d the lcm of the denominators of
+    the rationals xs; ([], 1) for none."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 class LinearProgram:
     """maximize objective . x  subject to added rows and x >= 0."""
 
@@ -75,6 +86,10 @@ class LinearProgram:
         self.rows: list[list[Fraction]] = []
         self.senses: list[str] = []
         self.rhs: list[Fraction] = []
+        # row i times sigma_i, the lcm of its denominators, in integers
+        self.int_rows: list[list[int]] = []
+        self.int_rhs: list[int] = []
+        self.scales: list[int] = []
 
     def add(self, coeffs: Sequence, sense: str, rhs) -> None:
         coeffs = list(as_fractions(coeffs))
@@ -82,9 +97,14 @@ class LinearProgram:
             raise ValueError("constraint length does not match num_vars")
         if sense not in (LE, GE):
             raise ValueError(f"sense must be {LE!r} or {GE!r}, got {sense!r}")
+        rhs = as_fraction(rhs)
+        scaled, sigma = over_common_denominator(coeffs + [rhs])
         self.rows.append(coeffs)
         self.senses.append(sense)
-        self.rhs.append(as_fraction(rhs))
+        self.rhs.append(rhs)
+        self.int_rows.append(scaled[:-1])
+        self.int_rhs.append(scaled[-1])
+        self.scales.append(sigma)
 
     @property
     def num_rows(self) -> int:
@@ -110,14 +130,15 @@ class FeasibilityResult:
 class _Simplex:
     """Dense integer-preserving tableau; shared by solve_max and feasible.
 
-    Row i of [A | b], sign-flipped so that b >= 0, is scaled by sigma_i,
-    the lcm of its denominators; its slack, surplus and artificial
-    columns stay +-1.  The tableau holds D times the rational tableau of
-    that integer system, D > 0 being |det| of the current basis, so every
-    pivot divides exactly by the previous D (Edmonds 1967, Bareiss 1968)
-    and no gcd is taken.  Scaling a row, a column or the objective by a
-    positive number changes no sign and no ratio order within a column,
-    so Bland's rule takes the same pivots as on the rational tableau.
+    Row i of [A | b], sign-flipped so that b >= 0, is the integer row
+    that `LinearProgram.add` scaled by sigma_i; its slack, surplus and
+    artificial columns stay +-1.  The tableau holds D times the rational
+    tableau of that integer system, D > 0 being |det| of the current
+    basis, so every pivot divides exactly by the previous D (Edmonds
+    1967, Bareiss 1968) and no gcd is taken.  Scaling a row, a column or
+    the objective by a positive number changes no sign and no ratio order
+    within a column, so Bland's rule takes the same pivots as on the
+    rational tableau.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -143,17 +164,15 @@ class _Simplex:
         self.basis: list[int] = []
         self.ident: list[int] = []          # column that starts as +e_i for row i
         self.row_orig: list[int] = []       # original row index (rows may be dropped)
-        self.scale: list[int] = []          # sigma_i, by original row
+        self.scale = lp.scales              # sigma_i, by original row
 
         art_iter = iter(self.art_cols)
         for i in range(m):
-            coeffs, rhs = lp.rows[i], lp.rhs[i]
-            sigma = lcm(rhs.denominator, *(a.denominator for a in coeffs))
             f = self.flip[i]
             row = [0] * ncols
-            for j, a in enumerate(coeffs):
+            for j, a in enumerate(lp.int_rows[i]):
                 if a:
-                    row[j] = f * a.numerator * (sigma // a.denominator)
+                    row[j] = f * a
             if senses[i] == LE:
                 row[n + i] = 1               # slack
                 self.basis.append(n + i)
@@ -165,9 +184,8 @@ class _Simplex:
                 self.basis.append(art)
                 self.ident.append(art)
             self.T.append(row)
-            self.b.append(f * rhs.numerator * (sigma // rhs.denominator))
+            self.b.append(f * lp.int_rhs[i])
             self.row_orig.append(i)
-            self.scale.append(sigma)
 
         self.D = 1                          # tableau = D * rational tableau
         self.K = 1                          # objective = K * the phase's objective
@@ -303,11 +321,8 @@ class _Simplex:
         self.banned = frozenset(self.art_cols)
 
     def phase2(self) -> str:
-        K = lcm(*(c.denominator for c in self.lp.objective))
-        costs = [0] * self.ncols
-        for j, c in enumerate(self.lp.objective):
-            costs[j] = c.numerator * (K // c.denominator)
-        self._price(costs, K)
+        costs, K = over_common_denominator(self.lp.objective)
+        self._price(costs + [0] * (self.ncols - self.n), K)
         return self._run()
 
     # extraction -------------------------------------------------------
@@ -329,49 +344,68 @@ class _Simplex:
         return tuple(y)
 
 
+def _scaled_multipliers(lp: LinearProgram, y: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(zs, e) with zs[i] / e == y[i] / sigma_i: the row multipliers y
+    acting on the integer rows, over one positive denominator e."""
+    return over_common_denominator(
+        [Fraction(c.numerator, c.denominator * s) for c, s in zip(y, lp.scales)]
+    )
+
+
+def _column_sums(lp: LinearProgram, zs: Sequence[int]) -> list[int]:
+    """zs^T times the integer rows, column by column."""
+    cols = [0] * lp.num_vars
+    for z, row in zip(zs, lp.int_rows):
+        if z:
+            for j, a in enumerate(row):
+                if a:
+                    cols[j] += z * a
+    return cols
+
+
 def _check_point(lp: LinearProgram, x: Sequence[Fraction]) -> None:
-    if any(v < 0 for v in x):
+    xs, d = over_common_denominator(x)
+    if any(v < 0 for v in xs):
         raise AssertionError("solver returned a negative component")
-    for row, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
-        lhs = sum((a * v for a, v in zip(row, x) if a), _ZERO)
-        ok = lhs <= rhs if sense == LE else lhs >= rhs
+    support = [(j, v) for j, v in enumerate(xs) if v]
+    for row, sense, rhs in zip(lp.int_rows, lp.senses, lp.int_rhs):
+        lhs = sum(row[j] * v for j, v in support)
+        ok = lhs <= rhs * d if sense == LE else lhs >= rhs * d
         if not ok:
             raise AssertionError("solver returned an infeasible point")
 
 
 def _check_certificate(lp: LinearProgram, cert: Sequence[Fraction]) -> None:
-    combo = _ZERO
-    for c, sense, rhs in zip(cert, lp.senses, lp.rhs):
+    for c, sense in zip(cert, lp.senses):
         if sense == GE and c < 0:
             raise AssertionError("certificate sign mismatch on >= row")
         if sense == LE and c > 0:
             raise AssertionError("certificate sign mismatch on <= row")
-        combo += c * rhs
-    if combo <= 0:
+    zs, _ = _scaled_multipliers(lp, cert)
+    if sum(z * b for z, b in zip(zs, lp.int_rhs)) <= 0:
         raise AssertionError("certificate combination is not positive")
-    for j in range(lp.num_vars):
-        col = sum((c * row[j] for c, row in zip(cert, lp.rows) if row[j]), _ZERO)
-        if col > 0:
-            raise AssertionError("certificate column combination is positive")
+    if any(col > 0 for col in _column_sums(lp, zs)):
+        raise AssertionError("certificate column combination is positive")
 
 
 def _check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     _check_point(lp, sol.primal)
-    value = sum((c * v for c, v in zip(lp.objective, sol.primal) if c), _ZERO)
-    if value != sol.value:
+    value = sol.value
+    cs, dc = over_common_denominator(lp.objective)
+    xs, dx = over_common_denominator(sol.primal)
+    if sum(c * v for c, v in zip(cs, xs)) * value.denominator != value.numerator * dc * dx:
         raise AssertionError("objective value mismatch")
-    dual_value = _ZERO
-    for y, sense, rhs in zip(sol.dual, lp.senses, lp.rhs):
+    for y, sense in zip(sol.dual, lp.senses):
         if sense == LE and y < 0:
             raise AssertionError("dual sign mismatch on <= row")
         if sense == GE and y > 0:
             raise AssertionError("dual sign mismatch on >= row")
-        dual_value += y * rhs
-    if dual_value != sol.value:
+    zs, e = _scaled_multipliers(lp, sol.dual)
+    if sum(z * b for z, b in zip(zs, lp.int_rhs)) * value.denominator != value.numerator * e:
         raise AssertionError("strong duality violated")
-    for j in range(lp.num_vars):
-        col = sum((y * row[j] for y, row in zip(sol.dual, lp.rows) if row[j]), _ZERO)
-        if col < lp.objective[j]:
+    # column j: y^T A_j = cols[j] / e >= c_j = cs[j] / dc
+    for col, c in zip(_column_sums(lp, zs), cs):
+        if col * dc < c * e:
             raise AssertionError("dual infeasible")
 
 

@@ -83,7 +83,8 @@ def f_value(weights, alpha: int) -> Fraction:
     nonincreasing, the minimum over j < alpha of the sum of all but the j
     largest weights divided by alpha - j."""
     lam = sorted(_level_weights(weights, alpha), reverse=True)
-    return min(sum(lam[j:], _ZERO) / (alpha - j) for j in range(alpha))
+    suffix = list(accumulate(reversed(lam)))[::-1]  # suffix[j] == sum(lam[j:])
+    return min(suffix[j] / (alpha - j) for j in range(alpha))
 
 
 def f_alpha(weights, alpha: int) -> SubsetCoefficients:

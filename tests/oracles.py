@@ -8,9 +8,13 @@ it goes through the general simplex, which no membership path uses, and
 its point or Farkas certificate is re-checked here.  `FractionSimplex`
 is the dense `Fraction` tableau that the library's integer-preserving
 one replaced; both take the same pivots, so `reference_solve_max` and
-`reference_feasible` must give exactly the library's answers.
+`reference_feasible` must give exactly the library's answers.  The
+chain audits, f_alpha's closed form and subset entropies have
+`Fraction`-per-step references here too, which the library's integer
+sums must match exactly.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -347,3 +351,54 @@ def reference_feasible(lp):
     if sx.phase1():
         return FeasibilityResult(feasible=True, point=sx.primal())
     return FeasibilityResult(feasible=False, certificate=sx.farkas())
+
+
+def slice_f_value(weights, alpha):
+    """f_alpha from its definition: with the weights sorted nonincreasing,
+    the least over j < alpha of sum(lam[j:]) / (alpha - j)."""
+    lam = sorted((Fraction(w) for w in weights), reverse=True)
+    return min(sum(lam[j:], _ZERO) / (alpha - j) for j in range(alpha))
+
+
+def fraction_subset_entropy(pmf, members):
+    """Base-2 entropy of the marginal on `members`, the marginal summed in
+    `Fraction`s over `pmf.probabilities` and each mass read by float()."""
+    idx = [m - 1 for m in sorted(members)]
+    marginal = {}
+    for outcome, p in pmf.probabilities.items():
+        key = tuple(outcome[i] for i in idx)
+        marginal[key] = marginal.get(key, _ZERO) + p
+    h = 0.0
+    for p in marginal.values():
+        fp = float(p)
+        h -= fp * math.log2(fp)
+    return max(h, 0.0)
+
+
+def fraction_verify_cover(cover):
+    """The covering inequality element by element, O(alpha^2) `Fraction`
+    sums."""
+    children = set(cover.parent.children())
+    if set(cover.weights) - children:
+        return False
+    if any(w < 0 for w in cover.weights.values()):
+        return False
+    for i in cover.parent:
+        total = sum((w for v, w in cover.weights.items() if i in v), _ZERO)
+        if total < 1:
+            return False
+    return True
+
+
+def fraction_audit_level(lam, alpha, coeffs):
+    """`covers._audit_level` with one `Fraction` sum per encoder load."""
+    failures = []
+    if any(v < 0 for v in coeffs.assignment.values()):
+        failures.append(f"level {alpha}: negative coefficient")
+    for l in range(1, len(lam) + 1):
+        load = sum((v for u, v in coeffs.assignment.items() if l in u), _ZERO)
+        if load > lam[l - 1]:
+            failures.append(f"level {alpha}: capacity exceeded at encoder {l}")
+    if coeffs.total != slice_f_value(lam, alpha):
+        failures.append(f"level {alpha}: total differs from the optimum")
+    return failures

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smdc.covers as cov
 from smdc.covers import (
@@ -22,8 +24,10 @@ from smdc.covers import (
     verify_cover,
     yz_chain,
 )
-from smdc.region import f_alpha
+from smdc.region import SubsetCoefficients, f_alpha
 from smdc.subsets import EncoderSet, subsets_of_size, window
+
+from oracles import fraction_audit_level, fraction_verify_cover
 
 F = Fraction
 
@@ -232,6 +236,105 @@ class TestCovers:
                     weights={in_family[0]: F(1), in_family[1]: F(1, 2)},
                 )
                 assert not verify_cover(low)
+
+
+@st.composite
+def cover_cases(draw):
+    """Covers near the covering bound: weights k/d for small d, a few
+    negative, and now and then a non-child or a child on another ground."""
+    L = draw(st.integers(2, 6))
+    alpha = draw(st.integers(2, L))
+    u = draw(st.sampled_from(subsets_of_size(L, alpha)))
+    d = draw(st.sampled_from([1, alpha - 1, 2 * (alpha - 1), 6]))
+    weights = {}
+    for v in u.children():
+        if draw(st.integers(0, 5)):
+            weights[v] = F(draw(st.integers(-1, 2 * d)), d)
+    extra = draw(st.sampled_from([None] * 4 + ["stranger", "ground"]))
+    if extra == "stranger":
+        weights[draw(st.sampled_from(subsets_of_size(L, alpha - 1)))] = F(1)
+    elif extra == "ground":
+        weights[EncoderSet(u.children()[0].members, L + 1)] = F(1)
+    return FractionalCover(parent=u, weights=weights)
+
+
+class TestIntegerAudits:
+    """The integer-numerator audits give the verdicts and failure lists of
+    their Fraction-per-step references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cover_cases())
+    def test_cover_verdicts_match_reference(self, cover):
+        assert verify_cover(cover) == fraction_verify_cover(cover)
+
+    @pytest.mark.parametrize("d", [1, 3, 7, 10**30])
+    def test_cover_bound_is_exact(self, d):
+        u = eset([1, 2, 3, 4], 6)
+        weights = {v: F(1, 3) for v in u.children()}  # every element covered exactly 1
+        assert verify_cover(FractionalCover(u, weights))
+        weights[u.children()[1]] -= F(1, d)  # three elements drop to 1 - 1/d
+        for check in (verify_cover, fraction_verify_cover):
+            assert not check(FractionalCover(u, weights))
+
+    def test_cover_rejections(self):
+        u = eset([1, 2, 3], 4)
+        big = {v: F(5) for v in u.children()}
+        cases = [
+            {**big, eset([1, 2], 4): F(-1)},        # negative weight
+            {**big, eset([1, 4], 4): F(1)},         # not a child of u
+            {**big, EncoderSet((1, 2), 5): F(1)},   # a child on another ground
+        ]
+        assert verify_cover(FractionalCover(u, big))
+        for weights in cases:
+            for check in (verify_cover, fraction_verify_cover):
+                assert not check(FractionalCover(u, weights))
+
+    def test_singleton_parent_raises(self):
+        cover = FractionalCover(eset([2], 3), {})
+        for check in (verify_cover, fraction_verify_cover):
+            with pytest.raises(ValueError):
+                check(cover)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.builds(F, st.integers(0, 6), st.sampled_from([1, 2, 3])),
+                 min_size=1, max_size=6),
+        st.data(),
+    )
+    def test_level_failures_match_reference(self, lam, data):
+        alpha = data.draw(st.integers(1, len(lam)))
+        assignment = dict(f_alpha(lam, alpha).assignment)
+        if data.draw(st.booleans()):
+            u = data.draw(st.sampled_from(sorted(assignment, key=lambda s: s.members)))
+            assignment[u] += F(data.draw(st.integers(-3, 3)), data.draw(st.sampled_from([1, 4, 9])))
+        coeffs = SubsetCoefficients(level=alpha, assignment=assignment)
+        assert cov._audit_level(lam, alpha, coeffs) == fraction_audit_level(lam, alpha, coeffs)
+
+    def test_parent_sums_reject_a_foreign_subset(self):
+        chain = han_chain(3)
+        u = eset([1, 2], 3)
+        chain.covers[2][u].weights[eset([1, 3], 3)] = F(0)  # a level-2 set, not a child
+        assert verify_chain(chain).failures == [
+            "descent 2: invalid cover at {1,2}",
+            "descent 2: parent-sum identity fails",
+        ]
+
+    @pytest.mark.parametrize("d", [1, 5, 10**30])
+    def test_capacity_bound_is_exact(self, d):
+        lam = (F(2), F(1), F(1))
+        full = {eset([1, 2], 3): F(1), eset([1, 3], 3): F(1), eset([2, 3], 3): F(0)}
+        coeffs = SubsetCoefficients(level=2, assignment=full)
+        assert cov._audit_level(lam, 2, coeffs) == []  # every load equals its capacity
+        over = dict(full)
+        over[eset([1, 3], 3)] += F(1, d)
+        coeffs = SubsetCoefficients(level=2, assignment=over)
+        failures = [
+            "level 2: capacity exceeded at encoder 1",
+            "level 2: capacity exceeded at encoder 3",
+            "level 2: total differs from the optimum",
+        ]
+        assert cov._audit_level(lam, 2, coeffs) == failures
+        assert fraction_audit_level(lam, 2, coeffs) == failures
 
 
 class TestConditionalChain:

@@ -2,8 +2,11 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smdc.covers import FractionalCover, conditional_chain, han_chain, yz_chain
 from smdc.entropy import (
@@ -21,6 +24,8 @@ from smdc.entropy import (
     random_product_pmf,
 )
 from smdc.subsets import EncoderSet, subsets_of_size, windows
+
+from oracles import fraction_subset_entropy
 
 F = Fraction
 
@@ -77,6 +82,53 @@ class TestSubsetEntropy:
                 assert h_u >= 0
                 for v in u.children():
                     assert h_u >= pmf.subset_entropy(v) - 1e-12
+
+
+@st.composite
+def pmfs(draw):
+    """Pmfs from every constructor: explicit masses with mixed
+    denominators, products of marginals, uniform multisets, and text with
+    unreduced masses such as 4/12."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    outcomes = list(product(*(range(k) for k in sizes)))
+    kind = draw(st.sampled_from(["masses", "independent", "uniform", "text"]))
+    if kind == "independent":
+        marginals = []
+        for k in sizes:
+            w = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k))
+            w[draw(st.integers(0, k - 1))] += 1
+            marginals.append([F(x, sum(w)) for x in w])
+        return JointPMF.independent(marginals)
+    if kind == "uniform":
+        pts = draw(st.lists(st.sampled_from(outcomes), min_size=1, max_size=7))
+        return JointPMF.uniform_over(sizes, pts)
+    counts = draw(st.lists(st.integers(0, 50), min_size=len(outcomes), max_size=len(outcomes)))
+    counts[0] += 1
+    if kind == "text":
+        k = draw(st.integers(1, 5))
+        lines = [f"{len(sizes)} " + " ".join(map(str, sizes))]
+        for o, c in zip(outcomes, counts):
+            lines.append(" ".join(map(str, o)) + f" {c * k}/{sum(counts) * k}")
+        return pmf_from_text("\n".join(lines))
+    # half the mass over each of two sums of counts, so that the reduced
+    # denominators differ between the halves
+    cut = draw(st.integers(1, len(outcomes)))
+    head, tail = counts[:cut], counts[cut:]
+    halves = 2 if sum(tail) else 1
+    table = {o: F(c, halves * sum(head)) for o, c in zip(outcomes, head)}
+    if sum(tail):
+        table.update((o, F(c, 2 * sum(tail))) for o, c in zip(outcomes[cut:], tail))
+    return JointPMF(sizes, table)
+
+
+class TestIntegerMarginals:
+    @settings(max_examples=200, deadline=None)
+    @given(pmfs())
+    def test_bit_identical_to_fraction_marginals(self, pmf):
+        n = pmf.variable_count
+        for mask in range(1, 2**n):
+            u = [m for m in range(1, n + 1) if mask >> (m - 1) & 1]
+            assert pmf.subset_entropy(u).hex() == fraction_subset_entropy(pmf, u).hex()
 
 
 class TestPmfValidation:

@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,9 @@ from smdc.exactlp import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    _check_certificate,
+    _check_optimal,
+    _check_point,
     feasible,
     solve_max,
 )
@@ -244,3 +249,118 @@ class TestAgainstFractionTableau:
         assert sx.phase1()
         (r,) = [i for i, col in enumerate(sx.basis) if col in sx.art_cols]
         assert next(a for a in sx.T[r] if a) < 0
+
+
+def _first_break(constraints):
+    """Least t >= 0 at which one of the constraints (c0 + c1 t >= 0, or
+    > 0 when strict) stops holding, and whether one that binds there is
+    strict; None when none ever breaks."""
+    steps = [(-c0 / c1, strict) for c0, c1, strict in constraints if c1 < 0]
+    if not steps:
+        return None
+    t = min(step for step, _ in steps)
+    return t, any(strict for step, strict in steps if step == t)
+
+
+def _rechecks_at_the_boundary(check, base, constraints_along):
+    """Move each coordinate of base both ways up to where the first
+    constraint breaks: the check accepts the boundary unless a strict
+    constraint binds there, and rejects one step of 10^-30 beyond it."""
+    tiny = F(1, 10**30)
+    for j in range(len(base)):
+        for sign in (1, -1):
+            found = _first_break(constraints_along(j, sign))
+            if found is None:
+                continue
+            t, strict = found
+
+            def moved(step):
+                return base[:j] + (base[j] + sign * step,) + base[j + 1:]
+
+            if strict:
+                with pytest.raises(AssertionError):
+                    check(moved(t))
+            else:
+                check(moved(t))
+            with pytest.raises(AssertionError):
+                check(moved(t + tiny))
+
+
+class TestRechecks:
+    """The re-checks work on the integer rows and must still reject a
+    violation of any size."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lp_specs())
+    @example(BEALE)
+    def test_smallest_violations_raise(self, spec):
+        lp = build(spec)
+        res = feasible(lp)
+        if res.feasible:
+            x = res.point
+
+            def along(j, sign):
+                out = [(x[j], F(sign), False)]                  # x_j >= 0
+                for row, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
+                    lhs = sum(a * v for a, v in zip(row, x))
+                    k = 1 if sense == GE else -1                 # k (lhs - rhs) >= 0
+                    out.append((k * (lhs - rhs), k * sign * row[j], False))
+                return out
+
+            _rechecks_at_the_boundary(lambda p: _check_point(lp, p), x, along)
+        else:
+            y = res.certificate
+
+            def along(j, sign):
+                k = 1 if lp.senses[j] == GE else -1              # k y_j >= 0
+                out = [(k * y[j], k * sign, False)]
+                combo = sum(c * b for c, b in zip(y, lp.rhs))
+                out.append((combo, sign * lp.rhs[j], True))      # y.b > 0
+                for col in range(lp.num_vars):                   # -(y.A)_col >= 0
+                    total = sum(c * row[col] for c, row in zip(y, lp.rows))
+                    out.append((-total, -sign * lp.rows[j][col], False))
+                return out
+
+            _rechecks_at_the_boundary(lambda c: _check_certificate(lp, c), y, along)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lp_specs())
+    @example(BEALE)
+    def test_optimal_recheck_rejects_another_value(self, spec):
+        lp = build(spec)
+        sol = solve_max(lp)
+        if sol.status != OPTIMAL:
+            return
+        tiny = F(1, 10**30)
+        with pytest.raises(AssertionError, match="objective value mismatch"):
+            _check_optimal(lp, replace(sol, value=sol.value + tiny))
+        if sol.value:
+            # the scaled duals keep their signs but miss the value by a hair
+            dual = tuple(y * (1 + tiny) for y in sol.dual)
+            with pytest.raises(AssertionError, match="strong duality violated"):
+                _check_optimal(lp, replace(sol, dual=dual))
+
+    @pytest.mark.parametrize(
+        "coeffs, rhs",
+        [
+            ([1, -2, 0], 3),
+            ([F(1, 2), F(-2, 3), 0], F(5, 4)),
+            (["1/2", "-4/6", "0"], "10/8"),
+            ([F(6, 4), 2, "-1/6"], 0),
+        ],
+    )
+    def test_rows_scale_alike_from_every_type(self, coeffs, rhs):
+        as_fraction_row = [F(a) for a in coeffs]
+        lps = [LinearProgram(3), LinearProgram(3), LinearProgram(3)]
+        lps[0].add(coeffs, LE, rhs)
+        lps[1].add(as_fraction_row, LE, F(rhs))
+        lps[2].add([str(a) for a in as_fraction_row], LE, str(F(rhs)))
+        for lp in lps:
+            assert (lp.int_rows, lp.int_rhs, lp.scales) == (
+                lps[0].int_rows, lps[0].int_rhs, lps[0].scales
+            )
+            (sigma,) = lp.scales
+            assert [F(a, sigma) for a in lp.int_rows[0]] == lp.rows[0] == as_fraction_row
+            assert F(lp.int_rhs[0], sigma) == lp.rhs[0] == F(rhs)
+        # sigma is the least scale that makes the row integral
+        assert lps[0].scales == [lcm(*(F(a).denominator for a in [*coeffs, rhs]))]

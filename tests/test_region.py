@@ -26,7 +26,7 @@ from smdc.region import (
 )
 from smdc.subsets import EncoderSet
 
-from oracles import LE, brute_lp_max, subset_system_member
+from oracles import LE, brute_lp_max, slice_f_value, subset_system_member
 
 F = Fraction
 
@@ -90,6 +90,21 @@ class TestFAlpha:
     def test_closed_form_matches_lp(self, lam, data):
         alpha = data.draw(st.integers(1, len(lam)))
         assert f_alpha(lam, alpha).total == f_value(lam, alpha)
+
+    # few distinct values, so zeros and ties among the weights are common
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(F, st.sampled_from([0, 0, 1, 2, 3]), st.sampled_from([1, 2, 3])),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @example([F(0)] * 4)
+    @example([F(1)] * 5)
+    def test_suffix_sums_match_slice_sums(self, lam):
+        for alpha in range(1, len(lam) + 1):
+            assert f_value(lam, alpha) == slice_f_value(lam, alpha)
 
     def test_lp_checked_against_closed_form(self, monkeypatch):
         monkeypatch.setattr(region, "f_value", lambda lam, alpha: F(-1))
