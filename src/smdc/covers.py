@@ -8,19 +8,25 @@ top level, and each step is a base case (two encoders) or one of two
 cases, depending on how top-heavy the sorted weight vector is: a
 dominant top weight recurses on the rest of the ground set, and
 otherwise the uniform cover is shifted by the level's deficits (which
-are all zero when the weights are balanced).  The finished chain is
-audited exactly (every level against the closed-form level optimum and
-the encoder capacities, every cover against the covering inequality,
-every descent against the parent-sum identity), so a bad construction
-raises instead of propagating.  The audits put each level, cover or
-descent's weights over one common denominator and sum integer
-numerators, so no check takes a `Fraction` operation per term.
+are all zero when the weights are balanced).  A shifted cover gives
+the child that drops a parent's tau-th position the same weight for
+every parent, so a level's alpha weights are built once and shared by
+all its parents.  The next level is the cover-weighted parent sums,
+taken on integer numerators.  The finished chain is audited exactly
+(every level against the closed-form level optimum and the encoder
+capacities, every cover against the covering inequality, every descent
+against the parent-sum identity), so a bad construction raises instead
+of propagating.  The audits put each level, cover or descent's weights
+over one common denominator and sum integer numerators, so no check
+takes a `Fraction` operation per term.
 
 The conditional variant additionally attaches to each subset a family
 of disjoint "adversary" sets of fixed size and splits the level weights
 across them.  Each descent pushes every parent's split through the
 chain's covers onto its children, so each child collects the adversary
-sets of all its parents.
+sets of all its parents.  The push carries each level's split as
+integers over one running denominator and builds one `Fraction` per
+final entry.
 """
 
 from __future__ import annotations
@@ -105,8 +111,13 @@ class ConditionalAssignment:
         return len(self.weights)
 
     def level_coefficients(self, alpha: int) -> SubsetCoefficients:
+        """Each subset's weight summed over its adversary sets, on integer
+        numerators over one denominator for the whole level."""
+        per_u = self.split[alpha]
+        ns, d = over_common_denominator([s for parts in per_u.values() for s in parts.values()])
+        counts = iter(ns)
         assignment = {
-            u: sum(parts.values(), _ZERO) for u, parts in self.split[alpha].items()
+            u: Fraction(sum(n for _, n in zip(parts, counts)), d) for u, parts in per_u.items()
         }
         return SubsetCoefficients(level=alpha, assignment=assignment)
 
@@ -190,51 +201,72 @@ def _case3(lam, ground, alpha, level):
     """Start from the uniform cover scaled down by the element deficits
     and push the deficit differences onto the children that drop a
     low-position element.  Balanced weights leave no deficits, and the
-    cover stays uniform."""
-    f_val = sum(level.values(), _ZERO)
-    if f_val <= 0:
+    cover stays uniform.
+
+    The child that drops the tau-th position of a parent weighs base plus
+    the deficit differences delta_2..delta_tau, whatever the parent, so
+    the alpha weights are built once per level and shared.  With the level
+    as integers c over d, the loads tilde and the deficits b = lam - tilde
+    are integers over dl * d, and the weights integers over
+    dl * (alpha - 1) * f, f the level total over d.
+    """
+    cs, d = over_common_denominator(level.values())
+    f = sum(cs)
+    if f <= 0:
         raise CoverConstructionError(f"{CASE_3}: needs a positive level total")
-    tilde = {e: _ZERO for e in ground}
-    for u, c in level.items():
+    tilde = dict.fromkeys(ground, 0)
+    for u, c in zip(level, cs):
         if c:
             for e in u:
                 tilde[e] += c
-    b = [lam[e] - tilde[e] for e in ground]
-    beta = sum((b[0] - b[m - 1] for m in range(2, alpha)), _ZERO)
-    base = (_ONE - beta / f_val) / (alpha - 1)
-    covers = {}
-    for u in combinations(ground, alpha):
-        gu = {v: base for v in _tuple_children(u)}
-        for m in range(2, alpha + 1):
-            delta = (b[m - 2] - b[m - 1]) / f_val
-            if delta == 0:
-                continue
-            for tau in range(m, alpha + 1):
-                # drop the tau-th smallest element of u
-                v = u[: tau - 1] + u[tau:]
-                gu[v] += delta
-        covers[u] = gu
-    return covers
+    top = ground[:alpha]
+    ls, dl = over_common_denominator([lam[e] for e in top])
+    b = [n * d - tilde[e] * dl for n, e in zip(ls, top)]
+    # base = (1 - beta / f) / (alpha - 1), beta = sum_{m<alpha} b_1 - b_m,
+    # and delta_2 + ... + delta_tau = (b_1 - b_tau) / f telescopes; unit
+    # is 1 over the denominator dl * f
+    unit = dl * f
+    head = unit - sum(b[0] - x for x in b[1 : alpha - 1])
+    den = unit * (alpha - 1)
+    # children come in combinations order, dropping position alpha first
+    weights = [
+        Fraction(head + (alpha - 1) * (b[0] - b[tau - 1]), den) for tau in range(alpha, 0, -1)
+    ]
+    return {u: dict(zip(_tuple_children(u), weights)) for u in combinations(ground, alpha)}
 
 
 def _reconstruct(covers, level, ground, alpha):
     """Level alpha-1 as cover-weighted parent sums; `level` may omit
-    zero-weight subsets."""
-    nxt = {v: _ZERO for v in combinations(ground, alpha - 1)}
-    for u, gu in covers.items():
-        c = level.get(u)
-        if c:
-            for v, w in gu.items():
-                if w:
-                    nxt[v] += w * c
-    return nxt
+    zero-weight subsets.  The weighted parents and their cover weights go
+    over one denominator apiece, so the sums run on integers."""
+    live = [(gu, c) for u, gu in covers.items() if (c := level.get(u))]
+    cs, dc = over_common_denominator([c for _, c in live])
+    ws, dw = over_common_denominator([w for gu, _ in live for w in gu.values()])
+    nxt = dict.fromkeys(combinations(ground, alpha - 1), 0)
+    weights = iter(ws)
+    for (gu, _), c in zip(live, cs):
+        for v, n in zip(gu, weights):
+            if n:
+                nxt[v] += n * c
+    d = dc * dw
+    return {v: Fraction(n, d) if n else _ZERO for v, n in nxt.items()}
 
 
 # chain construction ------------------------------------------------------
 
 
-def _to_encoder_set(t, order, L):
-    return EncoderSet(tuple(sorted(order[p - 1] + 1 for p in t)), L)
+def _encoder_sets(order, L):
+    """Sorted-position tuple -> the EncoderSet of its encoders in the
+    caller's index space, each built once per chain."""
+    built: dict[tuple[int, ...], EncoderSet] = {}
+
+    def to_set(t):
+        u = built.get(t)
+        if u is None:
+            u = built[t] = EncoderSet(tuple(sorted(order[p - 1] + 1 for p in t)), L)
+        return u
+
+    return to_set
 
 
 def yz_chain(weights) -> CoefficientChain:
@@ -266,9 +298,10 @@ def yz_chain(weights) -> CoefficientChain:
         covers_s[alpha] = g
         levels_s[alpha - 1] = _reconstruct(g, levels_s[alpha], ground, alpha)
 
+    to_set = _encoder_sets(order, L)
     levels: dict[int, SubsetCoefficients] = {}
     for alpha, lvl in levels_s.items():
-        assignment = {_to_encoder_set(u, order, L): c for u, c in lvl.items()}
+        assignment = {to_set(u): c for u, c in lvl.items()}
         # enumerate the whole family so absent subsets read as zero
         for u in subsets_of_size(L, alpha):
             assignment.setdefault(u, _ZERO)
@@ -277,10 +310,9 @@ def yz_chain(weights) -> CoefficientChain:
     for alpha, per_u in covers_s.items():
         out = {}
         for u, gu in per_u.items():
-            u_set = _to_encoder_set(u, order, L)
+            u_set = to_set(u)
             out[u_set] = FractionalCover(
-                parent=u_set,
-                weights={_to_encoder_set(v, order, L): w for v, w in gu.items()},
+                parent=u_set, weights={to_set(v): w for v, w in gu.items()}
             )
         covers[alpha] = out
 
@@ -405,37 +437,60 @@ def conditional_chain(weights, n_secure: int) -> ConditionalAssignment:
     L = len(lam)
     if not 0 <= n_secure <= L - 1:
         raise ValueError(f"n_secure must be in 0..{L - 1}, got {n_secure}")
-    chain = yz_chain(lam)
-    top = L - n_secure
-    split: dict[int, dict[EncoderSet, dict[EncoderSet, Fraction]]] = {}
-    split[top] = {
-        u: {u.complement(): c}
-        for u, c in chain.levels[top].assignment.items()
-    }
-    for alpha in range(top, 1, -1):
-        per_u = chain.covers.get(alpha)
-        lower: dict[EncoderSet, dict[EncoderSet, Fraction]] = {}
-        for u, parts in split[alpha].items():
-            # a vanished level has no covers: push zeros to keep the keys
-            g_u = per_u[u].weights if per_u else dict.fromkeys(u.children(), _ZERO)
-            for v, g in g_u.items():
-                into = lower.setdefault(v, {})
-                for a, s in parts.items():
-                    into[a] = into.get(a, _ZERO) + g * s
-        if not per_u:
-            # restart from the fresh optimum below, each subset's whole
-            # weight on its smallest adversary set
-            fresh = chain.levels[alpha - 1].assignment
-            for v, into in lower.items():
-                into[min(into, key=lambda a: a.members)] = fresh[v]
-        split[alpha - 1] = lower
     assignment = ConditionalAssignment(
-        weights=lam, n_secure=n_secure, split=split
+        weights=lam, n_secure=n_secure, split=_push(yz_chain(lam), n_secure)
     )
     report = verify_conditional(assignment)
     if not report.ok:
         raise CoverConstructionError("; ".join(report.failures))
     return assignment
+
+
+def _push(chain: CoefficientChain, n_secure: int):
+    """The adversary split of every level from L - n_secure down to 1.
+
+    Each level's split is carried as integers over one running
+    denominator: a descent puts the level's covers over one denominator G
+    and multiplies the running one by G, and a restart takes the fresh
+    level's denominator.  Each final entry builds one `Fraction`.
+    """
+    top = chain.ground_size - n_secure
+    level = chain.levels[top].assignment
+    cs, d = over_common_denominator(level.values())
+    split = {top: {u: {u.complement(): c} for u, c in zip(level, cs)}}
+    denominators = {top: d}
+    for alpha in range(top, 1, -1):
+        per_u = chain.covers.get(alpha)
+        lower: dict[EncoderSet, dict[EncoderSet, int]] = {}
+        if per_u:
+            gs, g = over_common_denominator(
+                [w for cover in per_u.values() for w in cover.weights.values()]
+            )
+            weights = iter(gs)
+            g_int = {u: list(zip(cover.weights, weights)) for u, cover in per_u.items()}
+            d *= g
+        for u, parts in split[alpha].items():
+            # a vanished level has no covers: push zeros to keep the keys
+            for v, n in g_int[u] if per_u else dict.fromkeys(u.children(), 0).items():
+                into = lower.setdefault(v, {})
+                for a, s in parts.items():
+                    into[a] = into.get(a, 0) + n * s
+        if not per_u:
+            # restart from the fresh optimum below, each subset's whole
+            # weight on its smallest adversary set
+            fresh = chain.levels[alpha - 1].assignment
+            fs, d = over_common_denominator([fresh[v] for v in lower])
+            for into, n in zip(lower.values(), fs):
+                into[min(into, key=lambda a: a.members)] = n
+        split[alpha - 1] = lower
+        denominators[alpha - 1] = d
+    return {
+        alpha: {
+            u: {a: Fraction(n, denominators[alpha]) if n else _ZERO for a, n in parts.items()}
+            for u, parts in per_level.items()
+        }
+        for alpha, per_level in split.items()
+    }
 
 
 def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:

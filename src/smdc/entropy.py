@@ -116,7 +116,15 @@ class JointPMF:
         return members
 
     def subset_entropy(self, u) -> float:
-        """Base-2 entropy of the marginal on u (u nonempty)."""
+        """Base-2 entropy of the marginal on u (u nonempty).  The cache is
+        keyed by the mask with bit m set for each member m, which an
+        EncoderSet carries already, so a cached EncoderSet is answered
+        before its members are validated: only a validated set is ever
+        cached."""
+        if isinstance(u, EncoderSet):
+            cached = self._entropy_cache.get(u.mask)
+            if cached is not None:
+                return cached
         members = self._members(u)
         if not members:
             raise ValueError("entropy of an empty variable set is not defined")
@@ -149,7 +157,9 @@ class JointPMF:
             raise ValueError("entropy of an empty variable set is not defined")
         if not cond:
             return self.subset_entropy(members)
-        return self.subset_entropy(set(members) | set(cond)) - self.subset_entropy(cond)
+        # a conditioning EncoderSet goes on as itself, to hit the cache by mask
+        given = given if isinstance(given, EncoderSet) else cond
+        return self.subset_entropy(set(members) | set(cond)) - self.subset_entropy(given)
 
 
 @dataclass(frozen=True)

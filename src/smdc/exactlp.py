@@ -2,11 +2,12 @@
 
 Two-phase primal simplex with Bland's anti-cycling rule on an
 integer-preserving tableau: `LinearProgram.add` scales each row to
-integers once, by the lcm of its denominators, pivots divide exactly by
-the previous pivot, and `fractions.Fraction` appears only when the
-answer is read back.  Optimal solves return a primal vertex and a dual
-vector whose objective matches the primal exactly; infeasible systems
-return a Farkas certificate.  Both are re-verified exactly against the
+integers once, by the lcm of its denominators (a row of ints by that of
+its right-hand side alone), and keeps only the integer row; pivots
+divide exactly by the previous pivot, and `fractions.Fraction` appears
+only when the answer is read back.  Optimal solves return a primal
+vertex and a dual vector whose objective matches the primal exactly;
+infeasible systems return a Farkas certificate.  Both are re-verified exactly against the
 integer rows before being handed back, the point and the multipliers
 each put over one common denominator (`over_common_denominator`), so a
 returned solution is proof-checked without a `Fraction` per term.
@@ -83,7 +84,6 @@ class LinearProgram:
         self.objective = list(as_fractions(objective))
         if len(self.objective) != num_vars:
             raise ValueError("objective length does not match num_vars")
-        self.rows: list[list[Fraction]] = []
         self.senses: list[str] = []
         self.rhs: list[Fraction] = []
         # row i times sigma_i, the lcm of its denominators, in integers
@@ -92,23 +92,38 @@ class LinearProgram:
         self.scales: list[int] = []
 
     def add(self, coeffs: Sequence, sense: str, rhs) -> None:
-        coeffs = list(as_fractions(coeffs))
+        """Append one row.  A row of ints scales by its rhs's denominator
+        alone; any other row goes through `as_fraction` coefficient by
+        coefficient."""
+        coeffs = list(coeffs)
+        ints = all(type(a) is int for a in coeffs)
+        if not ints:
+            coeffs = list(as_fractions(coeffs))
         if len(coeffs) != self.num_vars:
             raise ValueError("constraint length does not match num_vars")
         if sense not in (LE, GE):
             raise ValueError(f"sense must be {LE!r} or {GE!r}, got {sense!r}")
         rhs = as_fraction(rhs)
-        scaled, sigma = over_common_denominator(coeffs + [rhs])
-        self.rows.append(coeffs)
+        if ints:
+            sigma = rhs.denominator
+            row, b = [a * sigma for a in coeffs], rhs.numerator
+        else:
+            scaled, sigma = over_common_denominator(coeffs + [rhs])
+            row, b = scaled[:-1], scaled[-1]
         self.senses.append(sense)
         self.rhs.append(rhs)
-        self.int_rows.append(scaled[:-1])
-        self.int_rhs.append(scaled[-1])
+        self.int_rows.append(row)
+        self.int_rhs.append(b)
         self.scales.append(sigma)
 
     @property
+    def rows(self) -> list[list[Fraction]]:
+        """The rows as added, read back from the integer rows."""
+        return [[Fraction(a, s) for a in row] for row, s in zip(self.int_rows, self.scales)]
+
+    @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,18 @@ The region of each scheme is cut out by supporting hyperplanes whose
 level coefficients f_alpha have a closed form (`f_value`); the packing
 LP behind them (`f_alpha`) is solved only where an explicit subset
 assignment is wanted, and its optimum is checked against the closed
-form.  Membership, shared by the three schemes, is one LP with O(L^2)
-entries over the encoders sorted by rate: f_alpha is symmetric, so the
-worst weight vector is ordered opposite to the rates.  Non-members come
-back with the separating weights lambda read off the Farkas multipliers
-of its prefix rows; members come back with a per-level rate allocation
-that Robin Hood transfers carry from the LP's sorted blocks onto the
-rates.  Both are re-checked exactly.  All arithmetic is rational, no
-floats.
+form.  A whole profile (`f_profile`) sorts the weights once, puts them
+over one denominator and compares integer suffix sums, one `Fraction`
+per level.  Membership, shared by the three schemes, is one LP with
+O(L^2) entries over the encoders sorted by rate: f_alpha is symmetric,
+so the worst weight vector is ordered opposite to the rates.
+Non-members come back with the separating weights lambda read off the
+Farkas multipliers of its prefix rows; members come back with a
+per-level rate allocation that Robin Hood transfers carry from the LP's
+sorted blocks onto the rates.  The allocation is built, moved and
+re-checked as integers over one denominator, with one `Fraction` per
+returned share.  Both are re-checked exactly.  All arithmetic is
+rational, no floats.
 """
 
 from __future__ import annotations
@@ -19,8 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 
-from .exactlp import GE, LE, LinearProgram, as_fraction, as_fractions, feasible, solve_max
+from .exactlp import (
+    GE,
+    LE,
+    LinearProgram,
+    as_fraction,
+    as_fractions,
+    feasible,
+    over_common_denominator,
+    solve_max,
+)
 from .subsets import EncoderSet, subsets_of_size
 
 MAX_MEMBERSHIP_GROUND = 12
@@ -78,13 +92,30 @@ def _level_weights(weights, alpha: int) -> tuple[Fraction, ...]:
     return lam
 
 
+def _profile(lam, alphas) -> list[Fraction]:
+    """f_alpha at each alpha of `alphas`, from one sort of the weights:
+    over one denominator d, the numerators sorted nonincreasing give
+    integer suffix sums S_j, the least S_j / (alpha - j) over j < alpha
+    is picked by cross-multiplication, and each level builds one
+    `Fraction`."""
+    ns, d = over_common_denominator(lam)
+    ns.sort(reverse=True)
+    suffix = list(accumulate(reversed(ns)))[::-1]  # suffix[j] == sum(ns[j:])
+    out = []
+    for alpha in alphas:
+        s, k = suffix[0], alpha
+        for j in range(1, alpha):
+            if suffix[j] * k < s * (alpha - j):
+                s, k = suffix[j], alpha - j
+        out.append(Fraction(s, k * d))
+    return out
+
+
 def f_value(weights, alpha: int) -> Fraction:
     """The level-alpha coefficient in closed form: with the weights sorted
     nonincreasing, the minimum over j < alpha of the sum of all but the j
     largest weights divided by alpha - j."""
-    lam = sorted(_level_weights(weights, alpha), reverse=True)
-    suffix = list(accumulate(reversed(lam)))[::-1]  # suffix[j] == sum(lam[j:])
-    return min(suffix[j] / (alpha - j) for j in range(alpha))
+    return _profile(_level_weights(weights, alpha), (alpha,))[0]
 
 
 def f_alpha(weights, alpha: int) -> SubsetCoefficients:
@@ -108,7 +139,7 @@ def f_alpha(weights, alpha: int) -> SubsetCoefficients:
 def f_profile(weights) -> tuple[Fraction, ...]:
     """(f_1, ..., f_L); nonincreasing, with f_1 equal to the weight sum."""
     lam = _nonnegative(weights, "weights")
-    return tuple(f_value(lam, a) for a in range(1, len(lam) + 1))
+    return tuple(_profile(lam, range(1, len(lam) + 1)))
 
 
 def min_sum_rate(entropies) -> Fraction:
@@ -152,41 +183,61 @@ def _rate_split(rates, entropies, levels):
     L = len(rates)
     order = sorted(range(L), key=rates.__getitem__)
     rank = sorted(range(L), key=order.__getitem__)  # encoder -> sorted position
-    r = [rates[l] for l in order]
+    r, D = over_common_denominator([rates[l] for l in order])
     cols = [(ai, j) for ai, alpha in enumerate(levels) for j in range(alpha)]
     lp = LinearProgram(len(cols))
     for ai, (alpha, h) in enumerate(zip(levels, entropies)):
         lp.add([alpha - j if bi == ai else 0 for bi, j in cols], GE, h)
     for k, cap in enumerate(accumulate(r), 1):
-        lp.add([max(k - j, 0) for _, j in cols], LE, cap)
+        lp.add([max(k - j, 0) for _, j in cols], LE, Fraction(cap, D))
     res = feasible(lp)
     if not res.feasible:
-        w = [-y for y in res.certificate[len(levels):]]
-        lam = list(accumulate(reversed(w)))[::-1]
+        y, _ = over_common_denominator(res.certificate[len(levels):])
+        lam = list(accumulate(-n for n in reversed(y)))[::-1]
         if not lam[0] > 0:
             raise AssertionError("separating certificate cannot be identically zero")
-        return None, tuple(lam[p] / lam[0] for p in rank)
-    shares = [[_ZERO] * L for _ in levels]
-    for (ai, j), mu in zip(cols, res.point):
-        for p in range(j, L):
-            shares[ai][p] += mu
-    load = [sum(col, _ZERO) for col in zip(*shares)]
-    load[-1] += sum(r, _ZERO) - sum(load, _ZERO)
+        return None, tuple(Fraction(lam[p], lam[0]) for p in rank)
+    # the point and the rates over one denominator D; a level's shares are
+    # the prefix sums of its block heights
+    mu, d = over_common_denominator(res.point)
+    e = lcm(D, d)
+    r = [x * (e // D) for x in r]
+    heights = iter([x * (e // d) for x in mu])
+    D = e
+    shares = []
+    for alpha in levels:
+        x = list(accumulate(next(heights) for _ in range(alpha)))
+        shares.append(x + [x[-1]] * (L - alpha))
+    load = [sum(col) for col in zip(*shares)]
+    load[-1] += sum(r) - sum(load)
     # r is majorized by load: move mass from the first entry above its rate
-    # to the last one below it, the same fraction in every level
+    # to the last one below it, the same fraction t = num / den in every
+    # level, after scaling every vector and D by den
     while (i := next((p for p in range(L) if load[p] > r[p]), None)) is not None:
         k = max(p for p in range(i) if load[p] < r[p])
-        t = min(load[i] - r[i], r[k] - load[k]) / (load[i] - load[k])
+        num = min(load[i] - r[i], r[k] - load[k])
+        den = load[i] - load[k]
+        g = gcd(num, den)
+        num, den = num // g, den // g
         for x in shares + [load]:
-            d = t * (x[i] - x[k])
-            x[i] -= d
-            x[k] += d
+            move = num * (x[i] - x[k])
+            if den != 1:
+                x[:] = [v * den for v in x]
+            x[i] -= move
+            x[k] += move
+        if den != 1:
+            r = [v * den for v in r]
+            D *= den
     for x, alpha, h in zip(shares, levels, entropies):
-        if any(v < 0 for v in x) or sum(sorted(x)[:alpha], _ZERO) < h:
+        if any(v < 0 for v in x) or (
+            sum(sorted(x)[:alpha]) * h.denominator < h.numerator * D
+        ):
             raise AssertionError("witness misses a level demand")
-    if any(sum(col, _ZERO) > cap for col, cap in zip(zip(*shares), r)):
+    if any(sum(col) > cap for col, cap in zip(zip(*shares), r)):
         raise AssertionError("witness exceeds an encoder rate")
-    return {alpha: tuple(x[p] for p in rank) for x, alpha in zip(shares, levels)}, None
+    return {
+        alpha: tuple(Fraction(x[p], D) for p in rank) for x, alpha in zip(shares, levels)
+    }, None
 
 
 def _member_inputs(rates, entropies, n_secure: int):
@@ -227,7 +278,7 @@ def smdca_member(r0, rates, entropies) -> MembershipVerdict:
     lam0 = f_value(lam, q)
     scale = max(lam0, 1)
     lam0, lam = lam0 / scale, tuple(x / scale for x in lam)
-    rhs = _dot((min(f_value(lam, a), lam0) for a in levels), h)
+    rhs = _dot((min(f, lam0) for f in _profile(lam, levels)), h)
     if not lam0 * r0 + _dot(lam, r) < rhs:
         raise AssertionError("certificate must violate the all-access hyperplane")
     return MembershipVerdict(
@@ -241,7 +292,7 @@ def ssmdc_member(rates, entropies, n_secure: int) -> MembershipVerdict:
     witness, lam = _rate_split(r, h, levels)
     if witness is not None:
         return MembershipVerdict(member=True, witness=witness)
-    if not _dot(lam, r) < _dot((f_value(lam, a) for a in levels), h):
+    if not _dot(lam, r) < _dot(_profile(lam, levels), h):
         raise AssertionError("Farkas certificate must violate a supporting hyperplane")
     return MembershipVerdict(member=False, certificate=lam)
 

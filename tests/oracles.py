@@ -9,15 +9,18 @@ its point or Farkas certificate is re-checked here.  `FractionSimplex`
 is the dense `Fraction` tableau that the library's integer-preserving
 one replaced; both take the same pivots, so `reference_solve_max` and
 `reference_feasible` must give exactly the library's answers.  The
-chain audits, f_alpha's closed form and subset entropies have
-`Fraction`-per-step references here too, which the library's integer
-sums must match exactly.
+chain audits, f_alpha's closed form, subset entropies, the membership
+rate split, the case-3 covers, the level reconstruction and the
+conditional push have `Fraction`-per-step references here too, which
+the library's integer sums must match exactly, down to the insertion
+order of every dict.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
+from smdc.covers import CASE_3, CoverConstructionError
 from smdc.exactlp import (
     INFEASIBLE,
     OPTIMAL,
@@ -179,10 +182,11 @@ class FractionSimplex:
         self.row_orig: list[int] = []       # original row index (rows may be dropped)
 
         art_iter = iter(self.art_cols)
+        rows = lp.rows
         for i in range(m):
             row = [_ZERO] * ncols
             f = self.flip[i]
-            for j, a in enumerate(lp.rows[i]):
+            for j, a in enumerate(rows[i]):
                 if a:
                     row[j] = a if f == 1 else -a
             rhs = lp.rhs[i] if f == 1 else -lp.rhs[i]
@@ -402,3 +406,114 @@ def fraction_audit_level(lam, alpha, coeffs):
     if coeffs.total != slice_f_value(lam, alpha):
         failures.append(f"level {alpha}: total differs from the optimum")
     return failures
+
+
+def fraction_rate_split(rates, entropies, levels, solve=feasible):
+    """`region._rate_split` with a `Fraction` per step: O(L^2) `Fraction`
+    adds for the shares, and every Robin Hood transfer and re-check in
+    `Fraction`s.  `solve` stands in for `exactlp.feasible`."""
+    L = len(rates)
+    order = sorted(range(L), key=rates.__getitem__)
+    rank = sorted(range(L), key=order.__getitem__)
+    r = [rates[l] for l in order]
+    cols = [(ai, j) for ai, alpha in enumerate(levels) for j in range(alpha)]
+    lp = LinearProgram(len(cols))
+    for ai, (alpha, h) in enumerate(zip(levels, entropies)):
+        lp.add([alpha - j if bi == ai else 0 for bi, j in cols], GE, h)
+    for k, cap in enumerate(accumulate(r), 1):
+        lp.add([max(k - j, 0) for _, j in cols], LE, cap)
+    res = solve(lp)
+    if not res.feasible:
+        w = [-y for y in res.certificate[len(levels):]]
+        lam = list(accumulate(reversed(w)))[::-1]
+        if not lam[0] > 0:
+            raise AssertionError("separating certificate cannot be identically zero")
+        return None, tuple(lam[p] / lam[0] for p in rank)
+    shares = [[_ZERO] * L for _ in levels]
+    for (ai, j), mu in zip(cols, res.point):
+        for p in range(j, L):
+            shares[ai][p] += mu
+    load = [sum(col, _ZERO) for col in zip(*shares)]
+    load[-1] += sum(r, _ZERO) - sum(load, _ZERO)
+    while (i := next((p for p in range(L) if load[p] > r[p]), None)) is not None:
+        k = max(p for p in range(i) if load[p] < r[p])
+        t = min(load[i] - r[i], r[k] - load[k]) / (load[i] - load[k])
+        for x in shares + [load]:
+            d = t * (x[i] - x[k])
+            x[i] -= d
+            x[k] += d
+    for x, alpha, h in zip(shares, levels, entropies):
+        if any(v < 0 for v in x) or sum(sorted(x)[:alpha], _ZERO) < h:
+            raise AssertionError("witness misses a level demand")
+    if any(sum(col, _ZERO) > cap for col, cap in zip(zip(*shares), r)):
+        raise AssertionError("witness exceeds an encoder rate")
+    return {alpha: tuple(x[p] for p in rank) for x, alpha in zip(shares, levels)}, None
+
+
+def fraction_case3(lam, ground, alpha, level):
+    """`covers._case3` with the weights built parent by parent, O(alpha^2)
+    `Fraction` operations per parent."""
+    f_val = sum(level.values(), _ZERO)
+    if f_val <= 0:
+        raise CoverConstructionError(f"{CASE_3}: needs a positive level total")
+    tilde = {e: _ZERO for e in ground}
+    for u, c in level.items():
+        if c:
+            for e in u:
+                tilde[e] += c
+    b = [lam[e] - tilde[e] for e in ground]
+    beta = sum((b[0] - b[m - 1] for m in range(2, alpha)), _ZERO)
+    base = (_ONE - beta / f_val) / (alpha - 1)
+    covers = {}
+    for u in combinations(ground, alpha):
+        gu = {v: base for v in combinations(u, alpha - 1)}
+        for m in range(2, alpha + 1):
+            delta = (b[m - 2] - b[m - 1]) / f_val
+            if delta == 0:
+                continue
+            for tau in range(m, alpha + 1):
+                v = u[: tau - 1] + u[tau:]
+                gu[v] += delta
+        covers[u] = gu
+    return covers
+
+
+def fraction_reconstruct(covers, level, ground, alpha):
+    """`covers._reconstruct` with one `Fraction` multiply and add per
+    parent and child."""
+    nxt = {v: _ZERO for v in combinations(ground, alpha - 1)}
+    for u, gu in covers.items():
+        c = level.get(u)
+        if c:
+            for v, w in gu.items():
+                if w:
+                    nxt[v] += w * c
+    return nxt
+
+
+def fraction_push(chain, n_secure):
+    """`covers._push` with one `Fraction` multiply and add per parent,
+    child and adversary set."""
+    top = chain.ground_size - n_secure
+    split = {top: {u: {u.complement(): c} for u, c in chain.levels[top].assignment.items()}}
+    for alpha in range(top, 1, -1):
+        per_u = chain.covers.get(alpha)
+        lower = {}
+        for u, parts in split[alpha].items():
+            g_u = per_u[u].weights if per_u else dict.fromkeys(u.children(), _ZERO)
+            for v, g in g_u.items():
+                into = lower.setdefault(v, {})
+                for a, s in parts.items():
+                    into[a] = into.get(a, _ZERO) + g * s
+        if not per_u:
+            fresh = chain.levels[alpha - 1].assignment
+            for v, into in lower.items():
+                into[min(into, key=lambda a: a.members)] = fresh[v]
+        split[alpha - 1] = lower
+    return split
+
+
+def fraction_level_coefficients(assignment, alpha):
+    """`ConditionalAssignment.level_coefficients` with one `Fraction` sum
+    per subset."""
+    return {u: sum(parts.values(), _ZERO) for u, parts in assignment.split[alpha].items()}

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from smdc.covers import (
     CASE_1,
     CASE_2,
     CASE_3,
+    CASE_BASE,
     CoverConstructionError,
     FractionalCover,
     chain_from_text,
@@ -27,7 +29,14 @@ from smdc.covers import (
 from smdc.region import SubsetCoefficients, f_alpha
 from smdc.subsets import EncoderSet, subsets_of_size, window
 
-from oracles import fraction_audit_level, fraction_verify_cover
+from oracles import (
+    fraction_audit_level,
+    fraction_case3,
+    fraction_level_coefficients,
+    fraction_push,
+    fraction_reconstruct,
+    fraction_verify_cover,
+)
 
 F = Fraction
 
@@ -386,6 +395,86 @@ class TestConditionalChain:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             conditional_chain((1, 1), 2)
+
+
+def tied_lambda(rng, L):
+    """Weights from a few values, so that zeros and ties are common; a
+    dominant weight now and then drives the recursive case."""
+    values = [F(0), F(0)] + [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(3)]
+    lam = [rng.choice(values) for _ in range(L)]
+    if rng.random() < 0.3:
+        lam[rng.randrange(L)] = F(rng.randint(10, 60))
+    return lam
+
+
+def fraction_descent():
+    """The chain builders on the `Fraction` descent and push."""
+    return mock.patch.multiple(
+        cov, _case3=fraction_case3, _reconstruct=fraction_reconstruct, _push=fraction_push
+    )
+
+
+def dict_orders(chain):
+    """Every level and cover dict of a chain, as lists in insertion order."""
+    levels = [(a, list(c.assignment.items())) for a, c in chain.levels.items()]
+    covers = [
+        (a, [(u, list(c.weights.items())) for u, c in per_u.items()])
+        for a, per_u in chain.covers.items()
+    ]
+    return levels, covers
+
+
+class TestIntegerDescent:
+    """The descent on shared integer cover weights and the integer push must
+    give the `Fraction` descent's chains exactly, in the same dict order."""
+
+    def test_chains_match_the_fraction_descent(self):
+        rng = random.Random(2011)
+        cases = set()
+        for _ in range(50):
+            L = rng.randint(1, 7)
+            lam = tied_lambda(rng, L)
+            chain = yz_chain(lam)
+            with fraction_descent():
+                ref = yz_chain(lam)
+            assert chain_to_text(chain) == chain_to_text(ref)
+            assert dict_orders(chain) == dict_orders(ref)
+            assert chain.case_events == ref.case_events
+            cases.update(case for _, case in chain.case_events)
+            for n in range(L):
+                got = conditional_chain(lam, n)
+                with fraction_descent():
+                    want = conditional_chain(lam, n)
+                assert conditional_to_text(got) == conditional_to_text(want)
+                assert [
+                    (a, [(u, list(parts.items())) for u, parts in per_u.items()])
+                    for a, per_u in got.split.items()
+                ] == [
+                    (a, [(u, list(parts.items())) for u, parts in per_u.items()])
+                    for a, per_u in want.split.items()
+                ]
+                for alpha in got.split:
+                    coeffs = got.level_coefficients(alpha).assignment
+                    assert list(coeffs.items()) == list(
+                        fraction_level_coefficients(got, alpha).items()
+                    )
+        assert cases == {CASE_BASE, CASE_1, CASE_2, CASE_3}
+
+    @pytest.mark.parametrize(
+        "lam,n", [((1, 1, 0), 1), ((1, 0, 0), 2), ((2, 0, 1, 0), 2), ((0, 0, 3, 3), 1)]
+    )
+    def test_restart_on_a_vanished_level(self, lam, n):
+        got = conditional_chain(lam, n)
+        with fraction_descent():
+            want = conditional_chain(lam, n)
+        assert conditional_to_text(got) == conditional_to_text(want)
+
+    def test_level_total_must_be_positive(self):
+        ground = (1, 2, 3)
+        lam = {1: F(1), 2: F(1), 3: F(1)}
+        for case3 in (cov._case3, fraction_case3):
+            with pytest.raises(CoverConstructionError, match="positive level total"):
+                case3(lam, ground, 2, {(1, 2): F(0)})
 
 
 class TestLpFree:

@@ -73,6 +73,21 @@ class TestSubsetEntropy:
         with pytest.raises(ValueError):
             fair_bits(2).subset_entropy([])
 
+    def test_cache_hits_by_mask_and_misses_validate(self):
+        pmf = three_point()
+        first = pmf.subset_entropy(EncoderSet((1, 2), 2))
+        # the same members on a larger ground set share the mask and hit
+        assert pmf.subset_entropy(EncoderSet((1, 2), 5)) == first
+        assert pmf.subset_entropy((2, 1)) == first
+        for bad in (EncoderSet((1, 3), 3), EncoderSet((3,), 5), (0, 1), [3]):
+            with pytest.raises(ValueError, match=r"^variable index \d+ out of range$"):
+                pmf.subset_entropy(bad)
+        with pytest.raises(ValueError, match="empty variable set"):
+            pmf.subset_entropy(EncoderSet((), 2))
+        # a conditioning EncoderSet and its members give the same answer
+        u, given = EncoderSet((2,), 2), EncoderSet((1,), 2)
+        assert pmf.conditional_entropy(u, given) == pmf.conditional_entropy((2,), (1,))
+
     def test_monotone_and_nonnegative(self):
         rng = random.Random(2)
         for _ in range(20):

@@ -17,7 +17,10 @@ from smdc.exactlp import (
     _check_certificate,
     _check_optimal,
     _check_point,
+    as_fraction,
+    as_fractions,
     feasible,
+    over_common_denominator,
     solve_max,
 )
 
@@ -364,3 +367,44 @@ class TestRechecks:
             assert F(lp.int_rhs[0], sigma) == lp.rhs[0] == F(rhs)
         # sigma is the least scale that makes the row integral
         assert lps[0].scales == [lcm(*(F(a).denominator for a in [*coeffs, rhs]))]
+
+
+# a coefficient as an int, a Fraction or a string, so rows come in every mix
+any_type = st.one_of(
+    st.integers(-6, 6),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 6)),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 6)).map(str),
+)
+
+
+class TestRows:
+    """A row is kept only as integers; `lp.rows` reads it back."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(any_type, min_size=1, max_size=5), any_type)
+    @example([1, -2, 0], 3)
+    @example([0, 0], "5/4")
+    @example([F(1, 2), 2, "-1/6"], 0)
+    def test_rows_read_back_as_fractions(self, coeffs, rhs):
+        lp = LinearProgram(len(coeffs))
+        lp.add(coeffs, GE, rhs)
+        (row,) = lp.rows
+        assert row == list(as_fractions(coeffs))
+        assert all(type(a) is F for a in row)
+        assert lp.rhs == [as_fraction(rhs)]
+        # the scaling every row got before int rows skipped the Fractions
+        scaled, sigma = over_common_denominator([*as_fractions(coeffs), as_fraction(rhs)])
+        assert (lp.int_rows, lp.int_rhs, lp.scales) == ([scaled[:-1]], [scaled[-1]], [sigma])
+        assert all(type(a) is int for a in lp.int_rows[0])
+
+    def test_int_rows_keep_their_errors(self):
+        lp = LinearProgram(2)
+        with pytest.raises(TypeError):
+            lp.add([1, 0.5], LE, 1)
+        with pytest.raises(ValueError):
+            lp.add([1, 2, 3], LE, 1)
+        with pytest.raises(ValueError):
+            lp.add([1, 2], "==", 1)
+        with pytest.raises(TypeError):
+            lp.add([1, 2], LE, 0.5)
+        assert lp.num_rows == 0 and lp.rows == []

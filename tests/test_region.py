@@ -26,7 +26,13 @@ from smdc.region import (
 )
 from smdc.subsets import EncoderSet
 
-from oracles import LE, brute_lp_max, slice_f_value, subset_system_member
+from oracles import (
+    LE,
+    brute_lp_max,
+    fraction_rate_split,
+    slice_f_value,
+    subset_system_member,
+)
 
 F = Fraction
 
@@ -133,6 +139,90 @@ class TestFProfile:
             assert prof[0] == sum(lam)
             t = rand_frac(rng, 5, 3)
             assert f_profile([t * x for x in lam]) == tuple(t * p for p in prof)
+
+
+class TestOneSortProfile:
+    """f_profile sorts once and compares integer suffix sums; it must equal
+    the definition level by level, and f_value must equal each level."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(F, st.sampled_from([0, 0, 1, 2, 3, 5]), st.sampled_from([1, 2, 3, 4])),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    @example([F(0)] * 24)
+    @example([F(1)] * 24)
+    @example([F(7, 3)] + [F(0)] * 23)
+    def test_profile_matches_slices(self, lam):
+        want = tuple(slice_f_value(lam, a) for a in range(1, len(lam) + 1))
+        assert f_profile(lam) == want
+        assert tuple(f_value(lam, a) for a in range(1, len(lam) + 1)) == want
+
+
+def tied_member_query(rng, scheme, L):
+    """Rates around the superposition point, often tied, and entropies
+    that are often zero, so both verdicts and every tie-break occur."""
+    n = rng.randint(1, L - 1) if scheme == "secure" and L > 1 else 0
+    h = [
+        F(0) if rng.random() < 0.3 else F(rng.randint(1, 12), rng.randint(1, 4))
+        for _ in range(L - n)
+    ]
+    point = sum((e / a for a, e in enumerate(h, 1)), F(0))
+    rates = []
+    for _ in range(L):
+        if rates and rng.random() < 0.4:
+            rates.append(rng.choice(rates))
+        else:
+            rates.append(point * F(rng.randint(50, 150), 100) + F(rng.randint(0, 2), 4))
+    r0 = F(rng.randint(0, 8), rng.randint(1, 4)) if scheme == "all-access" else None
+    return rates, h, n, r0
+
+
+def vertex_from(seed):
+    """A feasibility solver that returns the optimum of a seeded random
+    objective: other vertices than phase 1's, so Robin Hood transfers run."""
+
+    def solve(lp):
+        rnd = random.Random(seed)
+        lp.objective = [F(rnd.randint(0, 3)) for _ in range(lp.num_vars)]
+        sol = exactlp.solve_max(lp)
+        return exactlp.FeasibilityResult(sol.status == "optimal", sol.primal, sol.certificate)
+
+    return solve
+
+
+class TestIntegerRateSplit:
+    """The rate split on integer numerators must give the `Fraction` split's
+    verdict, witness and certificate exactly."""
+
+    @pytest.mark.parametrize("scheme", ["plain", "secure", "all-access"])
+    def test_verdicts_match_the_fraction_split(self, scheme):
+        rng = random.Random(f"split-{scheme}")
+        verdicts = set()
+        for L in list(range(1, MAX_MEMBERSHIP_GROUND + 1)) * 2:
+            rates, h, n, r0 = tied_member_query(rng, scheme, L)
+            got = decide(scheme, rates, h, n, r0)
+            with mock.patch.object(region, "_rate_split", fraction_rate_split):
+                want = decide(scheme, rates, h, n, r0)
+            assert got == want
+            if got.witness is not None:
+                assert list(got.witness) == list(want.witness)
+            verdicts.add(got.member)
+        assert verdicts == {True, False}
+
+    def test_transfers_match_the_fraction_split(self):
+        rng = random.Random(5)
+        for trial in range(60):
+            L = rng.randint(1, 6)
+            rates, h, _, _ = tied_member_query(rng, "plain", L)
+            r = exactlp.as_fractions(rates)
+            levels = range(1, L + 1)
+            with mock.patch.object(region, "feasible", vertex_from(trial)):
+                got = region._rate_split(r, h, levels)
+            assert got == fraction_rate_split(r, h, levels, solve=vertex_from(trial))
 
 
 class TestMinSumRate:
@@ -410,15 +500,8 @@ class TestMembershipProperties:
     def test_witness_from_any_vertex(self, query, rnd):
         # the phase-1 vertex rarely loads an encoder past its rate, so the
         # Robin Hood transfers are steered into work by other vertices
-        def some_vertex(lp):
-            lp.objective = [F(rnd.randint(0, 3)) for _ in range(lp.num_vars)]
-            sol = exactlp.solve_max(lp)
-            return exactlp.FeasibilityResult(
-                sol.status == "optimal", sol.primal, sol.certificate
-            )
-
         scheme, rates, h, n, r0 = query
-        with mock.patch.object(region, "feasible", some_vertex):
+        with mock.patch.object(region, "feasible", vertex_from(rnd.random())):
             verdict = decide(scheme, rates, h, n, r0)
         assert verdict.member == decide(scheme, rates, h, n, r0).member
         check_verdict(verdict, rates, h, n, r0)
