@@ -1,0 +1,202 @@
+#!/usr/bin/env python3
+"""Timings of the smdc operations at the sizes the project tracks.
+
+    PYTHONPATH=src python3 benchmarks/bench_scale.py [--quick | --full]
+
+Each entry runs on inputs fixed by a seeded generator and reports the
+median of K runs (one run with --quick): a plain encode and decode of
+4 KB sources at L=30 (and L=60 with --full), the three membership
+queries at L=6 and 12 for a member and a non-member, yz_chain and
+conditional_chain at L=7, f_profile at L=10, the Han, Yeung-Zhang and
+conditional checks on a pmf of five ternary variables, and the stream
+kernels' MB/s on the shapes of benchmarks/bench_gf.py.  The results go
+to BENCH_11.json at the repository root with the kernel backend, the
+Python version, nproc, the platform and the git commit.  Nothing is
+gated: the file is a record, and a change is judged by the benchmark in
+perfbench/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
+
+from smdc import codec, covers, entropy, region
+from smdc.gf import backend, matmul_python
+
+import bench_gf
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_11.json"
+K = 5
+SEED = 11
+SOURCE_BYTES = 4096
+
+
+def median_time(fn, runs, setup=None):
+    """Median and every run's seconds of fn(setup()), setup untimed."""
+    times = []
+    for _ in range(runs):
+        args = (setup(),) if setup else ()
+        t0 = perf_counter()
+        fn(*args)
+        times.append(perf_counter() - t0)
+    return {"median_s": statistics.median(times), "runs_s": times}
+
+
+def codec_cases(rng, sizes):
+    """Plain encode of L sources of SOURCE_BYTES, and a decode from all
+    bundles but the first two."""
+    out = {}
+    for L in sizes:
+        sources = [rng.randbytes(SOURCE_BYTES) for _ in range(L)]
+        bundles = codec.smdc_encode(sources)
+        survivors = bundles[2:]
+        if codec.smdc_decode(survivors) != sources[: L - 2]:
+            raise AssertionError(f"codec round trip failed at L={L}")
+        out[f"codec.encode.L{L}"] = lambda s=sources: codec.smdc_encode(s)
+        out[f"codec.decode.L{L}"] = lambda b=survivors: codec.smdc_decode(b)
+    return out
+
+
+MEMBER_QUERIES = {
+    # name: (secure encoders, query of rates and entropies)
+    "smdc_member": (0, region.smdc_member),
+    "smdca_member": (0, lambda r, h: region.smdca_member(0, r, h)),
+    "ssmdc_member": (2, lambda r, h: region.ssmdc_member(r, h, 2)),
+}
+
+
+def member_cases(rng):
+    """Each membership query at L=6 and 12: rates a little above the
+    superposition point r_l = sum_a H_a / a are members, rates at 70-90%
+    of it violate the all-ones hyperplane."""
+    out = {}
+    for L in (6, 12):
+        h = [Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(L)]
+        for name, (n_secure, query) in MEMBER_QUERIES.items():
+            hs = h[: L - n_secure]
+            point = sum((x / a for a, x in enumerate(hs, 1)), Fraction(0))
+            cases = {
+                "member": [point + Fraction(rng.randint(0, 4), 8) for _ in range(L)],
+                "nonmember": [point * Fraction(rng.randint(70, 90), 100) for _ in range(L)],
+            }
+            for verdict, rates in cases.items():
+                if query(rates, hs).member != (verdict == "member"):
+                    raise AssertionError(f"{name} at L={L}: wrong {verdict} verdict")
+                out[f"region.{name}.L{L}.{verdict}"] = lambda q=query, r=rates, h=hs: q(r, h)
+    return out
+
+
+def chain_cases(rng):
+    weights = [Fraction(rng.randint(1, 20), rng.randint(1, 3)) for _ in range(7)]
+    profile = [Fraction(rng.randint(1, 20), rng.randint(1, 3)) for _ in range(10)]
+    return {
+        "covers.yz_chain.L7": lambda: covers.yz_chain(weights),
+        "covers.conditional_chain.L7": lambda: covers.conditional_chain(weights, 2),
+        "region.f_profile.L10": lambda: region.f_profile(profile),
+    }
+
+
+def entropy_case(rng):
+    """The three level checks at every level of one pmf on five ternary
+    variables, each run on a fresh copy so that no entropy is cached."""
+    pmf = entropy.random_pmf(rng, [3] * 5)
+    weights = [Fraction(rng.randint(1, 9)) for _ in range(5)]
+    chain = covers.yz_chain(weights)
+    split = covers.conditional_chain(weights, 1)
+
+    def fresh():
+        return entropy.JointPMF(pmf.alphabet_sizes, pmf.probabilities)
+
+    def checks(p):
+        for a in range(2, 6):
+            entropy.check_han(p, a)
+            entropy.check_yz(p, chain, a)
+        for a in range(2, 5):
+            entropy.check_conditional_yz(p, split, a)
+
+    return checks, fresh
+
+
+def kernel_rates():
+    """MB/s of each available stream kernel on bench_gf's shapes."""
+    kernels = {"pure": matmul_python}
+    if backend() == "compiled":
+        from smdc import _gfcore
+
+        kernels["compiled"] = _gfcore.matmul
+    rng = random.Random(0)
+    rates = {}
+    for rows, cols, n in bench_gf.SHAPES:
+        mat = bytes(rng.randrange(256) for _ in range(rows * cols))
+        src = bytes(rng.randrange(256) for _ in range(cols * n))
+        for name, kernel in kernels.items():
+            volume = (1 << 20) if name == "pure" else (1 << 26)
+            rate, _ = bench_gf.run(kernel, mat, rows, cols, src, n, max(1, volume // (rows * n)))
+            rates[f"gf.kernel.{name}.{rows}x{cols}x{n}.MBps"] = rate
+    return rates
+
+
+def commit():
+    """HEAD of the checkout, with "-dirty" when the tree has uncommitted
+    changes, if it is a git repository; git is not asked to look above
+    the checkout."""
+    env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)}
+    try:
+        got = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                             cwd=ROOT, env=env, capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return got.stdout.strip() if got.returncode == 0 else "unknown"
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    size = ap.add_mutually_exclusive_group()
+    size.add_argument("--quick", action="store_true", help="one run of each entry")
+    size.add_argument("--full", action="store_true", help="add the codec at L=60")
+    args = ap.parse_args()
+    runs = 1 if args.quick else K
+
+    rng = random.Random(SEED)
+    cases = codec_cases(rng, (30, 60) if args.full else (30,))
+    cases.update(member_cases(rng))
+    cases.update(chain_cases(rng))
+    results = {name: median_time(fn, runs) for name, fn in cases.items()}
+    checks, fresh = entropy_case(rng)
+    results["entropy.checks.3^5"] = median_time(checks, runs, setup=fresh)
+
+    report = {
+        "meta": {
+            "backend": backend(),
+            "python": platform.python_version(),
+            "nproc": os.cpu_count(),
+            "platform": platform.platform(),
+            "commit": commit(),
+            "seed": SEED,
+            "runs": runs,
+            "source_bytes": SOURCE_BYTES,
+        },
+        "results": results,
+        "kernel": kernel_rates(),
+    }
+    OUT.write_text(json.dumps(report, indent=1) + "\n")
+    for name, r in results.items():
+        print(f"{name:44s} {1e3 * r['median_s']:>12.3f} ms")
+    for name, rate in report["kernel"].items():
+        print(f"{name:44s} {rate:>12.2f} MB/s")
+    print(f"wrote {OUT}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

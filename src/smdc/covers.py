@@ -18,7 +18,10 @@ capacities, every cover against the covering inequality, every descent
 against the parent-sum identity), so a bad construction raises instead
 of propagating.  The audits put each level, cover or descent's weights
 over one common denominator and sum integer numerators, so no check
-takes a `Fraction` operation per term.
+takes a `Fraction` operation per term.  The covering inequality depends
+on the parent's size and the weights alone, so one audit computes it
+once per distinct weight sequence; each cover's children are still
+checked against its own parent.
 
 The conditional variant additionally attaches to each subset a family
 of disjoint "adversary" sets of fixed size and splits the level weights
@@ -64,25 +67,38 @@ class FractionalCover:
 
 
 def verify_cover(cover: FractionalCover) -> bool:
-    """Exact check of the covering inequality on every parent element.
+    """Exact check of the covering inequality on every parent element."""
+    return _cover_holds(cover, {})
 
-    Each child misses exactly one parent element, so element i is covered
-    by the total weight less that of the child without i; with the
-    weights as integers n over one denominator d, that is total - n >= d.
+
+def _cover_holds(cover: FractionalCover, verdicts: dict) -> bool:
+    """`verify_cover`, with the covering inequality's verdicts kept in
+    `verdicts` under (parent size, weights).
+
+    Each child misses exactly one parent element, a different one for
+    each child, so element i is covered by the total weight less that of
+    the child without i, or by the whole total if no child lacks i.  With
+    the weights as integers n over one denominator d, that is total - n
+    >= d for every n, and total >= d if the children are fewer than the
+    parent's elements: the verdict depends on the parent's size and the
+    weights alone.
     """
     u = cover.parent
     if len(u) < 2:
         raise ValueError("children require a set of size at least 2")
-    counts, d = over_common_denominator(cover.weights.values())
-    dropped = {}  # parent element -> count of the child without it
-    for v, n in zip(cover.weights, counts):
-        if v.ground_size != u.ground_size or len(v) != len(u) - 1 or v.mask & ~u.mask:
+    L, size, mask = u.ground_size, len(u) - 1, u.mask
+    for v in cover.weights:
+        if v.ground_size != L or v.mask.bit_count() != size or v.mask & ~mask:
             return False
-        if n < 0:
-            return False
-        dropped[(u.mask ^ v.mask).bit_length() - 1] = n
-    total = sum(counts)
-    return all(total - dropped.get(i, 0) >= d for i in u.members)
+    key = (size + 1, tuple(cover.weights.values()))
+    verdict = verdicts.get(key)
+    if verdict is None:
+        counts, d = over_common_denominator(key[1])
+        total = sum(counts)
+        verdict = verdicts[key] = all(0 <= n <= total - d for n in counts) and (
+            len(counts) > size or total >= d
+        )
+    return verdict
 
 
 @dataclass
@@ -277,14 +293,14 @@ def yz_chain(weights) -> CoefficientChain:
     smallest of them, and the descent runs from there down to level 1.
     """
     lam = as_fractions(weights)
-    if not lam or any(x < 0 for x in lam):
+    if not lam or any(x.numerator < 0 for x in lam):
         raise ValueError("weights must be nonempty and nonnegative")
     L = len(lam)
     order = sorted(range(L), key=lambda i: (-lam[i], i))
     slam_vector = tuple(lam[i] for i in order)
     slam = {i: slam_vector[i - 1] for i in range(1, L + 1)}
     ground = tuple(range(1, L + 1))
-    p = sum(1 for x in lam if x > 0)
+    p = sum(1 for x in lam if x.numerator > 0)
 
     events: list[tuple[int, str]] = []
     levels_s: dict[int, dict[tuple[int, ...], Fraction]] = {
@@ -361,12 +377,11 @@ def _audit_level(lam, alpha: int, coeffs: SubsetCoefficients) -> list[str]:
 
 
 def _is_family(subsets, L: int, alpha: int) -> bool:
-    """Exactly the alpha-subsets of {1..L}, counted before they are enumerated."""
+    """Exactly the alpha-subsets of {1..L}: counted, then every set of the
+    shared family looked up."""
     check_ground(L)  # past the cap, raise as enumerating would
-    return (
-        len(subsets) == comb(L, alpha)
-        and all(u.ground_size == L for u in subsets)
-        and {u.members for u in subsets} == set(combinations(range(1, L + 1), alpha))
+    return len(subsets) == comb(L, alpha) and all(
+        u in subsets for u in subsets_of_size(L, alpha)
     )
 
 
@@ -409,6 +424,7 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
     level1 = {EncoderSet((l,), L): w for l, w in enumerate(lam, 1)}
     if chain.levels[1].assignment != level1:
         failures.append("level 1 must equal the weight vector")
+    verdicts: dict = {}  # the covering verdicts, shared by every cover
     for alpha, per_u in chain.covers.items():
         if not 2 <= alpha <= L:
             failures.append(f"descent {alpha}: no such level")
@@ -416,7 +432,7 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
         upper = chain.levels[alpha].assignment
         lower = chain.levels[alpha - 1].assignment
         for u, cover in per_u.items():
-            if cover.parent != u or not verify_cover(cover):
+            if cover.parent != u or not _cover_holds(cover, verdicts):
                 failures.append(f"descent {alpha}: invalid cover at {u}")
         if not _parent_sums_match(per_u, upper, lower):
             failures.append(f"descent {alpha}: parent-sum identity fails")

@@ -8,6 +8,15 @@ rational.  Only the final logarithms are floating point, so every
 inequality check carries a small absolute tolerance.  Checks return a
 report rather than raising: a violated inequality is a result, not an
 error.
+
+A variable set is validated once into a bit mask (bit m for variable
+m), and entropies are cached per mask.  A marginal is summed from a
+cached marginal of a set one variable larger, which is built first when
+it has fewer states than the joint has cells, and else from the joint.
+Either way its cells come in the order of their first appearance in the
+joint, so every entropy is summed in the same order and gives the same
+bits.  The cached marginals total at most MARGINAL_BUDGET times the
+joint's cells.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -27,6 +36,8 @@ from .subsets import EncoderSet, subsets_of_size, windows
 TOLERANCE = 1e-9
 MAX_STATES = 10**7
 RESOLUTION = 256
+# the cached marginals hold at most this many times the joint's cells
+MARGINAL_BUDGET = 4
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -65,7 +76,7 @@ class JointPMF:
                 if not 0 <= s < k:
                     raise ValueError(f"symbol {s} outside alphabet of size {k}")
             p = as_fraction(p)
-            if p < 0:
+            if p.numerator < 0:
                 raise ValueError("probabilities must be nonnegative")
             if p:
                 table[outcome] = table.get(outcome, _ZERO) + p
@@ -78,7 +89,11 @@ class JointPMF:
         # which fixes the order in which every entropy is summed
         self._counts = dict(zip(table, counts))
         self._denominator = d
+        self._full = (2 << len(sizes)) - 2  # the mask of all L variables
         self._entropy_cache: dict[int, float] = {}
+        # mask -> marginal counts, for sets of two or more variables
+        self._marginals: dict[int, dict] = {}
+        self._marginal_cells = 0
 
     @property
     def variable_count(self) -> int:
@@ -108,58 +123,93 @@ class JointPMF:
             table[o] = table.get(o, _ZERO) + mass
         return cls(alphabet_sizes, table)
 
-    def _members(self, u) -> tuple[int, ...]:
-        members = tuple(u.members) if isinstance(u, EncoderSet) else tuple(sorted(u))
-        for m in members:
-            if not 1 <= m <= self.variable_count:
+    def _mask(self, u) -> int:
+        """The bit mask of a variable set, bit m for variable m, once every
+        index is checked to lie in 1..L; an EncoderSet brings its mask."""
+        if isinstance(u, EncoderSet):
+            if u.mask <= self._full:
+                return u.mask
+            u = u.members
+        n = self.variable_count
+        mask = 0
+        for m in sorted(u):
+            if not 1 <= m <= n:
                 raise ValueError(f"variable index {m} out of range")
-        return members
+            mask |= 1 << m
+        return mask
 
     def subset_entropy(self, u) -> float:
-        """Base-2 entropy of the marginal on u (u nonempty).  The cache is
-        keyed by the mask with bit m set for each member m, which an
-        EncoderSet carries already, so a cached EncoderSet is answered
-        before its members are validated: only a validated set is ever
-        cached."""
-        if isinstance(u, EncoderSet):
-            cached = self._entropy_cache.get(u.mask)
-            if cached is not None:
-                return cached
-        members = self._members(u)
-        if not members:
+        """Base-2 entropy of the marginal on u (u nonempty)."""
+        mask = self._mask(u)
+        if not mask:
             raise ValueError("entropy of an empty variable set is not defined")
-        mask = 0
-        for m in members:
-            mask |= 1 << m
-        cached = self._entropy_cache.get(mask)
-        if cached is not None:
-            return cached
-        # one member gives bare symbols as keys, which group alike
-        key = itemgetter(*(m - 1 for m in members))
-        counts: dict = {}
-        for outcome, n in self._counts.items():
-            k = key(outcome)
-            counts[k] = counts.get(k, 0) + n
-        d = self._denominator
-        h = 0.0
-        for n in counts.values():
-            fp = n / d  # int / int rounds correctly, as float(Fraction) does
-            h -= fp * math.log2(fp)
-        h = max(h, 0.0)
-        self._entropy_cache[mask] = h
-        return h
+        return self._entropy(mask)
 
     def conditional_entropy(self, u, given) -> float:
         """H(X_u | X_given) = H(X_{u+given}) - H(X_given)."""
-        members = self._members(u)
-        cond = self._members(given)
-        if not members:
+        mask = self._mask(u)
+        cond = self._mask(given)
+        if not mask:
             raise ValueError("entropy of an empty variable set is not defined")
         if not cond:
-            return self.subset_entropy(members)
-        # a conditioning EncoderSet goes on as itself, to hit the cache by mask
-        given = given if isinstance(given, EncoderSet) else cond
-        return self.subset_entropy(set(members) | set(cond)) - self.subset_entropy(given)
+            return self._entropy(mask)
+        return self._entropy(mask | cond) - self._entropy(cond)
+
+    def _entropy(self, mask: int) -> float:
+        h = self._entropy_cache.get(mask)
+        if h is None:
+            d = self._denominator
+            h = 0.0
+            for n in self._marginal(mask).values():
+                fp = n / d  # int / int rounds correctly, as float(Fraction) does
+                h -= fp * math.log2(fp)
+            h = self._entropy_cache[mask] = max(h, 0.0)
+        return h
+
+    def _marginal(self, mask: int) -> dict:
+        """Counts of the marginal on a validated nonempty mask, in order of
+        first appearance in the joint.
+
+        The counts are summed from the smallest cached marginal one
+        variable larger.  Failing that, the marginal that adds the first
+        missing variable is built the same way and used, if its state
+        count is below the joint's cells and fits the budget; else the
+        counts are summed from the joint.  Grouping a table that keeps the
+        joint's order of first appearance keeps it too."""
+        if mask == self._full:
+            return self._counts
+        if mask in self._marginals:
+            return self._marginals[mask]
+        L = self.variable_count
+        cells = len(self._counts)
+        source, drop = self._counts, 0
+        missing = [j for j in range(1, L + 1) if not mask >> j & 1]
+        for j in missing:
+            larger = self._marginals.get(mask | 1 << j)
+            if larger is not None and len(larger) < len(source):
+                source, drop = larger, j
+        if not drop:
+            j = missing[0]
+            larger = mask | 1 << j
+            states = prod(k for m, k in enumerate(self.alphabet_sizes, 1) if larger >> m & 1)
+            if states < cells and self._marginal_cells + states <= MARGINAL_BUDGET * cells:
+                source, drop = self._marginal(larger), j
+        size = mask.bit_count()
+        if drop:
+            # the dropped variable's position among the larger set's members
+            pos = (mask & (1 << drop) - 1).bit_count()
+            key = itemgetter(*(i for i in range(size + 1) if i != pos))
+        else:
+            key = itemgetter(*(m - 1 for m in range(1, L + 1) if mask >> m & 1))
+        # one variable gives bare symbols as keys, which group alike
+        counts: dict = {}
+        for outcome, n in source.items():
+            k = key(outcome)
+            counts[k] = counts.get(k, 0) + n
+        if size > 1 and self._marginal_cells + len(counts) <= MARGINAL_BUDGET * cells:
+            self._marginals[mask] = counts
+            self._marginal_cells += len(counts)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -186,9 +236,10 @@ def _compare(pmf: JointPMF, name: str, lhs, rhs, details: dict) -> InequalityRep
     def side(terms):
         total = 0.0
         for u, given, w in terms:
-            if w:
+            n, d = w.as_integer_ratio()
+            if n:
                 h = pmf.conditional_entropy(u, given) if given else pmf.subset_entropy(u)
-                total += float(w) * h
+                total += n / d * h  # n / d rounds correctly, as float(w) does
         return total
 
     return InequalityReport(name, side(lhs), side(rhs), details)
@@ -206,20 +257,23 @@ def _level_range(pmf: JointPMF, alpha: int) -> int:
     return L
 
 
+def _uniform(family, weight) -> list:
+    """Terms weighing every set of a family alike, with one weight object."""
+    return [(u, None, weight) for u in family]
+
+
 def check_han(pmf: JointPMF, alpha: int) -> InequalityReport:
     """Normalized average subset entropy at level alpha-1 dominates level alpha."""
     L = _level_range(pmf, alpha)
-    return _levels(pmf, "han", alpha, lambda a: [
-        (u, None, Fraction(1, comb(L, a) * a)) for u in subsets_of_size(L, a)
-    ])
+    return _levels(pmf, "han", alpha, lambda a: _uniform(
+        subsets_of_size(L, a), Fraction(1, comb(L, a) * a)
+    ))
 
 
 def check_sliding_window(pmf: JointPMF, alpha: int) -> InequalityReport:
     """Cyclic-window analogue of the level comparison."""
     L = _level_range(pmf, alpha)
-    return _levels(pmf, "sliding-window", alpha, lambda a: [
-        (w, None, Fraction(1, a)) for w in windows(L, a)
-    ])
+    return _levels(pmf, "sliding-window", alpha, lambda a: _uniform(windows(L, a), Fraction(1, a)))
 
 
 def check_mt(pmf: JointPMF, u: EncoderSet, cover: FractionalCover) -> InequalityReport:

@@ -68,8 +68,9 @@ def as_fractions(xs) -> tuple[Fraction, ...]:
 def over_common_denominator(xs) -> tuple[list[int], int]:
     """(ns, d) with xs[i] == ns[i] / d, d the lcm of the denominators of
     the rationals xs; ([], 1) for none."""
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
+    ratios = [x.as_integer_ratio() for x in xs]  # one call, not two properties
+    d = lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
 
 
 class LinearProgram:

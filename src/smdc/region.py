@@ -46,7 +46,7 @@ def _nonnegative(values, what: str) -> tuple[Fraction, ...]:
     v = as_fractions(values)
     if not v:
         raise ValueError(f"{what} must be nonempty")
-    if any(x < 0 for x in v):
+    if any(x.numerator < 0 for x in v):
         raise ValueError(f"{what} must be nonnegative")
     return v
 
@@ -152,7 +152,7 @@ def min_sum_rate(entropies) -> Fraction:
 def smdca_f(lambda0, weights, alpha: int) -> Fraction:
     """Hyperplane coefficient with an all-access encoder of weight lambda0."""
     l0 = as_fraction(lambda0)
-    if l0 < 0:
+    if l0.numerator < 0:
         raise ValueError("lambda0 must be nonnegative")
     return min(f_value(weights, alpha), l0)
 
@@ -309,7 +309,7 @@ def greedy_allocation(r0, entropies) -> GreedyAllocation:
     everything above stays with the randomly accessible encoders.
     """
     r0 = as_fraction(r0)
-    if r0 < 0:
+    if r0.numerator < 0:
         raise ValueError("r0 must be nonnegative")
     h = _nonnegative(entropies, "entropies")
     before = accumulate(h, initial=_ZERO)

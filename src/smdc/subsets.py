@@ -2,57 +2,68 @@
 
 Everything downstream (rate regions, coefficient chains, entropy checks,
 codecs) works with fixed-size subsets of {1..L}, cyclic sliding windows,
-and the children of a subset one level down.  Full enumeration is
-capped at L=24; paths that never enumerate whole levels may accept
-larger ground sets.
+and the children of a subset one level down.  A subset's identity is
+its bit mask: an `EncoderSet` builds it once, while its members are
+validated, and compares and hashes on (mask, ground size).  Each level
+family is built once and shared; callers get a fresh list of it.  Full
+enumeration is capped at L=24; paths that never enumerate whole levels
+may accept larger ground sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations
 
 MAX_ENUMERATION_GROUND = 24
+# larger families are built afresh on every call rather than kept
+MAX_SHARED_FAMILY = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncoderSet:
     """An immutable subset of the encoder indices {1..ground_size}.
 
-    Members are kept strictly increasing; a bit mask gives O(1)
-    membership.  The empty set is allowed (it appears as a conditioning
-    set).
+    Members are kept strictly increasing.  The bit mask, with bit m set
+    for each member m, gives O(1) membership and is the set's identity:
+    two sets are equal when mask and ground size are.  The empty set is
+    allowed (it appears as a conditioning set).
     """
 
     members: tuple[int, ...]
     ground_size: int
+    mask: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.ground_size < 1:
             raise ValueError("ground_size must be at least 1")
-        prev = 0
+        prev = mask = 0
         for m in self.members:
             if not isinstance(m, int):
                 raise ValueError(f"encoder index {m!r} is not an integer")
             if m <= prev:
                 raise ValueError("members must be strictly increasing")
             prev = m
+            mask |= 1 << m
         if prev > self.ground_size:
             raise ValueError(
                 f"member {prev} outside ground set of size {self.ground_size}"
             )
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and self.ground_size == other.ground_size
+
+    def __hash__(self) -> int:
+        # the ground size as one bit above every member's: one int per
+        # (mask, ground_size), with no tuple to build
+        return self.mask | 1 << self.ground_size + 1
 
     @classmethod
     def of(cls, members, ground_size: int) -> "EncoderSet":
         return cls(tuple(sorted(set(int(m) for m in members))), ground_size)
-
-    @cached_property
-    def mask(self) -> int:
-        m = 0
-        for e in self.members:
-            m |= 1 << e
-        return m
 
     def __contains__(self, index: int) -> bool:
         return 0 <= index <= self.ground_size and bool(self.mask >> index & 1)
@@ -101,15 +112,27 @@ def check_ground(ground_size: int) -> None:
         )
 
 
+# (ground size, size) -> that level's family, built on first use
+_FAMILIES: dict[tuple[int, int], tuple[EncoderSet, ...]] = {}
+
+
 def subsets_of_size(ground_size: int, size: int) -> list[EncoderSet]:
-    """All subsets of {1..ground_size} with the given size, lex ordered."""
-    check_ground(ground_size)
-    if not 1 <= size <= ground_size:
-        raise ValueError(f"size must be in 1..{ground_size}, got {size}")
-    return [
-        EncoderSet(c, ground_size)
-        for c in combinations(range(1, ground_size + 1), size)
-    ]
+    """All subsets of {1..ground_size} with the given size, lex ordered.
+
+    The sets are shared between calls, the list is not: a caller may
+    change the list it gets without changing the next one."""
+    family = _FAMILIES.get((ground_size, size))
+    if family is None:
+        check_ground(ground_size)
+        if not 1 <= size <= ground_size:
+            raise ValueError(f"size must be in 1..{ground_size}, got {size}")
+        family = tuple(
+            EncoderSet(c, ground_size)
+            for c in combinations(range(1, ground_size + 1), size)
+        )
+        if len(family) <= MAX_SHARED_FAMILY:
+            _FAMILIES[ground_size, size] = family
+    return list(family)
 
 
 def wrap_index(index: int, ground_size: int) -> int:

@@ -13,12 +13,15 @@ chain audits, f_alpha's closed form, subset entropies, the membership
 rate split, the case-3 covers, the level reconstruction and the
 conditional push have `Fraction`-per-step references here too, which
 the library's integer sums must match exactly, down to the insertion
-order of every dict.
+order of every dict.  Subset entropies also have a one-pass reference
+that sums each marginal straight from the joint's integer counts, which
+the library's cached and projected marginals must match bit for bit.
 """
 
 import math
 from fractions import Fraction
 from itertools import accumulate, combinations
+from operator import itemgetter
 
 from smdc.covers import CASE_3, CoverConstructionError
 from smdc.exactlp import (
@@ -375,6 +378,22 @@ def fraction_subset_entropy(pmf, members):
     h = 0.0
     for p in marginal.values():
         fp = float(p)
+        h -= fp * math.log2(fp)
+    return max(h, 0.0)
+
+
+def joint_subset_entropy(pmf, members):
+    """Base-2 entropy of the marginal on the nonempty set `members`, its
+    integer counts summed from the joint in one pass with no cache."""
+    # one variable gives bare symbols as keys, which group alike
+    key = itemgetter(*(m - 1 for m in sorted(set(members))))
+    counts = {}
+    for outcome, n in pmf._counts.items():
+        k = key(outcome)
+        counts[k] = counts.get(k, 0) + n
+    h = 0.0
+    for n in counts.values():
+        fp = n / pmf._denominator
         h -= fp * math.log2(fp)
     return max(h, 0.0)
 

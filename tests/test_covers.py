@@ -328,6 +328,18 @@ class TestIntegerAudits:
             "descent 2: parent-sum identity fails",
         ]
 
+    def test_a_shared_verdict_still_checks_each_covers_children(self):
+        # every level-3 cover of the uniform chain holds the same weights,
+        # so they share one covering verdict; a swapped child in a later
+        # cover must still fail on its own
+        chain = han_chain(4)
+        weights = chain.covers[3][eset([1, 2, 4], 4)].weights
+        weights[eset([1, 3], 4)] = weights.pop(eset([1, 2], 4))
+        assert verify_chain(chain).failures == [
+            "descent 3: invalid cover at {1,2,4}",
+            "descent 3: parent-sum identity fails",
+        ]
+
     @pytest.mark.parametrize("d", [1, 5, 10**30])
     def test_capacity_bound_is_exact(self, d):
         lam = (F(2), F(1), F(1))

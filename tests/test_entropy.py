@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from smdc.covers import FractionalCover, conditional_chain, han_chain, yz_chain
 from smdc.entropy import (
+    MARGINAL_BUDGET,
     TOLERANCE,
     JointPMF,
     check_conditional_yz,
@@ -25,7 +26,7 @@ from smdc.entropy import (
 )
 from smdc.subsets import EncoderSet, subsets_of_size, windows
 
-from oracles import fraction_subset_entropy
+from oracles import fraction_subset_entropy, joint_subset_entropy
 
 F = Fraction
 
@@ -144,6 +145,75 @@ class TestIntegerMarginals:
         for mask in range(1, 2**n):
             u = [m for m in range(1, n + 1) if mask >> (m - 1) & 1]
             assert pmf.subset_entropy(u).hex() == fraction_subset_entropy(pmf, u).hex()
+
+
+def _shaped(u, rnd):
+    """The variable set u as a tuple, list, set or, when it can be one,
+    an EncoderSet."""
+    shapes = [tuple, lambda x: list(reversed(x)), set]
+    if 0 not in u:
+        shapes.append(lambda x: EncoderSet(tuple(x), max(x, default=1)))
+    return rnd.choice(shapes)(u)
+
+
+def _expected(pmf, u, given):
+    """The float.hex of H(u | given), or the message of the ValueError it
+    raises: u's indices are checked first, then given's."""
+    n = pmf.variable_count
+    for m in sorted(u) + sorted(given or ()):
+        if not 1 <= m <= n:
+            return f"variable index {m} out of range"
+    if not u:
+        return "entropy of an empty variable set is not defined"
+    if not given:
+        return joint_subset_entropy(pmf, u).hex()
+    both = set(u) | set(given)
+    return (joint_subset_entropy(pmf, both) - joint_subset_entropy(pmf, given)).hex()
+
+
+class TestEntropyCache:
+    """Entropies cached per mask, from marginals projected off cached
+    larger ones, give the bits of one pass over the joint whatever the
+    order of the queries, and the errors of an uncached pmf."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pmfs(), st.randoms(use_true_random=False))
+    def test_any_query_order_gives_the_same_bits(self, pmf, rnd):
+        n = pmf.variable_count
+        sets = [tuple(m for m in range(1, n + 1) if mask >> m - 1 & 1) for mask in range(2**n)]
+        sets += [(0,), (n + 1,), (1, n + 2), (0, n + 1)]
+        queries = [(u, None) for u in sets] + [(u, g) for u in sets for g in sets]
+        rnd.shuffle(queries)
+        for u, given in queries:
+            try:
+                if given is None:
+                    got = pmf.subset_entropy(_shaped(u, rnd)).hex()
+                else:
+                    got = pmf.conditional_entropy(_shaped(u, rnd), _shaped(given, rnd)).hex()
+            except ValueError as err:
+                got = str(err)
+            assert got == _expected(pmf, u, given), (u, given)
+
+    @pytest.mark.parametrize("order", ["up", "down", "shuffled"])
+    def test_marginals_stay_within_the_budget(self, order):
+        rng = random.Random(7)
+        n = 6
+        weights = {o: rng.randint(1, 9) for o in product(range(2), repeat=n)}
+        total = sum(weights.values())
+        pmf = JointPMF([2] * n, {o: F(w, total) for o, w in weights.items()})
+        masks = list(range(1, 2**n))
+        if order == "down":
+            masks.reverse()
+        elif order == "shuffled":
+            rng.shuffle(masks)
+        for mask in masks:
+            u = [m for m in range(1, n + 1) if mask >> m - 1 & 1]
+            assert pmf.subset_entropy(u).hex() == joint_subset_entropy(pmf, u).hex()
+        cached = sum(len(t) for t in pmf._marginals.values())
+        assert cached == pmf._marginal_cells <= MARGINAL_BUDGET * len(pmf._counts)
+        # the marginals of two to five variables hold 652 cells against a
+        # budget of 256, so some of them were summed and not kept
+        assert 0 < len(pmf._marginals) < 2**n - 1 - n - 1
 
 
 class TestPmfValidation:

@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +19,12 @@ from smdc.subsets import (
 
 def members(sets):
     return [s.members for s in sets]
+
+
+@st.composite
+def encoder_sets(draw, max_ground=10):
+    L = draw(st.integers(1, max_ground))
+    return EncoderSet.of(draw(st.lists(st.integers(1, L), unique=True)), L)
 
 
 class TestSubsetsOfSize:
@@ -35,6 +46,14 @@ class TestSubsetsOfSize:
     def test_range_errors(self, L, a):
         with pytest.raises(ValueError):
             subsets_of_size(L, a)
+
+    def test_the_returned_list_is_the_callers(self):
+        got = subsets_of_size(5, 2)
+        got.reverse()
+        got[0] = EncoderSet((1,), 5)
+        got.append(None)
+        del got[1]
+        assert members(subsets_of_size(5, 2)) == list(combinations(range(1, 6), 2))
 
 
 class TestWindow:
@@ -120,6 +139,51 @@ class TestEncoderSet:
         u = EncoderSet.of(picks, L)
         for e in range(1, L + 1):
             assert (e in u) == (e in picks)
+
+
+class TestEncoderSetIdentity:
+    """A set is its (mask, ground size): equality and hashing follow
+    (members, ground size), and every way of making a set gives the mask
+    of its members."""
+
+    @given(encoder_sets(), encoder_sets())
+    def test_equality_and_hash_follow_members(self, u, v):
+        for w in (v, EncoderSet(tuple(u.members), u.ground_size)):
+            same = (u.members, u.ground_size) == (w.members, w.ground_size)
+            assert (u == w) is same and (u != w) is not same
+            if same:
+                assert hash(u) == hash(w)
+                assert {u: 1}[w] == 1
+
+    @given(encoder_sets())
+    def test_other_ground_size_is_another_set(self, u):
+        other = EncoderSet(u.members, u.ground_size + 1)
+        assert other != u and u != other
+        assert other.mask == u.mask
+        assert len({u, other}) == 2
+
+    @given(encoder_sets(), st.data())
+    def test_mask_on_every_path(self, u, data):
+        L = u.ground_size
+        made = [
+            u,
+            EncoderSet(tuple(u.members), L),
+            EncoderSet.of(reversed(u.members), L),
+            parse_subset(format_subset(u), L),
+            u.complement(),
+            window(data.draw(st.integers(1, L)), data.draw(st.integers(1, L)), L),
+            dataclasses.replace(u, ground_size=L + 1),
+            dataclasses.replace(u, members=u.complement().members),
+            pickle.loads(pickle.dumps(u)),
+            copy.copy(u),
+            copy.deepcopy(u),
+        ]
+        for v in made[1:4] + made[-3:]:
+            assert v == u and hash(v) == hash(u)
+        if len(u) >= 2:
+            made += u.children()
+        for v in made:
+            assert v.mask == sum(1 << m for m in v.members)
 
 
 class TestNotation:
