@@ -9,19 +9,19 @@ cases, depending on how top-heavy the sorted weight vector is: a
 dominant top weight recurses on the rest of the ground set, and
 otherwise the uniform cover is shifted by the level's deficits (which
 are all zero when the weights are balanced).  A shifted cover gives
-the child that drops a parent's tau-th position the same weight for
+the child that drops a parent's tau-th element the same weight for
 every parent, so a level's alpha weights are built once and shared by
 all its parents.  The next level is the cover-weighted parent sums,
-taken on integer numerators.  The finished chain is audited exactly
-(every level against the closed-form level optimum and the encoder
-capacities, every cover against the covering inequality, every descent
-against the parent-sum identity), so a bad construction raises instead
-of propagating.  The audits put each level, cover or descent's weights
-over one common denominator and sum integer numerators, so no check
-takes a `Fraction` operation per term.  The covering inequality depends
-on the parent's size and the weights alone, so one audit computes it
-once per distinct weight sequence; each cover's children are still
-checked against its own parent.
+taken on integer numerators.  The descent keys every subset by its bit
+mask over the caller's encoder indices, as `EncoderSet.mask` does, and
+the finished chain takes its sets from the shared `subsets_of_size`
+families.  It is audited exactly (every level against the closed-form
+level optimum and the encoder capacities, every cover against the
+covering inequality, every descent against the parent-sum identity),
+so a bad construction raises instead of propagating.  The audits put
+each level, cover or descent's weights over one common denominator and
+sum integer numerators, so no check takes a `Fraction` operation per
+term.
 
 The conditional variant additionally attaches to each subset a family
 of disjoint "adversary" sets of fixed size and splits the level weights
@@ -67,21 +67,14 @@ class FractionalCover:
 
 
 def verify_cover(cover: FractionalCover) -> bool:
-    """Exact check of the covering inequality on every parent element."""
-    return _cover_holds(cover, {})
-
-
-def _cover_holds(cover: FractionalCover, verdicts: dict) -> bool:
-    """`verify_cover`, with the covering inequality's verdicts kept in
-    `verdicts` under (parent size, weights).
+    """Exact check of the covering inequality on every parent element.
 
     Each child misses exactly one parent element, a different one for
     each child, so element i is covered by the total weight less that of
     the child without i, or by the whole total if no child lacks i.  With
     the weights as integers n over one denominator d, that is total - n
     >= d for every n, and total >= d if the children are fewer than the
-    parent's elements: the verdict depends on the parent's size and the
-    weights alone.
+    parent's elements.
     """
     u = cover.parent
     if len(u) < 2:
@@ -90,15 +83,9 @@ def _cover_holds(cover: FractionalCover, verdicts: dict) -> bool:
     for v in cover.weights:
         if v.ground_size != L or v.mask.bit_count() != size or v.mask & ~mask:
             return False
-    key = (size + 1, tuple(cover.weights.values()))
-    verdict = verdicts.get(key)
-    if verdict is None:
-        counts, d = over_common_denominator(key[1])
-        total = sum(counts)
-        verdict = verdicts[key] = all(0 <= n <= total - d for n in counts) and (
-            len(counts) > size or total >= d
-        )
-    return verdict
+    counts, d = over_common_denominator(cover.weights.values())
+    total = sum(counts)
+    return all(0 <= n <= total - d for n in counts) and (len(counts) > size or total >= d)
 
 
 @dataclass
@@ -144,23 +131,33 @@ class ChainReport:
     failures: list[str]
 
 
-# sorted-space construction ----------------------------------------------
+# mask-keyed construction --------------------------------------------------
 #
-# The descent works on a ground tuple whose weights are nonincreasing.
-# Subsets are plain sorted tuples of ground elements; translation to the
-# caller's index space happens at the chain boundary.
+# The descent keys every subset by its bit mask over the caller's encoder
+# indices, bit e for encoder e.  `ground` lists the encoders by
+# nonincreasing weight, ties broken by index, so the top element and a
+# parent's tau-th element are read along it.  A family comes in
+# combinations order along the ground, and a parent's children drop its
+# members in reverse ground order.  At the chain boundary each mask is
+# looked up in the shared families.
 
 
-def _tuple_children(u: tuple[int, ...]):
-    return combinations(u, len(u) - 1)
+def _masks(ground, size):
+    """The size-subsets of `ground` as masks, in combinations order."""
+    return [sum(c) for c in combinations([1 << e for e in ground], size)]
+
+
+def _children(u, ground):
+    """The children of mask u, dropping its members in reverse ground order."""
+    return [u ^ 1 << e for e in reversed(ground) if u >> e & 1]
 
 
 def _descend(lam, ground, alpha, level, events):
     """Covers taking the given optimal level alpha down to alpha-1.
 
-    lam: element -> weight (nonincreasing along ground); level: subset
-    tuple -> weight, with positive total.  Returns parent tuple -> child
-    tuple -> weight.
+    lam: encoder -> weight (nonincreasing along ground); level: mask ->
+    weight, with positive total.  Returns parent mask -> child mask ->
+    weight.
     """
     lam_list = [lam[e] for e in ground]
     top = lam_list[0]
@@ -168,11 +165,11 @@ def _descend(lam, ground, alpha, level, events):
 
     if len(ground) == 2 and alpha == 2:
         events.append((alpha, CASE_BASE))
-        u = tuple(ground)
         lam2 = lam_list[1]
         if lam2 <= 0:
             raise CoverConstructionError("base descent needs a positive bottom weight")
-        return {u: {(ground[0],): lam_list[0] / lam2, (ground[1],): _ONE}}
+        e1, e2 = 1 << ground[0], 1 << ground[1]
+        return {e1 | e2: {e1: lam_list[0] / lam2, e2: _ONE}}
 
     if alpha >= 3 and top > rest / (alpha - 2):
         events.append((alpha, CASE_2))
@@ -184,42 +181,35 @@ def _descend(lam, ground, alpha, level, events):
 def _case2(lam, ground, alpha, level, events):
     """Top weight dominates: all mass sits on subsets containing the top
     element, so recurse on the remaining ground with level alpha-1."""
-    e1 = ground[0]
-    sub_ground = ground[1:]
+    top = 1 << ground[0]
     sub_level = {}
     for u, c in level.items():
-        if e1 in u:
-            sub_level[tuple(x for x in u if x != e1)] = c
+        if u & top:
+            sub_level[u ^ top] = c
         elif c != 0:
             raise CoverConstructionError(
-                f"{CASE_2}: positive weight on {u} missing the dominant element"
+                f"{CASE_2}: positive weight on mask {u:#b} missing the dominant element"
             )
-    sub_covers = _descend(lam, sub_ground, alpha - 1, sub_level, events)
+    sub_covers = _descend(lam, ground[1:], alpha - 1, sub_level, events)
     covers = {}
     uniform = Fraction(1, alpha - 1)
-    for u in combinations(ground, alpha):
-        if e1 in u:
-            ut = tuple(x for x in u if x != e1)
-            gu = {}
-            for v in _tuple_children(u):
-                if e1 in v:
-                    vt = tuple(x for x in v if x != e1)
-                    gu[v] = sub_covers[ut].get(vt, _ZERO)
-                else:
-                    gu[v] = _ZERO
-            covers[u] = gu
+    for u in _masks(ground, alpha):
+        children = _children(u, ground)
+        if u & top:
+            sub = sub_covers[u ^ top]
+            covers[u] = {v: sub.get(v ^ top, _ZERO) if v & top else _ZERO for v in children}
         else:
-            covers[u] = {v: uniform for v in _tuple_children(u)}
+            covers[u] = dict.fromkeys(children, uniform)
     return covers
 
 
 def _case3(lam, ground, alpha, level):
     """Start from the uniform cover scaled down by the element deficits
     and push the deficit differences onto the children that drop a
-    low-position element.  Balanced weights leave no deficits, and the
+    low-weight element.  Balanced weights leave no deficits, and the
     cover stays uniform.
 
-    The child that drops the tau-th position of a parent weighs base plus
+    The child that drops the tau-th element of a parent weighs base plus
     the deficit differences delta_2..delta_tau, whatever the parent, so
     the alpha weights are built once per level and shared.  With the level
     as integers c over d, the loads tilde and the deficits b = lam - tilde
@@ -230,25 +220,21 @@ def _case3(lam, ground, alpha, level):
     f = sum(cs)
     if f <= 0:
         raise CoverConstructionError(f"{CASE_3}: needs a positive level total")
-    tilde = dict.fromkeys(ground, 0)
-    for u, c in zip(level, cs):
-        if c:
-            for e in u:
-                tilde[e] += c
     top = ground[:alpha]
     ls, dl = over_common_denominator([lam[e] for e in top])
-    b = [n * d - tilde[e] * dl for n, e in zip(ls, top)]
+    # b = lam - tilde, tilde[e] the level weight on the subsets holding e
+    b = [n * d - sum(c for u, c in zip(level, cs) if u >> e & 1) * dl for n, e in zip(ls, top)]
     # base = (1 - beta / f) / (alpha - 1), beta = sum_{m<alpha} b_1 - b_m,
     # and delta_2 + ... + delta_tau = (b_1 - b_tau) / f telescopes; unit
     # is 1 over the denominator dl * f
     unit = dl * f
     head = unit - sum(b[0] - x for x in b[1 : alpha - 1])
     den = unit * (alpha - 1)
-    # children come in combinations order, dropping position alpha first
+    # children drop the parent's alpha-th element first
     weights = [
         Fraction(head + (alpha - 1) * (b[0] - b[tau - 1]), den) for tau in range(alpha, 0, -1)
     ]
-    return {u: dict(zip(_tuple_children(u), weights)) for u in combinations(ground, alpha)}
+    return {u: dict(zip(_children(u, ground), weights)) for u in _masks(ground, alpha)}
 
 
 def _reconstruct(covers, level, ground, alpha):
@@ -258,7 +244,7 @@ def _reconstruct(covers, level, ground, alpha):
     live = [(gu, c) for u, gu in covers.items() if (c := level.get(u))]
     cs, dc = over_common_denominator([c for _, c in live])
     ws, dw = over_common_denominator([w for gu, _ in live for w in gu.values()])
-    nxt = dict.fromkeys(combinations(ground, alpha - 1), 0)
+    nxt = dict.fromkeys(_masks(ground, alpha - 1), 0)
     weights = iter(ws)
     for (gu, _), c in zip(live, cs):
         for v, n in zip(gu, weights):
@@ -269,20 +255,6 @@ def _reconstruct(covers, level, ground, alpha):
 
 
 # chain construction ------------------------------------------------------
-
-
-def _encoder_sets(order, L):
-    """Sorted-position tuple -> the EncoderSet of its encoders in the
-    caller's index space, each built once per chain."""
-    built: dict[tuple[int, ...], EncoderSet] = {}
-
-    def to_set(t):
-        u = built.get(t)
-        if u is None:
-            u = built[t] = EncoderSet(tuple(sorted(order[p - 1] + 1 for p in t)), L)
-        return u
-
-    return to_set
 
 
 def yz_chain(weights) -> CoefficientChain:
@@ -296,41 +268,39 @@ def yz_chain(weights) -> CoefficientChain:
     if not lam or any(x.numerator < 0 for x in lam):
         raise ValueError("weights must be nonempty and nonnegative")
     L = len(lam)
-    order = sorted(range(L), key=lambda i: (-lam[i], i))
-    slam_vector = tuple(lam[i] for i in order)
-    slam = {i: slam_vector[i - 1] for i in range(1, L + 1)}
-    ground = tuple(range(1, L + 1))
+    by_encoder = dict(enumerate(lam, 1))
+    ground = tuple(sorted(by_encoder, key=lambda e: (-by_encoder[e], e)))
     p = sum(1 for x in lam if x.numerator > 0)
 
     events: list[tuple[int, str]] = []
-    levels_s: dict[int, dict[tuple[int, ...], Fraction]] = {
-        alpha: {} for alpha in range(p + 1, L + 1)
-    }
-    covers_s: dict[int, dict] = {}
+    levels_m: dict[int, dict[int, Fraction]] = {alpha: {} for alpha in range(p + 1, L + 1)}
+    covers_m: dict[int, dict] = {}
     if p:
-        levels_s[p] = {ground[:p]: slam_vector[p - 1]}
+        levels_m[p] = {sum(1 << e for e in ground[:p]): by_encoder[ground[p - 1]]}
     for alpha in range(p, 1, -1):
-        g = _descend(slam, ground, alpha, levels_s[alpha], events)
-        covers_s[alpha] = g
-        levels_s[alpha - 1] = _reconstruct(g, levels_s[alpha], ground, alpha)
+        g = _descend(by_encoder, ground, alpha, levels_m[alpha], events)
+        covers_m[alpha] = g
+        levels_m[alpha - 1] = _reconstruct(g, levels_m[alpha], ground, alpha)
 
-    to_set = _encoder_sets(order, L)
+    sets: dict[int, EncoderSet] = {}
     levels: dict[int, SubsetCoefficients] = {}
-    for alpha, lvl in levels_s.items():
-        assignment = {to_set(u): c for u, c in lvl.items()}
+    for alpha, lvl in levels_m.items():
+        family = subsets_of_size(L, alpha)
+        sets.update((u.mask, u) for u in family)
+        assignment = {sets[u]: c for u, c in lvl.items()}
         # enumerate the whole family so absent subsets read as zero
-        for u in subsets_of_size(L, alpha):
+        for u in family:
             assignment.setdefault(u, _ZERO)
         levels[alpha] = SubsetCoefficients(level=alpha, assignment=assignment)
-    covers: dict[int, dict[EncoderSet, FractionalCover]] = {}
-    for alpha, per_u in covers_s.items():
-        out = {}
-        for u, gu in per_u.items():
-            u_set = to_set(u)
-            out[u_set] = FractionalCover(
-                parent=u_set, weights={to_set(v): w for v, w in gu.items()}
+    covers = {
+        alpha: {
+            sets[u]: FractionalCover(
+                parent=sets[u], weights={sets[v]: w for v, w in gu.items()}
             )
-        covers[alpha] = out
+            for u, gu in per_u.items()
+        }
+        for alpha, per_u in covers_m.items()
+    }
 
     chain = CoefficientChain(
         weights=lam, levels=levels, covers=covers, case_events=events
@@ -424,7 +394,6 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
     level1 = {EncoderSet((l,), L): w for l, w in enumerate(lam, 1)}
     if chain.levels[1].assignment != level1:
         failures.append("level 1 must equal the weight vector")
-    verdicts: dict = {}  # the covering verdicts, shared by every cover
     for alpha, per_u in chain.covers.items():
         if not 2 <= alpha <= L:
             failures.append(f"descent {alpha}: no such level")
@@ -432,7 +401,7 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
         upper = chain.levels[alpha].assignment
         lower = chain.levels[alpha - 1].assignment
         for u, cover in per_u.items():
-            if cover.parent != u or not _cover_holds(cover, verdicts):
+            if cover.parent != u or not verify_cover(cover):
                 failures.append(f"descent {alpha}: invalid cover at {u}")
         if not _parent_sums_match(per_u, upper, lower):
             failures.append(f"descent {alpha}: parent-sum identity fails")
@@ -554,6 +523,13 @@ def _read_head(text: str, header: str):
     return as_fractions(lines[1].split()[1:]), lines[2:]
 
 
+def _put(records: dict, key, value, line: str) -> None:
+    """Store one chain-file record, refusing a second for the same key."""
+    if key in records:
+        raise ValueError(f"duplicate {line.split()[0]} record: {line!r}")
+    records[key] = value
+
+
 def chain_to_text(chain: CoefficientChain) -> str:
     lines = [_CHAIN_HEADER]
     lines.append("lambda " + " ".join(str(x) for x in chain.weights))
@@ -583,12 +559,12 @@ def chain_from_text(text: str) -> CoefficientChain:
         if parts[0] == "c" and len(parts) == 4:
             alpha = int(parts[1])
             u = parse_subset(parts[2], L)
-            levels.setdefault(alpha, {})[u] = as_fraction(parts[3])
+            _put(levels.setdefault(alpha, {}), u, as_fraction(parts[3]), ln)
         elif parts[0] == "g" and len(parts) == 5:
             alpha = int(parts[1])
             u = parse_subset(parts[2], L)
             v = parse_subset(parts[3], L)
-            covers.setdefault(alpha, {}).setdefault(u, {})[v] = as_fraction(parts[4])
+            _put(covers.setdefault(alpha, {}).setdefault(u, {}), v, as_fraction(parts[4]), ln)
         else:
             raise ValueError(f"unrecognized chain line: {ln!r}")
     built_levels = {
@@ -634,7 +610,7 @@ def conditional_from_text(text: str) -> ConditionalAssignment:
         alpha = int(parts[1])
         u = parse_subset(parts[2], L)
         a = parse_subset(parts[3], L)
-        split.setdefault(alpha, {}).setdefault(u, {})[a] = as_fraction(parts[4])
+        _put(split.setdefault(alpha, {}).setdefault(u, {}), a, as_fraction(parts[4]), ln)
     return ConditionalAssignment(weights=lam, n_secure=n_secure, split=split)
 
 

@@ -471,28 +471,32 @@ def fraction_rate_split(rates, entropies, levels, solve=feasible):
 
 def fraction_case3(lam, ground, alpha, level):
     """`covers._case3` with the weights built parent by parent, O(alpha^2)
-    `Fraction` operations per parent."""
+    `Fraction` operations per parent.  Subsets are bit masks, bit e for
+    encoder e."""
     f_val = sum(level.values(), _ZERO)
     if f_val <= 0:
         raise CoverConstructionError(f"{CASE_3}: needs a positive level total")
     tilde = {e: _ZERO for e in ground}
     for u, c in level.items():
         if c:
-            for e in u:
-                tilde[e] += c
+            for e in ground:
+                if u >> e & 1:
+                    tilde[e] += c
     b = [lam[e] - tilde[e] for e in ground]
     beta = sum((b[0] - b[m - 1] for m in range(2, alpha)), _ZERO)
     base = (_ONE - beta / f_val) / (alpha - 1)
     covers = {}
-    for u in combinations(ground, alpha):
-        gu = {v: base for v in combinations(u, alpha - 1)}
+    for members in combinations(ground, alpha):
+        u = sum(1 << e for e in members)
+        # child tau drops the tau-th member; the last member goes first
+        child = {tau: u ^ 1 << members[tau - 1] for tau in range(alpha, 0, -1)}
+        gu = dict.fromkeys(child.values(), base)
         for m in range(2, alpha + 1):
             delta = (b[m - 2] - b[m - 1]) / f_val
             if delta == 0:
                 continue
             for tau in range(m, alpha + 1):
-                v = u[: tau - 1] + u[tau:]
-                gu[v] += delta
+                gu[child[tau]] += delta
         covers[u] = gu
     return covers
 
@@ -500,7 +504,7 @@ def fraction_case3(lam, ground, alpha, level):
 def fraction_reconstruct(covers, level, ground, alpha):
     """`covers._reconstruct` with one `Fraction` multiply and add per
     parent and child."""
-    nxt = {v: _ZERO for v in combinations(ground, alpha - 1)}
+    nxt = {sum(1 << e for e in v): _ZERO for v in combinations(ground, alpha - 1)}
     for u, gu in covers.items():
         c = level.get(u)
         if c:

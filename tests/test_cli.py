@@ -268,6 +268,27 @@ class TestCoversCommands:
         assert code == 3
         assert "exponent" in err
 
+    @pytest.mark.parametrize(
+        "argv,record",
+        [
+            (["chain", "--weights", "3,2,1"], "c 1 1 99"),
+            (["conditional", "--weights", "3,2,1", "--n", "1"], "s 1 1 3 99"),
+        ],
+    )
+    def test_verify_rejects_duplicate_records(self, capsys, tmp_path, argv, record):
+        # a second record for a key, put before the true one, must not
+        # be read over by it
+        path = tmp_path / "chain.txt"
+        assert run(capsys, "covers", *argv, "--out", str(path))[0] == 0
+        lines = path.read_text().splitlines()
+        key = record.rsplit(" ", 1)[0] + " "
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(key))
+        lines.insert(at, record)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "covers", "verify", "--file", str(path))
+        assert code == 3
+        assert out == "" and "duplicate" in err
+
 
 PMF_TEXT = "2 2 2\n0 0 1/3\n0 1 1/3\n1 0 1/3\n"
 

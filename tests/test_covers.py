@@ -158,6 +158,36 @@ class TestYzChain:
         assert lvl2[eset([2, 3], 3)] == 1
         assert lvl2[eset([1, 3], 3)] == 0
 
+    def test_levels_keep_the_descents_order(self):
+        # the descent lists each family in combinations order along the
+        # encoders sorted by weight, (2, 4, 1, 3) here, and drops a
+        # parent's members in reverse of that order; check_yz sums each
+        # level in its dict's order
+        chain = yz_chain((1, 5, 1, 2))
+        order = {a: [u.members for u in c.assignment] for a, c in chain.levels.items()}
+        assert order == {
+            4: [(1, 2, 3, 4)],
+            3: [(1, 2, 4), (2, 3, 4), (1, 2, 3), (1, 3, 4)],
+            2: [(2, 4), (1, 2), (2, 3), (1, 4), (3, 4), (1, 3)],
+            1: [(2,), (4,), (1,), (3,)],
+        }
+        for a, per_u in chain.covers.items():
+            assert [u.members for u in per_u] == order[a]
+        children = chain.covers[3][eset([1, 2, 4], 4)].weights
+        assert [v.members for v in children] == [(2, 4), (1, 2), (1, 4)]
+
+    @pytest.mark.parametrize("lam", [(1, 5, 1, 2), (0, 3, 3, 1, 0), (9, 1, 1, 1, 1)])
+    def test_sets_are_the_shared_family_objects(self, lam):
+        chain = yz_chain(lam)
+        L = len(lam)
+        family = {u.mask: u for a in range(1, L + 1) for u in subsets_of_size(L, a)}
+        for coeffs in chain.levels.values():
+            assert all(family[u.mask] is u for u in coeffs.assignment)
+        for per_u in chain.covers.values():
+            for u, cover in per_u.items():
+                assert family[u.mask] is u is cover.parent
+                assert all(family[v.mask] is v for v in cover.weights)
+
     @pytest.mark.parametrize(
         "lam",
         [
@@ -330,8 +360,8 @@ class TestIntegerAudits:
 
     def test_a_shared_verdict_still_checks_each_covers_children(self):
         # every level-3 cover of the uniform chain holds the same weights,
-        # so they share one covering verdict; a swapped child in a later
-        # cover must still fail on its own
+        # so their covering sums agree; a swapped child in a later cover
+        # must still fail on its own
         chain = han_chain(4)
         weights = chain.covers[3][eset([1, 2, 4], 4)].weights
         weights[eset([1, 3], 4)] = weights.pop(eset([1, 2], 4))
@@ -486,7 +516,7 @@ class TestIntegerDescent:
         lam = {1: F(1), 2: F(1), 3: F(1)}
         for case3 in (cov._case3, fraction_case3):
             with pytest.raises(CoverConstructionError, match="positive level total"):
-                case3(lam, ground, 2, {(1, 2): F(0)})
+                case3(lam, ground, 2, {1 << 1 | 1 << 2: F(0)})
 
 
 class TestLpFree:
@@ -605,6 +635,22 @@ class TestSerialization:
             chain_from_text("not a chain\n")
         with pytest.raises(ValueError):
             chain_from_text("smdc-chain 1\nlambda 1 1\nq nonsense\n")
+
+    @pytest.mark.parametrize(
+        "record,kind",
+        [("c 2 1,3 1", "c"), ("g 3 1,2,3 1,3 1", "g"), ("s 2 1,3 2 1", "s")],
+    )
+    def test_rejects_duplicate_records(self, record, kind):
+        # the records are copies of lines already in the file: even an
+        # equal second record is refused
+        lam = (3, 2, 1)
+        if kind == "s":
+            text, parse = conditional_to_text(conditional_chain(lam, 1)), conditional_from_text
+        else:
+            text, parse = chain_to_text(yz_chain(lam)), chain_from_text
+        assert record + "\n" in text
+        with pytest.raises(ValueError, match=f"duplicate {kind} record"):
+            parse(text + record + "\n")
 
     def test_detects_tampered_level(self):
         chain = yz_chain((1, 1, 1))
