@@ -34,24 +34,37 @@ def run(kernel, mat, rows, cols, src, n, repeats):
     return processed / elapsed, elapsed
 
 
-def main():
+# bytes each kernel produces per shape
+VOLUME = {"pure": 1 << 20, "compiled": 1 << 26}
+
+
+def rates():
+    """Shape label -> backend -> MB/s for every built kernel on SHAPES,
+    on inputs from a generator seeded with 0."""
+    kernels = {"pure": matmul_python}
+    if _gfcore is not None:
+        kernels["compiled"] = _gfcore.matmul
     rng = random.Random(0)
-    print(f"{'shape':>16}  {'pure MB/s':>10}  {'compiled MB/s':>14}  {'speedup':>8}")
+    out = {}
     for rows, cols, n in SHAPES:
         mat = bytes(rng.randrange(256) for _ in range(rows * cols))
         src = bytes(rng.randrange(256) for _ in range(cols * n))
-        pure_repeats = max(1, (1 << 20) // (rows * n))
-        pure_rate, _ = run(matmul_python, mat, rows, cols, src, n, pure_repeats)
-        label = f"{rows}x{cols}x{n}"
-        if _gfcore is None:
-            print(f"{label:>16}  {pure_rate:>10.1f}  {'(not built)':>14}  {'-':>8}")
+        out[f"{rows}x{cols}x{n}"] = {
+            name: run(kernel, mat, rows, cols, src, n, max(1, VOLUME[name] // (rows * n)))[0]
+            for name, kernel in kernels.items()
+        }
+    return out
+
+
+def main():
+    print(f"{'shape':>16}  {'pure MB/s':>10}  {'compiled MB/s':>14}  {'speedup':>8}")
+    for label, mbps in rates().items():
+        pure = mbps["pure"]
+        if "compiled" not in mbps:
+            print(f"{label:>16}  {pure:>10.1f}  {'(not built)':>14}  {'-':>8}")
             continue
-        fast_repeats = max(1, (1 << 26) // (rows * n))
-        fast_rate, _ = run(_gfcore.matmul, mat, rows, cols, src, n, fast_repeats)
-        print(
-            f"{label:>16}  {pure_rate:>10.1f}  {fast_rate:>14.1f}"
-            f"  {fast_rate / pure_rate:>7.1f}x"
-        )
+        fast = mbps["compiled"]
+        print(f"{label:>16}  {pure:>10.1f}  {fast:>14.1f}  {fast / pure:>7.1f}x")
     out = matmul_python(b"\x02", 1, 1, b"\x80", 1, GF256.exp, GF256.log)
     assert out == b"\x1d"
     if _gfcore is not None:

@@ -9,11 +9,11 @@ median of K runs (one run with --quick): a plain encode and decode of
 queries at L=6 and 12 for a member and a non-member, yz_chain and
 conditional_chain at L=7, f_profile at L=10, the Han, Yeung-Zhang and
 conditional checks on a pmf of five ternary variables, and the stream
-kernels' MB/s on the shapes of benchmarks/bench_gf.py.  The results go
-to BENCH_11.json at the repository root with the kernel backend, the
-Python version, nproc, the platform and the git commit.  Nothing is
-gated: the file is a record, and a change is judged by the benchmark in
-perfbench/.
+kernels' MB/s from benchmarks/bench_gf.py.  The JSON record, with the
+kernel backend, the Python version, nproc, the platform and the git
+commit, goes to stdout and the table to stderr; a change records its
+numbers with `> BENCH_<pr>.json`.  Nothing is gated: the output is a
+record, and a change is judged by the benchmark in perfbench/.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from pathlib import Path
 from time import perf_counter
 
 from smdc import codec, covers, entropy, region
-from smdc.gf import backend, matmul_python
+from smdc.gf import backend
 
 import bench_gf
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_11.json"
 K = 5
 SEED = 11
 SOURCE_BYTES = 4096
@@ -128,25 +127,6 @@ def entropy_case(rng):
     return checks, fresh
 
 
-def kernel_rates():
-    """MB/s of each available stream kernel on bench_gf's shapes."""
-    kernels = {"pure": matmul_python}
-    if backend() == "compiled":
-        from smdc import _gfcore
-
-        kernels["compiled"] = _gfcore.matmul
-    rng = random.Random(0)
-    rates = {}
-    for rows, cols, n in bench_gf.SHAPES:
-        mat = bytes(rng.randrange(256) for _ in range(rows * cols))
-        src = bytes(rng.randrange(256) for _ in range(cols * n))
-        for name, kernel in kernels.items():
-            volume = (1 << 20) if name == "pure" else (1 << 26)
-            rate, _ = bench_gf.run(kernel, mat, rows, cols, src, n, max(1, volume // (rows * n)))
-            rates[f"gf.kernel.{name}.{rows}x{cols}x{n}.MBps"] = rate
-    return rates
-
-
 def commit():
     """HEAD of the checkout, with "-dirty" when the tree has uncommitted
     changes, if it is a git repository; git is not asked to look above
@@ -188,14 +168,17 @@ def main():
             "source_bytes": SOURCE_BYTES,
         },
         "results": results,
-        "kernel": kernel_rates(),
+        "kernel": {
+            f"gf.kernel.{name}.{shape}.MBps": rate
+            for shape, per_backend in bench_gf.rates().items()
+            for name, rate in per_backend.items()
+        },
     }
-    OUT.write_text(json.dumps(report, indent=1) + "\n")
+    print(json.dumps(report, indent=1))
     for name, r in results.items():
-        print(f"{name:44s} {1e3 * r['median_s']:>12.3f} ms")
+        print(f"{name:44s} {1e3 * r['median_s']:>12.3f} ms", file=sys.stderr)
     for name, rate in report["kernel"].items():
-        print(f"{name:44s} {rate:>12.2f} MB/s")
-    print(f"wrote {OUT}", file=sys.stderr)
+        print(f"{name:44s} {rate:>12.2f} MB/s", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -274,6 +274,12 @@ def _check(args, pmf, alpha, weights) -> ent.InequalityReport:
         return ent.check_han(pmf, alpha)
     if which == "window":
         return ent.check_sliding_window(pmf, alpha)
+    if weights and len(weights) != pmf.variable_count:
+        # before any chain is built: a chain on L weights has L * 2**(L-1)
+        # cover entries
+        raise ValueError(
+            f"--weights has {len(weights)} entries, the pmf {pmf.variable_count} variables"
+        )
     if which == "mt":
         if not args.u:
             raise ValueError("--u is required for the cover inequality")

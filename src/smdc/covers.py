@@ -4,18 +4,19 @@ A chain holds, for each subset level alpha, an optimal solution of the
 per-level packing LP, and for each descent a family of fractional
 covers that reproduces level alpha-1 from level alpha by weighted
 parent sums.  No LP is solved: the descent starts from the one optimal
-top level, and each step is a base case (two encoders) or one of two
-cases, depending on how top-heavy the sorted weight vector is: a
-dominant top weight recurses on the rest of the ground set, and
-otherwise the uniform cover is shifted by the level's deficits (which
-are all zero when the weights are balanced).  A shifted cover gives
-the child that drops a parent's tau-th element the same weight for
-every parent, so a level's alpha weights are built once and shared by
-all its parents.  The next level is the cover-weighted parent sums,
-taken on integer numerators.  The descent keys every subset by its bit
-mask over the caller's encoder indices, as `EncoderSet.mask` does, and
-the finished chain takes its sets from the shared `subsets_of_size`
-families.  It is audited exactly (every level against the closed-form
+top level, and each step takes one of two rules, depending on how
+top-heavy the sorted weight vector is: a dominant top weight recurses
+on the rest of the ground set, and otherwise the uniform cover is
+shifted by the level's deficits (which are all zero when the weights
+are balanced).  The base case, two encoders, is the shifted cover too:
+its one parent weighs lam_2, so the children get lam_1/lam_2 and 1.  A
+shifted cover gives the child that drops a parent's tau-th element the
+same weight for every parent, so a level's alpha weights are built once
+and shared by all its parents.  The next level is the cover-weighted
+parent sums, taken on integer numerators.  The descent keys every
+subset by its bit mask over the caller's encoder indices, as
+`EncoderSet.mask` does, and the finished chain takes its sets from the
+shared `subsets_of_size` families.  It is audited exactly (every level against the closed-form
 level optimum and the encoder capacities, every cover against the
 covering inequality, every descent against the parent-sum identity),
 so a bad construction raises instead of propagating.  The audits put
@@ -46,7 +47,6 @@ from .region import f_alpha  # noqa: F401
 from .subsets import EncoderSet, check_ground, format_subset, parse_subset, subsets_of_size
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 CASE_BASE = "base"
 CASE_1 = "case1"
@@ -159,22 +159,15 @@ def _descend(lam, ground, alpha, level, events):
     weight, with positive total.  Returns parent mask -> child mask ->
     weight.
     """
-    lam_list = [lam[e] for e in ground]
-    top = lam_list[0]
-    rest = sum(lam_list[1:], _ZERO)
-
-    if len(ground) == 2 and alpha == 2:
-        events.append((alpha, CASE_BASE))
-        lam2 = lam_list[1]
-        if lam2 <= 0:
-            raise CoverConstructionError("base descent needs a positive bottom weight")
-        e1, e2 = 1 << ground[0], 1 << ground[1]
-        return {e1 | e2: {e1: lam_list[0] / lam2, e2: _ONE}}
-
+    top = lam[ground[0]]
+    rest = sum((lam[e] for e in ground[1:]), _ZERO)
     if alpha >= 3 and top > rest / (alpha - 2):
         events.append((alpha, CASE_2))
         return _case2(lam, ground, alpha, level, events)
-    events.append((alpha, CASE_1 if top <= rest / (alpha - 1) else CASE_3))
+    if len(ground) == 2:
+        events.append((alpha, CASE_BASE))
+    else:
+        events.append((alpha, CASE_1 if top <= rest / (alpha - 1) else CASE_3))
     return _case3(lam, ground, alpha, level)
 
 
@@ -268,6 +261,7 @@ def yz_chain(weights) -> CoefficientChain:
     if not lam or any(x.numerator < 0 for x in lam):
         raise ValueError("weights must be nonempty and nonnegative")
     L = len(lam)
+    check_ground(L)  # the chain has L * 2**(L-1) cover entries
     by_encoder = dict(enumerate(lam, 1))
     ground = tuple(sorted(by_encoder, key=lambda e: (-by_encoder[e], e)))
     p = sum(1 for x in lam if x.numerator > 0)
@@ -512,22 +506,41 @@ _COND_KIND = "smdc-cond-chain"
 _COND_HEADER = f"{_COND_KIND} 1"
 
 
-def _read_head(text: str, header: str):
-    """The lambda vector of a chain file with this header, and the lines
-    after it."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+def _lines(text: str) -> list[str]:
+    """The stripped nonblank lines of a chain file."""
+    return [ln.strip() for ln in text.splitlines() if ln.strip()]
+
+
+def _read(text: str, header: str, kind: str, head: tuple[str, ...], arity: dict[str, int]):
+    """One chain file: its lambda vector, the lines after it that start
+    with the `head` keywords, in turn, and tag -> alpha -> subset -> ... ->
+    value for the records, each tag keyed by `arity[tag]` subsets.  A
+    second record for the same keys is refused."""
+    lines = _lines(text)
     if not lines or lines[0] != header:
         raise ValueError(f"expected header {header!r}")
     if len(lines) < 2 or not lines[1].startswith("lambda "):
         raise ValueError("expected a lambda line")
-    return as_fractions(lines[1].split()[1:]), lines[2:]
-
-
-def _put(records: dict, key, value, line: str) -> None:
-    """Store one chain-file record, refusing a second for the same key."""
-    if key in records:
-        raise ValueError(f"duplicate {line.split()[0]} record: {line!r}")
-    records[key] = value
+    lam = as_fractions(lines[1].split()[1:])
+    for i, word in enumerate(head, 2):
+        if len(lines) <= i or not lines[i].startswith(word + " "):
+            raise ValueError(f"expected an {word} line")
+    start = 2 + len(head)
+    records: dict[str, dict] = {tag: {} for tag in arity}
+    for ln in lines[start:]:
+        parts = ln.split()
+        k = arity.get(parts[0])
+        if k is None or len(parts) != k + 3:
+            raise ValueError(f"unrecognized {kind} line: {ln!r}")
+        into = records[parts[0]].setdefault(int(parts[1]), {})
+        *outer, key = (parse_subset(p, len(lam)) for p in parts[2:-1])
+        for u in outer:
+            into = into.setdefault(u, {})
+        value = as_fraction(parts[-1])
+        if key in into:
+            raise ValueError(f"duplicate {parts[0]} record: {ln!r}")
+        into[key] = value
+    return lam, lines[2:start], records
 
 
 def chain_to_text(chain: CoefficientChain) -> str:
@@ -550,23 +563,8 @@ def chain_to_text(chain: CoefficientChain) -> str:
 
 
 def chain_from_text(text: str) -> CoefficientChain:
-    lam, records = _read_head(text, _CHAIN_HEADER)
-    L = len(lam)
-    levels: dict[int, dict[EncoderSet, Fraction]] = {}
-    covers: dict[int, dict[EncoderSet, dict[EncoderSet, Fraction]]] = {}
-    for ln in records:
-        parts = ln.split()
-        if parts[0] == "c" and len(parts) == 4:
-            alpha = int(parts[1])
-            u = parse_subset(parts[2], L)
-            _put(levels.setdefault(alpha, {}), u, as_fraction(parts[3]), ln)
-        elif parts[0] == "g" and len(parts) == 5:
-            alpha = int(parts[1])
-            u = parse_subset(parts[2], L)
-            v = parse_subset(parts[3], L)
-            _put(covers.setdefault(alpha, {}).setdefault(u, {}), v, as_fraction(parts[4]), ln)
-        else:
-            raise ValueError(f"unrecognized chain line: {ln!r}")
+    lam, _, records = _read(text, _CHAIN_HEADER, "chain", (), {"c": 1, "g": 2})
+    levels, covers = records["c"], records["g"]
     built_levels = {
         alpha: SubsetCoefficients(level=alpha, assignment=assignment)
         for alpha, assignment in levels.items()
@@ -597,25 +595,14 @@ def conditional_to_text(assignment: ConditionalAssignment) -> str:
 
 
 def conditional_from_text(text: str) -> ConditionalAssignment:
-    lam, records = _read_head(text, _COND_HEADER)
-    if not records or not records[0].startswith("n "):
-        raise ValueError("expected an n line")
-    n_secure = int(records[0].split()[1])
-    L = len(lam)
-    split: dict[int, dict[EncoderSet, dict[EncoderSet, Fraction]]] = {}
-    for ln in records[1:]:
-        parts = ln.split()
-        if parts[0] != "s" or len(parts) != 5:
-            raise ValueError(f"unrecognized conditional line: {ln!r}")
-        alpha = int(parts[1])
-        u = parse_subset(parts[2], L)
-        a = parse_subset(parts[3], L)
-        _put(split.setdefault(alpha, {}).setdefault(u, {}), a, as_fraction(parts[4]), ln)
-    return ConditionalAssignment(weights=lam, n_secure=n_secure, split=split)
+    lam, (n_line,), records = _read(text, _COND_HEADER, "conditional", ("n",), {"s": 2})
+    n_secure = int(n_line.split()[1])
+    return ConditionalAssignment(weights=lam, n_secure=n_secure, split=records["s"])
 
 
 def verify_text(text: str) -> ChainReport:
-    """Read and audit a chain file of either kind, told apart by its header."""
-    if text.startswith(_COND_KIND):
+    """Read and audit a chain file of either kind, told apart by its header,
+    the first nonblank line."""
+    if next(iter(_lines(text)), "").startswith(_COND_KIND):
         return verify_conditional(conditional_from_text(text))
     return verify_chain(chain_from_text(text))

@@ -209,6 +209,29 @@ class TestCoversCommands:
         code, _, _ = run(capsys, "covers", "verify", "--file", str(out_file))
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "lead,header,want",
+        [
+            ("\n  \n", "smdc-cond-chain 1", 0),
+            ("\n", "smdc-cond-chain 2", 3),
+            ("", "smdc-cond-chain 2", 3),
+        ],
+    )
+    def test_verify_takes_the_kind_from_the_first_nonblank_line(
+        self, capsys, tmp_path, lead, header, want
+    ):
+        path = tmp_path / "cond.txt"
+        assert run(capsys, "covers", "conditional", "--weights", "2,1,1", "--n", "1",
+                   "--out", str(path))[0] == 0
+        text = path.read_text().replace("smdc-cond-chain 1", header)
+        path.write_text(lead + text)
+        code, out, err = run(capsys, "covers", "verify", "--file", str(path))
+        assert code == want
+        if want == 0:
+            assert out.splitlines() == ["pass"]
+        else:
+            assert out == "" and "expected header 'smdc-cond-chain 1'" in err
+
     def test_chain_json_lists_cases(self, capsys):
         code, out, _ = run(
             capsys, "covers", "chain", "--weights", "5,1,1", "--json"

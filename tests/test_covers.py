@@ -1,12 +1,18 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smdc
 import smdc.covers as cov
 from smdc.covers import (
     CASE_1,
@@ -235,6 +241,76 @@ class TestYzChain:
                 alpha == 2 or top <= rest / (alpha - 2)
             )
             assert one + two + three == 1
+
+
+# a child that would enumerate a chain past the ground cap dies at this
+# address-space limit or the timeout, not by exhausting the host's memory
+CHILD_MEMORY = 1 << 30
+CHILD_TIMEOUT_S = 60
+
+
+def run_capped(*argv):
+    """`python *argv` in a child with the address space capped."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(smdc.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *argv], env=env, preexec_fn=cap,
+        capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
+    )
+
+
+class TestGroundCap:
+    """25 weights are past `MAX_ENUMERATION_GROUND`: the chain would hold
+    25 * 2^24 cover entries, so every builder and command that makes one
+    refuses at once."""
+
+    WEIGHTS = ",".join(["1"] * 25)
+
+    @pytest.mark.parametrize(
+        "build",
+        ["yz_chain([1] * 25)", "han_chain(25)", "conditional_chain([1] * 25, 1)"],
+    )
+    def test_builders_refuse_at_once(self, build):
+        got = run_capped("-c", f"""
+import time
+from smdc.covers import *
+start = time.perf_counter()
+try:
+    {build}
+except ValueError as err:
+    print(time.perf_counter() - start, err)
+""")
+        assert got.returncode == 0, got.stderr
+        elapsed, message = got.stdout.split(" ", 1)
+        assert float(elapsed) < 1
+        assert "ground size must be in 1..24, got 25" in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["covers", "han", "--encoders", "25"],
+            ["covers", "chain", "--weights", WEIGHTS],
+            ["covers", "conditional", "--weights", WEIGHTS, "--n", "1"],
+            ["covers", "verify", "--weights", WEIGHTS],
+            ["covers", "verify", "--weights", WEIGHTS, "--n", "1"],
+            ["entropy", "check", "--which", "yz", "--alpha", "2", "--weights", WEIGHTS],
+            ["entropy", "check", "--which", "cyz", "--alpha", "2", "--weights", WEIGHTS],
+            ["entropy", "check", "--which", "mt", "--u", "1,2", "--weights", WEIGHTS],
+        ],
+    )
+    def test_commands_exit_3(self, tmp_path, argv):
+        if argv[0] == "entropy":
+            pmf = tmp_path / "p.pmf"
+            pmf.write_text("3 2 2 2\n0 0 0 1/2\n1 1 1 1/2\n")
+            argv = [*argv, "--pmf", str(pmf)]
+        cli = "import sys; from smdc.cli import main; sys.exit(main(sys.argv[1:]))"
+        got = run_capped("-c", cli, *argv)
+        assert got.returncode == 3, got.stderr
+        assert got.stdout == "" and got.stderr.startswith("error:")
+        assert "Traceback" not in got.stderr
 
 
 class TestCovers:
@@ -624,8 +700,10 @@ class TestSerialization:
         assert verify_conditional(back).ok
 
     def test_verify_text_reads_either_kind(self):
-        assert cov.verify_text(chain_to_text(yz_chain((3, 1, 1)))).ok
-        assert cov.verify_text(conditional_to_text(conditional_chain((2, 1, 1), 1))).ok
+        # the kind is read from the first nonblank line, as the readers do
+        for lead in ("", "\n \n"):
+            assert cov.verify_text(lead + chain_to_text(yz_chain((3, 1, 1)))).ok
+            assert cov.verify_text(lead + conditional_to_text(conditional_chain((2, 1, 1), 1))).ok
         text = conditional_to_text(conditional_chain((1, 1, 1), 1))
         report = cov.verify_text(text.replace("s 1 1 2 ", "s 1 1 1 "))
         assert "level 1: adversary overlaps {1}" in report.failures
