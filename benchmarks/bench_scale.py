@@ -6,14 +6,15 @@
 Each entry runs on inputs fixed by a seeded generator and reports the
 median of K runs (one run with --quick): a plain encode and decode of
 4 KB sources at L=30 (and L=60 with --full), the three membership
-queries at L=6 and 12 for a member and a non-member, yz_chain and
-conditional_chain at L=7, f_profile at L=10, the Han, Yeung-Zhang and
-conditional checks on a pmf of five ternary variables, and the stream
-kernels' MB/s from benchmarks/bench_gf.py.  The JSON record, with the
-kernel backend, the Python version, nproc, the platform and the git
-commit, goes to stdout and the table to stderr; a change records its
-numbers with `> BENCH_<pr>.json`.  Nothing is gated: the output is a
-record, and a change is judged by the benchmark in perfbench/.
+queries at L=6, 12, 20 and 24 (the cap) for a member and a non-member,
+yz_chain and conditional_chain at L=7, f_profile at L=10, the Han,
+Yeung-Zhang and conditional checks on a pmf of five ternary variables,
+and the stream kernels' MB/s from benchmarks/bench_gf.py.  The JSON
+record, with the kernel backend, the Python version, nproc, the
+platform and the git commit, goes to stdout and the table to stderr; a
+change records its numbers with `> BENCH_<pr>.json`.  Nothing is gated:
+the output is a record, and a change is judged by the benchmark in
+perfbench/.
 """
 
 from __future__ import annotations
@@ -75,12 +76,12 @@ MEMBER_QUERIES = {
 }
 
 
-def member_cases(rng):
-    """Each membership query at L=6 and 12: rates a little above the
+def member_cases(rng, sizes):
+    """Each membership query at every L of sizes: rates a little above the
     superposition point r_l = sum_a H_a / a are members, rates at 70-90%
     of it violate the all-ones hyperplane."""
     out = {}
-    for L in (6, 12):
+    for L in sizes:
         h = [Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(L)]
         for name, (n_secure, query) in MEMBER_QUERIES.items():
             hs = h[: L - n_secure]
@@ -150,8 +151,11 @@ def main():
 
     rng = random.Random(SEED)
     cases = codec_cases(rng, (30, 60) if args.full else (30,))
-    cases.update(member_cases(rng))
+    cases.update(member_cases(rng, (6, 12)))
     cases.update(chain_cases(rng))
+    # a generator of their own, so that the other entries keep the inputs
+    # of the records made before these sizes were added
+    cases.update(member_cases(random.Random(SEED + 1), (20, 24)))
     results = {name: median_time(fn, runs) for name, fn in cases.items()}
     checks, fresh = entropy_case(rng)
     results["entropy.checks.3^5"] = median_time(checks, runs, setup=fresh)

@@ -44,7 +44,14 @@ from .exactlp import as_fraction, as_fractions, over_common_denominator
 from .region import SubsetCoefficients, f_value
 # re-exported: the benchmark tracer (perfbench/tracing.py) wraps covers.f_alpha
 from .region import f_alpha  # noqa: F401
-from .subsets import EncoderSet, check_ground, format_subset, parse_subset, subsets_of_size
+from .subsets import (
+    MAX_CHAIN_GROUND,
+    EncoderSet,
+    check_ground,
+    format_subset,
+    parse_subset,
+    subsets_of_size,
+)
 
 _ZERO = Fraction(0)
 
@@ -261,7 +268,12 @@ def yz_chain(weights) -> CoefficientChain:
     if not lam or any(x.numerator < 0 for x in lam):
         raise ValueError("weights must be nonempty and nonnegative")
     L = len(lam)
-    check_ground(L)  # the chain has L * 2**(L-1) cover entries
+    check_ground(L)
+    if L > MAX_CHAIN_GROUND:
+        raise ValueError(
+            f"chains support at most L={MAX_CHAIN_GROUND} (about L * 2^(L-1) "
+            f"cover entries), got {L}"
+        )
     by_encoder = dict(enumerate(lam, 1))
     ground = tuple(sorted(by_encoder, key=lambda e: (-by_encoder[e], e)))
     p = sum(1 for x in lam if x.numerator > 0)

@@ -1,16 +1,24 @@
 """Exact linear programming over rationals.
 
-Two-phase primal simplex with Bland's anti-cycling rule on an
-integer-preserving tableau: `LinearProgram.add` scales each row to
-integers once, by the lcm of its denominators (a row of ints by that of
-its right-hand side alone), and keeps only the integer row; pivots
-divide exactly by the previous pivot, and `fractions.Fraction` appears
-only when the answer is read back.  Optimal solves return a primal
-vertex and a dual vector whose objective matches the primal exactly;
-infeasible systems return a Farkas certificate.  Both are re-verified exactly against the
-integer rows before being handed back, the point and the multipliers
-each put over one common denominator (`over_common_denominator`), so a
-returned solution is proof-checked without a `Fraction` per term.
+One condensed integer tableau (Tucker form: a row per constraint, a
+column per nonbasic variable, no slack, surplus or artificial columns).
+`LinearProgram.add` scales each row to integers once, by the lcm of its
+denominators (a row of ints by that of its right-hand side alone), and
+keeps only the integer row; pivots divide exactly by the previous pivot,
+and `fractions.Fraction` appears only when the answer is read back.
+Feasibility is a dual simplex from the slack basis, with no phase-1
+objective: the most negative row leaves and its largest positive entry
+enters, with Bland's rule once a basis repeats, and a negative row with
+no positive entry is itself the Farkas certificate.  `solve_max` follows
+it with Bland's primal simplex on the same tableau; when the slack basis
+is feasible (every row `<=` with b >= 0) it takes the pivots of the
+textbook two-phase tableau.  Optimal solves return a primal vertex and a
+dual vector whose objective matches the primal exactly; infeasible
+systems return a Farkas certificate.  Both are re-verified exactly
+against the integer rows before being handed back, the point and the
+multipliers each put over one common denominator
+(`over_common_denominator`), so a returned solution is proof-checked
+without a `Fraction` per term.
 
 Conventions for `max c.x, rows, x >= 0`:
   * dual[i]        >= 0 on `<=` rows, <= 0 on `>=` rows,
@@ -143,221 +151,163 @@ class FeasibilityResult:
     certificate: tuple[Fraction, ...] | None = None
 
 
-class _Simplex:
-    """Dense integer-preserving tableau; shared by solve_max and feasible.
+class _Tableau:
+    """Condensed integer tableau (Tucker form); shared by solve_max and
+    feasible.
 
-    Row i of [A | b], sign-flipped so that b >= 0, is the integer row
-    that `LinearProgram.add` scaled by sigma_i; its slack, surplus and
-    artificial columns stay +-1.  The tableau holds D times the rational
-    tableau of that integer system, D > 0 being |det| of the current
-    basis, so every pivot divides exactly by the previous D (Edmonds
-    1967, Bareiss 1968) and no gcd is taken.  Scaling a row, a column or
-    the objective by a positive number changes no sign and no ratio order
-    within a column, so Bland's rule takes the same pivots as on the
-    rational tableau.
+    Variable j < n is x_j and variable n + i is row i's slack: s_i =
+    b_i - a_i.x on a `<=` row and a_i.x - b_i on a `>=` row, both times
+    sigma_i, the scale `LinearProgram.add` gave the row, so that the
+    slacks start as the basis with integer rows.  Row i reads its basic
+    variable as (beta_i + T_i . x_N) / D over the nonbasic variables, one
+    column each, with no slack, surplus or artificial columns.  D > 0 is
+    |det| of the basis, so every pivot divides exactly by the previous D
+    (Edmonds 1967, Bareiss 1968) and no gcd is taken.  Phase 2 appends
+    the objective, times K, as one more row of the same form.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = lp.num_vars
-        m = lp.num_rows
-        self.n = n
-        self.flip = [-1 if r < 0 else 1 for r in lp.rhs]
-        senses = []
-        for s, f in zip(lp.senses, self.flip):
-            senses.append(s if f == 1 else (GE if s == LE else LE))
-
-        self.art_cols: list[int] = []
-        ncols = n + m
-        for s in senses:
-            if s == GE:
-                self.art_cols.append(ncols)
-                ncols += 1
-        self.ncols = ncols
-
-        self.T: list[list[int]] = []
-        self.b: list[int] = []
-        self.basis: list[int] = []
-        self.ident: list[int] = []          # column that starts as +e_i for row i
-        self.row_orig: list[int] = []       # original row index (rows may be dropped)
-        self.scale = lp.scales              # sigma_i, by original row
-
-        art_iter = iter(self.art_cols)
-        for i in range(m):
-            f = self.flip[i]
-            row = [0] * ncols
-            for j, a in enumerate(lp.int_rows[i]):
-                if a:
-                    row[j] = f * a
-            if senses[i] == LE:
-                row[n + i] = 1               # slack
-                self.basis.append(n + i)
-                self.ident.append(n + i)
-            else:
-                row[n + i] = -1              # surplus
-                art = next(art_iter)
-                row[art] = 1
-                self.basis.append(art)
-                self.ident.append(art)
-            self.T.append(row)
-            self.b.append(f * lp.int_rhs[i])
-            self.row_orig.append(i)
-
-        self.D = 1                          # tableau = D * rational tableau
-        self.K = 1                          # objective = K * the phase's objective
-        self.zrow: list[int] = [0] * ncols
-        self.zval = 0
-        self.banned: frozenset[int] = frozenset()
-
-    def _price(self, costs: list[int], K: int) -> None:
-        D = self.D
-        z = [-D * c for c in costs]
-        v = 0
-        for i, row in enumerate(self.T):
-            cb = costs[self.basis[i]]
-            if cb:
-                for j, a in enumerate(row):
-                    if a:
-                        z[j] += cb * a
-                v += cb * self.b[i]
-        self.zrow = z
-        self.zval = v
-        self.K = K
+        self.n = n = lp.num_vars
+        self.m = m = lp.num_rows
+        self.T = [[-a for a in row] if s == LE else list(row)
+                  for row, s in zip(lp.int_rows, lp.senses)]
+        self.beta = [b if s == LE else -b for b, s in zip(lp.int_rhs, lp.senses)]
+        self.basis = list(range(n, n + m))  # the variable of each row
+        self.nonbasic = list(range(n))      # the variable of each column
+        self.D = 1
+        self.K = 1
+        self.bland = False                  # set once a basis repeats
 
     def _pivot(self, r: int, c: int) -> None:
-        T, b, D = self.T, self.b, self.D
+        """Swap row r's basic variable with column c's: T'_ij = (p T_ij -
+        T_ic T_rj) / D, column c keeps T_ic and row r becomes -T_rj with D
+        at column c.  A negative pivot p negates every row, keeping D > 0."""
+        T, beta, D = self.T, self.beta, self.D
         row = T[r]
-        p = row[c]
-        if p < 0:
-            # only drop_artificials pivots on a negative entry; negating
-            # the pivot row negates every new row, which keeps D > 0
-            T[r] = row = [-a for a in row]
-            b[r] = -b[r]
-            p = -p
-        br = b[r]
+        s = 1 if row[c] > 0 else -1
+        p, br = s * row[c], beta[r]
         for i, other in enumerate(T):
             if i == r:
                 continue
-            f = other[c]
+            f = s * other[c]
             if f:
-                T[i] = [(p * a - f * t) // D for a, t in zip(other, row)]
-                b[i] = (p * b[i] - f * br) // D
+                T[i] = new = [(p * a - f * t) // D for a, t in zip(other, row)]
+                new[c] = f
+                beta[i] = (p * beta[i] - f * br) // D
             elif p != D:
                 T[i] = [p * a // D for a in other]
-                b[i] = p * b[i] // D
-        f = self.zrow[c]
-        if f or p != D:
-            self.zrow = [(p * a - f * t) // D for a, t in zip(self.zrow, row)]
-            self.zval = (p * self.zval - f * br) // D
+                beta[i] = p * beta[i] // D
+        T[r] = new = [-s * t for t in row]
+        new[c] = s * D
+        beta[r] = -s * br
         self.D = p
-        self.basis[r] = c
+        self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
-    def _entering(self) -> int | None:
-        for j, z in enumerate(self.zrow):
-            if z < 0 and j not in self.banned:
-                return j
-        return None
-
-    def _leaving(self, c: int) -> int | None:
-        # least b_i / a_i over a_i > 0, by cross-multiplication; ties go
-        # to the smaller basis index
-        best = None
-        for i, row in enumerate(self.T):
-            a = row[c]
-            if a > 0:
-                if best is None:
-                    best, best_a = i, a
-                    continue
-                lhs, rhs = self.b[i] * best_a, self.b[best] * a
-                if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best]):
-                    best, best_a = i, a
-        return best
-
-    def _run(self) -> str:
+    def dual_phase(self) -> int | None:
+        """Pivot to a feasible basis and return None, or return a row
+        whose basic variable is negative at every x_N >= 0.  The leaving
+        row has the most negative beta, the entering column the largest
+        positive entry in that row; once a basis repeats, both go by the
+        least variable index (Bland's rule) for the rest of the solve."""
+        T, beta, basis, nonbasic = self.T, self.beta, self.basis, self.nonbasic
+        key = sum(1 << v for v in basis)
+        seen = {key}
         while True:
-            c = self._entering()
-            if c is None:
+            rows = [i for i in range(self.m) if beta[i] < 0]
+            if not rows:
+                return None
+            if self.bland:
+                r = min(rows, key=basis.__getitem__)
+                cols = [j for j, a in enumerate(T[r]) if a > 0]
+                if not cols:
+                    return r
+                c = min(cols, key=nonbasic.__getitem__)
+            else:
+                r = min(rows, key=beta.__getitem__)
+                c = max(range(self.n), key=T[r].__getitem__)
+                if T[r][c] <= 0:
+                    return r
+                key ^= (1 << basis[r]) | (1 << nonbasic[c])
+                if key in seen:
+                    self.bland = True
+                seen.add(key)
+            self._pivot(r, c)
+
+    def primal_phase(self) -> str:
+        """Price the objective into a row of its own, then Bland's rule:
+        the least variable with a positive entry there enters, and the
+        least ratio beta_i / -T_ic leaves, ties to the least basic
+        variable."""
+        T, beta, basis, nonbasic = self.T, self.beta, self.basis, self.nonbasic
+        costs, self.K = over_common_denominator(self.lp.objective)
+        costs += [0] * self.m
+        z, z0 = [self.D * costs[v] for v in nonbasic], 0
+        for i in range(self.m):
+            cb = costs[basis[i]]
+            if cb:
+                z = [a + cb * t for a, t in zip(z, T[i])]
+                z0 += cb * beta[i]
+        T.append(z)
+        beta.append(z0)
+        while True:
+            cols = [j for j, d in enumerate(T[-1]) if d > 0]
+            if not cols:
                 return OPTIMAL
-            r = self._leaving(c)
+            c = min(cols, key=nonbasic.__getitem__)
+            r = None
+            for i in range(self.m):
+                a = -T[i][c]
+                if a > 0:
+                    if r is not None:
+                        lhs, rhs = beta[i] * best_a, beta[r] * a
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[r]):
+                            continue
+                    r, best_a = i, a
             if r is None:
                 return UNBOUNDED
             self._pivot(r, c)
 
-    # phases -----------------------------------------------------------
-
-    def phase1(self) -> bool:
-        """Returns True when the system is feasible."""
-        if not self.art_cols:
-            return True
-        # row i is scaled by sigma_i but its artificial's column is not,
-        # so that artificial costs -1/sigma_i; times K to stay integral
-        art = set(self.art_cols)
-        arts = [(col, self.scale[i]) for i, col in enumerate(self.ident) if col in art]
-        K = lcm(*(sigma for _, sigma in arts))
-        costs = [0] * self.ncols
-        for col, sigma in arts:
-            costs[col] = -(K // sigma)
-        self._price(costs, K)
-        status = self._run()
-        if status != OPTIMAL:
-            raise AssertionError("phase-1 objective is bounded by zero")
-        return self.zval == 0
-
-    def _row_price(self, i: int) -> Fraction:
-        """Simplex multiplier of row i's flipped, unscaled constraint."""
-        orig = self.row_orig[i]
-        return Fraction(self.zrow[self.ident[i]] * self.scale[orig], self.D * self.K)
-
-    def farkas(self) -> tuple[Fraction, ...]:
-        """Infeasibility certificate in original row order."""
-        art = set(self.art_cols)
-        cert = [_ZERO] * self.lp.num_rows
-        for i, orig in enumerate(self.row_orig):
-            y = self._row_price(i) - (1 if self.ident[i] in art else 0)
-            cert[orig] = -y * self.flip[orig]
-        return tuple(cert)
-
-    def drop_artificials(self) -> None:
-        art = set(self.art_cols)
-        r = 0
-        while r < len(self.T):
-            if self.basis[r] in art:
-                col = None
-                for j in range(self.ncols):
-                    if j not in art and self.T[r][j] != 0:
-                        col = j
-                        break
-                if col is None:
-                    # redundant row: remove it, dual contribution is zero
-                    del self.T[r], self.b[r], self.basis[r]
-                    del self.ident[r], self.row_orig[r]
-                    continue
-                self._pivot(r, col)
-            r += 1
-        self.banned = frozenset(self.art_cols)
-
-    def phase2(self) -> str:
-        costs, K = over_common_denominator(self.lp.objective)
-        self._price(costs + [0] * (self.ncols - self.n), K)
-        return self._run()
-
     # extraction -------------------------------------------------------
 
+    def _slack_entries(self, row: list[int]) -> list[int]:
+        """row's entries at the slack columns, in row order; 0 at a basic slack."""
+        out = [0] * self.m
+        for j, v in enumerate(self.nonbasic):
+            if v >= self.n:
+                out[v - self.n] = row[j]
+        return out
+
+    def _by_row(self, ys: list[int], d: int) -> tuple[Fraction, ...]:
+        """Multipliers ys of the slack rows as multipliers of the rows as
+        added: a `>=` row's slack is negated, and every row scaled by
+        sigma_i; all over d."""
+        return tuple(
+            Fraction(y * sigma if s == GE else -y * sigma, d) if y else _ZERO
+            for y, s, sigma in zip(ys, self.lp.senses, self.lp.scales)
+        )
+
     def value(self) -> Fraction:
-        return Fraction(self.zval, self.D * self.K)
+        return Fraction(self.beta[self.m], self.D * self.K)
 
     def primal(self) -> tuple[Fraction, ...]:
         x = [_ZERO] * self.n
-        for i, bcol in enumerate(self.basis):
-            if bcol < self.n:
-                x[bcol] = Fraction(self.b[i], self.D)
+        for i in range(self.m):
+            if self.basis[i] < self.n:
+                x[self.basis[i]] = Fraction(self.beta[i], self.D)
         return tuple(x)
 
     def dual(self) -> tuple[Fraction, ...]:
-        y = [_ZERO] * self.lp.num_rows
-        for i, orig in enumerate(self.row_orig):
-            y[orig] = self._row_price(i) * self.flip[orig]
-        return tuple(y)
+        return self._by_row(self._slack_entries(self.T[self.m]), self.D * self.K)
+
+    def farkas(self, r: int) -> tuple[Fraction, ...]:
+        """Row r, with beta_r < 0 and no positive entry, is the combination
+        of the slack rows with multipliers y >= 0 (D at its own slack,
+        -T_rj at a nonbasic one): y.A~ >= 0 and y.b~ = beta_r < 0."""
+        ys = [-t for t in self._slack_entries(self.T[r])]
+        if self.basis[r] >= self.n:
+            ys[self.basis[r] - self.n] = self.D
+        return self._by_row(ys, self.D)
 
 
 def _scaled_multipliers(lp: LinearProgram, y: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -427,32 +377,32 @@ def _check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
 
 def solve_max(lp: LinearProgram) -> LpSolution:
     """Solve to optimality, with exact strong duality verified internally."""
-    sx = _Simplex(lp)
-    if not sx.phase1():
-        cert = sx.farkas()
+    tab = _Tableau(lp)
+    r = tab.dual_phase()
+    if r is not None:
+        cert = tab.farkas(r)
         _check_certificate(lp, cert)
         return LpSolution(status=INFEASIBLE, certificate=cert)
-    sx.drop_artificials()
-    status = sx.phase2()
-    if status == UNBOUNDED:
+    if tab.primal_phase() == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
     sol = LpSolution(
         status=OPTIMAL,
-        value=sx.value(),
-        primal=sx.primal(),
-        dual=sx.dual(),
+        value=tab.value(),
+        primal=tab.primal(),
+        dual=tab.dual(),
     )
     _check_optimal(lp, sol)
     return sol
 
 
 def feasible(lp: LinearProgram) -> FeasibilityResult:
-    """Phase-1 feasibility: an exact point, or a verified Farkas certificate."""
-    sx = _Simplex(lp)
-    if sx.phase1():
-        x = sx.primal()
+    """The dual phase alone: an exact point, or a verified Farkas certificate."""
+    tab = _Tableau(lp)
+    r = tab.dual_phase()
+    if r is None:
+        x = tab.primal()
         _check_point(lp, x)
         return FeasibilityResult(feasible=True, point=x)
-    cert = sx.farkas()
+    cert = tab.farkas(r)
     _check_certificate(lp, cert)
     return FeasibilityResult(feasible=False, certificate=cert)

@@ -37,7 +37,7 @@ from .exactlp import (
 )
 from .subsets import EncoderSet, subsets_of_size
 
-MAX_MEMBERSHIP_GROUND = 12
+MAX_MEMBERSHIP_GROUND = 24
 
 _ZERO = Fraction(0)
 

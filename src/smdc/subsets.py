@@ -6,8 +6,9 @@ and the children of a subset one level down.  A subset's identity is
 its bit mask: an `EncoderSet` builds it once, while its members are
 validated, and compares and hashes on (mask, ground size).  Each level
 family is built once and shared; callers get a fresh list of it.  Full
-enumeration is capped at L=24; paths that never enumerate whole levels
-may accept larger ground sets.
+enumeration is capped at L=24 and coefficient chains, which hold about
+L * 2^(L-1) cover entries, at L=18; paths that never enumerate whole
+levels may accept larger ground sets.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 MAX_ENUMERATION_GROUND = 24
+# a coefficient chain holds about L * 2**(L-1) cover entries of some 230
+# bytes each: 2.4 million, about half a gigabyte, at L=18, and more than
+# twice as many with each encoder past it
+MAX_CHAIN_GROUND = 18
 # larger families are built afresh on every call rather than kept
 MAX_SHARED_FAMILY = 1 << 16
 

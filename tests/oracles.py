@@ -6,9 +6,10 @@ systems by plain Gaussian elimination over Fractions.  Membership is
 decided by the full subset system, too large for vertex enumeration, so
 it goes through the general simplex, which no membership path uses, and
 its point or Farkas certificate is re-checked here.  `FractionSimplex`
-is the dense `Fraction` tableau that the library's integer-preserving
-one replaced; both take the same pivots, so `reference_solve_max` and
-`reference_feasible` must give exactly the library's answers.  The
+is the library's condensed tableau with one `Fraction` per cell instead
+of integers over a running determinant; both take the same pivots, so
+`reference_solve_max` and `reference_feasible` must give exactly the
+library's answers.  The
 chain audits, f_alpha's closed form, subset entropies, the membership
 rate split, the case-3 covers, the level reconstruction and the
 conditional push have `Fraction`-per-step references here too, which
@@ -156,208 +157,142 @@ def subset_system_member(rates, entropies, levels, r0=None):
 
 
 class FractionSimplex:
-    """The dense `Fraction` tableau that `exactlp._Simplex` replaced: the
-    same two phases, Bland's rule and read-out, one normalised `Fraction`
-    per cell."""
+    """`exactlp._Tableau` with one normalised `Fraction` per cell: the
+    condensed tableau x_B = beta + T x_N over the slacks of the rows
+    scaled by the lcm of their denominators, the same dual phase, switch
+    to Bland's rule, primal phase and read-out."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = lp.num_vars
-        m = lp.num_rows
-        self.n = n
-        self.flip = [-1 if r < 0 else 1 for r in lp.rhs]
-        senses = []
-        for s, f in zip(lp.senses, self.flip):
-            senses.append(s if f == 1 else (GE if s == LE else LE))
-
-        self.art_cols: list[int] = []
-        ncols = n + m
-        for s in senses:
-            if s == GE:
-                self.art_cols.append(ncols)
-                ncols += 1
-        self.ncols = ncols
-
-        self.T: list[list[Fraction]] = []
-        self.b: list[Fraction] = []
-        self.basis: list[int] = []
-        self.ident: list[int] = []          # column that starts as +e_i for row i
-        self.row_orig: list[int] = []       # original row index (rows may be dropped)
-
-        art_iter = iter(self.art_cols)
-        rows = lp.rows
-        for i in range(m):
-            row = [_ZERO] * ncols
-            f = self.flip[i]
-            for j, a in enumerate(rows[i]):
-                if a:
-                    row[j] = a if f == 1 else -a
-            rhs = lp.rhs[i] if f == 1 else -lp.rhs[i]
-            if senses[i] == LE:
-                row[n + i] = _ONE            # slack
-                self.basis.append(n + i)
-                self.ident.append(n + i)
-            else:
-                row[n + i] = -_ONE           # surplus
-                art = next(art_iter)
-                row[art] = _ONE
-                self.basis.append(art)
-                self.ident.append(art)
-            self.T.append(row)
-            self.b.append(rhs)
-            self.row_orig.append(i)
-
-        self.zrow: list[Fraction] = [_ZERO] * ncols
-        self.zval = _ZERO
-        self.banned: frozenset[int] = frozenset()
-
-    def _price(self, costs: list[Fraction]) -> None:
-        z = [-c for c in costs]
-        v = _ZERO
-        for i, row in enumerate(self.T):
-            cb = costs[self.basis[i]]
-            if cb:
-                for j, a in enumerate(row):
-                    if a:
-                        z[j] += cb * a
-                v += cb * self.b[i]
-        self.zrow = z
-        self.zval = v
+        self.n = n = lp.num_vars
+        self.m = m = lp.num_rows
+        # s_i = g_i sigma_i (b_i - a_i.x), g_i = -1 on a >= row
+        self.g = [1 if s == LE else -1 for s in lp.senses]
+        self.sigma = [
+            math.lcm(*(a.denominator for a in row), b.denominator)
+            for row, b in zip(lp.rows, lp.rhs)
+        ]
+        self.T = [
+            [-g * k * a for a in row] for row, g, k in zip(lp.rows, self.g, self.sigma)
+        ]
+        self.beta = [g * k * b for b, g, k in zip(lp.rhs, self.g, self.sigma)]
+        self.basis = list(range(n, n + m))
+        self.nonbasic = list(range(n))
+        self.bland = False
+        self.z: list[Fraction] | None = None
+        self.z0 = _ZERO
 
     def _pivot(self, r: int, c: int) -> None:
-        row = self.T[r]
-        piv = row[c]
-        if piv != 1:
-            self.T[r] = row = [a / piv for a in row]
-            self.b[r] /= piv
-        br = self.b[r]
-        for i, other in enumerate(self.T):
-            if i == r:
-                continue
+        row, p = self.T[r], self.T[r][c]
+        # x_c = (x_Br - beta_r - sum_{j != c} T_rj x_j) / p
+        pivot_row = [-t / p for t in row]
+        pivot_row[c] = 1 / p
+        br = -self.beta[r] / p
+        others = [(i, self.T[i]) for i in range(self.m) if i != r]
+        if self.z is not None:
+            others.append((None, self.z))
+        for i, other in others:
             f = other[c]
-            if f:
-                self.T[i] = [a - f * p for a, p in zip(other, row)]
-                if br:
-                    self.b[i] -= f * br
-        f = self.zrow[c]
-        if f:
-            self.zrow = [a - f * p for a, p in zip(self.zrow, row)]
-            if br:
-                self.zval -= f * br
-        self.basis[r] = c
+            if not f:
+                continue
+            new = [a + f * t for a, t in zip(other, pivot_row)]
+            new[c] = f / p
+            if i is None:
+                self.z, self.z0 = new, self.z0 + f * br
+            else:
+                self.T[i], self.beta[i] = new, self.beta[i] + f * br
+        self.T[r], self.beta[r] = pivot_row, br
+        self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
-    def _entering(self) -> int | None:
-        for j, z in enumerate(self.zrow):
-            if z < 0 and j not in self.banned:
-                return j
-        return None
-
-    def _leaving(self, c: int) -> int | None:
-        best_key = None
-        best_row = None
-        for i, row in enumerate(self.T):
-            a = row[c]
-            if a > 0:
-                key = (self.b[i] / a, self.basis[i])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_row = i
-        return best_row
-
-    def _run(self) -> str:
+    def dual_phase(self) -> int | None:
+        seen = [sorted(self.basis)]
         while True:
-            c = self._entering()
-            if c is None:
-                return OPTIMAL
-            r = self._leaving(c)
-            if r is None:
-                return UNBOUNDED
+            rows = [i for i in range(self.m) if self.beta[i] < 0]
+            if not rows:
+                return None
+            if self.bland:
+                r = min(rows, key=lambda i: self.basis[i])
+                cols = [j for j in range(self.n) if self.T[r][j] > 0]
+                if not cols:
+                    return r
+                c = min(cols, key=lambda j: self.nonbasic[j])
+            else:
+                r = min(rows, key=lambda i: self.beta[i])
+                c = max(range(self.n), key=lambda j: self.T[r][j])
+                if not self.T[r][c] > 0:
+                    return r
             self._pivot(r, c)
+            if not self.bland:
+                self.bland = sorted(self.basis) in seen
+                seen.append(sorted(self.basis))
 
-    # phases -----------------------------------------------------------
-
-    def phase1(self) -> bool:
-        """Returns True when the system is feasible."""
-        if not self.art_cols:
-            return True
-        costs = [_ZERO] * self.ncols
-        for c in self.art_cols:
-            costs[c] = -_ONE
-        self._price(costs)
-        status = self._run()
-        if status != OPTIMAL:
-            raise AssertionError("phase-1 objective is bounded by zero")
-        return self.zval == 0
-
-    def farkas(self) -> tuple[Fraction, ...]:
-        """Infeasibility certificate in original row order."""
-        art = set(self.art_cols)
-        cert = [_ZERO] * self.lp.num_rows
-        for i, orig in enumerate(self.row_orig):
-            col = self.ident[i]
-            y = self.zrow[col] + (-_ONE if col in art else _ZERO)
-            cert[orig] = -y * self.flip[orig]
-        return tuple(cert)
-
-    def drop_artificials(self) -> None:
-        art = set(self.art_cols)
-        r = 0
-        while r < len(self.T):
-            if self.basis[r] in art:
-                col = None
-                for j in range(self.ncols):
-                    if j not in art and self.T[r][j] != 0:
-                        col = j
-                        break
-                if col is None:
-                    # redundant row: remove it, dual contribution is zero
-                    del self.T[r], self.b[r], self.basis[r]
-                    del self.ident[r], self.row_orig[r]
-                    continue
-                self._pivot(r, col)
-            r += 1
-        self.banned = frozenset(self.art_cols)
-
-    def phase2(self) -> str:
-        costs = [_ZERO] * self.ncols
-        for j, c in enumerate(self.lp.objective):
-            costs[j] = c
-        self._price(costs)
-        return self._run()
+    def primal_phase(self) -> str:
+        cost = list(self.lp.objective) + [_ZERO] * self.m
+        self.z = [cost[v] for v in self.nonbasic]
+        for i, v in enumerate(self.basis):
+            for j in range(self.n):
+                self.z[j] += cost[v] * self.T[i][j]
+            self.z0 += cost[v] * self.beta[i]
+        while True:
+            cols = [j for j in range(self.n) if self.z[j] > 0]
+            if not cols:
+                return OPTIMAL
+            c = min(cols, key=lambda j: self.nonbasic[j])
+            rows = [i for i in range(self.m) if self.T[i][c] < 0]
+            if not rows:
+                return UNBOUNDED
+            r = min(rows, key=lambda i: (self.beta[i] / -self.T[i][c], self.basis[i]))
+            self._pivot(r, c)
 
     # extraction -------------------------------------------------------
 
+    def _as_added(self, slack_values) -> tuple[Fraction, ...]:
+        """Multipliers of the slack rows, row i's at variable n + i, as
+        multipliers of the rows as added."""
+        y = [_ZERO] * self.m
+        for v, t in slack_values:
+            if v >= self.n:
+                y[v - self.n] = -self.g[v - self.n] * self.sigma[v - self.n] * t
+        return tuple(y)
+
     def primal(self) -> tuple[Fraction, ...]:
         x = [_ZERO] * self.n
-        for i, bcol in enumerate(self.basis):
-            if bcol < self.n:
-                x[bcol] = self.b[i]
+        for i, v in enumerate(self.basis):
+            if v < self.n:
+                x[v] = self.beta[i]
         return tuple(x)
 
     def dual(self) -> tuple[Fraction, ...]:
-        y = [_ZERO] * self.lp.num_rows
-        for i, orig in enumerate(self.row_orig):
-            y[orig] = self.zrow[self.ident[i]] * self.flip[orig]
-        return tuple(y)
+        # raising b_i by t moves s_i to -g_i sigma_i t, and the objective
+        # by z_j times that
+        return self._as_added([(v, self.z[j]) for j, v in enumerate(self.nonbasic)])
+
+    def farkas(self, r: int) -> tuple[Fraction, ...]:
+        # x_Br - sum_j T_rj x_Nj = beta_r < 0 sums the slack rows with
+        # multipliers 1 at x_Br and -T_rj at x_Nj, all >= 0
+        return self._as_added(
+            [(self.basis[r], _ONE)] + [(v, -self.T[r][j]) for j, v in enumerate(self.nonbasic)]
+        )
 
 
 def reference_solve_max(lp):
     """`exactlp.solve_max` on the Fraction tableau, without its checks."""
     sx = FractionSimplex(lp)
-    if not sx.phase1():
-        return LpSolution(status=INFEASIBLE, certificate=sx.farkas())
-    sx.drop_artificials()
-    if sx.phase2() == UNBOUNDED:
+    r = sx.dual_phase()
+    if r is not None:
+        return LpSolution(status=INFEASIBLE, certificate=sx.farkas(r))
+    if sx.primal_phase() == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
-    return LpSolution(OPTIMAL, sx.zval, sx.primal(), sx.dual())
+    return LpSolution(OPTIMAL, sx.z0, sx.primal(), sx.dual())
 
 
 def reference_feasible(lp):
     """`exactlp.feasible` on the Fraction tableau, without its checks."""
     sx = FractionSimplex(lp)
-    if sx.phase1():
+    r = sx.dual_phase()
+    if r is None:
         return FeasibilityResult(feasible=True, point=sx.primal())
-    return FeasibilityResult(feasible=False, certificate=sx.farkas())
+    return FeasibilityResult(feasible=False, certificate=sx.farkas(r))
 
 
 def slice_f_value(weights, alpha):

@@ -33,7 +33,7 @@ from smdc.covers import (
     yz_chain,
 )
 from smdc.region import SubsetCoefficients, f_alpha
-from smdc.subsets import EncoderSet, subsets_of_size, window
+from smdc.subsets import MAX_CHAIN_GROUND, EncoderSet, subsets_of_size, window
 
 from oracles import (
     fraction_audit_level,
@@ -310,6 +310,64 @@ except ValueError as err:
         got = run_capped("-c", cli, *argv)
         assert got.returncode == 3, got.stderr
         assert got.stdout == "" and got.stderr.startswith("error:")
+        assert "Traceback" not in got.stderr
+
+
+class TestChainCap:
+    """One weight past `MAX_CHAIN_GROUND` the ground is still enumerable,
+    but the chain's L * 2^(L-1) cover entries would not fit in the child's
+    1 GB, so every builder and command that makes one refuses at once."""
+
+    L = MAX_CHAIN_GROUND + 1
+    WEIGHTS = ",".join(["1"] * L)
+    MESSAGE = f"chains support at most L={MAX_CHAIN_GROUND}"
+
+    @pytest.mark.parametrize(
+        "build",
+        ["yz_chain([1] * L)", "han_chain(L)", "conditional_chain([1] * L, 1)"],
+    )
+    def test_builders_refuse_at_once(self, build):
+        got = run_capped("-c", f"""
+import time
+from smdc.covers import *
+L = {self.L}
+start = time.perf_counter()
+try:
+    {build}
+except ValueError as err:
+    print(time.perf_counter() - start, err)
+""")
+        assert got.returncode == 0, got.stderr
+        elapsed, message = got.stdout.split(" ", 1)
+        assert float(elapsed) < 1
+        assert self.MESSAGE in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["covers", "han", "--encoders", str(L)],
+            ["covers", "chain", "--weights", WEIGHTS],
+            ["covers", "conditional", "--weights", WEIGHTS, "--n", "1"],
+            ["covers", "verify", "--weights", WEIGHTS],
+            ["covers", "verify", "--weights", WEIGHTS, "--n", "1"],
+            ["entropy", "check", "--which", "yz", "--alpha", "2", "--weights", WEIGHTS],
+            ["entropy", "check", "--which", "cyz", "--alpha", "2", "--weights", WEIGHTS],
+            ["entropy", "check", "--which", "mt", "--u", "1,2", "--weights", WEIGHTS],
+        ],
+    )
+    def test_commands_exit_3(self, tmp_path, argv):
+        if argv[0] == "entropy":
+            # a pmf on L binary variables, so the weights match it
+            pmf = tmp_path / "p.pmf"
+            zeros, ones = " ".join(["0"] * self.L), " ".join(["1"] * self.L)
+            pmf.write_text(f"{self.L} {' '.join(['2'] * self.L)}\n"
+                           f"{zeros} 1/2\n{ones} 1/2\n")
+            argv = [*argv, "--pmf", str(pmf)]
+        cli = "import sys; from smdc.cli import main; sys.exit(main(sys.argv[1:]))"
+        got = run_capped("-c", cli, *argv)
+        assert got.returncode == 3, got.stderr
+        assert got.stdout == "" and got.stderr.startswith("error:")
+        assert self.MESSAGE in got.stderr
         assert "Traceback" not in got.stderr
 
 

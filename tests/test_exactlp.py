@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +15,7 @@ from smdc.exactlp import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    _Tableau,
     _check_certificate,
     _check_optimal,
     _check_point,
@@ -23,6 +25,8 @@ from smdc.exactlp import (
     over_common_denominator,
     solve_max,
 )
+
+from smdc.region import f_alpha
 
 from oracles import (
     FractionSimplex,
@@ -221,8 +225,8 @@ def build(spec):
     return lp
 
 
-# phase 1 ends with an artificial basic at zero in a row whose first
-# structural entry is -3/2, so drop_artificials pivots on it
+# feasible at the slack basis; the primal phase pivots on the first row's
+# entry -3 at beta = 0, a degenerate pivot on a negative entry
 NEGATIVE_PIVOT = ([F(5, 4)], [([F(-3, 2)], GE, 0), ([F(1, 2)], GE, -1)])
 BEALE = (
     [F(3, 4), -150, F(1, 50), -6],
@@ -231,6 +235,15 @@ BEALE = (
         ([F(1, 2), -90, -F(1, 50), 3], LE, 0),
         ([0, 0, 1, 0], LE, 1),
     ],
+)
+# slack rows s = beta + T y with T = [N; N^-1], N = [[-3, 1], [-7, 2]]
+# (N^3 = I), beta_12 = (-3, -4) and beta_34 = -N^-1 beta_12: the two pivots
+# that the most negative beta and the largest entry pick give back this
+# tableau with its variables relabelled, so the slack basis returns after
+# six pivots
+CYCLE = (
+    [1, 1],
+    [([-3, 1], GE, 3), ([-7, 2], GE, 4), ([2, -1], GE, -2), ([7, -3], GE, -9)],
 )
 
 
@@ -242,16 +255,64 @@ class TestAgainstFractionTableau:
     @given(lp_specs())
     @example(NEGATIVE_PIVOT)
     @example(BEALE)
+    @example(CYCLE)
     def test_same_answers(self, spec):
         lp = build(spec)
         assert solve_max(lp) == reference_solve_max(lp)
         assert feasible(lp) == reference_feasible(lp)
 
     def test_negative_pivot_example(self):
-        sx = FractionSimplex(build(NEGATIVE_PIVOT))
-        assert sx.phase1()
-        (r,) = [i for i, col in enumerate(sx.basis) if col in sx.art_cols]
-        assert next(a for a in sx.T[r] if a) < 0
+        # x enters, and the least ratio is the first row's 0 / 3; the pivot
+        # on -3 negates every row, so D becomes 3, not -3
+        tab = _Tableau(build(NEGATIVE_PIVOT))
+        assert tab.dual_phase() is None
+        assert (tab.T[0], tab.beta[:2]) == ([-3], [0, 2])
+        assert tab.primal_phase() == OPTIMAL
+        # x = -s_0 / 3 and s_1 = (6 - s_0) / 3
+        assert (tab.D, tab.basis) == (3, [0, 2])
+        assert (tab.T[:2], tab.beta[:2]) == ([[-1], [-1]], [0, 6])
+
+    def test_repeated_basis_switches_to_bland(self):
+        lp = build(CYCLE)
+        tab = _Tableau(lp)
+        bases = []
+
+        def pivot(r, c, pivot=tab._pivot):
+            pivot(r, c)
+            bases.append(sorted(tab.basis))
+
+        tab._pivot = pivot
+        r = tab.dual_phase()
+        assert tab.bland and r is not None
+        assert bases[5] == [2, 3, 4, 5] and [2, 3, 4, 5] not in bases[:5]
+        sx = FractionSimplex(lp)
+        assert sx.dual_phase() == r and sx.bland
+        res = feasible(lp)
+        assert not res.feasible and res == reference_feasible(lp)
+        assert solve_max(lp) == reference_solve_max(lp)
+
+
+class TestSamePivotsWithoutPhase1:
+    """With every row `<=` and b >= 0 the slack basis is feasible, and
+    Bland's rule takes the pivots of the two-phase tableau this one
+    replaced: f_alpha's packing LPs give its answers field for field."""
+
+    def test_f_alpha_matches_the_two_phase_dump(self):
+        rng = random.Random(14)
+        digest = hashlib.sha256()
+        for trial in range(180):
+            L = trial % 9 + 1
+            lam = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(L)]
+            if rng.random() < 0.3:
+                lam[rng.randrange(L)] = F(rng.randint(10, 60))
+            for alpha in range(1, L + 1):
+                c = f_alpha(lam, alpha)
+                fields = (c.level, [(u.members, str(x)) for u, x in c.assignment.items()])
+                digest.update(repr(fields).encode())
+        # the same loop on the dense two-phase tableau
+        assert digest.hexdigest() == (
+            "690868843919a7541fe861931d5355c36873401d1e28848259117eff57f44376"
+        )
 
 
 def _first_break(constraints):

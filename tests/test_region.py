@@ -183,7 +183,8 @@ def tied_member_query(rng, scheme, L):
 
 def vertex_from(seed):
     """A feasibility solver that returns the optimum of a seeded random
-    objective: other vertices than phase 1's, so Robin Hood transfers run."""
+    objective: other vertices than the dual phase's, so Robin Hood transfers
+    run."""
 
     def solve(lp):
         rnd = random.Random(seed)
@@ -419,9 +420,11 @@ class TestSsmdcMember:
 
 
 def check_verdict(verdict, rates, entropies, n_secure=0, r0=None):
-    """Brute-force check of what backs a verdict: a member's witness covers
+    """Exact check of what backs a verdict: a member's witness covers
     every alpha-subset at every level within the rates, a non-member's
-    certificate violates its (all-access) hyperplane."""
+    certificate violates its (all-access) hyperplane.  Up to L=12 every
+    alpha-subset is summed; past it, the one with the least sum, the
+    alpha smallest shares, since C(24, 12) subsets are too many."""
     L = len(rates)
     levels = range(1, L - n_secure + 1)
     caps = tuple(rates) if r0 is None else (r0,) + tuple(rates)
@@ -433,8 +436,13 @@ def check_verdict(verdict, rates, entropies, n_secure=0, r0=None):
             x = w[alpha]
             assert len(x) == len(caps) and all(v >= 0 for v in x)
             base = x[0] if shift else 0
-            for u in combinations(range(L), alpha):
-                assert base + sum(x[shift + l] for l in u) >= h
+            shares = x[shift:]
+            if L <= 12:
+                subsets = combinations(range(L), alpha)
+            else:
+                subsets = [sorted(range(L), key=shares.__getitem__)[:alpha]]
+            for u in subsets:
+                assert base + sum(shares[l] for l in u) >= h
         for slot, cap in enumerate(caps):
             assert sum(w[a][slot] for a in levels) <= cap
         return
@@ -498,7 +506,7 @@ class TestMembershipProperties:
     @settings(max_examples=80, deadline=None)
     @given(member_queries(), st.randoms(use_true_random=False))
     def test_witness_from_any_vertex(self, query, rnd):
-        # the phase-1 vertex rarely loads an encoder past its rate, so the
+        # the dual phase's vertex rarely loads an encoder past its rate, so the
         # Robin Hood transfers are steered into work by other vertices
         scheme, rates, h, n, r0 = query
         with mock.patch.object(region, "feasible", vertex_from(rnd.random())):
