@@ -1,14 +1,5 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("smdc._gfcore", ["src/smdc/_gfcore.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    # Pure-Python kernels are selected at import when the extension is absent.
-    extensions = []
-
-setup(ext_modules=extensions)
+# optional: without a C compiler the install proceeds and smdc.gf falls
+# back to the pure-Python kernel
+setup(ext_modules=[Extension("smdc._gfcore", ["src/smdc/_gfcore.c"], optional=True)])

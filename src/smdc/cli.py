@@ -366,9 +366,9 @@ def _key_stream(args, needed: int) -> bytes:
                 f"key file supplies {len(data)} bytes, need {needed}"
             )
         return data[:needed]
-    seed = default_seed(args)
-    if seed is not None:
-        return random.Random(seed).randbytes(needed)
+    # only an explicit --seed: an exported SMDC_SEED must not fix secret keys
+    if args.seed is not None:
+        return random.Random(args.seed).randbytes(needed)
     return os.urandom(needed)
 
 

@@ -555,23 +555,33 @@ def _read(text: str, header: str, kind: str, head: tuple[str, ...], arity: dict[
     return lam, lines[2:start], records
 
 
-def chain_to_text(chain: CoefficientChain) -> str:
-    lines = [_CHAIN_HEADER]
-    lines.append("lambda " + " ".join(str(x) for x in chain.weights))
-    for alpha in sorted(chain.levels):
-        for u in sorted(chain.levels[alpha].assignment, key=lambda s: s.members):
-            lines.append(
-                f"c {alpha} {format_subset(u)} {chain.levels[alpha].assignment[u]}"
-            )
-    for alpha in sorted(chain.covers):
-        per_u = chain.covers[alpha]
-        for u in sorted(per_u, key=lambda s: s.members):
-            for v in sorted(per_u[u].weights, key=lambda s: s.members):
-                lines.append(
-                    f"g {alpha} {format_subset(u)} {format_subset(v)} "
-                    f"{per_u[u].weights[v]}"
-                )
+def _write(header: str, lam, head: tuple[str, ...], records: dict[str, dict]) -> str:
+    """The inverse of `_read`: the header, the lambda vector, the `head`
+    lines, then one line per value of tag -> alpha -> subset -> ... ->
+    value, keys in ascending order."""
+    lines = [header, "lambda " + " ".join(str(x) for x in lam), *head]
+
+    def put(words: list[str], node) -> None:
+        if not isinstance(node, dict):
+            lines.append(" ".join(words + [str(node)]))
+            return
+        for u in sorted(node, key=lambda s: s.members):
+            put(words + [format_subset(u)], node[u])
+
+    for tag, per_alpha in records.items():
+        for alpha in sorted(per_alpha):
+            put([tag, str(alpha)], per_alpha[alpha])
     return "\n".join(lines) + "\n"
+
+
+def chain_to_text(chain: CoefficientChain) -> str:
+    return _write(_CHAIN_HEADER, chain.weights, (), {
+        "c": {alpha: level.assignment for alpha, level in chain.levels.items()},
+        "g": {
+            alpha: {u: cover.weights for u, cover in per_u.items()}
+            for alpha, per_u in chain.covers.items()
+        },
+    })
 
 
 def chain_from_text(text: str) -> CoefficientChain:
@@ -592,18 +602,10 @@ def chain_from_text(text: str) -> CoefficientChain:
 
 
 def conditional_to_text(assignment: ConditionalAssignment) -> str:
-    lines = [_COND_HEADER]
-    lines.append("lambda " + " ".join(str(x) for x in assignment.weights))
-    lines.append(f"n {assignment.n_secure}")
-    for alpha in sorted(assignment.split):
-        per_u = assignment.split[alpha]
-        for u in sorted(per_u, key=lambda s: s.members):
-            for a in sorted(per_u[u], key=lambda s: s.members):
-                lines.append(
-                    f"s {alpha} {format_subset(u)} {format_subset(a)} "
-                    f"{per_u[u][a]}"
-                )
-    return "\n".join(lines) + "\n"
+    return _write(
+        _COND_HEADER, assignment.weights, (f"n {assignment.n_secure}",),
+        {"s": assignment.split},
+    )
 
 
 def conditional_from_text(text: str) -> ConditionalAssignment:

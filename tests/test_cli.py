@@ -586,6 +586,22 @@ class TestCodecCommands:
         assert code == 0
         assert (dec_dir / "source1.bin").read_bytes() == paths[0].read_bytes()
 
+    def test_env_seed_does_not_fix_keys(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SMDC_SEED", "5")
+        paths = self._write_sources(tmp_path, [8, 8])
+        for d in "ab":
+            code, _, _ = run(
+                capsys, "codec", "encode", "--scheme", "s-smdc", "--n", "1",
+                "--inputs", ",".join(str(p) for p in paths),
+                "--out-dir", str(tmp_path / d),
+            )
+            assert code == 0
+        blobs = [
+            [(tmp_path / d / f"w1.enc{l}.smdc").read_bytes() for l in range(1, 4)]
+            for d in "ab"
+        ]
+        assert blobs[0] != blobs[1]
+
     def test_one_corrupted_byte_is_data_error(self, capsys, tmp_path):
         paths = self._write_sources(tmp_path, [10, 9])
         out_dir = tmp_path / "enc"

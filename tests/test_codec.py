@@ -19,6 +19,9 @@ from smdc.region import greedy_allocation
 from smdc.rs import InsufficientSharesError
 from smdc.subsets import windows
 
+# every encode and decode below runs once per importable stream kernel
+pytestmark = pytest.mark.usefixtures("kernel")
+
 
 def make_sources(rng, lengths):
     return [bytes(rng.randrange(256) for _ in range(n)) for n in lengths]

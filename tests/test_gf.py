@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -83,14 +84,11 @@ class TestScalarOps:
         assert GF16.poly_eval([3, 1], 5) == 3 ^ 5
 
 
+@pytest.mark.usefixtures("kernel")
 class TestStreamKernel:
     def test_backends_agree(self):
-        """Every importable kernel against the bitwise oracle, not against
-        one another: without `_gfcore`, matmul_stream runs matmul_python."""
-        try:
-            from smdc import _gfcore
-        except ImportError:
-            _gfcore = None
+        """The kernel under test and matmul_python against the bitwise
+        oracle, not against one another."""
         rng = random.Random(99)
         for f, poly in ((GF16, 0x13), (GF256, 0x11D)):
             for trial in range(24):
@@ -110,8 +108,6 @@ class TestStreamKernel:
                 args = (flat, rows, cols, b"".join(streams), n, f.exp, f.log)
                 assert b"".join(f.matmul_stream(mat, streams, n)) == want
                 assert matmul_python(*args) == want
-                if _gfcore is not None:
-                    assert _gfcore.matmul(*args) == want
 
     def test_matches_scalar_ops(self):
         rng = random.Random(5)
@@ -134,5 +130,43 @@ class TestStreamKernel:
         with pytest.raises(ValueError, match="GF\\(16\\)"):
             GF16.matmul_stream([[2]], [b"\xff"], 1)
 
-    def test_backend_reported(self):
-        assert backend() in ("compiled", "pure")
+    def test_backend_reported(self, kernel):
+        assert backend() == kernel
+
+
+@pytest.fixture
+def gfcore():
+    return pytest.importorskip("smdc._gfcore", reason="extension not built")
+
+
+class TestCompiledKernel:
+    def test_rejects_bad_calls(self, gfcore):
+        e, lg = GF256.exp, GF256.log
+        for args in (
+            (b"\x02\x03", 1, 1, b"\x80", 1, e, lg),  # matrix longer than rows*cols
+            (b"\x02", 1, 1, b"\x80\x01", 1, e, lg),  # sources longer than cols*n
+            (b"\x02", 1, 1, b"", 1, e, lg),  # sources shorter
+            (b"\x02", -1, 1, b"\x80", 1, e, lg),  # negative rows
+            (b"", 1 << 62, 1 << 62, b"", 0, e, lg),  # rows*cols overflows
+            (b"\x02", 1, 1, b"\x10", 1, GF16.exp, GF16.log),  # byte outside GF(16)
+            (b"\x10", 1, 1, b"\x02", 1, GF16.exp, GF16.log),  # coefficient outside
+            (b"\x02", 1, 1, b"\x80", 1, e[:300], lg),  # short exp
+            (b"\x02", 1, 1, b"\x80", 1, e, lg[:128]),  # short log
+        ):
+            with pytest.raises(ValueError):
+                gfcore.matmul(*args)
+
+    def test_parity_with_python(self, gfcore):
+        rng = random.Random(7)
+        # every small shape, the empty ones among them, then random ones
+        shapes = list(product(range(3), repeat=3)) + [
+            (rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 80)) for _ in range(300)
+        ]
+        for f in (GF16, GF256):
+            for rows, cols, n in shapes:
+                flat = bytes(
+                    rng.choice((0, 1, rng.randrange(f.order))) for _ in range(rows * cols)
+                )
+                src = bytes(rng.randrange(f.order) for _ in range(cols * n))
+                args = (flat, rows, cols, src, n, f.exp, f.log)
+                assert gfcore.matmul(*args) == matmul_python(*args)
