@@ -112,9 +112,7 @@ def cmd_region_f(args) -> int:
     coeffs = reg.f_alpha(args.weights, args.alpha)
     lines = [f"f_{args.alpha} = {fmt(coeffs.total)}"]
     assignment = dict(sorted(coeffs.assignment.items(), key=lambda kv: kv[0].members))
-    for u, v in assignment.items():
-        if v:
-            lines.append(f"c {u} = {fmt(v)}")
+    lines += [f"c {u} = {fmt(v)}" for u, v in assignment.items()]
     emit(args, {"total": coeffs.total, "assignment": assignment}, text=lines)
     return EXIT_OK
 

@@ -135,6 +135,8 @@ def words_needed(length: int, alpha: int) -> int:
 
 
 def key_bytes_needed(source_lengths: Sequence[int], num_keys: int) -> int:
+    if num_keys < 0:
+        raise ValueError("num_keys must be nonnegative")
     return sum(
         num_keys * words_needed(n, a)
         for a, n in enumerate(source_lengths, 1)
@@ -294,8 +296,6 @@ def ssmdc_encode(
 ) -> list[ShareBundle]:
     """Superposition ramp coding: any num_keys bundles are independent of
     the sources, any num_keys+alpha recover sources 1..alpha."""
-    if num_keys < 0:
-        raise ValueError("num_keys must be nonnegative")
     return _encode(SCHEME_SSMDC, sources, num_keys, key_stream)
 
 

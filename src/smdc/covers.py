@@ -16,9 +16,11 @@ and shared by all its parents.  The next level is the cover-weighted
 parent sums, taken on integer numerators.  The descent keys every
 subset by its bit mask over the caller's encoder indices, as
 `EncoderSet.mask` does, and the finished chain takes its sets from the
-shared `subsets_of_size` families.  It is audited exactly (every level against the closed-form
-level optimum and the encoder capacities, every cover against the
-covering inequality, every descent against the parent-sum identity),
+shared `subsets_of_size` families.  It is audited exactly (every level
+by `region.audit_level`, the check `f_alpha`'s packings pass too,
+against the closed-form optimum and the encoder capacities, every cover
+against the covering inequality, every descent against the parent-sum
+identity),
 so a bad construction raises instead of propagating.  The audits put
 each level, cover or descent's weights over one common denominator and
 sum integer numerators, so no check takes a `Fraction` operation per
@@ -41,7 +43,7 @@ from itertools import combinations
 from math import comb
 
 from .exactlp import as_fraction, as_fractions, over_common_denominator
-from .region import SubsetCoefficients, f_value
+from .region import SubsetCoefficients, audit_level
 # re-exported: the benchmark tracer (perfbench/tracing.py) wraps covers.f_alpha
 from .region import f_alpha  # noqa: F401
 from .subsets import (
@@ -329,29 +331,6 @@ def han_chain(L: int) -> CoefficientChain:
     return yz_chain((Fraction(1, L),) * L)
 
 
-def _audit_level(lam, alpha: int, coeffs: SubsetCoefficients) -> list[str]:
-    """Nonnegative, within every encoder's capacity, and optimal in total;
-    `coeffs` holds exactly the alpha-subsets of {1..len(lam)}.  The
-    coefficients are integers n over one denominator d, so one pass sums
-    every encoder's load."""
-    failures = []
-    counts, d = over_common_denominator(coeffs.assignment.values())
-    if any(n < 0 for n in counts):
-        failures.append(f"level {alpha}: negative coefficient")
-    load = [0] * (len(lam) + 1)
-    for u, n in zip(coeffs.assignment, counts):
-        if n:
-            for l in u.members:
-                load[l] += n
-    for l, cap in enumerate(lam, 1):
-        if load[l] * cap.denominator > cap.numerator * d:
-            failures.append(f"level {alpha}: capacity exceeded at encoder {l}")
-    f = f_value(lam, alpha)
-    if sum(counts) * f.denominator != f.numerator * d:
-        failures.append(f"level {alpha}: total differs from the optimum")
-    return failures
-
-
 def _is_family(subsets, L: int, alpha: int) -> bool:
     """Exactly the alpha-subsets of {1..L}: counted, then every set of the
     shared family looked up."""
@@ -396,7 +375,7 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
         if not _is_family(coeffs.assignment, L, alpha):
             failures.append(f"level {alpha}: wrong subset family")
             continue
-        failures += _audit_level(lam, alpha, coeffs)
+        failures += audit_level(lam, alpha, coeffs)
     level1 = {EncoderSet((l,), L): w for l, w in enumerate(lam, 1)}
     if chain.levels[1].assignment != level1:
         failures.append("level 1 must equal the weight vector")
@@ -507,7 +486,7 @@ def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
                     failures.append(f"level {alpha}: adversary overlaps {u}")
                 if s < 0:
                     failures.append(f"level {alpha}: negative split weight at {u}")
-        failures += _audit_level(lam, alpha, assignment.level_coefficients(alpha))
+        failures += audit_level(lam, alpha, assignment.level_coefficients(alpha))
     return ChainReport(ok=not failures, failures=failures)
 
 

@@ -1,12 +1,13 @@
 """Rate regions for multilevel diversity coding.
 
 The region of each scheme is cut out by supporting hyperplanes whose
-level coefficients f_alpha have a closed form (`f_value`); the packing
-LP behind them (`f_alpha`) is solved only where an explicit subset
-assignment is wanted, and its optimum is checked against the closed
-form.  A whole profile (`f_profile`) sorts the weights once, puts them
-over one denominator and compares integer suffix sums, one `Fraction`
-per level.  Membership, shared by the three schemes, is one LP with
+level coefficients f_alpha have a closed form (`f_value`).  A whole
+profile (`f_profile`) sorts the weights once, puts them over one
+denominator and compares integer suffix sums, one `Fraction` per level.
+An explicit optimal packing (`f_alpha`) is laid out from the same closed
+form by McNaughton's wrap-around rule, with no LP and no enumeration of
+the level, and is audited exactly (`audit_level`, which the chain audits
+share).  Membership, shared by the three schemes, is one LP with
 O(L^2) entries over the encoders sorted by rate: f_alpha is symmetric,
 so the worst weight vector is ordered opposite to the rates.
 Non-members come back with the separating weights lambda read off the
@@ -20,22 +21,19 @@ rational, no floats.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
-from .exactlp import (
-    GE,
-    LE,
-    LinearProgram,
-    as_fraction,
-    as_fractions,
-    feasible,
-    over_common_denominator,
-    solve_max,
-)
-from .subsets import EncoderSet, subsets_of_size
+from .exactlp import GE, LE, LinearProgram, as_fraction, as_fractions, feasible
+from .exactlp import over_common_denominator
+from .subsets import EncoderSet
+
+# unused here: the benchmark tracer (perfbench/tracing.py) wraps these names
+from .exactlp import solve_max  # noqa: F401
+from .subsets import subsets_of_size  # noqa: F401
 
 MAX_MEMBERSHIP_GROUND = 24
 
@@ -92,23 +90,24 @@ def _level_weights(weights, alpha: int) -> tuple[Fraction, ...]:
     return lam
 
 
+def _least_ratio(suffix, alpha: int) -> tuple[int, int]:
+    """(S_j, alpha - j) at the least j < alpha minimizing S_j / (alpha - j),
+    where suffix[j] == S_j, picked by cross-multiplication."""
+    s, k = suffix[0], alpha
+    for j in range(1, alpha):
+        if suffix[j] * k < s * (alpha - j):
+            s, k = suffix[j], alpha - j
+    return s, k
+
+
 def _profile(lam, alphas) -> list[Fraction]:
     """f_alpha at each alpha of `alphas`, from one sort of the weights:
     over one denominator d, the numerators sorted nonincreasing give
-    integer suffix sums S_j, the least S_j / (alpha - j) over j < alpha
-    is picked by cross-multiplication, and each level builds one
-    `Fraction`."""
+    integer suffix sums S_j, and each level builds one `Fraction`."""
     ns, d = over_common_denominator(lam)
     ns.sort(reverse=True)
     suffix = list(accumulate(reversed(ns)))[::-1]  # suffix[j] == sum(ns[j:])
-    out = []
-    for alpha in alphas:
-        s, k = suffix[0], alpha
-        for j in range(1, alpha):
-            if suffix[j] * k < s * (alpha - j):
-                s, k = suffix[j], alpha - j
-        out.append(Fraction(s, k * d))
-    return out
+    return [Fraction(s, k * d) for s, k in (_least_ratio(suffix, a) for a in alphas)]
 
 
 def f_value(weights, alpha: int) -> Fraction:
@@ -118,22 +117,58 @@ def f_value(weights, alpha: int) -> Fraction:
     return _profile(_level_weights(weights, alpha), (alpha,))[0]
 
 
+def audit_level(lam, alpha: int, coeffs: SubsetCoefficients) -> list[str]:
+    """Every subset of size alpha, every coefficient nonnegative, every
+    encoder within its capacity, and the total equal to `f_value`; the
+    subsets must lie in {1..len(lam)}.  The coefficients are integers n
+    over one denominator d, so one pass sums every encoder's load."""
+    failures = []
+    if any(len(u.members) != alpha for u in coeffs.assignment):
+        failures.append(f"level {alpha}: subset of another size")
+    counts, d = over_common_denominator(coeffs.assignment.values())
+    if any(n < 0 for n in counts):
+        failures.append(f"level {alpha}: negative coefficient")
+    load = [0] * (len(lam) + 1)
+    for u, n in zip(coeffs.assignment, counts):
+        if n:
+            for l in u.members:
+                load[l] += n
+    for l, cap in enumerate(lam, 1):
+        if load[l] * cap.denominator > cap.numerator * d:
+            failures.append(f"level {alpha}: capacity exceeded at encoder {l}")
+    f = f_value(lam, alpha)
+    if sum(counts) * f.denominator != f.numerator * d:
+        failures.append(f"level {alpha}: total differs from the optimum")
+    return failures
+
+
 def f_alpha(weights, alpha: int) -> SubsetCoefficients:
-    """Optimal subset weights at one level: maximize the total weight put on
-    size-alpha subsets subject to per-encoder capacities.  The LP optimum
-    is checked against `f_value`."""
+    """An optimal packing at one level: weights on size-alpha subsets, at
+    most lam_l in all on the subsets that hold encoder l, with the
+    greatest total, `f_value`.  It is laid out from the closed form, on
+    integers over one denominator: with f = f_value and S_j / (alpha - j)
+    its least ratio, the j encoders heavier than f sit in every subset,
+    and the others, laid end to end on alpha - j rows of length f
+    (McNaughton's wrap-around rule), give one alpha-subset per cut of
+    [0, f).  So at most L subsets carry weight, and only those are
+    listed.  The packing is re-checked exactly by `audit_level`."""
     lam = _level_weights(weights, alpha)
-    L = len(lam)
-    family = subsets_of_size(L, alpha)
-    lp = LinearProgram(len(family), [1] * len(family))
-    for l in range(1, L + 1):
-        lp.add([1 if l in u else 0 for u in family], LE, lam[l - 1])
-    sol = solve_max(lp)
-    if sol.status != "optimal":
-        raise AssertionError(f"packing LP ended {sol.status}")
-    if sol.value != f_value(lam, alpha):
-        raise AssertionError("packing LP optimum differs from the closed form")
-    return SubsetCoefficients(level=alpha, assignment=dict(zip(family, sol.primal)))
+    ns, d = over_common_denominator(lam)
+    order = sorted(range(len(lam)), key=ns.__getitem__, reverse=True)
+    s, k = _least_ratio(list(accumulate(ns[l] for l in reversed(order)))[::-1], alpha)
+    heavy, rest = [l + 1 for l in order[: alpha - k]], order[alpha - k :]
+    # in units of 1 / (k d) a row is s long and encoder l is k * ns[l]
+    ends = list(accumulate(k * ns[l] for l in rest))
+    cuts = sorted({e % s for e in ends}) + [s] if s else []
+    counts: dict[EncoderSet, int] = {}
+    for a, b in zip(cuts, cuts[1:]):
+        members = heavy + [rest[bisect_right(ends, r * s + a)] + 1 for r in range(k)]
+        u = EncoderSet.of(members, len(lam))
+        counts[u] = counts.get(u, 0) + b - a
+    packing = SubsetCoefficients(alpha, {u: Fraction(n, k * d) for u, n in counts.items()})
+    if failures := audit_level(lam, alpha, packing):
+        raise AssertionError("packing fails its audit: " + "; ".join(failures))
+    return packing
 
 
 def f_profile(weights) -> tuple[Fraction, ...]:
@@ -149,17 +184,17 @@ def min_sum_rate(entropies) -> Fraction:
     return sum((Fraction(L, a) * h[a - 1] for a in range(1, L + 1)), _ZERO)
 
 
-def smdca_f(lambda0, weights, alpha: int) -> Fraction:
-    """Hyperplane coefficient with an all-access encoder of weight lambda0."""
-    l0 = as_fraction(lambda0)
-    if l0.numerator < 0:
-        raise ValueError("lambda0 must be nonnegative")
-    return min(f_value(weights, alpha), l0)
-
-
 def smdca_hyperplane(m: int, weights, entropies) -> Fraction:
-    """Right-hand side of the m-th all-access supporting hyperplane."""
-    return g_m(m, weights, entropies, 0)
+    """Right-hand side of the m-th all-access supporting hyperplane:
+    f_m(lam) times H_1 + ... + H_m, plus f_alpha(lam) H_alpha above m."""
+    lam = _nonnegative(weights, "weights")
+    h = _nonnegative(entropies, "entropies")
+    if len(h) != len(lam):
+        raise ValueError("weights and entropies must have equal length")
+    if not 1 <= m <= len(lam):
+        raise ValueError(f"m must be in 1..{len(lam)}, got {m}")
+    prof = _profile(lam, range(1, len(lam) + 1))
+    return prof[m - 1] * sum(h[:m], _ZERO) + _dot(prof[m:], h[m:])
 
 
 # membership ------------------------------------------------------------
@@ -317,39 +352,3 @@ def greedy_allocation(r0, entropies) -> GreedyAllocation:
     residual = tuple(x - s for x, s in zip(h, stored))
     level = next((a for a, x in enumerate(residual, 1) if x), None)
     return GreedyAllocation(stored_at_zero=stored, residual=residual, level=level)
-
-
-def residual_hyperplane(profile, entropies, m: int, r0) -> Fraction:
-    """g_m from a precomputed coefficient profile: the hyperplane of the
-    residual region after storing the first m sources (less the budget)."""
-    h = entropies
-    L = len(profile)
-    head = sum(h[:m], _ZERO) - r0
-    tail = sum((profile[a - 1] * h[a - 1] for a in range(m + 1, L + 1)), _ZERO)
-    return profile[m - 1] * head + tail
-
-
-def g_m(m: int, weights, entropies, r0) -> Fraction:
-    """Residual-region hyperplane value after storing the first m sources
-    (less the budget) at the all-access encoder."""
-    lam = _nonnegative(weights, "weights")
-    h = _nonnegative(entropies, "entropies")
-    L = len(lam)
-    if len(h) != L:
-        raise ValueError("weights and entropies must have equal length")
-    if not 1 <= m <= L:
-        raise ValueError(f"m must be in 1..{L}, got {m}")
-    return residual_hyperplane(f_profile(lam), h, m, as_fraction(r0))
-
-
-def greedy_matches_region(weights, entropies, r0) -> bool:
-    """The greedy split level attains the max over all residual hyperplanes."""
-    lam = _nonnegative(weights, "weights")
-    h = _nonnegative(entropies, "entropies")
-    L = len(lam)
-    r0 = as_fraction(r0)
-    alloc = greedy_allocation(r0, h)
-    q = alloc.level if alloc.level is not None else L
-    prof = f_profile(lam)
-    values = [residual_hyperplane(prof, h, m, r0) for m in range(1, L + 1)]
-    return max(values) == values[q - 1]

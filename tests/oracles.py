@@ -9,14 +9,17 @@ its point or Farkas certificate is re-checked here.  `FractionSimplex`
 is the library's condensed tableau with one `Fraction` per cell instead
 of integers over a running determinant; both take the same pivots, so
 `reference_solve_max` and `reference_feasible` must give exactly the
-library's answers.  The
-chain audits, f_alpha's closed form, subset entropies, the membership
+library's answers.  `packing_lp` is the LP that defines f_alpha, for
+the closed form and the laid-out packings to match.  The chain audits,
+f_alpha's closed form, subset entropies, the membership
 rate split, the case-3 covers, the level reconstruction and the
 conditional push have `Fraction`-per-step references here too, which
 the library's integer sums must match exactly, down to the insertion
 order of every dict.  Subset entropies also have a one-pass reference
 that sums each marginal straight from the joint's integer counts, which
 the library's cached and projected marginals must match bit for bit.
+The all-access hyperplanes g_m, whose maximum the greedy split must
+attain, are theorem checks that only the tests call.
 """
 
 import math
@@ -32,8 +35,12 @@ from smdc.exactlp import (
     FeasibilityResult,
     LinearProgram,
     LpSolution,
+    as_fraction,
+    as_fractions,
     feasible,
 )
+from smdc.region import f_profile, f_value, greedy_allocation
+from smdc.subsets import subsets_of_size
 
 LE = "<="
 GE = ">="
@@ -349,8 +356,10 @@ def fraction_verify_cover(cover):
 
 
 def fraction_audit_level(lam, alpha, coeffs):
-    """`covers._audit_level` with one `Fraction` sum per encoder load."""
+    """`region.audit_level` with one `Fraction` sum per encoder load."""
     failures = []
+    if any(len(u) != alpha for u in coeffs.assignment):
+        failures.append(f"level {alpha}: subset of another size")
     if any(v < 0 for v in coeffs.assignment.values()):
         failures.append(f"level {alpha}: negative coefficient")
     for l in range(1, len(lam) + 1):
@@ -360,6 +369,18 @@ def fraction_audit_level(lam, alpha, coeffs):
     if coeffs.total != slice_f_value(lam, alpha):
         failures.append(f"level {alpha}: total differs from the optimum")
     return failures
+
+
+def packing_lp(lam, alpha):
+    """The packing LP that defines f_alpha: one column per alpha-subset of
+    {1..L}, lex ordered, whose total weight is maximized under one
+    capacity row per encoder.  Returns the subsets and the LP."""
+    L = len(lam)
+    family = subsets_of_size(L, alpha)
+    lp = LinearProgram(len(family), [1] * len(family))
+    for l in range(1, L + 1):
+        lp.add([1 if l in u else 0 for u in family], LE, lam[l - 1])
+    return family, lp
 
 
 def fraction_rate_split(rates, entropies, levels, solve=feasible):
@@ -475,3 +496,46 @@ def fraction_level_coefficients(assignment, alpha):
     """`ConditionalAssignment.level_coefficients` with one `Fraction` sum
     per subset."""
     return {u: sum(parts.values(), _ZERO) for u, parts in assignment.split[alpha].items()}
+
+
+# all-access hyperplanes --------------------------------------------------
+
+
+def smdca_f(lambda0, weights, alpha):
+    """Hyperplane coefficient with an all-access encoder of weight lambda0."""
+    l0 = as_fraction(lambda0)
+    if l0 < 0:
+        raise ValueError("lambda0 must be nonnegative")
+    return min(f_value(weights, alpha), l0)
+
+
+def residual_hyperplane(profile, entropies, m, r0):
+    """g_m from a precomputed coefficient profile: the hyperplane of the
+    residual region after storing the first m sources (less the budget)."""
+    h = entropies
+    L = len(profile)
+    head = sum(h[:m], _ZERO) - r0
+    tail = sum((profile[a - 1] * h[a - 1] for a in range(m + 1, L + 1)), _ZERO)
+    return profile[m - 1] * head + tail
+
+
+def g_m(m, weights, entropies, r0):
+    """Residual-region hyperplane value after storing the first m sources
+    (less the budget) at the all-access encoder."""
+    lam, h = as_fractions(weights), as_fractions(entropies)
+    if len(h) != len(lam):
+        raise ValueError("weights and entropies must have equal length")
+    if not 1 <= m <= len(lam):
+        raise ValueError(f"m must be in 1..{len(lam)}, got {m}")
+    return residual_hyperplane(f_profile(lam), h, m, as_fraction(r0))
+
+
+def greedy_matches_region(weights, entropies, r0):
+    """The greedy split level attains the max over all residual hyperplanes."""
+    lam, h, r0 = as_fractions(weights), as_fractions(entropies), as_fraction(r0)
+    L = len(lam)
+    alloc = greedy_allocation(r0, h)
+    q = alloc.level if alloc.level is not None else L
+    prof = f_profile(lam)
+    values = [residual_hyperplane(prof, h, m, r0) for m in range(1, L + 1)]
+    return max(values) == values[q - 1]

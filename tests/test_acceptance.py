@@ -31,19 +31,20 @@ from smdc.entropy import (
     random_pmf,
     random_product_pmf,
 )
+from smdc.exactlp import solve_max
 from smdc.gf import GF16
 from smdc.region import (
     f_alpha,
     f_profile,
     greedy_allocation,
-    greedy_matches_region,
     min_sum_rate,
-    residual_hyperplane,
     smdc_member,
     smdca_member,
     ssmdc_member,
 )
 from smdc.rs import encode_matrix, ramp_spec
+
+from oracles import greedy_matches_region, packing_lp
 
 F = Fraction
 TOL = 1e-9
@@ -121,7 +122,8 @@ def test_criterion_3_chain_correctness():
         audit = verify_chain(chain)
         assert audit.ok, (lam, audit.failures)
         for alpha in range(1, L + 1):
-            assert chain.levels[alpha].total == f_alpha(lam, alpha).total
+            _, lp = packing_lp(lam, alpha)
+            assert chain.levels[alpha].total == solve_max(lp).value
         cases.update(c for _, c in chain.case_events)
     assert cases[CASE_1] > 0 and cases[CASE_2] > 0 and cases[CASE_3] > 0, cases
     report(

@@ -8,7 +8,10 @@ import pytest
 from smdc.cli import main, rational_list
 from smdc.entropy import MAX_STATES
 from smdc.exactlp import as_fraction
-from smdc.region import MAX_MEMBERSHIP_GROUND, f_value
+from smdc.region import MAX_MEMBERSHIP_GROUND, SubsetCoefficients, audit_level, f_value
+from smdc.subsets import EncoderSet
+
+from oracles import fraction_audit_level
 
 
 def run(capsys, *argv):
@@ -152,6 +155,27 @@ class TestRegionCommands:
         assert all(v >= 0 for v in assignment.values())
         for l, cap in enumerate(lam, 1):
             assert sum(v for u, v in assignment.items() if str(l) in u.split(",")) <= cap
+
+    def test_f_at_the_ground_cap(self, capsys):
+        # 24 weights at alpha=12: an LP over all C(24, 12) subsets would
+        # have 2.7 million columns; the laid-out packing takes milliseconds
+        rng = random.Random(16)
+        lam = [Fraction(rng.randint(0, 90), rng.randint(1, 7)) for _ in range(24)]
+        lam[5] = Fraction(4000)
+        weights = ",".join(map(str, lam))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "region", "f", "--weights", weights, "--alpha", "12", "--json")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        result = json.loads(out)["result"]
+        assignment = {
+            EncoderSet(tuple(map(int, u.split(","))), 24): as_fraction(v)
+            for u, v in result["assignment"].items()
+        }
+        assert 0 < len(assignment) <= 24
+        packing = SubsetCoefficients(level=12, assignment=assignment)
+        assert audit_level(lam, 12, packing) == fraction_audit_level(lam, 12, packing) == []
+        assert as_fraction(result["total"]) == f_value(lam, 12)
 
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "region", "min-sum")
@@ -627,3 +651,15 @@ class TestCodecCommands:
             capsys, "codec", "decode", "--bundles", str(bad), "--out-dir", str(tmp_path)
         )
         assert code == 3
+
+    @pytest.mark.parametrize("seed", [None, "3"])
+    def test_negative_key_count_is_data_error(self, capsys, tmp_path, seed):
+        paths = self._write_sources(tmp_path, [8, 8])
+        argv = ["codec", "encode", "--scheme", "s-smdc", "--n", "-1",
+                "--inputs", ",".join(str(p) for p in paths), "--out-dir", str(tmp_path / "enc")]
+        if seed:
+            argv += ["--seed", seed]
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err == "error: num_keys must be nonnegative\n"
+        assert not list((tmp_path / "enc").glob("*.smdc"))

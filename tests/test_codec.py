@@ -264,6 +264,16 @@ class TestSecureScheme:
         assert key_bytes_needed([4, 4], 2) == 2 * (4 + 2)
         assert key_bytes_needed([0, 5], 3) == 3 * 3
 
+    @pytest.mark.parametrize("sources", [[b"ab"], [b"ab", b"cd", b"ef"]])
+    def test_negative_key_count(self, sources):
+        # refused by the key accounting, before any key byte is needed
+        for call in (
+            lambda: key_bytes_needed([len(s) for s in sources], -1),
+            lambda: ssmdc_encode(sources, -1, b""),
+        ):
+            with pytest.raises(ValueError, match="num_keys must be nonnegative"):
+                call()
+
     def test_payload_length_formula(self):
         rng = random.Random(10)
         sources = make_sources(rng, [4, 4])

@@ -32,7 +32,7 @@ from smdc.covers import (
     verify_cover,
     yz_chain,
 )
-from smdc.region import SubsetCoefficients, f_alpha
+from smdc.region import SubsetCoefficients, audit_level, f_alpha
 from smdc.subsets import MAX_CHAIN_GROUND, EncoderSet, subsets_of_size, window
 
 from oracles import (
@@ -478,10 +478,13 @@ class TestIntegerAudits:
         alpha = data.draw(st.integers(1, len(lam)))
         assignment = dict(f_alpha(lam, alpha).assignment)
         if data.draw(st.booleans()):
-            u = data.draw(st.sampled_from(sorted(assignment, key=lambda s: s.members)))
-            assignment[u] += F(data.draw(st.integers(-3, 3)), data.draw(st.sampled_from([1, 4, 9])))
+            # any alpha-subset: the packing lists only its positive ones,
+            # and none at all when every weight is zero
+            u = data.draw(st.sampled_from(subsets_of_size(len(lam), alpha)))
+            delta = F(data.draw(st.integers(-3, 3)), data.draw(st.sampled_from([1, 4, 9])))
+            assignment[u] = assignment.get(u, F(0)) + delta
         coeffs = SubsetCoefficients(level=alpha, assignment=assignment)
-        assert cov._audit_level(lam, alpha, coeffs) == fraction_audit_level(lam, alpha, coeffs)
+        assert audit_level(lam, alpha, coeffs) == fraction_audit_level(lam, alpha, coeffs)
 
     def test_parent_sums_reject_a_foreign_subset(self):
         chain = han_chain(3)
@@ -509,7 +512,7 @@ class TestIntegerAudits:
         lam = (F(2), F(1), F(1))
         full = {eset([1, 2], 3): F(1), eset([1, 3], 3): F(1), eset([2, 3], 3): F(0)}
         coeffs = SubsetCoefficients(level=2, assignment=full)
-        assert cov._audit_level(lam, 2, coeffs) == []  # every load equals its capacity
+        assert audit_level(lam, 2, coeffs) == []  # every load equals its capacity
         over = dict(full)
         over[eset([1, 3], 3)] += F(1, d)
         coeffs = SubsetCoefficients(level=2, assignment=over)
@@ -518,7 +521,7 @@ class TestIntegerAudits:
             "level 2: capacity exceeded at encoder 3",
             "level 2: total differs from the optimum",
         ]
-        assert cov._audit_level(lam, 2, coeffs) == failures
+        assert audit_level(lam, 2, coeffs) == failures
         assert fraction_audit_level(lam, 2, coeffs) == failures
 
 

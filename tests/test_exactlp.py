@@ -26,11 +26,10 @@ from smdc.exactlp import (
     solve_max,
 )
 
-from smdc.region import f_alpha
-
 from oracles import (
     FractionSimplex,
     brute_lp_max,
+    packing_lp,
     reference_feasible,
     reference_solve_max,
 )
@@ -295,7 +294,8 @@ class TestAgainstFractionTableau:
 class TestSamePivotsWithoutPhase1:
     """With every row `<=` and b >= 0 the slack basis is feasible, and
     Bland's rule takes the pivots of the two-phase tableau this one
-    replaced: f_alpha's packing LPs give its answers field for field."""
+    replaced: the packing LPs that define f_alpha give its answers field
+    for field."""
 
     def test_f_alpha_matches_the_two_phase_dump(self):
         rng = random.Random(14)
@@ -306,8 +306,9 @@ class TestSamePivotsWithoutPhase1:
             if rng.random() < 0.3:
                 lam[rng.randrange(L)] = F(rng.randint(10, 60))
             for alpha in range(1, L + 1):
-                c = f_alpha(lam, alpha)
-                fields = (c.level, [(u.members, str(x)) for u, x in c.assignment.items()])
+                family, lp = packing_lp(lam, alpha)
+                sol = solve_max(lp)
+                fields = (alpha, [(u.members, str(x)) for u, x in zip(family, sol.primal)])
                 digest.update(repr(fields).encode())
         # the same loop on the dense two-phase tableau
         assert digest.hexdigest() == (

@@ -11,15 +11,14 @@ import smdc.exactlp as exactlp
 import smdc.region as region
 from smdc.region import (
     MAX_MEMBERSHIP_GROUND,
+    SubsetCoefficients,
+    audit_level,
     f_alpha,
     f_profile,
     f_value,
-    g_m,
     greedy_allocation,
-    greedy_matches_region,
     min_sum_rate,
     smdc_member,
-    smdca_f,
     smdca_hyperplane,
     smdca_member,
     ssmdc_member,
@@ -29,8 +28,13 @@ from smdc.subsets import EncoderSet
 from oracles import (
     LE,
     brute_lp_max,
+    fraction_audit_level,
     fraction_rate_split,
+    g_m,
+    greedy_matches_region,
+    packing_lp,
     slice_f_value,
+    smdca_f,
     subset_system_member,
 )
 
@@ -95,7 +99,31 @@ class TestFAlpha:
     )
     def test_closed_form_matches_lp(self, lam, data):
         alpha = data.draw(st.integers(1, len(lam)))
-        assert f_alpha(lam, alpha).total == f_value(lam, alpha)
+        _, lp = packing_lp(lam, alpha)
+        assert exactlp.solve_max(lp).value == f_value(lam, alpha)
+
+    # few distinct values, so zeros and ties among the weights are common
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.builds(F, st.sampled_from([0, 0, 1, 2, 3, 12]), st.sampled_from([1, 2, 3])),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example([F(0)] * 5)
+    @example([F(1)] * 8)
+    @example([F(9), F(1), F(0), F(0)])
+    def test_layout_is_an_optimal_packing(self, lam):
+        for alpha in range(1, len(lam) + 1):
+            packing = f_alpha(lam, alpha)
+            _, lp = packing_lp(lam, alpha)
+            assert packing.total == exactlp.solve_max(lp).value
+            assert all(len(u) == alpha for u in packing.assignment)
+            assert all(v > 0 for v in packing.assignment.values())
+            for l, cap in enumerate(lam, 1):
+                assert sum(v for u, v in packing.assignment.items() if l in u) <= cap
+            assert len(packing.assignment) <= len(lam)
 
     # few distinct values, so zeros and ties among the weights are common
     @settings(max_examples=200, deadline=None)
@@ -114,8 +142,52 @@ class TestFAlpha:
 
     def test_lp_checked_against_closed_form(self, monkeypatch):
         monkeypatch.setattr(region, "f_value", lambda lam, alpha: F(-1))
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="total differs from the optimum"):
             f_alpha((1, 1, 1), 2)
+
+    def test_a_bad_layout_is_refused(self, monkeypatch):
+        # one encoder named twice on a cut shrinks its subset below alpha
+        monkeypatch.setattr(region, "bisect_right", lambda ends, p: 0)
+        with pytest.raises(AssertionError, match="subset of another size"):
+            f_alpha((1, 1, 1), 2)
+
+    def test_audit_reports_a_subset_of_another_size(self):
+        lam = (F(1), F(1), F(1))
+        coeffs = SubsetCoefficients(
+            level=2, assignment={EncoderSet((1, 2), 3): F(1), EncoderSet((3,), 3): F(1, 2)}
+        )
+        failures = ["level 2: subset of another size"]
+        assert audit_level(lam, 2, coeffs) == failures
+        assert fraction_audit_level(lam, 2, coeffs) == failures
+
+
+class TestLpFree:
+    """f_alpha lays its packing out from the closed form: it solves no LP
+    and enumerates no level, so it answers at any ground size."""
+
+    @pytest.fixture(autouse=True)
+    def _no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("f_alpha reached an LP or a level enumeration")
+
+        for name in ("solve_max", "feasible", "subsets_of_size"):
+            monkeypatch.setattr(region, name, refuse)
+
+    @pytest.mark.parametrize(
+        "lam,alpha",
+        [((0,), 1), ((1, 1, 1), 2), ((0, 0, 0), 3), ((5, 1, 1, 0), 2), ((1, 0, 0), 2)],
+    )
+    def test_small(self, lam, alpha):
+        assert f_alpha(lam, alpha).total == f_value(lam, alpha)
+
+    def test_twenty_four_encoders_at_level_twelve(self):
+        rng = random.Random(24)
+        lam = [F(rng.randint(1, 500), rng.randint(1, 9)) for _ in range(24)]
+        lam[3] = F(10**6)  # one encoder heavier than f_12, so in every subset
+        packing = f_alpha(lam, 12)
+        assert packing.total == f_value(lam, 12)
+        assert 0 < len(packing.assignment) <= 24
+        assert all(EncoderSet((4,), 24).mask & u.mask for u in packing.assignment)
 
 
 class TestFProfile:
@@ -346,6 +418,24 @@ class TestSmdcaMember:
 
     def test_hyperplane_two_encoders(self):
         assert smdca_hyperplane(1, (1, 1), (1, 1)) == 3
+
+    def test_hyperplane_is_g_m_at_zero_budget(self):
+        rng = random.Random(16)
+        for _ in range(40):
+            L = rng.randint(1, 6)
+            lam = [rand_frac(rng) for _ in range(L)]
+            h = [rand_frac(rng) for _ in range(L)]
+            for m in range(1, L + 1):
+                assert smdca_hyperplane(m, lam, h) == g_m(m, lam, h, 0)
+
+    @pytest.mark.parametrize(
+        "m,lam,h",
+        [(0, (1, 1), (1, 1)), (3, (1, 1), (1, 1)), (1, (1, 1), (1,)),
+         (1, (1, -1), (1, 1)), (1, (1, 1), (1, -1)), (1, (), ())],
+    )
+    def test_hyperplane_rejects_bad_input(self, m, lam, h):
+        with pytest.raises(ValueError):
+            smdca_hyperplane(m, lam, h)
 
 
 class TestGreedy:
