@@ -98,13 +98,6 @@ def emit(args, result: dict, certificate: dict | None = None, text=None) -> None
             print(line)
 
 
-def default_seed(args) -> int | None:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("SMDC_SEED")
-    return int(env) if env else None
-
-
 # region ---------------------------------------------------------------------
 
 
@@ -230,17 +223,7 @@ def cmd_covers_conditional(args) -> int:
 
 
 def cmd_covers_verify(args) -> int:
-    if args.file:
-        report = cov.verify_text(Path(args.file).read_text())
-    elif args.weights is not None:
-        if args.n:
-            report = cov.verify_conditional(
-                cov.conditional_chain(args.weights, args.n)
-            )
-        else:
-            report = cov.verify_chain(cov.yz_chain(args.weights))
-    else:
-        raise ValueError("need --file or --weights")
+    report = cov.verify_text(Path(args.file).read_text())
     lines = ["pass" if report.ok else "fail"] + report.failures
     emit(args, {"ok": report.ok, "failures": report.failures}, text=lines)
     return EXIT_OK if report.ok else EXIT_VIOLATED
@@ -314,7 +297,7 @@ def cmd_entropy_check(args) -> int:
     if args.trials:
         if args.trials < 1 or args.vars < 2:
             raise ValueError("--trials sweeps need --trials >= 1 and --vars >= 2")
-        rng = random.Random(default_seed(args))
+        rng = random.Random(args.seed)
         L = args.vars
         worst = None
         for _ in range(args.trials):
@@ -364,9 +347,6 @@ def _key_stream(args, needed: int) -> bytes:
                 f"key file supplies {len(data)} bytes, need {needed}"
             )
         return data[:needed]
-    # only an explicit --seed: an exported SMDC_SEED must not fix secret keys
-    if args.seed is not None:
-        return random.Random(args.seed).randbytes(needed)
     return os.urandom(needed)
 
 
@@ -477,9 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
     p = add(covers_sub, "verify", cmd_covers_verify, help="audit a chain")
-    p.add_argument("--file")
-    p.add_argument("--weights", type=rational_list)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--file", required=True)
 
     entropy = sub.add_parser("entropy", help="entropy and inequality checks")
     entropy_sub = entropy.add_subparsers(dest="op", required=True)
@@ -513,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stem")
     p.add_argument("--r0-bytes", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--key-file")
     p = add(codec_sub, "decode", cmd_codec_decode, help="recover sources")
     p.add_argument("--bundles", required=True, help="comma-separated bundle files")

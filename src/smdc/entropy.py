@@ -84,9 +84,8 @@ class JointPMF:
         if sum(counts) != d:
             raise ValueError(f"probabilities sum to {Fraction(sum(counts), d)}, expected 1")
         self.alphabet_sizes = sizes
-        self.probabilities = table
-        # the masses as integers over one denominator, in table order,
-        # which fixes the order in which every entropy is summed
+        # the masses, held once, as integers over one denominator in table
+        # order, which fixes the order in which every entropy is summed
         self._counts = dict(zip(table, counts))
         self._denominator = d
         self._full = (2 << len(sizes)) - 2  # the mask of all L variables
@@ -94,6 +93,13 @@ class JointPMF:
         # mask -> marginal counts, for sets of two or more variables
         self._marginals: dict[int, dict] = {}
         self._marginal_cells = 0
+
+    @property
+    def probabilities(self) -> dict[tuple[int, ...], Fraction]:
+        """The nonzero masses as a new table of Fractions, built from the
+        counts on each read."""
+        d = self._denominator
+        return {outcome: Fraction(n, d) for outcome, n in self._counts.items()}
 
     @property
     def variable_count(self) -> int:
@@ -368,8 +374,7 @@ def pmf_to_text(pmf: JointPMF) -> str:
     lines = [
         f"{pmf.variable_count} " + " ".join(str(k) for k in pmf.alphabet_sizes)
     ]
-    for outcome in sorted(pmf.probabilities):
-        p = pmf.probabilities[outcome]
+    for outcome, p in sorted(pmf.probabilities.items()):
         lines.append(" ".join(str(s) for s in outcome) + f" {p}")
     return "\n".join(lines) + "\n"
 

@@ -46,6 +46,8 @@ class EncoderSet:
         for m in self.members:
             if not isinstance(m, int):
                 raise ValueError(f"encoder index {m!r} is not an integer")
+            if m < 1:
+                raise ValueError(f"encoder index {m} is below 1")
             if m <= prev:
                 raise ValueError("members must be strictly increasing")
             prev = m

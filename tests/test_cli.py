@@ -38,6 +38,21 @@ class TestParsing:
         code, out, _ = run(capsys, "region", "greedy", "--r0", "1.", "--entropies", "1,1")
         assert code == 0 and out.startswith("q = 2")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["codec", "encode", "--scheme", "s-smdc", "--n", "1", "--seed", "1",
+             "--inputs", "{tmp}/a.bin", "--out-dir", "{tmp}/enc"],
+            ["covers", "verify", "--weights", "1,1"],
+            ["covers", "verify"],
+        ],
+    )
+    def test_one_source_per_input(self, capsys, tmp_path, argv):
+        # keys come from --key-file or the OS, and verify audits a file only
+        code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2 and "usage:" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestRegionCommands:
     def test_min_sum(self, capsys):
@@ -305,6 +320,13 @@ class TestCoversCommands:
         assert code == 1
         assert "wrong subset family" in out
 
+    def test_verify_names_an_index_below_one(self, capsys, tmp_path):
+        path = tmp_path / "chain.txt"
+        path.write_text("smdc-chain 1\nlambda 1 1\nc 1 0 1\n")
+        code, out, err = run(capsys, "covers", "verify", "--file", str(path))
+        assert code == 3
+        assert out == "" and err == "error: encoder index 0 is below 1\n"
+
     def test_verify_rejects_exponent_at_once(self, capsys, tmp_path):
         # Fraction would expand this to a ten-million-digit integer
         path = tmp_path / "chain.txt"
@@ -385,18 +407,6 @@ class TestEntropyCommands:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert json.loads(out1)["result"] == json.loads(out2)["result"]
-
-    def test_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("SMDC_SEED", "13")
-        code, out, _ = run(
-            capsys, "entropy", "check", "--which", "han", "--trials", "3", "--json"
-        )
-        assert code == 0
-        first = json.loads(out)["result"]
-        code, out, _ = run(
-            capsys, "entropy", "check", "--which", "han", "--trials", "3", "--json"
-        )
-        assert json.loads(out)["result"] == first
 
     def test_check_cover_inequality(self, capsys, tmp_path):
         pmf = tmp_path / "p.pmf"
@@ -584,13 +594,15 @@ class TestCodecCommands:
 
     def test_secure_seeded_reproducible(self, capsys, tmp_path):
         paths = self._write_sources(tmp_path, [8, 8])
+        keys = tmp_path / "keys.bin"
+        keys.write_bytes(bytes(range(64)))
         args = lambda d: (
             "codec", "encode", "--scheme", "s-smdc", "--n", "1",
-            "--seed", "99", "--inputs", ",".join(str(p) for p in paths),
+            "--key-file", str(keys), "--inputs", ",".join(str(p) for p in paths),
             "--out-dir", str(d),
         )
-        run(capsys, *args(tmp_path / "a"))
-        run(capsys, *args(tmp_path / "b"))
+        assert run(capsys, *args(tmp_path / "a"))[0] == 0
+        assert run(capsys, *args(tmp_path / "b"))[0] == 0
         for l in range(1, 4):
             a = (tmp_path / "a" / f"w1.enc{l}.smdc").read_bytes()
             b = (tmp_path / "b" / f"w1.enc{l}.smdc").read_bytes()
@@ -658,7 +670,9 @@ class TestCodecCommands:
         argv = ["codec", "encode", "--scheme", "s-smdc", "--n", "-1",
                 "--inputs", ",".join(str(p) for p in paths), "--out-dir", str(tmp_path / "enc")]
         if seed:
-            argv += ["--seed", seed]
+            keys = tmp_path / "keys.bin"
+            keys.write_bytes(random.Random(int(seed)).randbytes(64))
+            argv += ["--key-file", str(keys)]
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert err == "error: num_keys must be nonnegative\n"

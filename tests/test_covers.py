@@ -294,8 +294,6 @@ except ValueError as err:
             ["covers", "han", "--encoders", "25"],
             ["covers", "chain", "--weights", WEIGHTS],
             ["covers", "conditional", "--weights", WEIGHTS, "--n", "1"],
-            ["covers", "verify", "--weights", WEIGHTS],
-            ["covers", "verify", "--weights", WEIGHTS, "--n", "1"],
             ["entropy", "check", "--which", "yz", "--alpha", "2", "--weights", WEIGHTS],
             ["entropy", "check", "--which", "cyz", "--alpha", "2", "--weights", WEIGHTS],
             ["entropy", "check", "--which", "mt", "--u", "1,2", "--weights", WEIGHTS],
@@ -348,8 +346,6 @@ except ValueError as err:
             ["covers", "han", "--encoders", str(L)],
             ["covers", "chain", "--weights", WEIGHTS],
             ["covers", "conditional", "--weights", WEIGHTS, "--n", "1"],
-            ["covers", "verify", "--weights", WEIGHTS],
-            ["covers", "verify", "--weights", WEIGHTS, "--n", "1"],
             ["entropy", "check", "--which", "yz", "--alpha", "2", "--weights", WEIGHTS],
             ["entropy", "check", "--which", "cyz", "--alpha", "2", "--weights", WEIGHTS],
             ["entropy", "check", "--which", "mt", "--u", "1,2", "--weights", WEIGHTS],

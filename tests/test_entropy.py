@@ -461,6 +461,17 @@ class TestPermutationIdentity:
 
 
 class TestTextFormat:
+    def test_probabilities_are_the_given_table(self):
+        # ("0", "1") and (0, 1) name one outcome, so their masses add;
+        # a zero mass is not kept
+        given = {(0, 1): "1/6", ("0", "1"): F(1, 3), (1, 0): "1/2", (1, 1): 0}
+        pmf = JointPMF([2, 2], given)
+        assert pmf.probabilities == {(0, 1): F(1, 2), (1, 0): F(1, 2)}
+        points = [(0, 0), (1, 1), (0, 0)]
+        assert JointPMF.uniform_over([2, 2], points).probabilities == {
+            (0, 0): F(2, 3), (1, 1): F(1, 3)
+        }
+
     def test_round_trip(self):
         rng = random.Random(1)
         pmf = random_pmf(rng, [2, 3])

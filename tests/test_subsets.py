@@ -124,6 +124,11 @@ class TestEncoderSet:
         with pytest.raises(ValueError):
             EncoderSet((4,), 3)
 
+    @pytest.mark.parametrize("members", [(0,), (0, 1), (-2, 1)])
+    def test_index_below_one_is_named(self, members):
+        with pytest.raises(ValueError, match=f"^encoder index {members[0]} is below 1$"):
+            EncoderSet(members, 3)
+
     def test_membership_and_complement(self):
         u = EncoderSet.of([3, 1], 4)
         assert u.members == (1, 3)
