@@ -5,7 +5,9 @@
 
 Each entry runs on inputs fixed by a seeded generator and reports the
 median of K runs (one run with --quick): a plain encode and decode of
-4 KB sources at L=30 (and L=60 with --full), the three membership
+4 KB sources at L=30 (and L=60 with --full), a secure (N=2) encode and
+decode of 4 KB sources at L=30, the build of the top layer's encode and
+decode matrix at L=30, plain and secure, the three membership
 queries at L=6, 12, 20 and 24 (the cap) for a member and a non-member,
 yz_chain and conditional_chain at L=7, f_profile at L=10, the Han,
 Yeung-Zhang and conditional checks on a pmf of five ternary variables,
@@ -31,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
-from smdc import codec, covers, entropy, region
+from smdc import codec, covers, entropy, region, rs
 from smdc.gf import backend
 
 import bench_gf
@@ -65,6 +67,32 @@ def codec_cases(rng, sizes):
             raise AssertionError(f"codec round trip failed at L={L}")
         out[f"codec.encode.L{L}"] = lambda s=sources: codec.smdc_encode(s)
         out[f"codec.decode.L{L}"] = lambda b=survivors: codec.smdc_decode(b)
+    return out
+
+
+def secure_cases(rng, L=30, N=2):
+    """Secure encode of L - N sources of SOURCE_BYTES under N keys, and a
+    decode from all bundles but the first two."""
+    sources = [rng.randbytes(SOURCE_BYTES) for _ in range(L - N)]
+    keys = rng.randbytes(codec.key_bytes_needed([SOURCE_BYTES] * (L - N), N))
+    survivors = codec.ssmdc_encode(sources, N, keys)[2:]
+    if codec.ssmdc_decode(survivors) != sources[: L - 2 - N]:
+        raise AssertionError(f"secure codec round trip failed at L={L}, N={N}")
+    return {
+        f"codec.secure_encode.L{L}.N{N}": lambda: codec.ssmdc_encode(sources, N, keys),
+        f"codec.secure_decode.L{L}.N{N}": lambda: codec.ssmdc_decode(survivors),
+    }
+
+
+def matrix_cases(L=30, N=2):
+    """Build time of the top layer's encode and decode matrix: plain
+    (alpha = L, Vandermonde) and secure (alpha = L - N, ramp), decoding
+    from the first k shares."""
+    specs = {"plain": rs.coefficient_spec(L, L), "secure": rs.ramp_spec(L, N, L - N)}
+    out = {}
+    for name, spec in specs.items():
+        out[f"rs.encode_matrix.{name}.L{L}"] = lambda s=spec: rs.encode_matrix(s)
+        out[f"rs.decode_matrix.{name}.L{L}"] = lambda s=spec: rs.decode_matrix(s, range(s.k))
     return out
 
 
@@ -156,6 +184,8 @@ def main():
     # a generator of their own, so that the other entries keep the inputs
     # of the records made before these sizes were added
     cases.update(member_cases(random.Random(SEED + 1), (20, 24)))
+    cases.update(secure_cases(random.Random(SEED + 2)))
+    cases.update(matrix_cases())
     results = {name: median_time(fn, runs) for name, fn in cases.items()}
     checks, fresh = entropy_case(rng)
     results["entropy.checks.3^5"] = median_time(checks, runs, setup=fresh)

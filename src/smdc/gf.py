@@ -106,21 +106,31 @@ class GF:
         self, src_points: Sequence[int], dst_points: Sequence[int]
     ) -> list[list[int]]:
         """M with M[d][s] = ell_s(dst_d), so values at src map to values
-        at dst for polynomials of degree < len(src)."""
+        at dst for polynomials of degree < len(src).
+
+        Barycentric form, in the log domain: source s has the weight
+        w_s = 1 / prod_{t != s} (x_s - x_t), and a destination x that is
+        no source point has ell_s(x) = prod_t (x - x_t) / (x - x_s) * w_s,
+        so every entry is one exp-table lookup of a sum of logs.  A
+        destination that is a source point gets its unit row.  For k
+        sources that is O(k^2 + |dst| k) table additions, and no `mul`.
+        """
+        self._check(*src_points, *dst_points)
         k = len(src_points)
         if len(set(src_points)) != k:
             raise ValueError("interpolation points must be distinct")
+        log, exp, q = self.log, self.exp, self.order - 1
+        weights = [-sum(log[s ^ t] for t in src_points if t != s) % q for s in src_points]
+        where = {s: i for i, s in enumerate(src_points)}
         out = []
         for x in dst_points:
-            row = []
-            for s in range(k):
-                num, den = 1, 1
-                for t in range(k):
-                    if t == s:
-                        continue
-                    num = self.mul(num, x ^ src_points[t])
-                    den = self.mul(den, src_points[s] ^ src_points[t])
-                row.append(self.div(num, den))
+            if x in where:
+                row = [0] * k
+                row[where[x]] = 1
+            else:
+                logs = [log[x ^ t] for t in src_points]
+                total = sum(logs)
+                row = [exp[(total - lx + w) % q] for lx, w in zip(logs, weights)]
             out.append(row)
         return out
 

@@ -13,6 +13,13 @@ Two encodings share the machinery:
 Both are used only as fixed linear maps: `encode_matrix` and
 `decode_matrix` build them, and `GF.matmul_stream` applies them to byte
 streams, one symbol per byte position.
+
+A ramp code needs no inverse in either direction.  Encoding interpolates
+from the message and key points to the share points (n rows), and
+decoding from the k received share points back to the message points
+(one row per message symbol; the keys are never reconstructed), so both
+maps are `GF.lagrange_matrix` with k sources.  Coefficient mode decodes
+through k `GF.solve` calls on the received Vandermonde rows.
 """
 
 from __future__ import annotations

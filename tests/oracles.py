@@ -19,7 +19,9 @@ order of every dict.  Subset entropies also have a one-pass reference
 that sums each marginal straight from the joint's integer counts, which
 the library's cached and projected marginals must match bit for bit.
 The all-access hyperplanes g_m, whose maximum the greedy split must
-attain, are theorem checks that only the tests call.
+attain, are theorem checks that only the tests call.  On the codec side,
+`lagrange_product` is the Lagrange basis by its product formula, over
+a bitwise carry-less multiply that shares no table with `smdc.gf`.
 """
 
 import math
@@ -539,3 +541,39 @@ def greedy_matches_region(weights, entropies, r0):
     prof = f_profile(lam)
     values = [residual_hyperplane(prof, h, m, r0) for m in range(1, L + 1)]
     return max(values) == values[q - 1]
+
+
+def slow_mul(a, b, poly, order):
+    """Carry-less multiply then reduce; independent of the table path."""
+    acc = 0
+    x = a
+    while b:
+        if b & 1:
+            acc ^= x
+        b >>= 1
+        x <<= 1
+        if x & order:
+            x ^= poly
+    return acc
+
+
+def lagrange_product(src_points, dst_points, poly, order):
+    """M[d][s] = prod_{t != s} (dst_d - x_t) / (x_s - x_t) in GF(order)
+    under `poly`, by the product formula: every product bit by bit, and
+    each denominator inverted as its (order - 2)-th power."""
+    out = [[1] * len(src_points) for _ in dst_points]
+    for s, xs in enumerate(src_points):
+        den = 1
+        for t, xt in enumerate(src_points):
+            if t != s:
+                den = slow_mul(den, xs ^ xt, poly, order)
+        inv = 1
+        for _ in range(order - 2):
+            inv = slow_mul(inv, den, poly, order)
+        for row, x in zip(out, dst_points):
+            num = inv
+            for t, xt in enumerate(src_points):
+                if t != s:
+                    num = slow_mul(num, x ^ xt, poly, order)
+            row[s] = num
+    return out

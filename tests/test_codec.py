@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -340,3 +341,42 @@ class TestSecureScheme:
         one = [b.to_bytes() for b in ssmdc_encode(sources, 1, keys)]
         two = [b.to_bytes() for b in ssmdc_encode(sources, 1, keys)]
         assert one == two
+
+
+def _golden_inputs(case):
+    """Seeded sources (and key bytes) for one golden case."""
+    scheme, L, N = case
+    rng = random.Random(f"golden {scheme} L={L} N={N}")
+    lengths = [rng.randrange(0, 48) for _ in range(L - N)]
+    sources = make_sources(rng, lengths)
+    keys = bytes(rng.randrange(256) for _ in range(key_bytes_needed(lengths, N)))
+    return sources, keys
+
+
+GOLDEN = {
+    # (scheme, encoders L, keys N): sha256 of every bundle's to_bytes()
+    ("plain", 5, 0): "93eea5b10174f1607ec650412fd7d2537c5921d4daef9f25251cda69e700ad7a",
+    ("all-access", 5, 0): "2e08a858b0d4d9caa06019492fdf4636ee15a11d9c38c674593c0c306d7f8791",
+    ("secure", 5, 1): "1a597abf63d6716737adbac3f3809ce3acfef0edd8f2cd5627d7c77c94dfb225",
+    ("secure", 32, 2): "0af11a839c5e5eb6d016ab4a1a8cfe987a69a3926aa654f592bcd6f5b49d259f",
+}
+
+
+class TestGoldenBundles:
+    """The v2 wire bytes of fixed encodes, recorded when the Lagrange
+    matrices still came from the product formula: a change to any code
+    matrix, the layer layout or the format shows up here, on every
+    kernel backend."""
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c[0]}-L{c[1]}-N{c[2]}")
+    def test_digest(self, case):
+        scheme, L, N = case
+        sources, keys = _golden_inputs(case)
+        if scheme == "plain":
+            bundles = smdc_encode(sources)
+        elif scheme == "all-access":
+            bundles = smdca_encode(sources, sum(len(w) for w in sources) // 2)
+        else:
+            bundles = ssmdc_encode(sources, N, keys)
+        digest = hashlib.sha256(b"".join(b.to_bytes() for b in bundles))
+        assert digest.hexdigest() == GOLDEN[case]

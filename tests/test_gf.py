@@ -7,19 +7,7 @@ from hypothesis import strategies as st
 
 from smdc.gf import GF16, GF256, backend, matmul_python
 
-
-def slow_mul(a, b, poly, order):
-    """Carry-less multiply then reduce; independent of the table path."""
-    acc = 0
-    x = a
-    while b:
-        if b & 1:
-            acc ^= x
-        b >>= 1
-        x <<= 1
-        if x & order:
-            x ^= poly
-    return acc
+from oracles import lagrange_product, slow_mul
 
 
 def slow_matmul(mat, streams, n, poly, order):
@@ -82,6 +70,47 @@ class TestScalarOps:
         # p(x) = 3 + x over GF(16)
         assert GF16.poly_eval([3, 1], 0) == 3
         assert GF16.poly_eval([3, 1], 5) == 3 ^ 5
+
+
+class TestLagrangeMatrix:
+    FIELDS = ((GF16, 0x13, 12), (GF256, 0x11D, 40))  # field, poly, largest k
+
+    def test_matches_the_product_formula(self):
+        """Seeded random shapes up to each field's largest k, k = 1
+        among them; the destinations are drawn from the whole field, so
+        some are source points."""
+        rng = random.Random(18)
+        for f, poly, k_max in self.FIELDS:
+            for trial in range(30):
+                k = 1 if trial < 3 else rng.randint(2, k_max)
+                src = rng.sample(range(f.order), k)
+                dst = [rng.randrange(f.order) for _ in range(rng.randint(0, 12))]
+                want = lagrange_product(src, dst, poly, f.order)
+                assert f.lagrange_matrix(src, dst) == want, (f.order, src, dst)
+
+    def test_source_destinations_get_unit_rows(self):
+        rng = random.Random(19)
+        for f, poly, k_max in self.FIELDS:
+            src = rng.sample(range(f.order), k_max)
+            others = [x for x in range(f.order) if x not in src]
+            dst = rng.sample(src, 4) + rng.sample(others, 2) + src[:1]
+            got = f.lagrange_matrix(src, dst)
+            assert got == lagrange_product(src, dst, poly, f.order)
+            for row, x in zip(got, dst):
+                if x in src:
+                    assert row == [int(s == x) for s in src]
+
+    @pytest.mark.parametrize(
+        "src, dst, bad", [([1], [256], 256), ([300], [2], 300), ([1, 2], [256], 256)]
+    )
+    def test_points_checked_first(self, src, dst, bad):
+        # each once returned [[1]] or named a derived value such as 258
+        with pytest.raises(ValueError, match=f"^{bad} is not an element of GF\\(256\\)$"):
+            GF256.lagrange_matrix(src, dst)
+
+    def test_repeated_source_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            GF16.lagrange_matrix([3, 5, 3], [1])
 
 
 @pytest.mark.usefixtures("kernel")
