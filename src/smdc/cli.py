@@ -44,6 +44,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 SCHEMES = {"smdc": SCHEME_SMDC, "smdc-a": SCHEME_SMDCA, "s-smdc": SCHEME_SSMDC}
+# the codec encode options that only one scheme reads, by dest
+SCHEME_OPTIONS = {"r0_bytes": "smdc-a", "n": "s-smdc", "key_file": "s-smdc"}
 
 
 def rational_list(text: str) -> tuple[Fraction, ...]:
@@ -270,10 +272,7 @@ def _check(args, pmf, alpha, weights) -> ent.InequalityReport:
             if cover is None:
                 raise ValueError(f"the chain for these weights has no cover at {u}")
         else:
-            cover = cov.FractionalCover(
-                parent=u,
-                weights={v: Fraction(1, len(u) - 1) for v in u.children()},
-            )
+            cover = dict.fromkeys(u.children(), Fraction(1, len(u) - 1))
         return ent.check_mt(pmf, u, cover)
     if not weights:
         raise ValueError("--weights is required for the chain inequality")
@@ -351,6 +350,12 @@ def _key_stream(args, needed: int) -> bytes:
 
 
 def cmd_codec_encode(args) -> int:
+    for dest, owner in SCHEME_OPTIONS.items():
+        if getattr(args, dest) is not None and args.scheme != owner:
+            option = "--" + dest.replace("_", "-")
+            print(f"error: {option} belongs to the {owner} scheme, not {args.scheme}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     scheme = SCHEMES[args.scheme]
     paths = [Path(p) for p in args.inputs.split(",")]
     sources = [p.read_bytes() for p in paths]

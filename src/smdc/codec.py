@@ -126,6 +126,8 @@ class ShareBundle:
 
     def source_payload(self, alpha: int) -> bytes:
         """Payload slice for source alpha (1-based)."""
+        if not 1 <= alpha <= len(self.source_lengths):
+            raise ValueError(f"source must be in 1..{len(self.source_lengths)}, got {alpha}")
         start = sum(self.symbol_counts[: alpha - 1])
         return self.payload[start : start + self.symbol_counts[alpha - 1]]
 

@@ -3,28 +3,31 @@
 A chain holds, for each subset level alpha, an optimal solution of the
 per-level packing LP, and for each descent a family of fractional
 covers that reproduces level alpha-1 from level alpha by weighted
-parent sums.  No LP is solved: the descent starts from the one optimal
-top level, and each step takes one of two rules, depending on how
-top-heavy the sorted weight vector is: a dominant top weight recurses
-on the rest of the ground set, and otherwise the uniform cover is
-shifted by the level's deficits (which are all zero when the weights
-are balanced).  The base case, two encoders, is the shifted cover too:
-its one parent weighs lam_2, so the children get lam_1/lam_2 and 1.  A
-shifted cover gives the child that drops a parent's tau-th element the
-same weight for every parent, so a level's alpha weights are built once
-and shared by all its parents.  The next level is the cover-weighted
-parent sums, taken on integer numerators.  The descent keys every
-subset by its bit mask over the caller's encoder indices, as
-`EncoderSet.mask` does, and the finished chain takes its sets from the
-shared `subsets_of_size` families.  It is audited exactly (every level
-by `region.audit_level`, the check `f_alpha`'s packings pass too,
-against the closed-form optimum and the encoder capacities, every cover
-against the covering inequality, every descent against the parent-sum
-identity),
-so a bad construction raises instead of propagating.  The audits put
-each level, cover or descent's weights over one common denominator and
-sum integer numerators, so no check takes a `Fraction` operation per
-term.
+parent sums.  A cover is a plain map, child -> weight, filed under its
+parent: `covers[alpha][u][v]` is the weight of child v in the cover of
+u, just as a chain file's `g alpha u v w` record says.  No LP is
+solved: the descent starts from the one optimal top level, and each
+step takes one of two rules, depending on how top-heavy the sorted
+weight vector is: a dominant top weight recurses on the rest of the
+ground set, and otherwise the uniform cover is shifted by the level's
+deficits (which are all zero when the weights are balanced).  The base
+case, two encoders, is the shifted cover too: its one parent weighs
+lam_2, so the children get lam_1/lam_2 and 1.  A shifted cover gives
+the child that drops a parent's tau-th element the same weight for
+every parent, so a level's alpha weights are built once and shared by
+all its parents.  The next level is the cover-weighted parent sums,
+taken on integer numerators.  The descent keys every subset by its bit
+mask over the caller's encoder indices, as `EncoderSet.mask` does, and
+the finished chain takes its sets from the shared `subsets_of_size`
+families.  It is audited exactly (every level by `region.audit_level`,
+the check `f_alpha`'s packings pass too, against the closed-form
+optimum and the encoder capacities, a cover at every subset of
+positive weight on levels 2..L, every cover against the covering
+inequality, every descent against the parent-sum identity), so a bad
+construction raises `AssertionError` instead of propagating.  The
+audits put each level, cover or descent's weights over one common
+denominator and sum integer numerators, so no check takes a `Fraction`
+operation per term.
 
 The conditional variant additionally attaches to each subset a family
 of disjoint "adversary" sets of fixed size and splits the level weights
@@ -63,20 +66,8 @@ CASE_2 = "case2"
 CASE_3 = "case3"
 
 
-class CoverConstructionError(RuntimeError):
-    """A constructed cover or level failed its exact re-verification."""
-
-
-@dataclass(frozen=True)
-class FractionalCover:
-    """Nonnegative child weights covering every element of the parent."""
-
-    parent: EncoderSet
-    weights: dict[EncoderSet, Fraction]
-
-
-def verify_cover(cover: FractionalCover) -> bool:
-    """Exact check of the covering inequality on every parent element.
+def verify_cover(u: EncoderSet, weights: dict[EncoderSet, Fraction]) -> bool:
+    """Exact check that child -> weight covers every element of parent u.
 
     Each child misses exactly one parent element, a different one for
     each child, so element i is covered by the total weight less that of
@@ -85,14 +76,13 @@ def verify_cover(cover: FractionalCover) -> bool:
     >= d for every n, and total >= d if the children are fewer than the
     parent's elements.
     """
-    u = cover.parent
     if len(u) < 2:
         raise ValueError("children require a set of size at least 2")
     L, size, mask = u.ground_size, len(u) - 1, u.mask
-    for v in cover.weights:
+    for v in weights:
         if v.ground_size != L or v.mask.bit_count() != size or v.mask & ~mask:
             return False
-    counts, d = over_common_denominator(cover.weights.values())
+    counts, d = over_common_denominator(weights.values())
     total = sum(counts)
     return all(0 <= n <= total - d for n in counts) and (len(counts) > size or total >= d)
 
@@ -101,7 +91,8 @@ def verify_cover(cover: FractionalCover) -> bool:
 class CoefficientChain:
     weights: tuple[Fraction, ...]
     levels: dict[int, SubsetCoefficients]
-    covers: dict[int, dict[EncoderSet, FractionalCover]]
+    # alpha -> parent -> child -> weight
+    covers: dict[int, dict[EncoderSet, dict[EncoderSet, Fraction]]]
     case_events: list[tuple[int, str]] = field(default_factory=list)
 
     @property
@@ -131,13 +122,16 @@ class ConditionalAssignment:
         assignment = {
             u: Fraction(sum(n for _, n in zip(parts, counts)), d) for u, parts in per_u.items()
         }
-        return SubsetCoefficients(level=alpha, assignment=assignment)
+        return SubsetCoefficients(assignment)
 
 
 @dataclass
 class ChainReport:
-    ok: bool
     failures: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 # mask-keyed construction --------------------------------------------------
@@ -189,7 +183,7 @@ def _case2(lam, ground, alpha, level, events):
         if u & top:
             sub_level[u ^ top] = c
         elif c != 0:
-            raise CoverConstructionError(
+            raise AssertionError(
                 f"{CASE_2}: positive weight on mask {u:#b} missing the dominant element"
             )
     sub_covers = _descend(lam, ground[1:], alpha - 1, sub_level, events)
@@ -221,7 +215,7 @@ def _case3(lam, ground, alpha, level):
     cs, d = over_common_denominator(level.values())
     f = sum(cs)
     if f <= 0:
-        raise CoverConstructionError(f"{CASE_3}: needs a positive level total")
+        raise AssertionError(f"{CASE_3}: needs a positive level total")
     top = ground[:alpha]
     ls, dl = over_common_denominator([lam[e] for e in top])
     # b = lam - tilde, tilde[e] the level weight on the subsets holding e
@@ -259,6 +253,20 @@ def _reconstruct(covers, level, ground, alpha):
 # chain construction ------------------------------------------------------
 
 
+def _chain_weights(weights) -> tuple[Fraction, ...]:
+    """The weight vector of a chain, refused before anything is built."""
+    lam = as_fractions(weights)
+    if not lam or any(x.numerator < 0 for x in lam):
+        raise ValueError("weights must be nonempty and nonnegative")
+    check_ground(len(lam))
+    if len(lam) > MAX_CHAIN_GROUND:
+        raise ValueError(
+            f"chains support at most L={MAX_CHAIN_GROUND} (about L * 2^(L-1) "
+            f"cover entries), got {len(lam)}"
+        )
+    return lam
+
+
 def yz_chain(weights) -> CoefficientChain:
     """Full chain of per-level optima linked by covers for one weight vector.
 
@@ -266,16 +274,8 @@ def yz_chain(weights) -> CoefficientChain:
     level p is the one subset of the p largest weights, weighted by the
     smallest of them, and the descent runs from there down to level 1.
     """
-    lam = as_fractions(weights)
-    if not lam or any(x.numerator < 0 for x in lam):
-        raise ValueError("weights must be nonempty and nonnegative")
+    lam = _chain_weights(weights)
     L = len(lam)
-    check_ground(L)
-    if L > MAX_CHAIN_GROUND:
-        raise ValueError(
-            f"chains support at most L={MAX_CHAIN_GROUND} (about L * 2^(L-1) "
-            f"cover entries), got {L}"
-        )
     by_encoder = dict(enumerate(lam, 1))
     ground = tuple(sorted(by_encoder, key=lambda e: (-by_encoder[e], e)))
     p = sum(1 for x in lam if x.numerator > 0)
@@ -299,28 +299,16 @@ def yz_chain(weights) -> CoefficientChain:
         # enumerate the whole family so absent subsets read as zero
         for u in family:
             assignment.setdefault(u, _ZERO)
-        levels[alpha] = SubsetCoefficients(level=alpha, assignment=assignment)
+        levels[alpha] = SubsetCoefficients(assignment)
     covers = {
-        alpha: {
-            sets[u]: FractionalCover(
-                parent=sets[u], weights={sets[v]: w for v, w in gu.items()}
-            )
-            for u, gu in per_u.items()
-        }
+        alpha: {sets[u]: {sets[v]: w for v, w in gu.items()} for u, gu in per_u.items()}
         for alpha, per_u in covers_m.items()
     }
 
-    chain = CoefficientChain(
-        weights=lam, levels=levels, covers=covers, case_events=events
-    )
-    _verify_built_chain(chain)
+    chain = CoefficientChain(lam, levels, covers, events)
+    if failures := verify_chain(chain).failures:
+        raise AssertionError("chain fails its audit: " + "; ".join(failures))
     return chain
-
-
-def _verify_built_chain(chain: CoefficientChain) -> None:
-    report = verify_chain(chain)
-    if not report.ok:
-        raise CoverConstructionError("; ".join(report.failures))
 
 
 def han_chain(L: int) -> CoefficientChain:
@@ -345,15 +333,15 @@ def _parent_sums_match(per_u, upper, lower) -> bool:
     over its parents u, and no other subset gets a sum.  The cover
     weights and each level go over one denominator apiece, so the sums
     run on integers."""
-    g, dg = over_common_denominator([w for c in per_u.values() for w in c.weights.values()])
+    g, dg = over_common_denominator([w for gu in per_u.values() for w in gu.values()])
     up, du = over_common_denominator(upper.values())
     up = dict(zip(upper, up))
     lo, dl = over_common_denominator(lower.values())
     recon = dict.fromkeys(lower, 0)
     weights = iter(g)
-    for u, cover in per_u.items():
+    for u, gu in per_u.items():
         c = up.get(u, 0)
-        for v, n in zip(cover.weights, weights):
+        for v, n in zip(gu, weights):
             recon[v] = recon.get(v, 0) + c * n
     # recon[v] / (du * dg) against lower[v] == lo / dl, in lower's order
     return recon.keys() == lower.keys() and all(
@@ -362,14 +350,14 @@ def _parent_sums_match(per_u, upper, lower) -> bool:
 
 
 def verify_chain(chain: CoefficientChain) -> ChainReport:
-    """Exact structural audit: per-level feasibility and optimality,
-    cover inequalities, and the parent-sum identity wherever covers exist."""
+    """Exact structural audit: per-level feasibility and optimality, a
+    cover at every subset of positive weight on levels 2..L, each cover's
+    inequality, and the parent-sum identity of every descent."""
     failures: list[str] = []
     lam = chain.weights
     L = chain.ground_size
     if set(chain.levels) != set(range(1, L + 1)):
-        failures.append("levels must cover 1..L")
-        return ChainReport(ok=False, failures=failures)
+        return ChainReport(["levels must cover 1..L"])
     for alpha in range(1, L + 1):
         coeffs = chain.levels[alpha]
         if not _is_family(coeffs.assignment, L, alpha):
@@ -379,18 +367,25 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
     level1 = {EncoderSet((l,), L): w for l, w in enumerate(lam, 1)}
     if chain.levels[1].assignment != level1:
         failures.append("level 1 must equal the weight vector")
+    for alpha in range(2, L + 1):
+        per_u = chain.covers.get(alpha, {})
+        failures += [
+            f"descent {alpha}: no cover at {u}"
+            for u, c in chain.levels[alpha].assignment.items()
+            if c > 0 and u not in per_u
+        ]
     for alpha, per_u in chain.covers.items():
         if not 2 <= alpha <= L:
             failures.append(f"descent {alpha}: no such level")
             continue
         upper = chain.levels[alpha].assignment
         lower = chain.levels[alpha - 1].assignment
-        for u, cover in per_u.items():
-            if cover.parent != u or not verify_cover(cover):
+        for u, gu in per_u.items():
+            if not verify_cover(u, gu):
                 failures.append(f"descent {alpha}: invalid cover at {u}")
         if not _parent_sums_match(per_u, upper, lower):
             failures.append(f"descent {alpha}: parent-sum identity fails")
-    return ChainReport(ok=not failures, failures=failures)
+    return ChainReport(failures)
 
 
 # conditional chains ------------------------------------------------------
@@ -403,16 +398,13 @@ def conditional_chain(weights, n_secure: int) -> ConditionalAssignment:
     complement; descents push weights through the same covers as the
     unconditional chain.
     """
-    lam = as_fractions(weights)
+    lam = _chain_weights(weights)
     L = len(lam)
     if not 0 <= n_secure <= L - 1:
         raise ValueError(f"n_secure must be in 0..{L - 1}, got {n_secure}")
-    assignment = ConditionalAssignment(
-        weights=lam, n_secure=n_secure, split=_push(yz_chain(lam), n_secure)
-    )
-    report = verify_conditional(assignment)
-    if not report.ok:
-        raise CoverConstructionError("; ".join(report.failures))
+    assignment = ConditionalAssignment(lam, n_secure, _push(yz_chain(lam), n_secure))
+    if failures := verify_conditional(assignment).failures:
+        raise AssertionError("conditional chain fails its audit: " + "; ".join(failures))
     return assignment
 
 
@@ -433,11 +425,9 @@ def _push(chain: CoefficientChain, n_secure: int):
         per_u = chain.covers.get(alpha)
         lower: dict[EncoderSet, dict[EncoderSet, int]] = {}
         if per_u:
-            gs, g = over_common_denominator(
-                [w for cover in per_u.values() for w in cover.weights.values()]
-            )
+            gs, g = over_common_denominator([w for gu in per_u.values() for w in gu.values()])
             weights = iter(gs)
-            g_int = {u: list(zip(cover.weights, weights)) for u, cover in per_u.items()}
+            g_int = {u: list(zip(gu, weights)) for u, gu in per_u.items()}
             d *= g
         for u, parts in split[alpha].items():
             # a vanished level has no covers: push zeros to keep the keys
@@ -469,10 +459,10 @@ def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
     L = assignment.ground_size
     N = assignment.n_secure
     if not 0 <= N <= L - 1:
-        return ChainReport(ok=False, failures=[f"n_secure must be in 0..{L - 1}"])
+        return ChainReport([f"n_secure must be in 0..{L - 1}"])
     top = L - N
     if set(assignment.split) != set(range(1, top + 1)):
-        return ChainReport(ok=False, failures=["levels must cover 1..L-N"])
+        return ChainReport(["levels must cover 1..L-N"])
     for alpha in range(1, top + 1):
         per_u = assignment.split[alpha]
         if not _is_family(per_u, L, alpha):
@@ -487,7 +477,7 @@ def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
                 if s < 0:
                     failures.append(f"level {alpha}: negative split weight at {u}")
         failures += audit_level(lam, alpha, assignment.level_coefficients(alpha))
-    return ChainReport(ok=not failures, failures=failures)
+    return ChainReport(failures)
 
 
 # line-oriented serialization ---------------------------------------------
@@ -556,28 +546,14 @@ def _write(header: str, lam, head: tuple[str, ...], records: dict[str, dict]) ->
 def chain_to_text(chain: CoefficientChain) -> str:
     return _write(_CHAIN_HEADER, chain.weights, (), {
         "c": {alpha: level.assignment for alpha, level in chain.levels.items()},
-        "g": {
-            alpha: {u: cover.weights for u, cover in per_u.items()}
-            for alpha, per_u in chain.covers.items()
-        },
+        "g": chain.covers,
     })
 
 
 def chain_from_text(text: str) -> CoefficientChain:
     lam, _, records = _read(text, _CHAIN_HEADER, "chain", (), {"c": 1, "g": 2})
-    levels, covers = records["c"], records["g"]
-    built_levels = {
-        alpha: SubsetCoefficients(level=alpha, assignment=assignment)
-        for alpha, assignment in levels.items()
-    }
-    built_covers = {
-        alpha: {
-            u: FractionalCover(parent=u, weights=weights)
-            for u, weights in per_u.items()
-        }
-        for alpha, per_u in covers.items()
-    }
-    return CoefficientChain(weights=lam, levels=built_levels, covers=built_covers)
+    levels = {alpha: SubsetCoefficients(c) for alpha, c in records["c"].items()}
+    return CoefficientChain(lam, levels, records["g"])
 
 
 def conditional_to_text(assignment: ConditionalAssignment) -> str:

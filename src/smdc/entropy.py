@@ -29,7 +29,7 @@ from math import comb, factorial, prod
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .covers import CoefficientChain, ConditionalAssignment, FractionalCover, verify_cover
+from .covers import CoefficientChain, ConditionalAssignment, verify_cover
 from .exactlp import as_fraction, over_common_denominator
 from .subsets import EncoderSet, subsets_of_size, windows
 
@@ -122,6 +122,8 @@ class JointPMF:
     @classmethod
     def uniform_over(cls, alphabet_sizes, outcomes) -> "JointPMF":
         pts = list(outcomes)
+        if not pts:
+            raise ValueError("need at least one outcome")
         mass = Fraction(1, len(pts))
         table: dict[tuple[int, ...], Fraction] = {}
         for o in pts:
@@ -282,11 +284,14 @@ def check_sliding_window(pmf: JointPMF, alpha: int) -> InequalityReport:
     return _levels(pmf, "sliding-window", alpha, lambda a: _uniform(windows(L, a), Fraction(1, a)))
 
 
-def check_mt(pmf: JointPMF, u: EncoderSet, cover: FractionalCover) -> InequalityReport:
-    """Cover-weighted child entropies dominate the parent entropy."""
-    if cover.parent != u or not verify_cover(cover):
-        raise ValueError("cover must be a verified fractional cover of u")
-    lhs = [(v, None, w) for v, w in cover.weights.items()]
+def check_mt(
+    pmf: JointPMF, u: EncoderSet, weights: dict[EncoderSet, Fraction]
+) -> InequalityReport:
+    """Cover-weighted child entropies dominate the parent entropy; weights
+    maps each child of u to its cover weight."""
+    if not verify_cover(u, weights):
+        raise ValueError("weights must be a verified fractional cover of u")
+    lhs = [(v, None, w) for v, w in weights.items()]
     return _compare(pmf, "madiman-tetali", lhs, [(u, None, _ONE)], {"parent": str(u)})
 
 

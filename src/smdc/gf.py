@@ -73,6 +73,8 @@ class GF:
         if n == 0:
             return 1
         if a == 0:
+            if n < 0:
+                raise ZeroDivisionError("zero has no inverse")
             return 0
         return self.exp[(self.log[a] * n) % (self.order - 1)]
 

@@ -55,9 +55,8 @@ def _dot(xs, ys) -> Fraction:
 
 @dataclass(frozen=True)
 class SubsetCoefficients:
-    """Optimal weights on the size-`level` subsets for one weight vector."""
+    """Optimal weights on the subsets of one size for one weight vector."""
 
-    level: int
     assignment: dict[EncoderSet, Fraction]
 
     @property
@@ -165,7 +164,7 @@ def f_alpha(weights, alpha: int) -> SubsetCoefficients:
         members = heavy + [rest[bisect_right(ends, r * s + a)] + 1 for r in range(k)]
         u = EncoderSet.of(members, len(lam))
         counts[u] = counts.get(u, 0) + b - a
-    packing = SubsetCoefficients(alpha, {u: Fraction(n, k * d) for u, n in counts.items()})
+    packing = SubsetCoefficients({u: Fraction(n, k * d) for u, n in counts.items()})
     if failures := audit_level(lam, alpha, packing):
         raise AssertionError("packing fails its audit: " + "; ".join(failures))
     return packing

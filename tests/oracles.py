@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import itemgetter
 
-from smdc.covers import CASE_3, CoverConstructionError
+from smdc.covers import CASE_3
 from smdc.exactlp import (
     INFEASIBLE,
     OPTIMAL,
@@ -342,16 +342,16 @@ def joint_subset_entropy(pmf, members):
     return max(h, 0.0)
 
 
-def fraction_verify_cover(cover):
+def fraction_verify_cover(u, weights):
     """The covering inequality element by element, O(alpha^2) `Fraction`
     sums."""
-    children = set(cover.parent.children())
-    if set(cover.weights) - children:
+    children = set(u.children())
+    if set(weights) - children:
         return False
-    if any(w < 0 for w in cover.weights.values()):
+    if any(w < 0 for w in weights.values()):
         return False
-    for i in cover.parent:
-        total = sum((w for v, w in cover.weights.items() if i in v), _ZERO)
+    for i in u:
+        total = sum((w for v, w in weights.items() if i in v), _ZERO)
         if total < 1:
             return False
     return True
@@ -433,7 +433,7 @@ def fraction_case3(lam, ground, alpha, level):
     encoder e."""
     f_val = sum(level.values(), _ZERO)
     if f_val <= 0:
-        raise CoverConstructionError(f"{CASE_3}: needs a positive level total")
+        raise AssertionError(f"{CASE_3}: needs a positive level total")
     tilde = {e: _ZERO for e in ground}
     for u, c in level.items():
         if c:
@@ -481,7 +481,7 @@ def fraction_push(chain, n_secure):
         per_u = chain.covers.get(alpha)
         lower = {}
         for u, parts in split[alpha].items():
-            g_u = per_u[u].weights if per_u else dict.fromkeys(u.children(), _ZERO)
+            g_u = per_u[u] if per_u else dict.fromkeys(u.children(), _ZERO)
             for v, g in g_u.items():
                 into = lower.setdefault(v, {})
                 for a, s in parts.items():

@@ -188,7 +188,7 @@ class TestRegionCommands:
             for u, v in result["assignment"].items()
         }
         assert 0 < len(assignment) <= 24
-        packing = SubsetCoefficients(level=12, assignment=assignment)
+        packing = SubsetCoefficients(assignment)
         assert audit_level(lam, 12, packing) == fraction_audit_level(lam, 12, packing) == []
         assert as_fraction(result["total"]) == f_value(lam, 12)
 
@@ -229,6 +229,16 @@ class TestCoversCommands:
         code, out, _ = run(capsys, "covers", "verify", "--file", str(out_file))
         assert code == 1
         assert "fail" in out
+
+    def test_verify_needs_a_cover_at_every_weighted_parent(
+        self, capsys, tmp_path, coverless_chain
+    ):
+        text, failures = coverless_chain
+        path = tmp_path / "chain.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "covers", "verify", "--file", str(path))
+        assert code == 1
+        assert out.splitlines() == ["fail", *failures]
 
     def test_conditional_file(self, capsys, tmp_path):
         out_file = tmp_path / "cond.txt"
@@ -655,6 +665,31 @@ class TestCodecCommands:
         )
         assert code == 3
         assert err.startswith("error:") and "checksum" in err
+
+    @pytest.mark.parametrize(
+        "scheme,extra,option,owner",
+        [
+            ("smdc", ["--r0-bytes", "5"], "--r0-bytes", "smdc-a"),
+            ("s-smdc", ["--n", "1", "--r0-bytes", "5"], "--r0-bytes", "smdc-a"),
+            ("smdc", ["--n", "2", "--key-file", "missing.bin"], "--n", "s-smdc"),
+            ("smdc-a", ["--n", "1"], "--n", "s-smdc"),
+            ("smdc", ["--key-file", "missing.bin"], "--key-file", "s-smdc"),
+            ("smdc-a", ["--r0-bytes", "1", "--key-file", "k"], "--key-file", "s-smdc"),
+        ],
+    )
+    def test_another_schemes_option_is_usage_error(
+        self, capsys, tmp_path, scheme, extra, option, owner
+    ):
+        # refused before any file is read or written: the inputs and the
+        # key file do not exist, and no output directory appears
+        out_dir = tmp_path / "enc"
+        code, out, err = run(
+            capsys, "codec", "encode", "--scheme", scheme, *extra,
+            "--inputs", str(tmp_path / "missing.bin"), "--out-dir", str(out_dir),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {option} belongs to the {owner} scheme, not {scheme}\n"
+        assert not out_dir.exists()
 
     def test_corrupt_bundle_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.smdc"

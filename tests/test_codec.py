@@ -52,6 +52,14 @@ class TestWireFormat:
         with pytest.raises(BundleFormatError):
             ShareBundle.from_bytes(bytes(blob))
 
+    def test_source_payload_range(self):
+        # 0 would wrap round to the last source, 4 would index past it
+        bundle = smdc_encode([b"abc", b"defg", b"hi"])[0]
+        assert bundle.source_payload(3) != b""
+        for alpha in (0, 4):
+            with pytest.raises(ValueError, match=f"source must be in 1..3, got {alpha}"):
+                bundle.source_payload(alpha)
+
     def test_truncation(self):
         blob = smdc_encode([b"abcd", b"efgh"])[0].to_bytes()
         with pytest.raises(BundleFormatError):

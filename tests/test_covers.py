@@ -19,8 +19,6 @@ from smdc.covers import (
     CASE_2,
     CASE_3,
     CASE_BASE,
-    CoverConstructionError,
-    FractionalCover,
     chain_from_text,
     chain_to_text,
     conditional_chain,
@@ -84,7 +82,7 @@ class TestHanChain:
     def test_reconstruction_from_level_two(self):
         chain = han_chain(3)
         total = sum(
-            chain.covers[2][u].weights[eset([1], 3)]
+            chain.covers[2][u][eset([1], 3)]
             * chain.levels[2].assignment[u]
             for u in (eset([1, 2], 3), eset([1, 3], 3))
         )
@@ -146,13 +144,13 @@ class TestYzChain:
         assert lvl1[eset([3], 3)] == 1
         # element deficits are b = (1, 0, 0) against a level total of 2,
         # so the child dropping the second element gains 1/2
-        g12 = chain.covers[2][eset([1, 2], 3)].weights
+        g12 = chain.covers[2][eset([1, 2], 3)]
         assert g12[eset([1], 3)] == F(3, 2)
         assert g12[eset([2], 3)] == 1
 
     def test_two_encoder_base_cover(self):
         chain = yz_chain((3, 2))
-        g = chain.covers[2][eset([1, 2], 2)].weights
+        g = chain.covers[2][eset([1, 2], 2)]
         assert g[eset([1], 2)] == F(3, 2)
         assert g[eset([2], 2)] == 1
         assert chain.levels[2].assignment[eset([1, 2], 2)] == 2
@@ -179,7 +177,7 @@ class TestYzChain:
         }
         for a, per_u in chain.covers.items():
             assert [u.members for u in per_u] == order[a]
-        children = chain.covers[3][eset([1, 2, 4], 4)].weights
+        children = chain.covers[3][eset([1, 2, 4], 4)]
         assert [v.members for v in children] == [(2, 4), (1, 2), (1, 4)]
 
     @pytest.mark.parametrize("lam", [(1, 5, 1, 2), (0, 3, 3, 1, 0), (9, 1, 1, 1, 1)])
@@ -190,9 +188,9 @@ class TestYzChain:
         for coeffs in chain.levels.values():
             assert all(family[u.mask] is u for u in coeffs.assignment)
         for per_u in chain.covers.values():
-            for u, cover in per_u.items():
-                assert family[u.mask] is u is cover.parent
-                assert all(family[v.mask] is v for v in cover.weights)
+            for u, gu in per_u.items():
+                assert family[u.mask] is u
+                assert all(family[v.mask] is v for v in gu)
 
     @pytest.mark.parametrize(
         "lam",
@@ -370,20 +368,15 @@ except ValueError as err:
 class TestCovers:
     def test_uniform_cover_verifies(self):
         u = eset([1, 2, 3], 4)
-        g = FractionalCover(
-            parent=u, weights={v: F(1, 2) for v in u.children()}
-        )
-        assert verify_cover(g)
+        assert verify_cover(u, dict.fromkeys(u.children(), F(1, 2)))
 
     def test_zero_cover_fails(self):
         u = eset([1, 2, 3], 4)
-        g = FractionalCover(parent=u, weights={v: F(0) for v in u.children()})
-        assert not verify_cover(g)
+        assert not verify_cover(u, dict.fromkeys(u.children(), F(0)))
 
     def test_foreign_children_fail(self):
         u = eset([1, 2], 3)
-        g = FractionalCover(parent=u, weights={eset([3], 3): F(1)})
-        assert not verify_cover(g)
+        assert not verify_cover(u, {eset([3], 3): F(1)})
 
     def test_window_obstruction(self):
         # a window's two in-family children each need weight >= 1, so the
@@ -396,15 +389,9 @@ class TestCovers:
                 assert as_reconstructed > child_value
                 u = window(1, alpha, L)
                 in_family = [window(1, alpha - 1, L), window(2, alpha - 1, L)]
-                g = FractionalCover(
-                    parent=u, weights={v: F(1) for v in in_family}
-                )
-                assert verify_cover(g)
-                low = FractionalCover(
-                    parent=u,
-                    weights={in_family[0]: F(1), in_family[1]: F(1, 2)},
-                )
-                assert not verify_cover(low)
+                assert verify_cover(u, dict.fromkeys(in_family, F(1)))
+                low = {in_family[0]: F(1), in_family[1]: F(1, 2)}
+                assert not verify_cover(u, low)
 
 
 @st.composite
@@ -424,7 +411,7 @@ def cover_cases(draw):
         weights[draw(st.sampled_from(subsets_of_size(L, alpha - 1)))] = F(1)
     elif extra == "ground":
         weights[EncoderSet(u.children()[0].members, L + 1)] = F(1)
-    return FractionalCover(parent=u, weights=weights)
+    return u, weights
 
 
 class TestIntegerAudits:
@@ -433,17 +420,17 @@ class TestIntegerAudits:
 
     @settings(max_examples=300, deadline=None)
     @given(cover_cases())
-    def test_cover_verdicts_match_reference(self, cover):
-        assert verify_cover(cover) == fraction_verify_cover(cover)
+    def test_cover_verdicts_match_reference(self, case):
+        assert verify_cover(*case) == fraction_verify_cover(*case)
 
     @pytest.mark.parametrize("d", [1, 3, 7, 10**30])
     def test_cover_bound_is_exact(self, d):
         u = eset([1, 2, 3, 4], 6)
         weights = {v: F(1, 3) for v in u.children()}  # every element covered exactly 1
-        assert verify_cover(FractionalCover(u, weights))
+        assert verify_cover(u, weights)
         weights[u.children()[1]] -= F(1, d)  # three elements drop to 1 - 1/d
         for check in (verify_cover, fraction_verify_cover):
-            assert not check(FractionalCover(u, weights))
+            assert not check(u, weights)
 
     def test_cover_rejections(self):
         u = eset([1, 2, 3], 4)
@@ -453,16 +440,15 @@ class TestIntegerAudits:
             {**big, eset([1, 4], 4): F(1)},         # not a child of u
             {**big, EncoderSet((1, 2), 5): F(1)},   # a child on another ground
         ]
-        assert verify_cover(FractionalCover(u, big))
+        assert verify_cover(u, big)
         for weights in cases:
             for check in (verify_cover, fraction_verify_cover):
-                assert not check(FractionalCover(u, weights))
+                assert not check(u, weights)
 
     def test_singleton_parent_raises(self):
-        cover = FractionalCover(eset([2], 3), {})
         for check in (verify_cover, fraction_verify_cover):
             with pytest.raises(ValueError):
-                check(cover)
+                check(eset([2], 3), {})
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -479,13 +465,13 @@ class TestIntegerAudits:
             u = data.draw(st.sampled_from(subsets_of_size(len(lam), alpha)))
             delta = F(data.draw(st.integers(-3, 3)), data.draw(st.sampled_from([1, 4, 9])))
             assignment[u] = assignment.get(u, F(0)) + delta
-        coeffs = SubsetCoefficients(level=alpha, assignment=assignment)
+        coeffs = SubsetCoefficients(assignment)
         assert audit_level(lam, alpha, coeffs) == fraction_audit_level(lam, alpha, coeffs)
 
     def test_parent_sums_reject_a_foreign_subset(self):
         chain = han_chain(3)
         u = eset([1, 2], 3)
-        chain.covers[2][u].weights[eset([1, 3], 3)] = F(0)  # a level-2 set, not a child
+        chain.covers[2][u][eset([1, 3], 3)] = F(0)  # a level-2 set, not a child
         assert verify_chain(chain).failures == [
             "descent 2: invalid cover at {1,2}",
             "descent 2: parent-sum identity fails",
@@ -496,7 +482,7 @@ class TestIntegerAudits:
         # so their covering sums agree; a swapped child in a later cover
         # must still fail on its own
         chain = han_chain(4)
-        weights = chain.covers[3][eset([1, 2, 4], 4)].weights
+        weights = chain.covers[3][eset([1, 2, 4], 4)]
         weights[eset([1, 3], 4)] = weights.pop(eset([1, 2], 4))
         assert verify_chain(chain).failures == [
             "descent 3: invalid cover at {1,2,4}",
@@ -507,11 +493,11 @@ class TestIntegerAudits:
     def test_capacity_bound_is_exact(self, d):
         lam = (F(2), F(1), F(1))
         full = {eset([1, 2], 3): F(1), eset([1, 3], 3): F(1), eset([2, 3], 3): F(0)}
-        coeffs = SubsetCoefficients(level=2, assignment=full)
+        coeffs = SubsetCoefficients(full)
         assert audit_level(lam, 2, coeffs) == []  # every load equals its capacity
         over = dict(full)
         over[eset([1, 3], 3)] += F(1, d)
-        coeffs = SubsetCoefficients(level=2, assignment=over)
+        coeffs = SubsetCoefficients(over)
         failures = [
             "level 2: capacity exceeded at encoder 1",
             "level 2: capacity exceeded at encoder 3",
@@ -571,6 +557,11 @@ class TestConditionalChain:
         with pytest.raises(ValueError):
             conditional_chain((1, 1), 2)
 
+    @pytest.mark.parametrize("lam,n", [([], 0), ((1, -1), 5)])
+    def test_weights_are_checked_before_n(self, lam, n):
+        with pytest.raises(ValueError, match="weights must be nonempty and nonnegative"):
+            conditional_chain(lam, n)
+
 
 def tied_lambda(rng, L):
     """Weights from a few values, so that zeros and ties are common; a
@@ -593,7 +584,7 @@ def dict_orders(chain):
     """Every level and cover dict of a chain, as lists in insertion order."""
     levels = [(a, list(c.assignment.items())) for a, c in chain.levels.items()]
     covers = [
-        (a, [(u, list(c.weights.items())) for u, c in per_u.items()])
+        (a, [(u, list(gu.items())) for u, gu in per_u.items()])
         for a, per_u in chain.covers.items()
     ]
     return levels, covers
@@ -648,7 +639,7 @@ class TestIntegerDescent:
         ground = (1, 2, 3)
         lam = {1: F(1), 2: F(1), 3: F(1)}
         for case3 in (cov._case3, fraction_case3):
-            with pytest.raises(CoverConstructionError, match="positive level total"):
+            with pytest.raises(AssertionError, match="positive level total"):
                 case3(lam, ground, 2, {1 << 1 | 1 << 2: F(0)})
 
 
@@ -742,12 +733,7 @@ class TestSerialization:
         assert back.weights == chain.weights
         for alpha in chain.levels:
             assert back.levels[alpha].assignment == chain.levels[alpha].assignment
-        for alpha in chain.covers:
-            for u in chain.covers[alpha]:
-                assert (
-                    back.covers[alpha][u].weights
-                    == chain.covers[alpha][u].weights
-                )
+        assert back.covers == chain.covers
         assert verify_chain(back).ok
 
     def test_conditional_round_trip(self):
@@ -791,3 +777,7 @@ class TestSerialization:
         chain = yz_chain((1, 1, 1))
         text = chain_to_text(chain).replace("c 2 1,2 1/2", "c 2 1,2 2/3")
         assert not verify_chain(chain_from_text(text)).ok
+
+    def test_a_weighted_parent_needs_a_cover(self, coverless_chain):
+        text, failures = coverless_chain
+        assert cov.verify_text(text).failures == failures

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smdc.covers import FractionalCover, conditional_chain, han_chain, yz_chain
+from smdc.covers import conditional_chain, han_chain, yz_chain
 from smdc.entropy import (
     MARGINAL_BUDGET,
     TOLERANCE,
@@ -244,6 +244,10 @@ class TestPmfValidation:
         with pytest.raises(ValueError):
             random_product_pmf(rng, sizes)
 
+    def test_uniform_over_no_outcomes(self):
+        with pytest.raises(ValueError, match="at least one outcome"):
+            JointPMF.uniform_over([2], [])
+
     def test_product_checks_the_space_before_enumerating(self):
         with pytest.raises(ValueError, match="state space"):
             JointPMF.independent([[1, 0]] * 40)
@@ -343,34 +347,26 @@ class TestMadimanTetali:
     def test_uniform_cover_equality_on_independent(self):
         pmf = fair_bits(3)
         u = EncoderSet((1, 2, 3), 3)
-        cover = FractionalCover(
-            parent=u, weights={v: F(1, 2) for v in u.children()}
-        )
-        rep = check_mt(pmf, u, cover)
+        rep = check_mt(pmf, u, dict.fromkeys(u.children(), F(1, 2)))
         assert abs(rep.slack) < 1e-12
 
     def test_subadditivity_instance(self):
         rng = random.Random(4)
         pmf = random_pmf(rng, [2, 2, 2])
         u = EncoderSet((1, 2, 3), 3)
-        cover = FractionalCover(parent=u, weights={v: F(1) for v in u.children()})
-        assert check_mt(pmf, u, cover).holds
+        assert check_mt(pmf, u, dict.fromkeys(u.children(), F(1))).holds
 
     def test_random_ternary(self):
         rng = random.Random(6)
         pmf = random_pmf(rng, [3, 3, 3])
         u = EncoderSet((1, 2, 3), 3)
-        cover = FractionalCover(
-            parent=u, weights={v: F(1, 2) for v in u.children()}
-        )
-        assert check_mt(pmf, u, cover).holds
+        assert check_mt(pmf, u, dict.fromkeys(u.children(), F(1, 2))).holds
 
     def test_rejects_invalid_cover(self):
         pmf = fair_bits(3)
         u = EncoderSet((1, 2, 3), 3)
-        bad = FractionalCover(parent=u, weights={v: F(0) for v in u.children()})
         with pytest.raises(ValueError):
-            check_mt(pmf, u, bad)
+            check_mt(pmf, u, dict.fromkeys(u.children(), F(0)))
 
 
 class TestYeungZhang:

@@ -66,6 +66,13 @@ class TestScalarOps:
                 assert GF16.pow(a, n) == acc
                 acc = GF16.mul(acc, a)
 
+    def test_zero_to_a_negative_power_raises(self):
+        # as inv(0) does: 0^-1 is no element
+        for gf in (GF16, GF256):
+            assert gf.pow(0, 3) == 0 and gf.pow(0, 0) == 1
+            with pytest.raises(ZeroDivisionError):
+                gf.pow(0, -1)
+
     def test_poly_eval(self):
         # p(x) = 3 + x over GF(16)
         assert GF16.poly_eval([3, 1], 0) == 3

@@ -153,9 +153,7 @@ class TestFAlpha:
 
     def test_audit_reports_a_subset_of_another_size(self):
         lam = (F(1), F(1), F(1))
-        coeffs = SubsetCoefficients(
-            level=2, assignment={EncoderSet((1, 2), 3): F(1), EncoderSet((3,), 3): F(1, 2)}
-        )
+        coeffs = SubsetCoefficients({EncoderSet((1, 2), 3): F(1), EncoderSet((3,), 3): F(1, 2)})
         failures = ["level 2: subset of another size"]
         assert audit_level(lam, 2, coeffs) == failures
         assert fraction_audit_level(lam, 2, coeffs) == failures
