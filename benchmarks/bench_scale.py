@@ -11,7 +11,9 @@ decode matrix at L=30, plain and secure, the three membership
 queries at L=6, 12, 20 and 24 (the cap) for a member and a non-member,
 yz_chain and conditional_chain at L=7, f_profile at L=10, the Han,
 Yeung-Zhang and conditional checks on a pmf of five ternary variables,
-and the stream kernels' MB/s from benchmarks/bench_gf.py.  The JSON
+the stream kernels' MB/s from benchmarks/bench_gf.py, and a fresh import
+of the library's eight modules (the median of IMPORT_RUNS, whatever the
+flags, in a child process).  The JSON
 record, with the kernel backend, the Python version, nproc, the
 platform and the git commit, goes to stdout and the table to stderr; a
 change records its numbers with `> BENCH_<pr>.json`.  Nothing is gated:
@@ -22,6 +24,7 @@ perfbench/.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -30,6 +33,7 @@ import statistics
 import subprocess
 import sys
 from fractions import Fraction
+from multiprocessing import get_context
 from pathlib import Path
 from time import perf_counter
 
@@ -42,6 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 K = 5
 SEED = 11
 SOURCE_BYTES = 4096
+IMPORT_RUNS = 21
+MODULES = ("subsets", "exactlp", "region", "covers", "entropy", "gf", "rs", "codec")
 
 
 def median_time(fn, runs, setup=None):
@@ -156,6 +162,21 @@ def entropy_case(rng):
     return checks, fresh
 
 
+def fresh_imports(runs):
+    """Seconds of each of `runs` imports of MODULES after every smdc module
+    is dropped from sys.modules, as the benchmark's set-up imports them.
+    Run in a child process: the other entries keep the modules they hold."""
+    times = []
+    for _ in range(runs):
+        for name in [m for m in sys.modules if m == "smdc" or m.startswith("smdc.")]:
+            del sys.modules[name]
+        t0 = perf_counter()
+        for m in MODULES:
+            importlib.import_module(f"smdc.{m}")
+        times.append(perf_counter() - t0)
+    return {"median_s": statistics.median(times), "runs_s": times}
+
+
 def commit():
     """HEAD of the checkout, with "-dirty" when the tree has uncommitted
     changes, if it is a git repository; git is not asked to look above
@@ -189,6 +210,8 @@ def main():
     results = {name: median_time(fn, runs) for name, fn in cases.items()}
     checks, fresh = entropy_case(rng)
     results["entropy.checks.3^5"] = median_time(checks, runs, setup=fresh)
+    with get_context("spawn").Pool(1) as pool:
+        results["import.fresh"] = pool.apply(fresh_imports, (IMPORT_RUNS,))
 
     report = {
         "meta": {
@@ -199,6 +222,7 @@ def main():
             "commit": commit(),
             "seed": SEED,
             "runs": runs,
+            "import_runs": IMPORT_RUNS,
             "source_bytes": SOURCE_BYTES,
         },
         "results": results,

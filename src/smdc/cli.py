@@ -356,6 +356,10 @@ def cmd_codec_encode(args) -> int:
             print(f"error: {option} belongs to the {owner} scheme, not {args.scheme}",
                   file=sys.stderr)
             return EXIT_USAGE
+    if args.scheme == "s-smdc" and not args.n:
+        print("error: s-smdc needs --n of 1 or more; --scheme smdc is the keyless code",
+              file=sys.stderr)
+        return EXIT_USAGE
     scheme = SCHEMES[args.scheme]
     paths = [Path(p) for p in args.inputs.split(",")]
     sources = [p.read_bytes() for p in paths]
@@ -367,9 +371,8 @@ def cmd_codec_encode(args) -> int:
     elif scheme == SCHEME_SMDCA:
         bundles = smdca_encode(sources, args.r0_bytes or 0)
     else:
-        n = args.n or 0
-        needed = key_bytes_needed([len(s) for s in sources], n)
-        bundles = ssmdc_encode(sources, n, _key_stream(args, needed))
+        needed = key_bytes_needed([len(s) for s in sources], args.n)
+        bundles = ssmdc_encode(sources, args.n, _key_stream(args, needed))
     written = []
     for b in bundles:
         path = out_dir / f"{stem}.enc{b.encoder_index}.smdc"
@@ -495,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--stem")
     p.add_argument("--r0-bytes", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, help="s-smdc key count, 1 or more")
     p.add_argument("--key-file")
     p = add(codec_sub, "decode", cmd_codec_decode, help="recover sources")
     p.add_argument("--bundles", required=True, help="comma-separated bundle files")

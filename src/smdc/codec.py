@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
+from ._record import Record
 from .gf import GF256
 from .rs import InsufficientSharesError, coefficient_spec, decode_matrix, encode_matrix, ramp_spec
 
@@ -48,42 +48,36 @@ class BundleFormatError(ValueError):
     """Malformed or mutually inconsistent share bundles."""
 
 
-@dataclass(frozen=True)
-class ShareBundle:
-    scheme: int
-    num_encoders: int
-    num_keys: int
-    encoder_index: int
-    source_lengths: tuple[int, ...]
-    symbol_counts: tuple[int, ...]
-    payload: bytes
+class ShareBundle(Record):
+    __slots__ = _fields = ("scheme", "num_encoders", "num_keys", "encoder_index",
+                           "source_lengths", "symbol_counts", "payload")
 
-    def __post_init__(self) -> None:
-        if self.scheme not in _SCHEME_NAMES:
-            raise BundleFormatError(f"unknown scheme {self.scheme}")
-        if not 1 <= self.num_encoders <= MAX_ENCODERS:
+    def __init__(self, scheme: int, num_encoders: int, num_keys: int, encoder_index: int,
+                 source_lengths: tuple[int, ...], symbol_counts: tuple[int, ...],
+                 payload: bytes) -> None:
+        if scheme not in _SCHEME_NAMES:
+            raise BundleFormatError(f"unknown scheme {scheme}")
+        if not 1 <= num_encoders <= MAX_ENCODERS:
             raise BundleFormatError("encoder count out of range")
-        if self.scheme == SCHEME_SSMDC:
-            if not 0 <= self.num_keys <= self.num_encoders - 1:
+        if scheme == SCHEME_SSMDC:
+            if not 0 <= num_keys <= num_encoders - 1:
                 raise BundleFormatError("key count out of range")
-        elif self.num_keys != 0:
+        elif num_keys != 0:
             raise BundleFormatError("only the secure scheme carries keys")
-        low = 0 if self.scheme == SCHEME_SMDCA else 1
-        if not low <= self.encoder_index <= self.num_encoders:
+        low = 0 if scheme == SCHEME_SMDCA else 1
+        if not low <= encoder_index <= num_encoders:
             raise BundleFormatError("encoder index out of range")
-        expected_sources = (
-            self.num_encoders - self.num_keys
-            if self.scheme == SCHEME_SSMDC
-            else self.num_encoders
-        )
-        if len(self.source_lengths) != expected_sources:
+        expected_sources = num_encoders - num_keys if scheme == SCHEME_SSMDC else num_encoders
+        if len(source_lengths) != expected_sources:
             raise BundleFormatError("wrong number of sources")
-        if len(self.symbol_counts) != expected_sources:
+        if len(symbol_counts) != expected_sources:
             raise BundleFormatError("wrong number of symbol counts")
-        if any(n < 0 for n in self.source_lengths + self.symbol_counts):
+        if any(n < 0 for n in source_lengths + symbol_counts):
             raise BundleFormatError("negative length")
-        if len(self.payload) != sum(self.symbol_counts):
+        if len(payload) != sum(symbol_counts):
             raise BundleFormatError("payload length does not match symbol counts")
+        self._init(scheme, num_encoders, num_keys, encoder_index, source_lengths, symbol_counts,
+                   payload)
 
     def to_bytes(self) -> bytes:
         head = _HEAD.pack(

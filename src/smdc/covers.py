@@ -45,6 +45,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from ._record import Record
 from .exactlp import as_fraction, as_fractions, over_common_denominator
 from .region import SubsetCoefficients, audit_level
 # re-exported: the benchmark tracer (perfbench/tracing.py) wraps covers.f_alpha
@@ -89,6 +90,8 @@ def verify_cover(u: EncoderSet, weights: dict[EncoderSet, Fraction]) -> bool:
 
 @dataclass
 class CoefficientChain:
+    """Optimal level weights for one weight vector, linked level to level by covers."""
+
     weights: tuple[Fraction, ...]
     levels: dict[int, SubsetCoefficients]
     # alpha -> parent -> child -> weight
@@ -125,9 +128,12 @@ class ConditionalAssignment:
         return SubsetCoefficients(assignment)
 
 
-@dataclass
-class ChainReport:
-    failures: list[str]
+class ChainReport(Record):
+    __slots__ = _fields = ("failures",)  # the one record left mutable, so unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, failures: list[str]) -> None:
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

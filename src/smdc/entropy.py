@@ -22,13 +22,13 @@ joint's cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, prod
 from operator import itemgetter
 from typing import Iterable, Mapping
 
+from ._record import Record
 from .covers import CoefficientChain, ConditionalAssignment, verify_cover
 from .exactlp import as_fraction, over_common_denominator
 from .subsets import EncoderSet, subsets_of_size, windows
@@ -79,7 +79,7 @@ class JointPMF:
             if p.numerator < 0:
                 raise ValueError("probabilities must be nonnegative")
             if p:
-                table[outcome] = table.get(outcome, _ZERO) + p
+                table[outcome] = table[outcome] + p if outcome in table else p
         counts, d = over_common_denominator(table.values())
         if sum(counts) != d:
             raise ValueError(f"probabilities sum to {Fraction(sum(counts), d)}, expected 1")
@@ -220,12 +220,11 @@ class JointPMF:
         return counts
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    name: str
-    lhs: float
-    rhs: float
-    details: dict
+class InequalityReport(Record):
+    __slots__ = _fields = ("name", "lhs", "rhs", "details")
+
+    def __init__(self, name: str, lhs: float, rhs: float, details: dict) -> None:
+        self._init(name, lhs, rhs, details)
 
     @property
     def slack(self) -> float:

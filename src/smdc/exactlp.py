@@ -31,15 +31,17 @@ Conventions for `max c.x, rows, x >= 0`:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
+
+from ._record import Record
 
 LE = "<="
 GE = ">="
 
 _ZERO = Fraction(0)
+Vector = tuple[Fraction, ...]  # an exact point, dual or certificate
 _LONE_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
 
 OPTIMAL = "optimal"
@@ -135,20 +137,20 @@ class LinearProgram:
         return len(self.int_rows)
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    status: str
-    value: Fraction | None = None
-    primal: tuple[Fraction, ...] | None = None
-    dual: tuple[Fraction, ...] | None = None
-    certificate: tuple[Fraction, ...] | None = None
+class LpSolution(Record):
+    __slots__ = _fields = ("status", "value", "primal", "dual", "certificate")
+
+    def __init__(self, status: str, value: Fraction | None = None, primal: Vector | None = None,
+                 dual: Vector | None = None, certificate: Vector | None = None) -> None:
+        self._init(status, value, primal, dual, certificate)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    point: tuple[Fraction, ...] | None = None
-    certificate: tuple[Fraction, ...] | None = None
+class FeasibilityResult(Record):
+    __slots__ = _fields = ("feasible", "point", "certificate")
+
+    def __init__(self, feasible: bool, point: Vector | None = None,
+                 certificate: Vector | None = None) -> None:
+        self._init(feasible, point, certificate)
 
 
 class _Tableau:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
+from ._record import Record
 from .exactlp import GE, LE, LinearProgram, as_fraction, as_fractions, feasible
 from .exactlp import over_common_denominator
 from .subsets import EncoderSet
@@ -66,6 +67,8 @@ class SubsetCoefficients:
 
 @dataclass(frozen=True)
 class MembershipVerdict:
+    """A rate vector's verdict, with a member's witness or a nonmember's certificate."""
+
     member: bool
     # per level alpha, the rate split across encoders; for the all-access
     # variant index 0 of each tuple is the encoder-0 share
@@ -75,11 +78,12 @@ class MembershipVerdict:
     certificate_m: int | None = None
 
 
-@dataclass(frozen=True)
-class GreedyAllocation:
-    stored_at_zero: tuple[Fraction, ...]
-    residual: tuple[Fraction, ...]
-    level: int | None  # None once the all-access budget covers everything
+class GreedyAllocation(Record):
+    __slots__ = _fields = ("stored_at_zero", "residual", "level")
+
+    def __init__(self, stored_at_zero: tuple[Fraction, ...], residual: tuple[Fraction, ...],
+                 level: int | None) -> None:  # None once the all-access budget covers everything
+        self._init(stored_at_zero, residual, level)
 
 
 def _level_weights(weights, alpha: int) -> tuple[Fraction, ...]:

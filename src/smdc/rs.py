@@ -24,9 +24,9 @@ through k `GF.solve` calls on the received Vandermonde rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
+from ._record import Record
 from .gf import GF, GF256
 
 
@@ -34,30 +34,28 @@ class InsufficientSharesError(ValueError):
     """Fewer distinct shares than the recovery threshold."""
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(Record):
     """Share count n, recovery threshold k, and the evaluation geometry."""
 
-    n: int
-    k: int
-    eval_points: tuple[int, ...]
-    message_points: tuple[int, ...] = ()
-    key_points: tuple[int, ...] = ()
-    gf: GF = field(default=GF256, repr=False, compare=False)
+    _fields = ("n", "k", "eval_points", "message_points", "key_points")
+    __slots__ = _fields + ("gf",)
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.n:
+    def __init__(self, n: int, k: int, eval_points: tuple[int, ...],
+                 message_points: tuple[int, ...] = (), key_points: tuple[int, ...] = (),
+                 gf: GF = GF256) -> None:
+        if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
-        if len(self.eval_points) != self.n:
+        if len(eval_points) != n:
             raise ValueError("one evaluation point per share required")
-        all_points = self.eval_points + self.message_points + self.key_points
+        all_points = eval_points + message_points + key_points
         if len(set(all_points)) != len(all_points):
             raise ValueError("evaluation, message and key points must be disjoint")
-        if any(not 0 <= p < self.gf.order for p in all_points):
+        if any(not 0 <= p < gf.order for p in all_points):
             raise ValueError("points must be field elements")
-        if self.message_points:
-            if len(self.message_points) + len(self.key_points) != self.k:
+        if message_points:
+            if len(message_points) + len(key_points) != k:
                 raise ValueError("ramp mode needs message + key points = k")
+        self._init(n, k, eval_points, message_points, key_points, gf)
 
     @property
     def is_ramp(self) -> bool:

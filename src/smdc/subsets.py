@@ -13,8 +13,9 @@ levels may accept larger ground sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+
+from ._record import Record
 
 MAX_ENUMERATION_GROUND = 24
 # a coefficient chain holds about L * 2**(L-1) cover entries of some 230
@@ -25,8 +26,7 @@ MAX_CHAIN_GROUND = 18
 MAX_SHARED_FAMILY = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class EncoderSet:
+class EncoderSet(Record):
     """An immutable subset of the encoder indices {1..ground_size}.
 
     Members are kept strictly increasing.  The bit mask, with bit m set
@@ -35,15 +35,14 @@ class EncoderSet:
     allowed (it appears as a conditioning set).
     """
 
-    members: tuple[int, ...]
-    ground_size: int
-    mask: int = field(init=False, repr=False)
+    _fields = ("members", "ground_size")
+    __slots__ = _fields + ("mask",)
 
-    def __post_init__(self) -> None:
-        if self.ground_size < 1:
+    def __init__(self, members: tuple[int, ...], ground_size: int) -> None:
+        if ground_size < 1:
             raise ValueError("ground_size must be at least 1")
         prev = mask = 0
-        for m in self.members:
+        for m in members:
             if not isinstance(m, int):
                 raise ValueError(f"encoder index {m!r} is not an integer")
             if m < 1:
@@ -52,10 +51,10 @@ class EncoderSet:
                 raise ValueError("members must be strictly increasing")
             prev = m
             mask |= 1 << m
-        if prev > self.ground_size:
-            raise ValueError(
-                f"member {prev} outside ground set of size {self.ground_size}"
-            )
+        if prev > ground_size:
+            raise ValueError(f"member {prev} outside ground set of size {ground_size}")
+        object.__setattr__(self, "members", members)  # unrolled: the most built record
+        object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "mask", mask)
 
     def __eq__(self, other) -> bool:

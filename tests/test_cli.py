@@ -691,6 +691,20 @@ class TestCodecCommands:
         assert err == f"error: {option} belongs to the {owner} scheme, not {scheme}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("n", [[], ["--n", "0"]], ids=["missing", "zero"])
+    def test_secure_scheme_needs_a_key_count(self, capsys, tmp_path, n):
+        # without --n the secure scheme would write keyless bundles that hold
+        # the first source in the clear; refused before any file is touched
+        paths = self._write_sources(tmp_path, [8, 8])
+        out_dir = tmp_path / "enc"
+        code, out, err = run(
+            capsys, "codec", "encode", "--scheme", "s-smdc", *n,
+            "--inputs", ",".join(str(p) for p in paths), "--out-dir", str(out_dir),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: s-smdc needs --n of 1 or more; --scheme smdc is the keyless code\n"
+        assert not out_dir.exists()
+
     def test_corrupt_bundle_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.smdc"
         bad.write_bytes(b"not a bundle")

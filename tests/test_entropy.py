@@ -244,6 +244,21 @@ class TestPmfValidation:
         with pytest.raises(ValueError):
             random_product_pmf(rng, sizes)
 
+    def test_outcomes_that_read_alike_are_summed(self):
+        # keys that differ as Python values but name one outcome add up
+        pmf = JointPMF([2, 2], {(0, 1): F(1, 2), ("0", "1"): F(1, 4), (1.0, 1): F(1, 4)})
+        assert pmf.probabilities == {(0, 1): F(3, 4), (1, 1): F(1, 4)}
+        assert pmf.probabilities == JointPMF([2, 2], {(0, 1): F(3, 4), (1, 1): F(1, 4)}).probabilities
+
+    def test_a_large_table_reads_back_equal(self):
+        rng = random.Random(11)
+        outcomes = list(product(range(3), repeat=8))
+        weights = [rng.randint(0, 50) for _ in outcomes]
+        table = {o: F(w, sum(weights)) for o, w in zip(outcomes, weights)}
+        pmf = JointPMF([3] * 8, table)
+        assert pmf.probabilities == {o: p for o, p in table.items() if p}
+        assert list(pmf.probabilities) == [o for o in outcomes if table[o]]
+
     def test_uniform_over_no_outcomes(self):
         with pytest.raises(ValueError, match="at least one outcome"):
             JointPMF.uniform_over([2], [])

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -15,6 +14,7 @@ from smdc.exactlp import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    LpSolution,
     _Tableau,
     _check_certificate,
     _check_optimal,
@@ -398,12 +398,12 @@ class TestRechecks:
             return
         tiny = F(1, 10**30)
         with pytest.raises(AssertionError, match="objective value mismatch"):
-            _check_optimal(lp, replace(sol, value=sol.value + tiny))
+            _check_optimal(lp, LpSolution(OPTIMAL, sol.value + tiny, sol.primal, sol.dual))
         if sol.value:
             # the scaled duals keep their signs but miss the value by a hair
             dual = tuple(y * (1 + tiny) for y in sol.dual)
             with pytest.raises(AssertionError, match="strong duality violated"):
-                _check_optimal(lp, replace(sol, dual=dual))
+                _check_optimal(lp, LpSolution(OPTIMAL, sol.value, sol.primal, dual))
 
     @pytest.mark.parametrize(
         "coeffs, rhs",

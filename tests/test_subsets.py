@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 from itertools import combinations
 
@@ -177,8 +176,8 @@ class TestEncoderSetIdentity:
             parse_subset(format_subset(u), L),
             u.complement(),
             window(data.draw(st.integers(1, L)), data.draw(st.integers(1, L)), L),
-            dataclasses.replace(u, ground_size=L + 1),
-            dataclasses.replace(u, members=u.complement().members),
+            EncoderSet(u.members, L + 1),
+            EncoderSet(u.complement().members, L),
             pickle.loads(pickle.dumps(u)),
             copy.copy(u),
             copy.deepcopy(u),
