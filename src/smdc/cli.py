@@ -364,8 +364,6 @@ def cmd_codec_encode(args) -> int:
     paths = [Path(p) for p in args.inputs.split(",")]
     sources = [p.read_bytes() for p in paths]
     stem = args.stem or paths[0].stem
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if scheme == SCHEME_SMDC:
         bundles = smdc_encode(sources)
     elif scheme == SCHEME_SMDCA:
@@ -373,6 +371,9 @@ def cmd_codec_encode(args) -> int:
     else:
         needed = key_bytes_needed([len(s) for s in sources], args.n)
         bundles = ssmdc_encode(sources, args.n, _key_stream(args, needed))
+    # only once the encode succeeded, so a refused one leaves no directory
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for b in bundles:
         path = out_dir / f"{stem}.enc{b.encoder_index}.smdc"

@@ -10,32 +10,25 @@ solved: the descent starts from the one optimal top level, and each
 step takes one of two rules, depending on how top-heavy the sorted
 weight vector is: a dominant top weight recurses on the rest of the
 ground set, and otherwise the uniform cover is shifted by the level's
-deficits (which are all zero when the weights are balanced).  The base
-case, two encoders, is the shifted cover too: its one parent weighs
-lam_2, so the children get lam_1/lam_2 and 1.  A shifted cover gives
-the child that drops a parent's tau-th element the same weight for
-every parent, so a level's alpha weights are built once and shared by
-all its parents.  The next level is the cover-weighted parent sums,
-taken on integer numerators.  The descent keys every subset by its bit
-mask over the caller's encoder indices, as `EncoderSet.mask` does, and
-the finished chain takes its sets from the shared `subsets_of_size`
-families.  It is audited exactly (every level by `region.audit_level`,
-the check `f_alpha`'s packings pass too, against the closed-form
-optimum and the encoder capacities, a cover at every subset of
-positive weight on levels 2..L, every cover against the covering
-inequality, every descent against the parent-sum identity), so a bad
-construction raises `AssertionError` instead of propagating.  The
-audits put each level, cover or descent's weights over one common
-denominator and sum integer numerators, so no check takes a `Fraction`
-operation per term.
+deficits (all zero when the weights are balanced; the base case, two
+encoders, is the shifted cover too).  A shifted cover gives the child
+that drops a parent's tau-th element the same weight for every parent,
+so a level's alpha weights are built once and shared by all its
+parents.  The descent runs on integer numerators and keys every subset
+by its bit mask, as `EncoderSet.mask` does; the finished chain takes its
+sets from the shared `subsets_of_size` families.  It is audited exactly
+(every level as `region.audit_level` checks `f_alpha`'s packings, a
+cover at every subset of positive weight on levels 2..L, every cover's
+children and covering inequality, every descent's parent-sum identity),
+so a bad construction raises `AssertionError` instead of propagating.
 
 The conditional variant additionally attaches to each subset a family
 of disjoint "adversary" sets of fixed size and splits the level weights
 across them.  Each descent pushes every parent's split through the
 chain's covers onto its children, so each child collects the adversary
-sets of all its parents.  The push carries each level's split as
-integers over one running denominator and builds one `Fraction` per
-final entry.
+sets of all its parents.  The push and both audits run on bit masks and
+on integer numerators, each level or descent put over one denominator
+once, with one `Fraction` per entry the push returns.
 """
 
 from __future__ import annotations
@@ -47,7 +40,7 @@ from math import comb
 
 from ._record import Record
 from .exactlp import as_fraction, as_fractions, over_common_denominator
-from .region import SubsetCoefficients, audit_level
+from .region import SubsetCoefficients, _audit, f_profile
 # re-exported: the benchmark tracer (perfbench/tracing.py) wraps covers.f_alpha
 from .region import f_alpha  # noqa: F401
 from .subsets import (
@@ -68,22 +61,24 @@ CASE_3 = "case3"
 
 
 def verify_cover(u: EncoderSet, weights: dict[EncoderSet, Fraction]) -> bool:
-    """Exact check that child -> weight covers every element of parent u.
-
-    Each child misses exactly one parent element, a different one for
-    each child, so element i is covered by the total weight less that of
-    the child without i, or by the whole total if no child lacks i.  With
-    the weights as integers n over one denominator d, that is total - n
-    >= d for every n, and total >= d if the children are fewer than the
-    parent's elements.
-    """
-    if len(u) < 2:
-        raise ValueError("children require a set of size at least 2")
-    L, size, mask = u.ground_size, len(u) - 1, u.mask
-    for v in weights:
-        if v.ground_size != L or v.mask.bit_count() != size or v.mask & ~mask:
-            return False
+    """Exact check that child -> weight covers every element of parent u."""
     counts, d = over_common_denominator(weights.values())
+    return _children_fit(u, weights) and _covers(tuple(counts), d, len(u) - 1)
+
+
+def _children_fit(u: EncoderSet, children) -> bool:
+    """Each child is u less one element."""
+    if len(u.members) < 2:
+        raise ValueError("children require a set of size at least 2")
+    L, size, mask = u.ground_size, len(u.members) - 1, u.mask
+    return all(v.ground_size == L and v.mask.bit_count() == size and not v.mask & ~mask
+               for v in children)
+
+
+def _covers(counts: tuple[int, ...], d: int, size: int) -> bool:
+    """Weights counts / d cover each element of a parent of size + 1: the
+    child without element i (if any) weighs at most the total less 1, so
+    total - n >= d for every n, and total >= d if a child is missing."""
     total = sum(counts)
     return all(0 <= n <= total - d for n in counts) and (len(counts) > size or total >= d)
 
@@ -115,17 +110,6 @@ class ConditionalAssignment:
     @property
     def ground_size(self) -> int:
         return len(self.weights)
-
-    def level_coefficients(self, alpha: int) -> SubsetCoefficients:
-        """Each subset's weight summed over its adversary sets, on integer
-        numerators over one denominator for the whole level."""
-        per_u = self.split[alpha]
-        ns, d = over_common_denominator([s for parts in per_u.values() for s in parts.values()])
-        counts = iter(ns)
-        assignment = {
-            u: Fraction(sum(n for _, n in zip(parts, counts)), d) for u, parts in per_u.items()
-        }
-        return SubsetCoefficients(assignment)
 
 
 class ChainReport(Record):
@@ -161,26 +145,25 @@ def _children(u, ground):
     return [u ^ 1 << e for e in reversed(ground) if u >> e & 1]
 
 
-def _descend(lam, ground, alpha, level, events):
+def _descend(lam, ns, ground, alpha, level, events):
     """Covers taking the given optimal level alpha down to alpha-1.
 
-    lam: encoder -> weight (nonincreasing along ground); level: mask ->
-    weight, with positive total.  Returns parent mask -> child mask ->
-    weight.
+    lam: encoder -> weight (nonincreasing along ground), and ns: encoder ->
+    its numerator over one denominator; level: mask -> weight, with
+    positive total.  Returns parent mask -> child mask -> weight.
     """
-    top = lam[ground[0]]
-    rest = sum((lam[e] for e in ground[1:]), _ZERO)
-    if alpha >= 3 and top > rest / (alpha - 2):
+    top, rest = ns[ground[0]], sum(ns[e] for e in ground[1:])
+    if alpha >= 3 and top * (alpha - 2) > rest:
         events.append((alpha, CASE_2))
-        return _case2(lam, ground, alpha, level, events)
+        return _case2(lam, ns, ground, alpha, level, events)
     if len(ground) == 2:
         events.append((alpha, CASE_BASE))
     else:
-        events.append((alpha, CASE_1 if top <= rest / (alpha - 1) else CASE_3))
+        events.append((alpha, CASE_1 if top * (alpha - 1) <= rest else CASE_3))
     return _case3(lam, ground, alpha, level)
 
 
-def _case2(lam, ground, alpha, level, events):
+def _case2(lam, ns, ground, alpha, level, events):
     """Top weight dominates: all mass sits on subsets containing the top
     element, so recurse on the remaining ground with level alpha-1."""
     top = 1 << ground[0]
@@ -192,7 +175,7 @@ def _case2(lam, ground, alpha, level, events):
             raise AssertionError(
                 f"{CASE_2}: positive weight on mask {u:#b} missing the dominant element"
             )
-    sub_covers = _descend(lam, ground[1:], alpha - 1, sub_level, events)
+    sub_covers = _descend(lam, ns, ground[1:], alpha - 1, sub_level, events)
     covers = {}
     uniform = Fraction(1, alpha - 1)
     for u in _masks(ground, alpha):
@@ -283,7 +266,8 @@ def yz_chain(weights) -> CoefficientChain:
     lam = _chain_weights(weights)
     L = len(lam)
     by_encoder = dict(enumerate(lam, 1))
-    ground = tuple(sorted(by_encoder, key=lambda e: (-by_encoder[e], e)))
+    ns = dict(enumerate(over_common_denominator(lam)[0], 1))
+    ground = tuple(sorted(ns, key=lambda e: (-ns[e], e)))
     p = sum(1 for x in lam if x.numerator > 0)
 
     events: list[tuple[int, str]] = []
@@ -292,7 +276,7 @@ def yz_chain(weights) -> CoefficientChain:
     if p:
         levels_m[p] = {sum(1 << e for e in ground[:p]): by_encoder[ground[p - 1]]}
     for alpha in range(p, 1, -1):
-        g = _descend(by_encoder, ground, alpha, levels_m[alpha], events)
+        g = _descend(by_encoder, ns, ground, alpha, levels_m[alpha], events)
         covers_m[alpha] = g
         levels_m[alpha - 1] = _reconstruct(g, levels_m[alpha], ground, alpha)
 
@@ -326,50 +310,36 @@ def han_chain(L: int) -> CoefficientChain:
 
 
 def _is_family(subsets, L: int, alpha: int) -> bool:
-    """Exactly the alpha-subsets of {1..L}: counted, then every set of the
-    shared family looked up."""
+    """Exactly the alpha-subsets of {1..L}: as many distinct keys, each one."""
     check_ground(L)  # past the cap, raise as enumerating would
     return len(subsets) == comb(L, alpha) and all(
-        u in subsets for u in subsets_of_size(L, alpha)
-    )
-
-
-def _parent_sums_match(per_u, upper, lower) -> bool:
-    """Each child v at level alpha-1 weighs the sum of upper[u] * g_u(v)
-    over its parents u, and no other subset gets a sum.  The cover
-    weights and each level go over one denominator apiece, so the sums
-    run on integers."""
-    g, dg = over_common_denominator([w for gu in per_u.values() for w in gu.values()])
-    up, du = over_common_denominator(upper.values())
-    up = dict(zip(upper, up))
-    lo, dl = over_common_denominator(lower.values())
-    recon = dict.fromkeys(lower, 0)
-    weights = iter(g)
-    for u, gu in per_u.items():
-        c = up.get(u, 0)
-        for v, n in zip(gu, weights):
-            recon[v] = recon.get(v, 0) + c * n
-    # recon[v] / (du * dg) against lower[v] == lo / dl, in lower's order
-    return recon.keys() == lower.keys() and all(
-        r * dl == n * du * dg for r, n in zip(recon.values(), lo)
+        u.ground_size == L and len(u.members) == alpha for u in subsets
     )
 
 
 def verify_chain(chain: CoefficientChain) -> ChainReport:
     """Exact structural audit: per-level feasibility and optimality, a
     cover at every subset of positive weight on levels 2..L, each cover's
-    inequality, and the parent-sum identity of every descent."""
+    children and inequality (once per distinct weight vector), and every
+    descent's parent-sum identity, keyed by mask (a set over another
+    ground fails its family or cover check); each level and each
+    descent's weights go over one denominator once."""
     failures: list[str] = []
     lam = chain.weights
     L = chain.ground_size
     if set(chain.levels) != set(range(1, L + 1)):
         return ChainReport(["levels must cover 1..L"])
+    counts, by_mask = {}, {}  # alpha -> numerators, and (mask -> numerator, denominator)
+    profile = None
     for alpha in range(1, L + 1):
-        coeffs = chain.levels[alpha]
-        if not _is_family(coeffs.assignment, L, alpha):
+        assignment = chain.levels[alpha].assignment
+        cs, d = over_common_denominator(assignment.values())
+        counts[alpha], by_mask[alpha] = cs, ({u.mask: n for u, n in zip(assignment, cs)}, d)
+        if not _is_family(assignment, L, alpha):
             failures.append(f"level {alpha}: wrong subset family")
             continue
-        failures += audit_level(lam, alpha, coeffs)
+        profile = profile or f_profile(lam)
+        failures += _audit(lam, alpha, profile[alpha - 1], assignment, cs, d)
     level1 = {EncoderSet((l,), L): w for l, w in enumerate(lam, 1)}
     if chain.levels[1].assignment != level1:
         failures.append("level 1 must equal the weight vector")
@@ -377,19 +347,33 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
         per_u = chain.covers.get(alpha, {})
         failures += [
             f"descent {alpha}: no cover at {u}"
-            for u, c in chain.levels[alpha].assignment.items()
-            if c > 0 and u not in per_u
+            for u, n in zip(chain.levels[alpha].assignment, counts[alpha])
+            if n > 0 and u not in per_u
         ]
     for alpha, per_u in chain.covers.items():
         if not 2 <= alpha <= L:
             failures.append(f"descent {alpha}: no such level")
             continue
-        upper = chain.levels[alpha].assignment
-        lower = chain.levels[alpha - 1].assignment
+        ws, g = over_common_denominator([w for gu in per_u.values() for w in gu.values()])
+        (up, du), (lo, dl) = by_mask[alpha], by_mask[alpha - 1]
+        covering: dict[tuple, bool] = {}  # (numerators, size) -> inequality holds
+        recon = dict.fromkeys(lo, 0)
+        i = 0
         for u, gu in per_u.items():
-            if not verify_cover(u, gu):
+            ns, i = tuple(ws[i : i + len(gu)]), i + len(gu)
+            key = ns, len(u.members) - 1
+            if key not in covering:
+                covering[key] = _covers(ns, g, key[1])
+            if not (_children_fit(u, gu) and covering[key]):
                 failures.append(f"descent {alpha}: invalid cover at {u}")
-        if not _parent_sums_match(per_u, upper, lower):
+            # each child v at level alpha-1 collects upper[u] * g_u(v)
+            c = up.get(u.mask, 0)
+            for v, n in zip(gu, ns):
+                recon[v.mask] = recon.get(v.mask, 0) + c * n
+        # recon[v] / (du * g) against lower[v], in lower's order
+        if not (recon.keys() == lo.keys() and all(
+            r * dl == n * du * g for r, n in zip(recon.values(), lo.values())
+        )):
             failures.append(f"descent {alpha}: parent-sum identity fails")
     return ChainReport(failures)
 
@@ -417,27 +401,32 @@ def conditional_chain(weights, n_secure: int) -> ConditionalAssignment:
 def _push(chain: CoefficientChain, n_secure: int):
     """The adversary split of every level from L - n_secure down to 1.
 
-    Each level's split is carried as integers over one running
+    Each level's split is carried on masks as integers over one running
     denominator: a descent puts the level's covers over one denominator G
     and multiplies the running one by G, and a restart takes the fresh
-    level's denominator.  Each final entry builds one `Fraction`.
+    level's denominator.
     """
-    top = chain.ground_size - n_secure
+    L = chain.ground_size
+    top = L - n_secure
     level = chain.levels[top].assignment
     cs, d = over_common_denominator(level.values())
-    split = {top: {u: {u.complement(): c} for u, c in zip(level, cs)}}
-    denominators = {top: d}
+    ground = range(1, L + 1)
+    sets = {u.mask: u for k in {*ground[:top], n_secure} - {0} for u in subsets_of_size(L, k)}
+    sets[0] = EncoderSet((), L)
+    full = sum(1 << e for e in ground)
+    split = {top: ({u.mask: {full ^ u.mask: c} for u, c in zip(level, cs)}, d)}
     for alpha in range(top, 1, -1):
         per_u = chain.covers.get(alpha)
-        lower: dict[EncoderSet, dict[EncoderSet, int]] = {}
+        lower: dict[int, dict[int, int]] = {}
         if per_u:
             gs, g = over_common_denominator([w for gu in per_u.values() for w in gu.values()])
             weights = iter(gs)
-            g_int = {u: list(zip(gu, weights)) for u, gu in per_u.items()}
+            g_int = {u.mask: [(v.mask, n) for v, n in zip(gu, weights)] for u, gu in per_u.items()}
             d *= g
-        for u, parts in split[alpha].items():
-            # a vanished level has no covers: push zeros to keep the keys
-            for v, n in g_int[u] if per_u else dict.fromkeys(u.children(), 0).items():
+        for u, parts in split[alpha][0].items():
+            # a vanished level has no covers: push zeros to keep the keys,
+            # the children in lex order
+            for v, n in g_int[u] if per_u else dict.fromkeys(_children(u, ground), 0).items():
                 into = lower.setdefault(v, {})
                 for a, s in parts.items():
                     into[a] = into.get(a, 0) + n * s
@@ -445,21 +434,20 @@ def _push(chain: CoefficientChain, n_secure: int):
             # restart from the fresh optimum below, each subset's whole
             # weight on its smallest adversary set
             fresh = chain.levels[alpha - 1].assignment
-            fs, d = over_common_denominator([fresh[v] for v in lower])
+            fs, d = over_common_denominator([fresh[sets[v]] for v in lower])
             for into, n in zip(lower.values(), fs):
-                into[min(into, key=lambda a: a.members)] = n
-        split[alpha - 1] = lower
-        denominators[alpha - 1] = d
+                into[min(into, key=lambda a: sets[a].members)] = n
+        split[alpha - 1] = lower, d
     return {
-        alpha: {
-            u: {a: Fraction(n, denominators[alpha]) if n else _ZERO for a, n in parts.items()}
-            for u, parts in per_level.items()
-        }
-        for alpha, per_level in split.items()
+        alpha: {sets[u]: {sets[a]: Fraction(n, d) if n else _ZERO for a, n in parts.items()}
+                for u, parts in per_level.items()}
+        for alpha, (per_level, d) in split.items()
     }
 
 
 def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
+    """Each level's family and its adversary sets, and the subsets' totals,
+    on numerators over one denominator per level, audited as a level."""
     failures: list[str] = []
     lam = assignment.weights
     L = assignment.ground_size
@@ -469,20 +457,26 @@ def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
     top = L - N
     if set(assignment.split) != set(range(1, top + 1)):
         return ChainReport(["levels must cover 1..L-N"])
+    profile = None
     for alpha in range(1, top + 1):
         per_u = assignment.split[alpha]
         if not _is_family(per_u, L, alpha):
             failures.append(f"level {alpha}: wrong subset family")
             continue
+        ns, d = over_common_denominator([s for parts in per_u.values() for s in parts.values()])
+        totals, i = [], 0
         for u, parts in per_u.items():
-            for a, s in parts.items():
-                if len(a) != N:
+            row, i = ns[i : i + len(parts)], i + len(parts)
+            for a, n in zip(parts, row):
+                if len(a.members) != N:
                     failures.append(f"level {alpha}: adversary size != {N} at {u}")
                 if a.mask & u.mask:
                     failures.append(f"level {alpha}: adversary overlaps {u}")
-                if s < 0:
+                if n < 0:
                     failures.append(f"level {alpha}: negative split weight at {u}")
-        failures += audit_level(lam, alpha, assignment.level_coefficients(alpha))
+            totals.append(sum(row))
+        profile = profile or f_profile(lam)
+        failures += _audit(lam, alpha, profile[alpha - 1], per_u, totals, d)
     return ChainReport(failures)
 
 

@@ -39,7 +39,6 @@ RESOLUTION = 256
 # the cached marginals hold at most this many times the joint's cells
 MARGINAL_BUDGET = 4
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -124,12 +123,11 @@ class JointPMF:
         pts = list(outcomes)
         if not pts:
             raise ValueError("need at least one outcome")
-        mass = Fraction(1, len(pts))
-        table: dict[tuple[int, ...], Fraction] = {}
+        hits: dict[tuple[int, ...], int] = {}
         for o in pts:
             o = tuple(o)
-            table[o] = table.get(o, _ZERO) + mass
-        return cls(alphabet_sizes, table)
+            hits[o] = hits.get(o, 0) + 1
+        return cls(alphabet_sizes, {o: Fraction(c, len(pts)) for o, c in hits.items()})
 
     def _mask(self, u) -> int:
         """The bit mask of a variable set, bit m for variable m, once every

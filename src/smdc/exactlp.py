@@ -6,26 +6,25 @@ column per nonbasic variable, no slack, surplus or artificial columns).
 denominators (a row of ints by that of its right-hand side alone), and
 keeps only the integer row; pivots divide exactly by the previous pivot,
 and `fractions.Fraction` appears only when the answer is read back.
-Feasibility is a dual simplex from the slack basis, with no phase-1
-objective: the most negative row leaves and its largest positive entry
-enters, with Bland's rule once a basis repeats, and a negative row with
-no positive entry is itself the Farkas certificate.  `solve_max` follows
-it with Bland's primal simplex on the same tableau; when the slack basis
-is feasible (every row `<=` with b >= 0) it takes the pivots of the
-textbook two-phase tableau.  Optimal solves return a primal vertex and a
-dual vector whose objective matches the primal exactly; infeasible
-systems return a Farkas certificate.  Both are re-verified exactly
-against the integer rows before being handed back, the point and the
-multipliers each put over one common denominator
-(`over_common_denominator`), so a returned solution is proof-checked
-without a `Fraction` per term.
+Each row records the D at which it was last written and is brought up to
+the current D (times D over that D, exact by Bareiss) only when a pivot
+eliminates in it or a read needs its value; signs and ratios read it as
+it stands.  Feasibility is a dual simplex from the slack basis, with no
+phase-1 objective: the most negative row leaves and its largest positive
+entry enters, with Bland's rule once a basis repeats, and a negative row
+with no positive entry is itself the Farkas certificate.  `solve_max`
+follows it with Bland's primal simplex on the same tableau; when the
+slack basis is feasible (every row `<=` with b >= 0) it takes the pivots
+of the textbook two-phase tableau.  Optimal solves return a primal
+vertex and a dual vector whose objective matches the primal exactly;
+infeasible systems return a Farkas certificate.  Both are re-verified
+against the integer rows straight off the tableau, before one `Fraction`
+is built per returned entry.
 
-Conventions for `max c.x, rows, x >= 0`:
-  * dual[i]        >= 0 on `<=` rows, <= 0 on `>=` rows,
-                   with A^T.dual >= c componentwise and b.dual == value;
-  * certificate[i] >= 0 on `>=` rows, <= 0 on `<=` rows,
-                   with certificate^T.A <= 0 componentwise and
-                   certificate^T.b > 0.
+Conventions for `max c.x, rows, x >= 0`: dual[i] >= 0 on `<=` rows and
+<= 0 on `>=` rows, with A^T.dual >= c componentwise and b.dual == value;
+certificate[i] >= 0 on `>=` rows and <= 0 on `<=` rows, with
+certificate^T.A <= 0 componentwise and certificate^T.b > 0.
 """
 
 from __future__ import annotations
@@ -90,9 +89,7 @@ class LinearProgram:
         if num_vars < 1:
             raise ValueError("need at least one variable")
         self.num_vars = num_vars
-        if objective is None:
-            objective = [0] * num_vars
-        self.objective = list(as_fractions(objective))
+        self.objective = [_ZERO] * num_vars if objective is None else list(as_fractions(objective))
         if len(self.objective) != num_vars:
             raise ValueError("objective length does not match num_vars")
         self.senses: list[str] = []
@@ -107,7 +104,7 @@ class LinearProgram:
         alone; any other row goes through `as_fraction` coefficient by
         coefficient."""
         coeffs = list(coeffs)
-        ints = all(type(a) is int for a in coeffs)
+        ints = {*map(type, coeffs)} <= {int}
         if not ints:
             coeffs = list(as_fractions(coeffs))
         if len(coeffs) != self.num_vars:
@@ -146,11 +143,12 @@ class LpSolution(Record):
 
 
 class FeasibilityResult(Record):
-    __slots__ = _fields = ("feasible", "point", "certificate")
+    _fields = ("feasible", "point", "certificate")
+    __slots__ = _fields + ("scaled",)  # the point or certificate as (ns, d > 0)
 
     def __init__(self, feasible: bool, point: Vector | None = None,
-                 certificate: Vector | None = None) -> None:
-        self._init(feasible, point, certificate)
+                 certificate: Vector | None = None, scaled: tuple | None = None) -> None:
+        self._init(feasible, point, certificate, scaled)
 
 
 class _Tableau:
@@ -161,11 +159,13 @@ class _Tableau:
     b_i - a_i.x on a `<=` row and a_i.x - b_i on a `>=` row, both times
     sigma_i, the scale `LinearProgram.add` gave the row, so that the
     slacks start as the basis with integer rows.  Row i reads its basic
-    variable as (beta_i + T_i . x_N) / D over the nonbasic variables, one
-    column each, with no slack, surplus or artificial columns.  D > 0 is
-    |det| of the basis, so every pivot divides exactly by the previous D
-    (Edmonds 1967, Bareiss 1968) and no gcd is taken.  Phase 2 appends
-    the objective, times K, as one more row of the same form.
+    variable as (beta_i + T_i . x_N) / at_i over the nonbasic variables,
+    one column each, with no slack, surplus or artificial columns.  D > 0
+    is |det| of the basis, so every pivot divides exactly by the previous
+    D (Edmonds 1967, Bareiss 1968) and no gcd is taken; at_i is the D at
+    which row i was last written, and T_i D / at_i is integral too.
+    Phase 2 appends the objective, times K, as one more row of the same
+    form.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -175,44 +175,54 @@ class _Tableau:
         self.T = [[-a for a in row] if s == LE else list(row)
                   for row, s in zip(lp.int_rows, lp.senses)]
         self.beta = [b if s == LE else -b for b, s in zip(lp.int_rhs, lp.senses)]
+        self.at = [1] * m
         self.basis = list(range(n, n + m))  # the variable of each row
         self.nonbasic = list(range(n))      # the variable of each column
         self.D = 1
         self.K = 1
         self.bland = False                  # set once a basis repeats
 
+    def current(self, i: int) -> list[int]:
+        """Row i, brought up to the current D."""
+        at, D = self.at[i], self.D
+        if at != D:
+            self.T[i] = [a * D // at for a in self.T[i]]
+            self.beta[i] = self.beta[i] * D // at
+            self.at[i] = D
+        return self.T[i]
+
     def _pivot(self, r: int, c: int) -> None:
         """Swap row r's basic variable with column c's: T'_ij = (p T_ij -
         T_ic T_rj) / D, column c keeps T_ic and row r becomes -T_rj with D
-        at column c.  A negative pivot p negates every row, keeping D > 0."""
-        T, beta, D = self.T, self.beta, self.D
-        row = T[r]
+        at column c.  A negative pivot p negates every row, keeping D > 0;
+        a row with 0 at column c stays as it was written."""
+        T, beta, at, D = self.T, self.beta, self.at, self.D
+        row = self.current(r)
         s = 1 if row[c] > 0 else -1
         p, br = s * row[c], beta[r]
         for i, other in enumerate(T):
-            if i == r:
-                continue
-            f = s * other[c]
-            if f:
-                T[i] = new = [(p * a - f * t) // D for a, t in zip(other, row)]
+            if other[c] and i != r:
+                other = self.current(i)
+                f = s * other[c]
+                T[i] = new = [(p * a - f * t) // D if t else p * a // D
+                              for a, t in zip(other, row)]
                 new[c] = f
                 beta[i] = (p * beta[i] - f * br) // D
-            elif p != D:
-                T[i] = [p * a // D for a in other]
-                beta[i] = p * beta[i] // D
+                at[i] = p
         T[r] = new = [-s * t for t in row]
         new[c] = s * D
         beta[r] = -s * br
-        self.D = p
+        at[r] = self.D = p
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
     def dual_phase(self) -> int | None:
         """Pivot to a feasible basis and return None, or return a row
         whose basic variable is negative at every x_N >= 0.  The leaving
-        row has the most negative beta, the entering column the largest
-        positive entry in that row; once a basis repeats, both go by the
-        least variable index (Bland's rule) for the rest of the solve."""
-        T, beta, basis, nonbasic = self.T, self.beta, self.basis, self.nonbasic
+        row has the most negative beta at the current D, the entering
+        column the largest positive entry in that row; once a basis
+        repeats, both go by the least variable index (Bland's rule) for
+        the rest of the solve."""
+        T, beta, at, basis, nonbasic = self.T, self.beta, self.at, self.basis, self.nonbasic
         key = sum(1 << v for v in basis)
         seen = {key}
         while True:
@@ -226,7 +236,8 @@ class _Tableau:
                     return r
                 c = min(cols, key=nonbasic.__getitem__)
             else:
-                r = min(rows, key=beta.__getitem__)
+                D = self.D
+                r = min(rows, key=lambda i: beta[i] * D // at[i])
                 c = max(range(self.n), key=T[r].__getitem__)
                 if T[r][c] <= 0:
                     return r
@@ -239,8 +250,8 @@ class _Tableau:
     def primal_phase(self) -> str:
         """Price the objective into a row of its own, then Bland's rule:
         the least variable with a positive entry there enters, and the
-        least ratio beta_i / -T_ic leaves, ties to the least basic
-        variable."""
+        least ratio beta_i / -T_ic, the same at any D, leaves, ties to the
+        least basic variable."""
         T, beta, basis, nonbasic = self.T, self.beta, self.basis, self.nonbasic
         costs, self.K = over_common_denominator(self.lp.objective)
         costs += [0] * self.m
@@ -248,10 +259,11 @@ class _Tableau:
         for i in range(self.m):
             cb = costs[basis[i]]
             if cb:
-                z = [a + cb * t for a, t in zip(z, T[i])]
+                z = [a + cb * t for a, t in zip(z, self.current(i))]
                 z0 += cb * beta[i]
         T.append(z)
         beta.append(z0)
+        self.at.append(self.D)
         while True:
             cols = [j for j, d in enumerate(T[-1]) if d > 0]
             if not cols:
@@ -270,54 +282,33 @@ class _Tableau:
                 return UNBOUNDED
             self._pivot(r, c)
 
-    # extraction -------------------------------------------------------
+    # extraction: integers over one positive denominator ---------------
 
-    def _slack_entries(self, row: list[int]) -> list[int]:
-        """row's entries at the slack columns, in row order; 0 at a basic slack."""
-        out = [0] * self.m
+    def point(self) -> list[int]:
+        """The basic solution over D: x_j = beta_i / D at the row of x_j."""
+        x = [0] * self.n
+        for i, v in enumerate(self.basis):
+            if v < self.n:
+                x[v] = self.beta[i] * self.D // self.at[i]
+        return x
+
+    def multipliers(self, i: int, sign: int = 1) -> list[int]:
+        """sign times row i at the slack columns (at_i at its own basic
+        slack) as multipliers of the integer rows over at_i, a `<=` row's
+        slack negated: the duals over at_m K from the objective row, or with
+        sign -1 from row r, beta_r < 0 and no positive entry, the Farkas
+        multipliers y >= 0 of the slack rows: y.A~ >= 0, y.b~ = beta_r < 0."""
+        ys = [0] * self.m
         for j, v in enumerate(self.nonbasic):
             if v >= self.n:
-                out[v - self.n] = row[j]
-        return out
-
-    def _by_row(self, ys: list[int], d: int) -> tuple[Fraction, ...]:
-        """Multipliers ys of the slack rows as multipliers of the rows as
-        added: a `>=` row's slack is negated, and every row scaled by
-        sigma_i; all over d."""
-        return tuple(
-            Fraction(y * sigma if s == GE else -y * sigma, d) if y else _ZERO
-            for y, s, sigma in zip(ys, self.lp.senses, self.lp.scales)
-        )
-
-    def value(self) -> Fraction:
-        return Fraction(self.beta[self.m], self.D * self.K)
-
-    def primal(self) -> tuple[Fraction, ...]:
-        x = [_ZERO] * self.n
-        for i in range(self.m):
-            if self.basis[i] < self.n:
-                x[self.basis[i]] = Fraction(self.beta[i], self.D)
-        return tuple(x)
-
-    def dual(self) -> tuple[Fraction, ...]:
-        return self._by_row(self._slack_entries(self.T[self.m]), self.D * self.K)
-
-    def farkas(self, r: int) -> tuple[Fraction, ...]:
-        """Row r, with beta_r < 0 and no positive entry, is the combination
-        of the slack rows with multipliers y >= 0 (D at its own slack,
-        -T_rj at a nonbasic one): y.A~ >= 0 and y.b~ = beta_r < 0."""
-        ys = [-t for t in self._slack_entries(self.T[r])]
-        if self.basis[r] >= self.n:
-            ys[self.basis[r] - self.n] = self.D
-        return self._by_row(ys, self.D)
+                ys[v - self.n] = sign * self.T[i][j]
+        if i < self.m and self.basis[i] >= self.n:
+            ys[self.basis[i] - self.n] = self.at[i]
+        return [y if s == GE else -y for y, s in zip(ys, self.lp.senses)]
 
 
-def _scaled_multipliers(lp: LinearProgram, y: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(zs, e) with zs[i] / e == y[i] / sigma_i: the row multipliers y
-    acting on the integer rows, over one positive denominator e."""
-    return over_common_denominator(
-        [Fraction(c.numerator, c.denominator * s) for c, s in zip(y, lp.scales)]
-    )
+def _fractions(ns: Sequence[int], d: int) -> Vector:
+    return tuple(Fraction(n, d) if n else _ZERO for n in ns)
 
 
 def _column_sums(lp: LinearProgram, zs: Sequence[int]) -> list[int]:
@@ -331,8 +322,15 @@ def _column_sums(lp: LinearProgram, zs: Sequence[int]) -> list[int]:
     return cols
 
 
-def _check_point(lp: LinearProgram, x: Sequence[Fraction]) -> None:
-    xs, d = over_common_denominator(x)
+def _check_signs(lp: LinearProgram, zs: Sequence[int], what: str, sign: int) -> None:
+    """sign * z >= 0 on `>=` rows and <= 0 on `<=` rows."""
+    for z, sense in zip(zs, lp.senses):
+        if (sign * z < 0) if sense == GE else (sign * z > 0):
+            raise AssertionError(f"{what} sign mismatch on {sense} row")
+
+
+def _check_point(lp: LinearProgram, xs: Sequence[int], d: int) -> None:
+    """The point xs / d, d > 0, against every integer row."""
     if any(v < 0 for v in xs):
         raise AssertionError("solver returned a negative component")
     support = [(j, v) for j, v in enumerate(xs) if v]
@@ -343,32 +341,23 @@ def _check_point(lp: LinearProgram, x: Sequence[Fraction]) -> None:
             raise AssertionError("solver returned an infeasible point")
 
 
-def _check_certificate(lp: LinearProgram, cert: Sequence[Fraction]) -> None:
-    for c, sense in zip(cert, lp.senses):
-        if sense == GE and c < 0:
-            raise AssertionError("certificate sign mismatch on >= row")
-        if sense == LE and c > 0:
-            raise AssertionError("certificate sign mismatch on <= row")
-    zs, _ = _scaled_multipliers(lp, cert)
+def _check_certificate(lp: LinearProgram, zs: Sequence[int]) -> None:
+    """zs, multipliers of the integer rows, over any positive denominator."""
+    _check_signs(lp, zs, "certificate", 1)
     if sum(z * b for z, b in zip(zs, lp.int_rhs)) <= 0:
         raise AssertionError("certificate combination is not positive")
     if any(col > 0 for col in _column_sums(lp, zs)):
         raise AssertionError("certificate column combination is positive")
 
 
-def _check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
-    _check_point(lp, sol.primal)
-    value = sol.value
+def _check_optimal(lp: LinearProgram, value: Fraction, xs: Sequence[int], d: int,
+                   zs: Sequence[int], e: int) -> None:
+    """The point xs / d and duals zs / e (of the integer rows), d, e > 0."""
+    _check_point(lp, xs, d)
     cs, dc = over_common_denominator(lp.objective)
-    xs, dx = over_common_denominator(sol.primal)
-    if sum(c * v for c, v in zip(cs, xs)) * value.denominator != value.numerator * dc * dx:
+    if sum(c * v for c, v in zip(cs, xs)) * value.denominator != value.numerator * dc * d:
         raise AssertionError("objective value mismatch")
-    for y, sense in zip(sol.dual, lp.senses):
-        if sense == LE and y < 0:
-            raise AssertionError("dual sign mismatch on <= row")
-        if sense == GE and y > 0:
-            raise AssertionError("dual sign mismatch on >= row")
-    zs, e = _scaled_multipliers(lp, sol.dual)
+    _check_signs(lp, zs, "dual", -1)
     if sum(z * b for z, b in zip(zs, lp.int_rhs)) * value.denominator != value.numerator * e:
         raise AssertionError("strong duality violated")
     # column j: y^T A_j = cols[j] / e >= c_j = cs[j] / dc
@@ -377,34 +366,36 @@ def _check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
             raise AssertionError("dual infeasible")
 
 
+def _farkas(lp: LinearProgram, tab: _Tableau, r: int) -> tuple[list[int], int]:
+    """Row r's Farkas certificate, verified, as numerators over at_r."""
+    zs = tab.multipliers(r, -1)
+    _check_certificate(lp, zs)
+    return [z * sigma for z, sigma in zip(zs, lp.scales)], tab.at[r]
+
+
 def solve_max(lp: LinearProgram) -> LpSolution:
     """Solve to optimality, with exact strong duality verified internally."""
     tab = _Tableau(lp)
     r = tab.dual_phase()
     if r is not None:
-        cert = tab.farkas(r)
-        _check_certificate(lp, cert)
-        return LpSolution(status=INFEASIBLE, certificate=cert)
+        return LpSolution(status=INFEASIBLE, certificate=_fractions(*_farkas(lp, tab, r)))
     if tab.primal_phase() == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
-    sol = LpSolution(
-        status=OPTIMAL,
-        value=tab.value(),
-        primal=tab.primal(),
-        dual=tab.dual(),
-    )
-    _check_optimal(lp, sol)
-    return sol
+    xs, zs, e = tab.point(), tab.multipliers(tab.m), tab.at[tab.m] * tab.K
+    value = Fraction(tab.beta[tab.m], e)
+    _check_optimal(lp, value, xs, tab.D, zs, e)
+    dual = _fractions([z * sigma for z, sigma in zip(zs, lp.scales)], e)
+    return LpSolution(OPTIMAL, value, _fractions(xs, tab.D), dual)
 
 
 def feasible(lp: LinearProgram) -> FeasibilityResult:
-    """The dual phase alone: an exact point, or a verified Farkas certificate."""
+    """The dual phase alone: an exact point, or a verified Farkas
+    certificate, each also as integers over one denominator (`scaled`)."""
     tab = _Tableau(lp)
     r = tab.dual_phase()
-    if r is None:
-        x = tab.primal()
-        _check_point(lp, x)
-        return FeasibilityResult(feasible=True, point=x)
-    cert = tab.farkas(r)
-    _check_certificate(lp, cert)
-    return FeasibilityResult(feasible=False, certificate=cert)
+    if r is not None:
+        ns, d = _farkas(lp, tab, r)
+        return FeasibilityResult(False, None, _fractions(ns, d), (ns, d))
+    xs = tab.point()
+    _check_point(lp, xs, tab.D)
+    return FeasibilityResult(True, _fractions(xs, tab.D), None, (xs, tab.D))

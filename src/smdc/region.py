@@ -13,10 +13,9 @@ so the worst weight vector is ordered opposite to the rates.
 Non-members come back with the separating weights lambda read off the
 Farkas multipliers of its prefix rows; members come back with a
 per-level rate allocation that Robin Hood transfers carry from the LP's
-sorted blocks onto the rates.  The allocation is built, moved and
-re-checked as integers over one denominator, with one `Fraction` per
-returned share.  Both are re-checked exactly.  All arithmetic is
-rational, no floats.
+sorted blocks onto the rates.  Both are read off the LP's integers,
+built, moved and re-checked exactly as integers over one denominator,
+with one `Fraction` per returned entry; no arithmetic uses floats.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ def _nonnegative(values, what: str) -> tuple[Fraction, ...]:
     if any(x.numerator < 0 for x in v):
         raise ValueError(f"{what} must be nonnegative")
     return v
-
-
-def _dot(xs, ys) -> Fraction:
-    return sum((a * b for a, b in zip(xs, ys)), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -123,23 +118,27 @@ def f_value(weights, alpha: int) -> Fraction:
 def audit_level(lam, alpha: int, coeffs: SubsetCoefficients) -> list[str]:
     """Every subset of size alpha, every coefficient nonnegative, every
     encoder within its capacity, and the total equal to `f_value`; the
-    subsets must lie in {1..len(lam)}.  The coefficients are integers n
-    over one denominator d, so one pass sums every encoder's load."""
-    failures = []
-    if any(len(u.members) != alpha for u in coeffs.assignment):
-        failures.append(f"level {alpha}: subset of another size")
+    subsets must lie in {1..len(lam)}."""
     counts, d = over_common_denominator(coeffs.assignment.values())
+    return _audit(lam, alpha, f_value(lam, alpha), coeffs.assignment, counts, d)
+
+
+def _audit(lam, alpha: int, f: Fraction, subsets, counts, d: int) -> list[str]:
+    """`audit_level` on counts over one denominator d, against f =
+    f_alpha(lam); one pass sums every encoder's load."""
+    failures = []
+    if any(len(u.members) != alpha for u in subsets):
+        failures.append(f"level {alpha}: subset of another size")
     if any(n < 0 for n in counts):
         failures.append(f"level {alpha}: negative coefficient")
     load = [0] * (len(lam) + 1)
-    for u, n in zip(coeffs.assignment, counts):
+    for u, n in zip(subsets, counts):
         if n:
             for l in u.members:
                 load[l] += n
     for l, cap in enumerate(lam, 1):
         if load[l] * cap.denominator > cap.numerator * d:
             failures.append(f"level {alpha}: capacity exceeded at encoder {l}")
-    f = f_value(lam, alpha)
     if sum(counts) * f.denominator != f.numerator * d:
         failures.append(f"level {alpha}: total differs from the optimum")
     return failures
@@ -197,7 +196,7 @@ def smdca_hyperplane(m: int, weights, entropies) -> Fraction:
     if not 1 <= m <= len(lam):
         raise ValueError(f"m must be in 1..{len(lam)}, got {m}")
     prof = _profile(lam, range(1, len(lam) + 1))
-    return prof[m - 1] * sum(h[:m], _ZERO) + _dot(prof[m:], h[m:])
+    return prof[m - 1] * sum(h[:m], _ZERO) + sum((f * x for f, x in zip(prof[m:], h[m:])), _ZERO)
 
 
 # membership ------------------------------------------------------------
@@ -216,12 +215,13 @@ def _rate_split(rates, entropies, levels):
     transfers, which keep every level's sum of its alpha smallest shares.
     Else (None, lam): with w the Farkas multipliers of the prefix rows,
     lam sorts as the suffix sums of w, so lam.r < sum_a f_a(lam) H_a,
-    scaled to a maximum of 1.  The witness is re-checked exactly.
+    as coprime integers.  The witness is re-checked exactly.
     """
     L = len(rates)
-    order = sorted(range(L), key=rates.__getitem__)
+    r, D = over_common_denominator(rates)
+    order = sorted(range(L), key=r.__getitem__)
     rank = sorted(range(L), key=order.__getitem__)  # encoder -> sorted position
-    r, D = over_common_denominator([rates[l] for l in order])
+    r = [r[l] for l in order]
     cols = [(ai, j) for ai, alpha in enumerate(levels) for j in range(alpha)]
     lp = LinearProgram(len(cols))
     for ai, (alpha, h) in enumerate(zip(levels, entropies)):
@@ -229,18 +229,18 @@ def _rate_split(rates, entropies, levels):
     for k, cap in enumerate(accumulate(r), 1):
         lp.add([max(k - j, 0) for _, j in cols], LE, Fraction(cap, D))
     res = feasible(lp)
+    ns, d = res.scaled
     if not res.feasible:
-        y, _ = over_common_denominator(res.certificate[len(levels):])
-        lam = list(accumulate(-n for n in reversed(y)))[::-1]
+        lam = list(accumulate(-n for n in reversed(ns[len(levels):])))[::-1]
         if not lam[0] > 0:
             raise AssertionError("separating certificate cannot be identically zero")
-        return None, tuple(Fraction(lam[p], lam[0]) for p in rank)
+        g = gcd(*lam)
+        return None, tuple(lam[p] // g for p in rank)
     # the point and the rates over one denominator D; a level's shares are
     # the prefix sums of its block heights
-    mu, d = over_common_denominator(res.point)
     e = lcm(D, d)
     r = [x * (e // D) for x in r]
-    heights = iter([x * (e // d) for x in mu])
+    heights = iter([x * (e // d) for x in ns])
     D = e
     shares = []
     for alpha in levels:
@@ -278,6 +278,19 @@ def _rate_split(rates, entropies, levels):
     }, None
 
 
+def _separates(w, cap: int, r0: Fraction, rates, entropies, levels) -> bool:
+    """cap r0 + w.r < sum_a min(f_a(w), cap) H_a for integer weights w and
+    cap (sum(w) for none), on integers: f_a(w) = s / k from one sort, and
+    both sides times lcm(k) and the denominators of the rates and H."""
+    suffix = list(accumulate(sorted(w)))[::-1]
+    ratios = [_least_ratio(suffix, a) for a in levels]
+    K = lcm(*(k for _, k in ratios))
+    rn, dr = over_common_denominator((r0, *rates))
+    hn, dh = over_common_denominator(entropies)
+    lhs = sum(x * y for x, y in zip((cap, *w), rn)) * dh * K
+    return lhs < dr * sum(min(s * (K // k), cap * K) * n for (s, k), n in zip(ratios, hn))
+
+
 def _member_inputs(rates, entropies, n_secure: int):
     """Validated rates, entropies and constraining levels of a query."""
     r = _nonnegative(rates, "rates")
@@ -310,17 +323,17 @@ def smdca_member(r0, rates, entropies) -> MembershipVerdict:
         witness = {a: (alloc.stored_at_zero[a - 1],) + split[a] for a in levels}
         return MembershipVerdict(member=True, witness=witness)
     # the residual's violated hyperplane lam.r < sum_a f_a(lam) h'_a is
-    # g_q(lam) at the split level q, which is the all-access hyperplane
-    # at lambda0 = f_q(lam)
+    # g_q(lam) at the split level q, the all-access hyperplane at lambda0 =
+    # f_q(lam) = s / k; times k, over max(s, k max(lam)) to reach at most 1
     q = alloc.level
-    lam0 = f_value(lam, q)
-    scale = max(lam0, 1)
-    lam0, lam = lam0 / scale, tuple(x / scale for x in lam)
-    rhs = _dot((min(f, lam0) for f in _profile(lam, levels)), h)
-    if not lam0 * r0 + _dot(lam, r) < rhs:
+    s, k = _least_ratio(list(accumulate(sorted(lam)))[::-1], q)
+    w = [x * k for x in lam]
+    if not _separates(w, s, r0, r, h, levels):
         raise AssertionError("certificate must violate the all-access hyperplane")
+    den = max(s, k * max(lam))
     return MembershipVerdict(
-        member=False, certificate=lam, certificate_lambda0=lam0, certificate_m=q
+        member=False, certificate=tuple(Fraction(x, den) for x in w),
+        certificate_lambda0=Fraction(s, den), certificate_m=q,
     )
 
 
@@ -330,9 +343,9 @@ def ssmdc_member(rates, entropies, n_secure: int) -> MembershipVerdict:
     witness, lam = _rate_split(r, h, levels)
     if witness is not None:
         return MembershipVerdict(member=True, witness=witness)
-    if not _dot(lam, r) < _dot(_profile(lam, levels), h):
+    if not _separates(lam, sum(lam), _ZERO, r, h, levels):
         raise AssertionError("Farkas certificate must violate a supporting hyperplane")
-    return MembershipVerdict(member=False, certificate=lam)
+    return MembershipVerdict(member=False, certificate=tuple(Fraction(x, max(lam)) for x in lam))
 
 
 # all-access greedy allocation -------------------------------------------

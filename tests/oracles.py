@@ -40,6 +40,7 @@ from smdc.exactlp import (
     as_fraction,
     as_fractions,
     feasible,
+    over_common_denominator,
 )
 from smdc.region import f_profile, f_value, greedy_allocation
 from smdc.subsets import subsets_of_size
@@ -405,7 +406,8 @@ def fraction_rate_split(rates, entropies, levels, solve=feasible):
         lam = list(accumulate(reversed(w)))[::-1]
         if not lam[0] > 0:
             raise AssertionError("separating certificate cannot be identically zero")
-        return None, tuple(lam[p] / lam[0] for p in rank)
+        # coprime integers, as `region._rate_split` returns them
+        return None, tuple(over_common_denominator(lam[p] / lam[0] for p in rank)[0])
     shares = [[_ZERO] * L for _ in levels]
     for (ai, j), mu in zip(cols, res.point):
         for p in range(j, L):
@@ -492,12 +494,6 @@ def fraction_push(chain, n_secure):
                 into[min(into, key=lambda a: a.members)] = fresh[v]
         split[alpha - 1] = lower
     return split
-
-
-def fraction_level_coefficients(assignment, alpha):
-    """`ConditionalAssignment.level_coefficients` with one `Fraction` sum
-    per subset."""
-    return {u: sum(parts.values(), _ZERO) for u, parts in assignment.split[alpha].items()}
 
 
 # all-access hyperplanes --------------------------------------------------

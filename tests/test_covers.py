@@ -36,7 +36,6 @@ from smdc.subsets import MAX_CHAIN_GROUND, EncoderSet, subsets_of_size, window
 from oracles import (
     fraction_audit_level,
     fraction_case3,
-    fraction_level_coefficients,
     fraction_push,
     fraction_reconstruct,
     fraction_verify_cover,
@@ -489,6 +488,38 @@ class TestIntegerAudits:
             "descent 3: parent-sum identity fails",
         ]
 
+    def test_each_parent_of_a_shared_weight_vector_is_checked(self):
+        # every level-3 cover of the uniform chain holds one weight vector,
+        # checked once; two parents whose child masks are wrong are each
+        # reported, and no other
+        chain = han_chain(5)
+        per_u = chain.covers[3]
+        assert len({tuple(gu.values()) for gu in per_u.values()}) == 1
+        for parent, child, foreign in (([1, 2, 3], [1, 2], [1, 4]), ([2, 4, 5], [4, 5], [1, 2])):
+            weights = per_u[eset(parent, 5)]
+            weights[eset(foreign, 5)] = weights.pop(eset(child, 5))
+        assert verify_chain(chain).failures == [
+            "descent 3: invalid cover at {1,2,3}",
+            "descent 3: invalid cover at {2,4,5}",
+            "descent 3: parent-sum identity fails",
+        ]
+
+    def test_each_subset_of_a_shared_split_is_checked(self):
+        # with equal weights every level-2 subset splits the same way over
+        # its adversary sets; two subsets whose adversary masks are wrong
+        # are each reported, and no other
+        cond = conditional_chain((1, 1, 1, 1), 1)
+        level = cond.split[2]
+        assert len({tuple(parts.values()) for parts in level.values()}) == 1
+        parts = level[eset([1, 2], 4)]
+        parts[eset([2], 4)] = parts.pop(eset([3], 4))
+        parts = level[eset([3, 4], 4)]
+        parts[eset([1, 2], 4)] = parts.pop(eset([1], 4))
+        assert verify_conditional(cond).failures == [
+            "level 2: adversary overlaps {1,2}",
+            "level 2: adversary size != 1 at {3,4}",
+        ]
+
     @pytest.mark.parametrize("d", [1, 5, 10**30])
     def test_capacity_bound_is_exact(self, d):
         lam = (F(2), F(1), F(1))
@@ -619,11 +650,6 @@ class TestIntegerDescent:
                     (a, [(u, list(parts.items())) for u, parts in per_u.items()])
                     for a, per_u in want.split.items()
                 ]
-                for alpha in got.split:
-                    coeffs = got.level_coefficients(alpha).assignment
-                    assert list(coeffs.items()) == list(
-                        fraction_level_coefficients(got, alpha).items()
-                    )
         assert cases == {CASE_BASE, CASE_1, CASE_2, CASE_3}
 
     @pytest.mark.parametrize(

@@ -263,6 +263,20 @@ class TestPmfValidation:
         with pytest.raises(ValueError, match="at least one outcome"):
             JointPMF.uniform_over([2], [])
 
+    def test_uniform_over_equals_the_fraction_table(self):
+        # points counted as integers give the pmf of the table that adds
+        # one Fraction per point, repeats and order included
+        rng = random.Random(20)
+        sizes = [3, 3, 2]
+        outcomes = [list(o) for o in product(*(range(k) for k in sizes))]
+        points = [rng.choice(outcomes) for _ in range(200)]
+        table = {}
+        for o in points:
+            table[tuple(o)] = table.get(tuple(o), F(0)) + F(1, len(points))
+        got, want = JointPMF.uniform_over(sizes, points), JointPMF(sizes, table)
+        assert list(got.probabilities.items()) == list(want.probabilities.items())
+        assert got.subset_entropy([1, 2, 3]) == want.subset_entropy([1, 2, 3])
+
     def test_product_checks_the_space_before_enumerating(self):
         with pytest.raises(ValueError, match="state space"):
             JointPMF.independent([[1, 0]] * 40)

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -351,6 +352,12 @@ def _rechecks_at_the_boundary(check, base, constraints_along):
                 check(moved(t + tiny))
 
 
+def row_multipliers(lp, y):
+    """Multipliers y of the rows as added as (zs, e): zs / e acts on the
+    integer rows, the form the re-checks take."""
+    return over_common_denominator([F(c.numerator, c.denominator * s) for c, s in zip(y, lp.scales)])
+
+
 class TestRechecks:
     """The re-checks work on the integer rows and must still reject a
     violation of any size."""
@@ -372,7 +379,9 @@ class TestRechecks:
                     out.append((k * (lhs - rhs), k * sign * row[j], False))
                 return out
 
-            _rechecks_at_the_boundary(lambda p: _check_point(lp, p), x, along)
+            _rechecks_at_the_boundary(
+                lambda p: _check_point(lp, *over_common_denominator(p)), x, along
+            )
         else:
             y = res.certificate
 
@@ -386,7 +395,9 @@ class TestRechecks:
                     out.append((-total, -sign * lp.rows[j][col], False))
                 return out
 
-            _rechecks_at_the_boundary(lambda c: _check_certificate(lp, c), y, along)
+            _rechecks_at_the_boundary(
+                lambda c: _check_certificate(lp, row_multipliers(lp, c)[0]), y, along
+            )
 
     @settings(max_examples=100, deadline=None)
     @given(lp_specs())
@@ -397,13 +408,15 @@ class TestRechecks:
         if sol.status != OPTIMAL:
             return
         tiny = F(1, 10**30)
+        point = over_common_denominator(sol.primal)
+        _check_optimal(lp, sol.value, *point, *row_multipliers(lp, sol.dual))
         with pytest.raises(AssertionError, match="objective value mismatch"):
-            _check_optimal(lp, LpSolution(OPTIMAL, sol.value + tiny, sol.primal, sol.dual))
+            _check_optimal(lp, sol.value + tiny, *point, *row_multipliers(lp, sol.dual))
         if sol.value:
             # the scaled duals keep their signs but miss the value by a hair
             dual = tuple(y * (1 + tiny) for y in sol.dual)
             with pytest.raises(AssertionError, match="strong duality violated"):
-                _check_optimal(lp, LpSolution(OPTIMAL, sol.value, sol.primal, dual))
+                _check_optimal(lp, sol.value, *point, *row_multipliers(lp, dual))
 
     @pytest.mark.parametrize(
         "coeffs, rhs",
@@ -470,3 +483,124 @@ class TestRows:
         with pytest.raises(TypeError):
             lp.add([1, 2], LE, 0.5)
         assert lp.num_rows == 0 and lp.rows == []
+
+
+def rows_at_D(tab):
+    """Every row of the integer tableau brought up to the current D, read
+    without writing, each with its right-hand side last; every quotient
+    must be exact."""
+    rows = []
+    for row, b, at in zip(tab.T, tab.beta, tab.at):
+        assert all(a * tab.D % at == 0 for a in [*row, b])
+        rows.append([a * tab.D // at for a in [*row, b]])
+    return rows
+
+
+def fraction_rows(sx):
+    rows = [[*row, b] for row, b in zip(sx.T, sx.beta)]
+    return rows + ([[*sx.z, sx.z0]] if sx.z is not None else [])
+
+
+def pivots_with_rows(tableau, read):
+    """(r, c, read(tableau)) after every pivot of a full solve: the dual
+    phase, then the primal phase if the dual phase finds a feasible basis."""
+    shots, pivot = [], tableau._pivot
+
+    def record(r, c):
+        pivot(r, c)
+        shots.append((r, c, read(tableau)))
+
+    tableau._pivot = record
+    if tableau.dual_phase() is None:
+        tableau.primal_phase()
+    return shots
+
+
+def assert_lazy_rows_match(lp):
+    """The integer tableau takes the Fraction tableau's pivots, and after
+    each one every row at the current D is D times the Fraction row (D K
+    times on the objective row).  Returns how many rows stood at an older D
+    when they were read."""
+    tab = _Tableau(lp)
+    got = pivots_with_rows(tab, lambda t: (t.D, t.K, list(t.at), rows_at_D(t)))
+    want = pivots_with_rows(FractionSimplex(lp), fraction_rows)
+    assert [(r, c) for r, c, _ in got] == [(r, c) for r, c, _ in want]
+    stale = 0
+    for (_, _, (D, K, at, rows)), (_, _, fractions) in zip(got, want):
+        assert len(rows) == len(fractions)
+        for i, (row, frac) in enumerate(zip(rows, fractions)):
+            scale = D * K if i == lp.num_rows else D
+            assert row == [scale * x for x in frac]
+            stale += at[i] != D
+    assert feasible(lp) == reference_feasible(lp)
+    assert solve_max(lp) == reference_solve_max(lp)
+    return stale
+
+
+# mostly zeros, so that most rows hold a 0 in most pivot columns
+sparse_coef = st.sampled_from([0] * 8 + [1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4)])
+
+
+@st.composite
+def sparse_lp_specs(draw):
+    n = draw(st.integers(2, 6))
+    objective = draw(st.lists(sparse_coef, min_size=n, max_size=n))
+    rows = [
+        (draw(st.lists(sparse_coef, min_size=n, max_size=n)), draw(st.sampled_from([LE, GE])),
+         draw(st.sampled_from([-3, -1, 0, 1, 2, F(5, 2)])))
+        for _ in range(draw(st.integers(2, 8)))
+    ]
+    return objective, rows
+
+
+def membership_lps(L):
+    """The LPs that a member and a non-member query of each scheme at L
+    hands to `feasible`: rates a little above the superposition point, and
+    at 70-90% of it."""
+    import smdc.region as region
+
+    rng = random.Random(f"lazy-{L}")
+    lps = []
+
+    def capture(lp):
+        lps.append(lp)
+        return feasible(lp)
+
+    h = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(L)]
+    point = sum((x / a for a, x in enumerate(h, 1)), F(0))
+    with mock.patch.object(region, "feasible", capture):
+        for scale in (F(1), F(rng.randint(70, 90), 100)):
+            rates = [point * scale + F(rng.randint(0, 4), 8) * (scale == 1) for _ in range(L)]
+            assert region.smdc_member(rates, h).member == (scale == 1)
+    return lps
+
+
+class TestLazyRows:
+    """A row is brought up to the current D only when a pivot eliminates in
+    it or a read needs it; read at any time, it must equal the eager row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_lp_specs())
+    @example(NEGATIVE_PIVOT)
+    @example(BEALE)
+    @example(CYCLE)
+    def test_rows_match_the_fraction_tableau_after_every_pivot(self, spec):
+        assert_lazy_rows_match(build(spec))
+
+    def test_sparse_pivot_columns_leave_rows_stale(self):
+        rng = random.Random(21)
+        stale = 0
+        for _ in range(40):
+            n = rng.randint(3, 6)
+            lp = LinearProgram(n, [rng.choice([0, 0, 1, 2]) for _ in range(n)])
+            for _ in range(rng.randint(4, 9)):
+                coeffs = [rng.choice([0] * 6 + [1, -1, 2, -3, F(1, 2)]) for _ in range(n)]
+                lp.add(coeffs, rng.choice([LE, GE]), rng.randint(-3, 3))
+            stale += assert_lazy_rows_match(lp)
+        assert stale > 0
+
+    @pytest.mark.parametrize("L", [20, 24])
+    def test_membership_lps(self, L):
+        lps = membership_lps(L)
+        assert len(lps) == 2
+        assert sum(assert_lazy_rows_match(lp) for lp in lps) > 0

@@ -260,7 +260,11 @@ def vertex_from(seed):
         rnd = random.Random(seed)
         lp.objective = [F(rnd.randint(0, 3)) for _ in range(lp.num_vars)]
         sol = exactlp.solve_max(lp)
-        return exactlp.FeasibilityResult(sol.status == "optimal", sol.primal, sol.certificate)
+        found = sol.primal or sol.certificate
+        return exactlp.FeasibilityResult(
+            sol.status == "optimal", sol.primal, sol.certificate,
+            exactlp.over_common_denominator(found),
+        )
 
     return solve
 
@@ -283,6 +287,28 @@ class TestIntegerRateSplit:
                 assert list(got.witness) == list(want.witness)
             verdicts.add(got.member)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("scheme", ["plain", "secure", "all-access"])
+    def test_seeded_sweep_matches_the_fraction_split(self, scheme):
+        # members a little above the superposition point, non-members at
+        # 70-90% of it, every L from 3 to the cap
+        rng = random.Random(f"sweep-{scheme}")
+        for L in range(3, MAX_MEMBERSHIP_GROUND + 1):
+            n = rng.randint(1, L - 1) if scheme == "secure" else 0
+            h = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(L - n)]
+            point = sum((x / a for a, x in enumerate(h, 1)), F(0))
+            r0 = F(rng.randint(0, 8), rng.randint(1, 4)) if scheme == "all-access" else None
+            for member in (True, False):
+                if member:
+                    rates = [point + F(rng.randint(0, 4), 8) for _ in range(L)]
+                else:
+                    rates = [point * F(rng.randint(70, 90), 100) for _ in range(L)]
+                got = decide(scheme, rates, h, n, r0)
+                with mock.patch.object(region, "_rate_split", fraction_rate_split):
+                    want = decide(scheme, rates, h, n, r0)
+                assert got == want
+                if member:
+                    assert got.member and list(got.witness) == list(want.witness)
 
     def test_transfers_match_the_fraction_split(self):
         rng = random.Random(5)
