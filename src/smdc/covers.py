@@ -40,7 +40,7 @@ from math import comb
 
 from ._record import Record
 from .exactlp import as_fraction, as_fractions, over_common_denominator
-from .region import SubsetCoefficients, _audit, f_profile
+from .region import SubsetCoefficients, audit_counts, f_profile
 # re-exported: the benchmark tracer (perfbench/tracing.py) wraps covers.f_alpha
 from .region import f_alpha  # noqa: F401
 from .subsets import (
@@ -339,7 +339,7 @@ def verify_chain(chain: CoefficientChain) -> ChainReport:
             failures.append(f"level {alpha}: wrong subset family")
             continue
         profile = profile or f_profile(lam)
-        failures += _audit(lam, alpha, profile[alpha - 1], assignment, cs, d)
+        failures += audit_counts(lam, alpha, profile[alpha - 1], assignment, cs, d)
     level1 = {EncoderSet((l,), L): w for l, w in enumerate(lam, 1)}
     if chain.levels[1].assignment != level1:
         failures.append("level 1 must equal the weight vector")
@@ -476,7 +476,7 @@ def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
                     failures.append(f"level {alpha}: negative split weight at {u}")
             totals.append(sum(row))
         profile = profile or f_profile(lam)
-        failures += _audit(lam, alpha, profile[alpha - 1], per_u, totals, d)
+        failures += audit_counts(lam, alpha, profile[alpha - 1], per_u, totals, d)
     return ChainReport(failures)
 
 

@@ -6,10 +6,11 @@ profile (`f_profile`) sorts the weights once, puts them over one
 denominator and compares integer suffix sums, one `Fraction` per level.
 An explicit optimal packing (`f_alpha`) is laid out from the same closed
 form by McNaughton's wrap-around rule, with no LP and no enumeration of
-the level, and is audited exactly (`audit_level`, which the chain audits
-share).  Membership, shared by the three schemes, is one LP with
-O(L^2) entries over the encoders sorted by rate: f_alpha is symmetric,
-so the worst weight vector is ordered opposite to the rates.
+the level, and is audited exactly (`audit_level`, on the integer core
+`audit_counts` that the chain audits share).  Membership, shared by the
+three schemes, is one LP with O(L^2) entries over the encoders sorted by
+rate: f_alpha is symmetric, so the worst weight vector is ordered
+opposite to the rates.
 Non-members come back with the separating weights lambda read off the
 Farkas multipliers of its prefix rows; members come back with a
 per-level rate allocation that Robin Hood transfers carry from the LP's
@@ -120,10 +121,10 @@ def audit_level(lam, alpha: int, coeffs: SubsetCoefficients) -> list[str]:
     encoder within its capacity, and the total equal to `f_value`; the
     subsets must lie in {1..len(lam)}."""
     counts, d = over_common_denominator(coeffs.assignment.values())
-    return _audit(lam, alpha, f_value(lam, alpha), coeffs.assignment, counts, d)
+    return audit_counts(lam, alpha, f_value(lam, alpha), coeffs.assignment, counts, d)
 
 
-def _audit(lam, alpha: int, f: Fraction, subsets, counts, d: int) -> list[str]:
+def audit_counts(lam, alpha: int, f: Fraction, subsets, counts, d: int) -> list[str]:
     """`audit_level` on counts over one denominator d, against f =
     f_alpha(lam); one pass sums every encoder's load."""
     failures = []
