@@ -293,7 +293,7 @@ def _sweep_weights(which, rng, L):
 
 
 def cmd_entropy_check(args) -> int:
-    if args.trials:
+    if args.trials is not None:
         if args.trials < 1 or args.vars < 2:
             raise ValueError("--trials sweeps need --trials >= 1 and --vars >= 2")
         rng = random.Random(args.seed)

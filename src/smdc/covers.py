@@ -571,7 +571,25 @@ def conditional_from_text(text: str) -> ConditionalAssignment:
 
 def verify_text(text: str) -> ChainReport:
     """Read and audit a chain file of either kind, told apart by its header,
-    the first nonblank line."""
-    if next(iter(_lines(text)), "").startswith(_COND_KIND):
-        return verify_conditional(conditional_from_text(text))
-    return verify_chain(chain_from_text(text))
+    the first nonblank line.  A conditional file carries no covers, so once
+    its levels pass, its split must be the one `conditional_chain` builds
+    for its weights and N, records of weight zero aside."""
+    if not next(iter(_lines(text)), "").startswith(_COND_KIND):
+        return verify_chain(chain_from_text(text))
+    cond = conditional_from_text(text)
+    report = verify_conditional(cond)
+    if not report.ok:
+        return report
+    if (L := cond.ground_size) > MAX_CHAIN_GROUND:
+        return ChainReport([f"descent: chains support at most L={MAX_CHAIN_GROUND}, got {L}"])
+    built = conditional_chain(cond.weights, cond.n_secure).split
+    return ChainReport([
+        f"descent {alpha}: adversary split at {u} is not the chain's"
+        for alpha in sorted(cond.split, reverse=True)
+        for u, parts in cond.split[alpha].items()
+        if _positive(parts) != _positive(built[alpha][u])
+    ])
+
+
+def _positive(parts: dict) -> dict:
+    return {a: s for a, s in parts.items() if s}

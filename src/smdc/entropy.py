@@ -1,13 +1,14 @@
 """Shannon entropy on small joint distributions, and numerical checks of
 the subset entropy inequalities.
 
-Marginalization is exact: a pmf keeps its masses once as integer counts
-over one common denominator d, a marginal sums counts, and each mass
-n / d becomes a float only as the correctly rounded value of that
-rational.  Only the final logarithms are floating point, so every
-inequality check carries a small absolute tolerance.  Checks return a
-report rather than raising: a violated inequality is a result, not an
-error.
+A pmf is built from a table of rational masses, read from a pmf file
+(`pmf_from_text`) or drawn by `random_pmf`.  Marginalization is exact:
+a pmf keeps its masses once as integer counts over one common
+denominator d, a marginal sums counts, and each mass n / d becomes a
+float only as the correctly rounded value of that rational.  Only the
+final logarithms are floating point, so every inequality check carries
+a small absolute tolerance.  Checks return a report rather than
+raising: a violated inequality is a result, not an error.
 
 A variable set is validated once into a bit mask (bit m for variable
 m), and entropies are cached per mask.  A marginal is summed from a
@@ -103,31 +104,6 @@ class JointPMF:
     @property
     def variable_count(self) -> int:
         return len(self.alphabet_sizes)
-
-    @classmethod
-    def independent(cls, marginals) -> "JointPMF":
-        """Product distribution from per-variable marginals."""
-        margs = [[as_fraction(p) for p in m] for m in marginals]
-        sizes = _state_space(len(m) for m in margs)
-        table = {}
-        for outcome in product(*(range(k) for k in sizes)):
-            p = _ONE
-            for s, m in zip(outcome, margs):
-                p *= m[s]
-            if p:
-                table[outcome] = p
-        return cls(sizes, table)
-
-    @classmethod
-    def uniform_over(cls, alphabet_sizes, outcomes) -> "JointPMF":
-        pts = list(outcomes)
-        if not pts:
-            raise ValueError("need at least one outcome")
-        hits: dict[tuple[int, ...], int] = {}
-        for o in pts:
-            o = tuple(o)
-            hits[o] = hits.get(o, 0) + 1
-        return cls(alphabet_sizes, {o: Fraction(c, len(pts)) for o, c in hits.items()})
 
     def _mask(self, u) -> int:
         """The bit mask of a variable set, bit m for variable m, once every
@@ -357,31 +333,12 @@ def random_pmf(rng, alphabet_sizes) -> JointPMF:
     return JointPMF(sizes, table)
 
 
-def random_product_pmf(rng, alphabet_sizes) -> JointPMF:
-    marginals = []
-    for k in _state_space(alphabet_sizes):
-        while True:
-            weights = [rng.randrange(RESOLUTION + 1) for _ in range(k)]
-            total = sum(weights)
-            if total:
-                break
-        marginals.append([Fraction(w, total) for w in weights])
-    return JointPMF.independent(marginals)
-
-
-# text format ---------------------------------------------------------------
-
-
-def pmf_to_text(pmf: JointPMF) -> str:
-    lines = [
-        f"{pmf.variable_count} " + " ".join(str(k) for k in pmf.alphabet_sizes)
-    ]
-    for outcome, p in sorted(pmf.probabilities.items()):
-        lines.append(" ".join(str(s) for s in outcome) + f" {p}")
-    return "\n".join(lines) + "\n"
+# pmf files ---------------------------------------------------------------
 
 
 def pmf_from_text(text: str) -> JointPMF:
+    """A pmf file: a header `L k_1 .. k_L` of alphabet sizes, then one line
+    per outcome, its L symbols and its mass; omitted outcomes have mass 0."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty pmf file")

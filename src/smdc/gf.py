@@ -1,9 +1,9 @@
 """Finite fields of characteristic two with log/antilog tables.
 
-GF(256) carries all production coding; GF(16) exists so secrecy tests
-can enumerate the whole key space.  The stream matrix product, the one
-loop that touches every payload byte, dispatches to the compiled
-`_gfcore` kernel exactly when it is importable.
+GF(256) carries all coding; the tests build GF(16) from the same class
+so that secrecy checks can enumerate the whole key space.  The stream
+matrix product, the one loop that touches every payload byte, dispatches
+to the compiled `_gfcore` kernel exactly when it is importable.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ class GF:
             if not 0 <= a < self.order:
                 raise ValueError(f"{a} is not an element of GF({self.order})")
 
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return a ^ b
-
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
         if a == 0 or b == 0:
@@ -65,9 +59,6 @@ class GF:
             raise ZeroDivisionError("zero has no inverse")
         return self.exp[self.order - 1 - self.log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         self._check(a)
         if n == 0:
@@ -77,13 +68,6 @@ class GF:
                 raise ZeroDivisionError("zero has no inverse")
             return 0
         return self.exp[(self.log[a] * n) % (self.order - 1)]
-
-    def poly_eval(self, coeffs: Sequence[int], x: int) -> int:
-        """Evaluate sum coeffs[j] x^j by Horner's rule."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.mul(acc, x) ^ c
-        return acc
 
     # linear algebra -----------------------------------------------------
 
@@ -192,4 +176,3 @@ def matmul_python(flat_mat, rows, cols, src, n, exp, log) -> bytes:
 
 
 GF256 = GF(256, 0x11D)
-GF16 = GF(16, 0x13)

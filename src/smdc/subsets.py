@@ -1,14 +1,14 @@
 """Subset families over the encoder index set.
 
 Everything downstream (rate regions, coefficient chains, entropy checks,
-codecs) works with fixed-size subsets of {1..L}, cyclic sliding windows,
-and the children of a subset one level down.  A subset's identity is
-its bit mask: an `EncoderSet` builds it once, while its members are
-validated, and compares and hashes on (mask, ground size).  Each level
-family is built once and shared; callers get a fresh list of it.  Full
-enumeration is capped at L=24 and coefficient chains, which hold about
-L * 2^(L-1) cover entries, at L=18; paths that never enumerate whole
-levels may accept larger ground sets.
+codecs) works with fixed-size subsets of {1..L}, the L cyclic windows of
+one length, and the children of a subset one level down.  A subset's
+identity is its bit mask: an `EncoderSet` builds it once, while its
+members are validated, and compares and hashes on (mask, ground size).
+Each level family is built once and shared; callers get a fresh list of
+it.  Full enumeration is capped at L=24 and coefficient chains, which
+hold about L * 2^(L-1) cover entries, at L=18; paths that never
+enumerate whole levels may accept larger ground sets.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ class EncoderSet(Record):
     """An immutable subset of the encoder indices {1..ground_size}.
 
     Members are kept strictly increasing.  The bit mask, with bit m set
-    for each member m, gives O(1) membership and is the set's identity:
-    two sets are equal when mask and ground size are.  The empty set is
-    allowed (it appears as a conditioning set).
+    for each member m, is the set's identity: two sets are equal when
+    mask and ground size are.  The empty set is allowed (it appears as a
+    conditioning set).
     """
 
     _fields = ("members", "ground_size")
@@ -71,9 +71,6 @@ class EncoderSet(Record):
     def of(cls, members, ground_size: int) -> "EncoderSet":
         return cls(tuple(sorted(set(int(m) for m in members))), ground_size)
 
-    def __contains__(self, index: int) -> bool:
-        return 0 <= index <= self.ground_size and bool(self.mask >> index & 1)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -82,12 +79,6 @@ class EncoderSet(Record):
 
     def __str__(self) -> str:
         return "{" + ",".join(str(m) for m in self.members) + "}"
-
-    def complement(self) -> "EncoderSet":
-        missing = tuple(
-            e for e in range(1, self.ground_size + 1) if e not in self
-        )
-        return EncoderSet(missing, self.ground_size)
 
     def children(self) -> list["EncoderSet"]:
         """The |U| subsets of U with one element removed, in lex order."""
@@ -141,22 +132,11 @@ def subsets_of_size(ground_size: int, size: int) -> list[EncoderSet]:
     return list(family)
 
 
-def wrap_index(index: int, ground_size: int) -> int:
-    """1-based index reduced modulo ground_size into 1..ground_size."""
-    return (index - 1) % ground_size + 1
-
-
-def window(start: int, length: int, ground_size: int) -> EncoderSet:
-    """The cyclic window of `length` consecutive indices starting at `start`."""
-    check_ground(ground_size)
-    if not 1 <= start <= ground_size:
-        raise ValueError(f"start must be in 1..{ground_size}, got {start}")
-    if not 1 <= length <= ground_size:
-        raise ValueError(f"length must be in 1..{ground_size}, got {length}")
-    members = sorted(wrap_index(start + i, ground_size) for i in range(length))
-    return EncoderSet(tuple(members), ground_size)
-
-
 def windows(ground_size: int, length: int) -> list[EncoderSet]:
-    """The L windows of a given length, indexed by their start 1..L."""
-    return [window(l, length, ground_size) for l in range(1, ground_size + 1)]
+    """The L cyclic windows of `length` consecutive indices, indexed by
+    their start 1..L: the window at l holds l..l+length-1 modulo L."""
+    check_ground(ground_size)
+    L = ground_size
+    if not 1 <= length <= L:
+        raise ValueError(f"length must be in 1..{L}, got {length}")
+    return [EncoderSet(tuple(sorted((l + i) % L + 1 for i in range(length))), L) for l in range(L)]

@@ -21,12 +21,15 @@ the library's cached and projected marginals must match bit for bit.
 The all-access hyperplanes g_m, whose maximum the greedy split must
 attain, are theorem checks that only the tests call.  On the codec side,
 `lagrange_product` is the Lagrange basis by its product formula, over
-a bitwise carry-less multiply that shares no table with `smdc.gf`.
+a bitwise carry-less multiply that shares no table with `smdc.gf`, and
+`poly_eval` is Horner's rule over the same multiply.  The tests' small
+field `GF16`, product and uniform pmf tables and subset complements are
+built here from their definitions, not by the library.
 """
 
 import math
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from operator import itemgetter
 
 from smdc.covers import CASE_3
@@ -42,8 +45,9 @@ from smdc.exactlp import (
     feasible,
     over_common_denominator,
 )
+from smdc.gf import GF
 from smdc.region import f_profile, f_value, greedy_allocation
-from smdc.subsets import subsets_of_size
+from smdc.subsets import EncoderSet, subsets_of_size
 
 LE = "<="
 GE = ">="
@@ -478,7 +482,7 @@ def fraction_push(chain, n_secure):
     """`covers._push` with one `Fraction` multiply and add per parent,
     child and adversary set."""
     top = chain.ground_size - n_secure
-    split = {top: {u: {u.complement(): c} for u, c in chain.levels[top].assignment.items()}}
+    split = {top: {u: {complement(u): c} for u, c in chain.levels[top].assignment.items()}}
     for alpha in range(top, 1, -1):
         per_u = chain.covers.get(alpha)
         lower = {}
@@ -573,3 +577,58 @@ def lagrange_product(src_points, dst_points, poly, order):
                     num = slow_mul(num, x ^ xt, poly, order)
             row[s] = num
     return out
+
+
+def poly_eval(coeffs, x, poly, order):
+    """sum_j coeffs[j] x^j in GF(order) under `poly`, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = slow_mul(acc, x, poly, order) ^ c
+    return acc
+
+
+# GF(2^4) under x^4 + x + 1: small enough to enumerate every key
+GF16 = GF(16, 0x13)
+
+
+# sets and pmfs -------------------------------------------------------------
+
+
+def complement(u):
+    """The encoders of {1..L} that are not in u."""
+    L = u.ground_size
+    return EncoderSet(tuple(e for e in range(1, L + 1) if e not in u.members), L)
+
+
+def product_table(marginals):
+    """outcome -> prod_i marginals[i][outcome_i], zero masses left out."""
+    table = {}
+    for outcome in product(*(range(len(m)) for m in marginals)):
+        p = _ONE
+        for s, m in zip(outcome, marginals):
+            p *= Fraction(m[s])
+        if p:
+            table[outcome] = p
+    return table
+
+
+def random_product_table(rng, sizes):
+    """The product of one random marginal per alphabet size, each on a
+    grid of 256 steps."""
+    marginals = []
+    for k in sizes:
+        while True:
+            weights = [rng.randrange(257) for _ in range(k)]
+            if sum(weights):
+                break
+        marginals.append([Fraction(w, sum(weights)) for w in weights])
+    return product_table(marginals)
+
+
+def uniform_table(points):
+    """Each distinct point at mass (times it occurs) / len(points), in
+    order of first occurrence."""
+    counts = {}
+    for o in points:
+        counts[tuple(o)] = counts.get(tuple(o), 0) + 1
+    return {o: Fraction(c, len(points)) for o, c in counts.items()}

@@ -23,16 +23,15 @@ from smdc.codec import (
 )
 from smdc.covers import CASE_1, CASE_2, CASE_3, conditional_chain, verify_chain, verify_conditional, yz_chain
 from smdc.entropy import (
+    JointPMF,
     check_han,
     check_sliding_window,
     check_yz,
     check_conditional_yz,
     permutation_identity,
     random_pmf,
-    random_product_pmf,
 )
 from smdc.exactlp import solve_max
-from smdc.gf import GF16
 from smdc.region import (
     f_alpha,
     f_profile,
@@ -44,7 +43,7 @@ from smdc.region import (
 )
 from smdc.rs import encode_matrix, ramp_spec
 
-from oracles import greedy_matches_region, packing_lp
+from oracles import GF16, greedy_matches_region, packing_lp, random_product_table
 
 F = Fraction
 TOL = 1e-9
@@ -146,7 +145,8 @@ def test_criterion_4_han_and_window():
     equal = 0
     for _ in range(60):
         L = rng.randint(2, 4)
-        pmf = random_product_pmf(rng, [rng.randint(2, 3)] * L)
+        sizes = [rng.randint(2, 3)] * L
+        pmf = JointPMF(sizes, random_product_table(rng, sizes))
         for alpha in range(2, L + 1):
             assert abs(check_sliding_window(pmf, alpha).slack) <= PRODUCT_TOL
             equal += 1

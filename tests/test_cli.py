@@ -258,6 +258,32 @@ class TestCoversCommands:
         code, _, _ = run(capsys, "covers", "verify", "--file", str(out_file))
         assert code == 0
 
+    def test_verify_passes_every_written_conditional_file(self, capsys, tmp_path):
+        rng = random.Random(22)
+        path = tmp_path / "cond.txt"
+        for _ in range(12):
+            L = rng.randint(2, 5)
+            weights = ",".join(str(rng.choice((0, 1, 2, 3))) for _ in range(L - 1)) + ",1"
+            n = str(rng.randint(0, L - 1))
+            assert run(capsys, "covers", "conditional", "--weights", weights, "--n", n,
+                       "--out", str(path))[0] == 0
+            assert run(capsys, "covers", "verify", "--file", str(path))[:2] == (0, "pass\n")
+
+    def test_verify_refuses_a_split_no_chain_builds(self, capsys, tmp_path):
+        path = tmp_path / "cond.txt"
+        assert run(capsys, "covers", "conditional", "--weights", "1,3,3,3", "--n", "1",
+                   "--out", str(path))[0] == 0
+        # each level-1 subset's whole weight on its largest adversary set,
+        # its zero records left out: every level total still holds
+        kept = [ln for ln in path.read_text().splitlines(keepends=True)
+                if not ln.startswith("s 1 ")]
+        path.write_text("".join(kept) + "s 1 1 4 1\ns 1 2 4 3\ns 1 3 4 3\ns 1 4 3 3\n")
+        code, out, _ = run(capsys, "covers", "verify", "--file", str(path))
+        assert code == 1
+        assert out.splitlines() == ["fail"] + [
+            f"descent 1: adversary split at {{{e}}} is not the chain's" for e in (1, 2, 3, 4)
+        ]
+
     @pytest.mark.parametrize(
         "lead,header,want",
         [
@@ -456,6 +482,16 @@ class TestEntropyCommands:
         code, out, err = run(capsys, "entropy", "check", *argv)
         assert code == 3
         assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("with_pmf", [False, True])
+    def test_zero_trials_is_data_error(self, capsys, tmp_path, with_pmf):
+        # --trials 0 is a sweep of no trials, refused, not a missing option
+        pmf = tmp_path / "p.pmf"
+        pmf.write_text(PMF_TEXT)
+        extra = ("--pmf", str(pmf), "--alpha", "2") if with_pmf else ()
+        code, out, err = run(capsys, "entropy", "check", "--which", "han", "--trials", "0", *extra)
+        assert code == 3 and out == ""
+        assert err == "error: --trials sweeps need --trials >= 1 and --vars >= 2\n"
 
     @pytest.mark.parametrize(
         "extra",

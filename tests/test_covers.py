@@ -30,10 +30,12 @@ from smdc.covers import (
     verify_cover,
     yz_chain,
 )
+from smdc.entropy import JointPMF, check_conditional_yz
 from smdc.region import SubsetCoefficients, audit_level, f_alpha
-from smdc.subsets import MAX_CHAIN_GROUND, EncoderSet, subsets_of_size, window
+from smdc.subsets import MAX_CHAIN_GROUND, EncoderSet, subsets_of_size, windows
 
 from oracles import (
+    complement,
     fraction_audit_level,
     fraction_case3,
     fraction_push,
@@ -386,8 +388,8 @@ class TestCovers:
                 child_value = F(1, alpha - 1)
                 as_reconstructed = 2 * parent_value
                 assert as_reconstructed > child_value
-                u = window(1, alpha, L)
-                in_family = [window(1, alpha - 1, L), window(2, alpha - 1, L)]
+                u = windows(L, alpha)[0]
+                in_family = windows(L, alpha - 1)[:2]
                 assert verify_cover(u, dict.fromkeys(in_family, F(1)))
                 low = {in_family[0]: F(1), in_family[1]: F(1, 2)}
                 assert not verify_cover(u, low)
@@ -564,7 +566,7 @@ class TestConditionalChain:
         cond = conditional_chain(lam, 2)
         assert set(cond.split) == {1}
         for u, parts in cond.split[1].items():
-            a = u.complement()
+            a = complement(u)
             assert parts == {a: lam[u.members[0] - 1]}
 
     @pytest.mark.parametrize(
@@ -807,3 +809,70 @@ class TestSerialization:
     def test_a_weighted_parent_needs_a_cover(self, coverless_chain):
         text, failures = coverless_chain
         assert cov.verify_text(text).failures == failures
+
+
+def _on_largest_adversary(text):
+    """The conditional file with each level-1 subset's whole weight moved
+    onto its largest adversary set: every subset keeps its total, so the
+    level audit alone still passes."""
+    cond = conditional_from_text(text)
+    level = cond.split[1]
+    for u, parts in level.items():
+        top, total = max(parts, key=lambda a: a.members), sum(parts.values())
+        level[u] = {a: total if a == top else F(0) for a in parts}
+    return conditional_to_text(cond)
+
+
+class TestConditionalDescent:
+    """A conditional file carries no covers, so `verify_text` checks its
+    descent against the chain built for the file's weights and N."""
+
+    BUILT = conditional_to_text(conditional_chain((1, 3, 3, 3), 1))
+
+    @pytest.mark.parametrize("tamper,failures", [
+        (_on_largest_adversary, [f"descent 1: adversary split at {{{e}}} is not the chain's"
+                                 for e in (1, 2, 3, 4)]),
+        (lambda text: text.replace("s 1 2 1 7/3", "s 1 2 1 1/3").replace(
+            "s 1 2 3 1/3", "s 1 2 3 7/3"),
+         ["descent 1: adversary split at {2} is not the chain's"]),
+    ], ids=["largest-adversary", "swapped-pair"])
+    def test_a_split_no_chain_builds_fails(self, tamper, failures):
+        text = tamper(self.BUILT)
+        assert text != self.BUILT
+        assert verify_conditional(conditional_from_text(text)).ok
+        assert cov.verify_text(text).failures == failures
+
+    def test_the_moved_split_breaks_the_inequality(self):
+        # X1 and X2 = X3 = X4, two independent fair bits
+        pmf = JointPMF([2] * 4, {(a, b, b, b): F(1, 4) for a in (0, 1) for b in (0, 1)})
+        built = conditional_from_text(self.BUILT)
+        moved = conditional_from_text(_on_largest_adversary(self.BUILT))
+        assert check_conditional_yz(pmf, built, 2).slack == pytest.approx(3.5, abs=1e-12)
+        assert check_conditional_yz(pmf, moved, 2).slack == pytest.approx(-3.5, abs=1e-12)
+
+    def test_zero_weight_records_are_ignored(self):
+        # a subset's zero records may go, so long as it keeps a record
+        cond = conditional_chain((3, 1, 1, 0), 1)
+        text = conditional_to_text(cond)
+        for per_u in cond.split.values():
+            for u, parts in per_u.items():
+                if any(parts.values()):
+                    per_u[u] = {a: s for a, s in parts.items() if s}
+        assert conditional_to_text(cond) != text
+        assert cov.verify_text(conditional_to_text(cond)).ok
+
+    def test_every_built_file_passes(self):
+        rng = random.Random(22)
+        for _ in range(60):
+            L = rng.randint(2, 6)
+            lam = [F(rng.choice((0, 0, 1, 2, 3, 5)), rng.randint(1, 3)) for _ in range(L)]
+            lam[rng.randrange(L)] += 1
+            n = rng.randint(0, L - 1)
+            text = conditional_to_text(conditional_chain(lam, n))
+            assert cov.verify_text(text).ok, (lam, n)
+
+    def test_above_the_chain_cap_fails(self, monkeypatch):
+        monkeypatch.setattr(cov, "MAX_CHAIN_GROUND", 3)
+        assert cov.verify_text(self.BUILT).failures == [
+            "descent: chains support at most L=3, got 4"
+        ]

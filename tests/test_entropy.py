@@ -20,19 +20,23 @@ from smdc.entropy import (
     check_yz,
     permutation_identity,
     pmf_from_text,
-    pmf_to_text,
     random_pmf,
-    random_product_pmf,
 )
 from smdc.subsets import EncoderSet, subsets_of_size, windows
 
-from oracles import fraction_subset_entropy, joint_subset_entropy
+from oracles import (
+    fraction_subset_entropy,
+    joint_subset_entropy,
+    product_table,
+    random_product_table,
+    uniform_table,
+)
 
 F = Fraction
 
 
 def fair_bits(n):
-    return JointPMF.independent([[F(1, 2), F(1, 2)]] * n)
+    return JointPMF([2] * n, product_table([[F(1, 2), F(1, 2)]] * n))
 
 
 def copied_bit(n):
@@ -41,7 +45,7 @@ def copied_bit(n):
 
 
 def three_point():
-    return JointPMF.uniform_over([2, 2], [(0, 0), (0, 1), (1, 0)])
+    return JointPMF([2, 2], uniform_table([(0, 0), (0, 1), (1, 0)]))
 
 
 class TestSubsetEntropy:
@@ -102,7 +106,7 @@ class TestSubsetEntropy:
 
 @st.composite
 def pmfs(draw):
-    """Pmfs from every constructor: explicit masses with mixed
+    """Pmfs from every kind of table: explicit masses with mixed
     denominators, products of marginals, uniform multisets, and text with
     unreduced masses such as 4/12."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
@@ -114,10 +118,10 @@ def pmfs(draw):
             w = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k))
             w[draw(st.integers(0, k - 1))] += 1
             marginals.append([F(x, sum(w)) for x in w])
-        return JointPMF.independent(marginals)
+        return JointPMF(sizes, product_table(marginals))
     if kind == "uniform":
         pts = draw(st.lists(st.sampled_from(outcomes), min_size=1, max_size=7))
-        return JointPMF.uniform_over(sizes, pts)
+        return JointPMF(sizes, uniform_table(pts))
     counts = draw(st.lists(st.integers(0, 50), min_size=len(outcomes), max_size=len(outcomes)))
     counts[0] += 1
     if kind == "text":
@@ -241,8 +245,6 @@ class TestPmfValidation:
         rng = random.Random(0)
         with pytest.raises(ValueError):
             random_pmf(rng, sizes)
-        with pytest.raises(ValueError):
-            random_product_pmf(rng, sizes)
 
     def test_outcomes_that_read_alike_are_summed(self):
         # keys that differ as Python values but name one outcome add up
@@ -258,28 +260,6 @@ class TestPmfValidation:
         pmf = JointPMF([3] * 8, table)
         assert pmf.probabilities == {o: p for o, p in table.items() if p}
         assert list(pmf.probabilities) == [o for o in outcomes if table[o]]
-
-    def test_uniform_over_no_outcomes(self):
-        with pytest.raises(ValueError, match="at least one outcome"):
-            JointPMF.uniform_over([2], [])
-
-    def test_uniform_over_equals_the_fraction_table(self):
-        # points counted as integers give the pmf of the table that adds
-        # one Fraction per point, repeats and order included
-        rng = random.Random(20)
-        sizes = [3, 3, 2]
-        outcomes = [list(o) for o in product(*(range(k) for k in sizes))]
-        points = [rng.choice(outcomes) for _ in range(200)]
-        table = {}
-        for o in points:
-            table[tuple(o)] = table.get(tuple(o), F(0)) + F(1, len(points))
-        got, want = JointPMF.uniform_over(sizes, points), JointPMF(sizes, table)
-        assert list(got.probabilities.items()) == list(want.probabilities.items())
-        assert got.subset_entropy([1, 2, 3]) == want.subset_entropy([1, 2, 3])
-
-    def test_product_checks_the_space_before_enumerating(self):
-        with pytest.raises(ValueError, match="state space"):
-            JointPMF.independent([[1, 0]] * 40)
 
 
 class TestHan:
@@ -318,7 +298,8 @@ class TestSlidingWindow:
         rng = random.Random(9)
         for _ in range(10):
             L = rng.randint(2, 4)
-            pmf = random_product_pmf(rng, [rng.randint(2, 3)] * L)
+            sizes = [rng.randint(2, 3)] * L
+            pmf = JointPMF(sizes, random_product_table(rng, sizes))
             for a in range(2, L + 1):
                 rep = check_sliding_window(pmf, a)
                 assert abs(rep.slack) < 1e-12
@@ -492,17 +473,6 @@ class TestTextFormat:
         given = {(0, 1): "1/6", ("0", "1"): F(1, 3), (1, 0): "1/2", (1, 1): 0}
         pmf = JointPMF([2, 2], given)
         assert pmf.probabilities == {(0, 1): F(1, 2), (1, 0): F(1, 2)}
-        points = [(0, 0), (1, 1), (0, 0)]
-        assert JointPMF.uniform_over([2, 2], points).probabilities == {
-            (0, 0): F(2, 3), (1, 1): F(1, 3)
-        }
-
-    def test_round_trip(self):
-        rng = random.Random(1)
-        pmf = random_pmf(rng, [2, 3])
-        back = pmf_from_text(pmf_to_text(pmf))
-        assert back.alphabet_sizes == pmf.alphabet_sizes
-        assert back.probabilities == pmf.probabilities
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):

@@ -12,10 +12,12 @@ from smdc.codec import BundleFormatError, ShareBundle
 from smdc.covers import ChainReport
 from smdc.entropy import InequalityReport
 from smdc.exactlp import FeasibilityResult, LpSolution
-from smdc.gf import GF16, GF256
+from smdc.gf import GF256
 from smdc.region import GreedyAllocation
 from smdc.rs import CodeSpec
 from smdc.subsets import EncoderSet
+
+from oracles import GF16
 
 # (record built positionally, the same built by keyword, a record that differs
 # in its last field, the expected repr)

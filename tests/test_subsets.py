@@ -7,13 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smdc.subsets import (
+    MAX_ENUMERATION_GROUND,
     EncoderSet,
     format_subset,
     parse_subset,
     subsets_of_size,
-    window,
     windows,
 )
+
+from oracles import complement
 
 
 def members(sets):
@@ -57,13 +59,36 @@ class TestSubsetsOfSize:
 
 class TestWindow:
     def test_wraparound(self):
-        assert window(3, 2, 3).members == (1, 3)
+        assert windows(3, 2)[2].members == (1, 3)
 
     def test_singleton(self):
-        assert window(1, 1, 4).members == (1,)
+        assert windows(4, 1)[0].members == (1,)
 
     def test_full_window(self):
-        assert window(2, 4, 4).members == (1, 2, 3, 4)
+        assert windows(4, 4)[1].members == (1, 2, 3, 4)
+
+    def test_windows_by_definition(self):
+        # the window at start l holds l, l+1, ..., l+a-1, each taken mod L
+        # into 1..L
+        for L in range(1, MAX_ENUMERATION_GROUND + 1):
+            for a in range(1, L + 1):
+                want = [
+                    EncoderSet.of({(l + i - 1) % L + 1 for i in range(a)}, L)
+                    for l in range(1, L + 1)
+                ]
+                got = windows(L, a)
+                assert got == want
+                assert [w.members for w in got] == [w.members for w in want]
+
+    @pytest.mark.parametrize("L,a,message", [
+        (0, 1, "ground size must be in 1..24, got 0"),
+        (25, 1, "ground size must be in 1..24, got 25"),
+        (3, 0, "length must be in 1..3, got 0"),
+        (3, 4, "length must be in 1..3, got 4"),
+    ])
+    def test_range_errors(self, L, a, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            windows(L, a)
 
     def test_distinct_below_full_length(self):
         for L in range(2, 9):
@@ -82,15 +107,12 @@ class TestWindow:
         for L in range(3, 8):
             for a in range(2, L):
                 smaller = {w.members for w in windows(L, a - 1)}
-                for l in range(1, L + 1):
-                    u = window(l, a, L)
+                shorter = windows(L, a - 1)
+                for l, u in enumerate(windows(L, a)):
                     in_family = [
                         c.members for c in u.children() if c.members in smaller
                     ]
-                    expected = {
-                        window(l, a - 1, L).members,
-                        window(l % L + 1, a - 1, L).members,
-                    }
+                    expected = {shorter[l].members, shorter[(l + 1) % L].members}
                     assert set(in_family) == expected
                     assert len(in_family) == 2
 
@@ -128,11 +150,10 @@ class TestEncoderSet:
         with pytest.raises(ValueError, match=f"^encoder index {members[0]} is below 1$"):
             EncoderSet(members, 3)
 
-    def test_membership_and_complement(self):
+    def test_membership(self):
         u = EncoderSet.of([3, 1], 4)
         assert u.members == (1, 3)
         assert 1 in u and 3 in u and 2 not in u
-        assert u.complement().members == (2, 4)
 
     @given(st.integers(1, 10), st.data())
     def test_mask_matches_members(self, L, data):
@@ -174,10 +195,10 @@ class TestEncoderSetIdentity:
             EncoderSet(tuple(u.members), L),
             EncoderSet.of(reversed(u.members), L),
             parse_subset(format_subset(u), L),
-            u.complement(),
-            window(data.draw(st.integers(1, L)), data.draw(st.integers(1, L)), L),
+            complement(u),
+            windows(L, data.draw(st.integers(1, L)))[data.draw(st.integers(0, L - 1))],
             EncoderSet(u.members, L + 1),
-            EncoderSet(u.complement().members, L),
+            EncoderSet(complement(u).members, L),
             pickle.loads(pickle.dumps(u)),
             copy.copy(u),
             copy.deepcopy(u),
