@@ -8,12 +8,16 @@ median of K runs (one run with --quick): a plain encode and decode of
 4 KB sources at L=30 (and L=60 with --full), a secure (N=2) encode and
 decode of 4 KB sources at L=30, the build of the top layer's encode and
 decode matrix at L=30, plain and secure, the three membership
-queries at L=6, 12, 20 and 24 (the cap) for a member and a non-member,
-yz_chain and conditional_chain at L=7, f_profile at L=10, the Han,
-Yeung-Zhang and conditional checks on a pmf of five ternary variables,
-the stream kernels' MB/s from benchmarks/bench_gf.py, and a fresh import
-of the library's eight modules (the median of IMPORT_RUNS, whatever the
-flags, in a child process).  The JSON
+queries at L=4, 6, 12, 20 and 24 (the cap) for a member and a
+non-member, yz_chain and conditional_chain at L=7, f_profile at L=8 and
+L=10, the Han, Yeung-Zhang and conditional checks on a pmf of five
+ternary variables and on one of four variables with 2-3 symbols, the
+construction of that five-variable pmf from its table, the stream
+kernels' MB/s from benchmarks/bench_gf.py, and a fresh import of the
+library's eight modules (IMPORT_RUNS of them after one warm-up import
+that is dropped, whatever the flags, in a child process; the median and
+the first quartile).  L=4, f_profile at L=8 and the four-variable pmf are
+sizes that perfbench's region-exact workload runs.  The JSON
 record, with the kernel backend, the Python version, nproc, the
 platform and the git commit, goes to stdout and the table to stderr; a
 change records its numbers with `> BENCH_<pr>.json`.  Nothing is gated:
@@ -131,6 +135,11 @@ def member_cases(rng, sizes):
     return out
 
 
+def profile_case(rng, L):
+    weights = [Fraction(rng.randint(1, 20), rng.randint(1, 3)) for _ in range(L)]
+    return {f"region.f_profile.L{L}": lambda: region.f_profile(weights)}
+
+
 def chain_cases(rng):
     weights = [Fraction(rng.randint(1, 20), rng.randint(1, 3)) for _ in range(7)]
     profile = [Fraction(rng.randint(1, 20), rng.randint(1, 3)) for _ in range(10)]
@@ -141,22 +150,25 @@ def chain_cases(rng):
     }
 
 
-def entropy_case(rng):
-    """The three level checks at every level of one pmf on five ternary
-    variables, each run on a fresh copy so that no entropy is cached."""
-    pmf = entropy.random_pmf(rng, [3] * 5)
-    weights = [Fraction(rng.randint(1, 9)) for _ in range(5)]
+def entropy_case(rng, sizes):
+    """The three level checks at every level of one pmf on the alphabets
+    `sizes`, each run on a fresh copy so that no entropy is cached, and
+    the pmf's table."""
+    pmf = entropy.random_pmf(rng, sizes)
+    L = len(sizes)
+    weights = [Fraction(rng.randint(1, 9)) for _ in range(L)]
     chain = covers.yz_chain(weights)
     split = covers.conditional_chain(weights, 1)
+    table = pmf.probabilities
 
     def fresh():
-        return entropy.JointPMF(pmf.alphabet_sizes, pmf.probabilities)
+        return entropy.JointPMF(sizes, table)
 
     def checks(p):
-        for a in range(2, 6):
+        for a in range(2, L + 1):
             entropy.check_han(p, a)
             entropy.check_yz(p, chain, a)
-        for a in range(2, 5):
+        for a in range(2, L):
             entropy.check_conditional_yz(p, split, a)
 
     return checks, fresh
@@ -164,17 +176,22 @@ def entropy_case(rng):
 
 def fresh_imports(runs):
     """Seconds of each of `runs` imports of MODULES after every smdc module
-    is dropped from sys.modules, as the benchmark's set-up imports them.
-    Run in a child process: the other entries keep the modules they hold."""
+    is dropped from sys.modules, as the benchmark's set-up imports them,
+    after one warm-up import whose time is dropped; the median and the
+    first quartile, which the slow imports that come in bursts on a
+    shared host move less.  Run in a child process: the other entries
+    keep the modules they hold."""
     times = []
-    for _ in range(runs):
+    for _ in range(runs + 1):
         for name in [m for m in sys.modules if m == "smdc" or m.startswith("smdc.")]:
             del sys.modules[name]
         t0 = perf_counter()
         for m in MODULES:
             importlib.import_module(f"smdc.{m}")
         times.append(perf_counter() - t0)
-    return {"median_s": statistics.median(times), "runs_s": times}
+    times = times[1:]
+    return {"median_s": statistics.median(times),
+            "q1_s": statistics.quantiles(times, n=4, method="inclusive")[0], "runs_s": times}
 
 
 def commit():
@@ -207,9 +224,15 @@ def main():
     cases.update(member_cases(random.Random(SEED + 1), (20, 24)))
     cases.update(secure_cases(random.Random(SEED + 2)))
     cases.update(matrix_cases())
+    # the region-exact workload's own sizes, each from a generator of its own
+    cases.update(member_cases(random.Random(SEED + 3), (4,)))
+    cases.update(profile_case(random.Random(SEED + 4), 8))
     results = {name: median_time(fn, runs) for name, fn in cases.items()}
-    checks, fresh = entropy_case(rng)
+    checks, fresh = entropy_case(rng, [3] * 5)
     results["entropy.checks.3^5"] = median_time(checks, runs, setup=fresh)
+    results["entropy.JointPMF.3^5"] = median_time(fresh, runs)
+    checks, fresh = entropy_case(random.Random(SEED + 5), [2, 3, 3, 2])
+    results["entropy.checks.2x3x3x2"] = median_time(checks, runs, setup=fresh)
     with get_context("spawn").Pool(1) as pool:
         results["import.fresh"] = pool.apply(fresh_imports, (IMPORT_RUNS,))
 
@@ -234,7 +257,8 @@ def main():
     }
     print(json.dumps(report, indent=1))
     for name, r in results.items():
-        print(f"{name:44s} {1e3 * r['median_s']:>12.3f} ms", file=sys.stderr)
+        q1 = f"  (first quartile {1e3 * r['q1_s']:.3f} ms)" if "q1_s" in r else ""
+        print(f"{name:44s} {1e3 * r['median_s']:>12.3f} ms{q1}", file=sys.stderr)
     for name, rate in report["kernel"].items():
         print(f"{name:44s} {rate:>12.2f} MB/s", file=sys.stderr)
 

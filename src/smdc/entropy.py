@@ -10,23 +10,26 @@ final logarithms are floating point, so every inequality check carries
 a small absolute tolerance.  Checks return a report rather than
 raising: a violated inequality is a result, not an error.
 
-A variable set is validated once into a bit mask (bit m for variable
-m), and entropies are cached per mask.  A marginal is summed from a
-cached marginal of a set one variable larger, which is built first when
-it has fewer states than the joint has cells, and else from the joint.
-Either way its cells come in the order of their first appearance in the
-joint, so every entropy is summed in the same order and gives the same
-bits.  The cached marginals total at most MARGINAL_BUDGET times the
-joint's cells.
+The counts are keyed by a packed outcome code, built once per outcome
+when the pmf is made: variable m's symbol sits in a bit field of width
+(k_m - 1).bit_length(), so an alphabet of one symbol takes no bits.  A
+variable set is validated once into a bit mask (bit m for variable m),
+and entropies are cached per mask.  The marginal on a set keys each
+cell by the code with every other variable's field cleared, and is
+summed from a cached marginal of a set one variable larger, which is
+built first when it has fewer states than the joint has cells, and else
+from the joint.  Either way its cells come in the order of their first
+appearance in the joint, so every entropy is summed in the same order
+and gives the same bits.  The cached marginals total at most
+MARGINAL_BUDGET times the joint's cells.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import comb, factorial, prod
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from ._record import Record
@@ -67,25 +70,35 @@ class JointPMF:
 
     def __init__(self, alphabet_sizes: Iterable[int], probabilities: Mapping):
         sizes = _state_space(alphabet_sizes)
-        table: dict[tuple[int, ...], Fraction] = {}
+        # variable m's symbol sits in bits [offset, offset + width) of an
+        # outcome's code, width the bit length of its largest symbol
+        widths = [(k - 1).bit_length() for k in sizes]
+        offsets = list(accumulate(widths, initial=0))
+        table: dict[int, Fraction] = {}
         for outcome, p in probabilities.items():
-            outcome = tuple(int(s) for s in outcome)
+            outcome = tuple(map(int, outcome))
             if len(outcome) != len(sizes):
                 raise ValueError(f"outcome {outcome} has wrong arity")
-            for s, k in zip(outcome, sizes):
+            code = 0
+            for s, k, at in zip(outcome, sizes, offsets):
                 if not 0 <= s < k:
                     raise ValueError(f"symbol {s} outside alphabet of size {k}")
+                code |= s << at
             p = as_fraction(p)
             if p.numerator < 0:
                 raise ValueError("probabilities must be nonnegative")
             if p:
-                table[outcome] = table[outcome] + p if outcome in table else p
+                table[code] = table[code] + p if code in table else p
         counts, d = over_common_denominator(table.values())
         if sum(counts) != d:
             raise ValueError(f"probabilities sum to {Fraction(sum(counts), d)}, expected 1")
         self.alphabet_sizes = sizes
-        # the masses, held once, as integers over one denominator in table
-        # order, which fixes the order in which every entropy is summed
+        # bit m of a variable mask -> the bits of variable m in a code
+        self._fields = [0] + [(1 << w) - 1 << at for w, at in zip(widths, offsets)]
+        self._offsets = offsets
+        # the masses, held once, as integers over one denominator keyed by
+        # outcome code in table order, which fixes the order in which every
+        # entropy is summed
         self._counts = dict(zip(table, counts))
         self._denominator = d
         self._full = (2 << len(sizes)) - 2  # the mask of all L variables
@@ -96,10 +109,14 @@ class JointPMF:
 
     @property
     def probabilities(self) -> dict[tuple[int, ...], Fraction]:
-        """The nonzero masses as a new table of Fractions, built from the
-        counts on each read."""
+        """The nonzero masses as a new table of Fractions keyed by outcome
+        tuple, decoded from the codes and counts on each read."""
         d = self._denominator
-        return {outcome: Fraction(n, d) for outcome, n in self._counts.items()}
+        fields = list(zip(self._fields[1:], self._offsets))
+        return {
+            tuple((code & f) >> at for f, at in fields): Fraction(n, d)
+            for code, n in self._counts.items()
+        }
 
     @property
     def variable_count(self) -> int:
@@ -164,31 +181,24 @@ class JointPMF:
             return self._marginals[mask]
         L = self.variable_count
         cells = len(self._counts)
-        source, drop = self._counts, 0
+        source = self._counts
         missing = [j for j in range(1, L + 1) if not mask >> j & 1]
         for j in missing:
             larger = self._marginals.get(mask | 1 << j)
             if larger is not None and len(larger) < len(source):
-                source, drop = larger, j
-        if not drop:
-            j = missing[0]
-            larger = mask | 1 << j
+                source = larger
+        if source is self._counts:
+            larger = mask | 1 << missing[0]
             states = prod(k for m, k in enumerate(self.alphabet_sizes, 1) if larger >> m & 1)
             if states < cells and self._marginal_cells + states <= MARGINAL_BUDGET * cells:
-                source, drop = self._marginal(larger), j
-        size = mask.bit_count()
-        if drop:
-            # the dropped variable's position among the larger set's members
-            pos = (mask & (1 << drop) - 1).bit_count()
-            key = itemgetter(*(i for i in range(size + 1) if i != pos))
-        else:
-            key = itemgetter(*(m - 1 for m in range(1, L + 1) if mask >> m & 1))
-        # one variable gives bare symbols as keys, which group alike
+                source = self._marginal(larger)
+        # a cell's key is its code with the other variables' bits cleared
+        field = sum(f for m, f in enumerate(self._fields) if mask >> m & 1)
         counts: dict = {}
-        for outcome, n in source.items():
-            k = key(outcome)
+        for code, n in source.items():
+            k = code & field
             counts[k] = counts.get(k, 0) + n
-        if size > 1 and self._marginal_cells + len(counts) <= MARGINAL_BUDGET * cells:
+        if mask.bit_count() > 1 and self._marginal_cells + len(counts) <= MARGINAL_BUDGET * cells:
             self._marginals[mask] = counts
             self._marginal_cells += len(counts)
         return counts

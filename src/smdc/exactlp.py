@@ -3,8 +3,9 @@
 One condensed integer tableau (Tucker form: a row per constraint, a
 column per nonbasic variable, no slack, surplus or artificial columns).
 `LinearProgram.add` scales each row to integers once, by the lcm of its
-denominators (a row of ints by that of its right-hand side alone), and
-keeps only the integer row; pivots divide exactly by the previous pivot,
+denominators (a row of ints by that of its right-hand side alone, as
+`add_ints` does for a right-hand side given as num / den), and keeps
+only the integer row; pivots divide exactly by the previous pivot,
 and `fractions.Fraction` appears only when the answer is read back.
 Each row records the D at which it was last written and is brought up to
 the current D (times D over that D, exact by Bareiss) only when a pivot
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from ._record import Record
@@ -93,33 +94,39 @@ class LinearProgram:
         if len(self.objective) != num_vars:
             raise ValueError("objective length does not match num_vars")
         self.senses: list[str] = []
-        self.rhs: list[Fraction] = []
         # row i times sigma_i, the lcm of its denominators, in integers
         self.int_rows: list[list[int]] = []
         self.int_rhs: list[int] = []
         self.scales: list[int] = []
 
     def add(self, coeffs: Sequence, sense: str, rhs) -> None:
-        """Append one row.  A row of ints scales by its rhs's denominator
-        alone; any other row goes through `as_fraction` coefficient by
-        coefficient."""
+        """Append one row.  A row of ints goes to `add_ints` with its rhs's
+        numerator and denominator; any other row goes through
+        `as_fraction` coefficient by coefficient."""
         coeffs = list(coeffs)
-        ints = {*map(type, coeffs)} <= {int}
-        if not ints:
-            coeffs = list(as_fractions(coeffs))
-        if len(coeffs) != self.num_vars:
+        rhs = as_fraction(rhs)
+        if {*map(type, coeffs)} <= {int}:
+            self.add_ints(coeffs, sense, rhs.numerator, rhs.denominator)
+        else:
+            scaled, sigma = over_common_denominator([*as_fractions(coeffs), rhs])
+            self._append(scaled[:-1], sense, scaled[-1], sigma)
+
+    def add_ints(self, coeffs: list[int], sense: str, num: int, den: int) -> None:
+        """Append a row of ints with right-hand side num / den, den > 0,
+        scaled by den / gcd(num, den): the scale, row and rhs that `add`
+        gives it with rhs Fraction(num, den), with no Fraction built."""
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        g = gcd(num, den)
+        sigma = den // g
+        self._append([a * sigma for a in coeffs], sense, num // g, sigma)
+
+    def _append(self, row: list[int], sense: str, b: int, sigma: int) -> None:
+        if len(row) != self.num_vars:
             raise ValueError("constraint length does not match num_vars")
         if sense not in (LE, GE):
             raise ValueError(f"sense must be {LE!r} or {GE!r}, got {sense!r}")
-        rhs = as_fraction(rhs)
-        if ints:
-            sigma = rhs.denominator
-            row, b = [a * sigma for a in coeffs], rhs.numerator
-        else:
-            scaled, sigma = over_common_denominator(coeffs + [rhs])
-            row, b = scaled[:-1], scaled[-1]
         self.senses.append(sense)
-        self.rhs.append(rhs)
         self.int_rows.append(row)
         self.int_rhs.append(b)
         self.scales.append(sigma)
@@ -128,6 +135,11 @@ class LinearProgram:
     def rows(self) -> list[list[Fraction]]:
         """The rows as added, read back from the integer rows."""
         return [[Fraction(a, s) for a in row] for row, s in zip(self.int_rows, self.scales)]
+
+    @property
+    def rhs(self) -> list[Fraction]:
+        """The right-hand sides as added, read back from the integers."""
+        return [Fraction(b, s) for b, s in zip(self.int_rhs, self.scales)]
 
     @property
     def num_rows(self) -> int:

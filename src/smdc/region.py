@@ -3,7 +3,9 @@
 The region of each scheme is cut out by supporting hyperplanes whose
 level coefficients f_alpha have a closed form (`f_value`).  A whole
 profile (`f_profile`) sorts the weights once, puts them over one
-denominator and compares integer suffix sums, one `Fraction` per level.
+denominator and finds every level's least ratio of integer suffix sums
+in one pointer sweep, since the minimizing j never decreases as alpha
+grows; one `Fraction` per level.
 An explicit optimal packing (`f_alpha`) is laid out from the same closed
 form by McNaughton's wrap-around rule, with no LP and no enumeration of
 the level, and is audited exactly (`audit_level`, on the integer core
@@ -16,7 +18,9 @@ Farkas multipliers of its prefix rows; members come back with a
 per-level rate allocation that Robin Hood transfers carry from the LP's
 sorted blocks onto the rates.  Both are read off the LP's integers,
 built, moved and re-checked exactly as integers over one denominator,
-with one `Fraction` per returned entry; no arithmetic uses floats.
+with one `Fraction` per returned entry; no arithmetic uses floats.  The
+LP's rows are added as ints with integer right-hand sides, and the
+all-access greedy split runs on integer numerators too.
 """
 
 from __future__ import annotations
@@ -89,24 +93,34 @@ def _level_weights(weights, alpha: int) -> tuple[Fraction, ...]:
     return lam
 
 
-def _least_ratio(suffix, alpha: int) -> tuple[int, int]:
-    """(S_j, alpha - j) at the least j < alpha minimizing S_j / (alpha - j),
-    where suffix[j] == S_j, picked by cross-multiplication."""
-    s, k = suffix[0], alpha
-    for j in range(1, alpha):
-        if suffix[j] * k < s * (alpha - j):
-            s, k = suffix[j], alpha - j
-    return s, k
+def _least_ratios(ns, alphas) -> list[tuple[int, int]]:
+    """(S_j, alpha - j) at each alpha of the ascending `alphas`, for the
+    least j < alpha minimizing S_j / (alpha - j), where ns are integers
+    sorted nonincreasing and S_j = sum(ns[j:]).
+
+    S_{j+1} / (alpha - j - 1) < S_j / (alpha - j) exactly when ns[j] (alpha
+    - j) > S_j, and once that fails it fails for every larger j, as ns
+    falls and the ratio no longer does: the least minimizer is the first
+    j where it fails.  A larger alpha only makes it fail later, so one
+    pointer sweeps all the levels."""
+    out = []
+    s, j = sum(ns), 0
+    for a in alphas:
+        while j < a - 1 and ns[j] * (a - j) > s:
+            s -= ns[j]
+            j += 1
+        out.append((s, a - j))
+    return out
 
 
 def _profile(lam, alphas) -> list[Fraction]:
-    """f_alpha at each alpha of `alphas`, from one sort of the weights:
-    over one denominator d, the numerators sorted nonincreasing give
-    integer suffix sums S_j, and each level builds one `Fraction`."""
+    """f_alpha at each alpha of the ascending `alphas`, from one sort of
+    the weights: over one denominator d, the numerators sorted
+    nonincreasing give integer suffix sums S_j, and each level builds one
+    `Fraction`."""
     ns, d = over_common_denominator(lam)
     ns.sort(reverse=True)
-    suffix = list(accumulate(reversed(ns)))[::-1]  # suffix[j] == sum(ns[j:])
-    return [Fraction(s, k * d) for s, k in (_least_ratio(suffix, a) for a in alphas)]
+    return [Fraction(s, k * d) for s, k in _least_ratios(ns, alphas)]
 
 
 def f_value(weights, alpha: int) -> Fraction:
@@ -158,7 +172,7 @@ def f_alpha(weights, alpha: int) -> SubsetCoefficients:
     lam = _level_weights(weights, alpha)
     ns, d = over_common_denominator(lam)
     order = sorted(range(len(lam)), key=ns.__getitem__, reverse=True)
-    s, k = _least_ratio(list(accumulate(ns[l] for l in reversed(order)))[::-1], alpha)
+    ((s, k),) = _least_ratios([ns[l] for l in order], (alpha,))
     heavy, rest = [l + 1 for l in order[: alpha - k]], order[alpha - k :]
     # in units of 1 / (k d) a row is s long and encoder l is k * ns[l]
     ends = list(accumulate(k * ns[l] for l in rest))
@@ -223,12 +237,16 @@ def _rate_split(rates, entropies, levels):
     order = sorted(range(L), key=r.__getitem__)
     rank = sorted(range(L), key=order.__getitem__)  # encoder -> sorted position
     r = [r[l] for l in order]
-    cols = [(ai, j) for ai, alpha in enumerate(levels) for j in range(alpha)]
-    lp = LinearProgram(len(cols))
-    for ai, (alpha, h) in enumerate(zip(levels, entropies)):
-        lp.add([alpha - j if bi == ai else 0 for bi, j in cols], GE, h)
+    js = [j for alpha in levels for j in range(alpha)]  # column (alpha, j)
+    lp = LinearProgram(len(js))
+    start = 0
+    for alpha, h in zip(levels, entropies):
+        row = [0] * len(js)
+        row[start : start + alpha] = range(alpha, 0, -1)
+        lp.add_ints(row, GE, h.numerator, h.denominator)
+        start += alpha
     for k, cap in enumerate(accumulate(r), 1):
-        lp.add([max(k - j, 0) for _, j in cols], LE, Fraction(cap, D))
+        lp.add_ints([k - j if k > j else 0 for j in js], LE, cap, D)
     res = feasible(lp)
     ns, d = res.scaled
     if not res.feasible:
@@ -274,17 +292,16 @@ def _rate_split(rates, entropies, levels):
             raise AssertionError("witness misses a level demand")
     if any(sum(col) > cap for col, cap in zip(zip(*shares), r)):
         raise AssertionError("witness exceeds an encoder rate")
-    return {
-        alpha: tuple(Fraction(x[p], D) for p in rank) for x, alpha in zip(shares, levels)
-    }, None
+    # a level's top shares repeat: one Fraction per distinct numerator
+    made = {n: Fraction(n, D) for n in set().union(*shares)}
+    return {alpha: tuple(made[x[p]] for p in rank) for x, alpha in zip(shares, levels)}, None
 
 
 def _separates(w, cap: int, r0: Fraction, rates, entropies, levels) -> bool:
     """cap r0 + w.r < sum_a min(f_a(w), cap) H_a for integer weights w and
     cap (sum(w) for none), on integers: f_a(w) = s / k from one sort, and
     both sides times lcm(k) and the denominators of the rates and H."""
-    suffix = list(accumulate(sorted(w)))[::-1]
-    ratios = [_least_ratio(suffix, a) for a in levels]
+    ratios = _least_ratios(sorted(w, reverse=True), levels)
     K = lcm(*(k for _, k in ratios))
     rn, dr = over_common_denominator((r0, *rates))
     hn, dh = over_common_denominator(entropies)
@@ -327,7 +344,7 @@ def smdca_member(r0, rates, entropies) -> MembershipVerdict:
     # g_q(lam) at the split level q, the all-access hyperplane at lambda0 =
     # f_q(lam) = s / k; times k, over max(s, k max(lam)) to reach at most 1
     q = alloc.level
-    s, k = _least_ratio(list(accumulate(sorted(lam)))[::-1], q)
+    ((s, k),) = _least_ratios(sorted(lam, reverse=True), (q,))
     w = [x * k for x in lam]
     if not _separates(w, s, r0, r, h, levels):
         raise AssertionError("certificate must violate the all-access hyperplane")
@@ -358,14 +375,24 @@ def greedy_allocation(r0, entropies) -> GreedyAllocation:
     Source alpha stores min(h_alpha, r0 - sum of h_beta, beta < alpha),
     clipped at zero: sources below the split level are stored whole, the
     split level (the first with a residual) gets the leftover budget,
-    everything above stays with the randomly accessible encoders.
+    everything above stays with the randomly accessible encoders.  The
+    budget and sources are compared as integer numerators over one
+    denominator, and only the split level builds new `Fraction`s.
     """
     r0 = as_fraction(r0)
     if r0.numerator < 0:
         raise ValueError("r0 must be nonnegative")
     h = _nonnegative(entropies, "entropies")
-    before = accumulate(h, initial=_ZERO)
-    stored = tuple(min(x, max(_ZERO, r0 - b)) for x, b in zip(h, before))
-    residual = tuple(x - s for x, s in zip(h, stored))
-    level = next((a for a, x in enumerate(residual, 1) if x), None)
-    return GreedyAllocation(stored_at_zero=stored, residual=residual, level=level)
+    (left, *ns), d = over_common_denominator((r0, *h))
+    q = 0  # the sources before q fit the budget whole
+    while q < len(ns) and ns[q] <= left:
+        left -= ns[q]
+        q += 1
+    if q == len(ns):
+        return GreedyAllocation(stored_at_zero=h, residual=(_ZERO,) * q, level=None)
+    zeros = (_ZERO,) * (len(ns) - q - 1)
+    return GreedyAllocation(
+        stored_at_zero=h[:q] + (Fraction(left, d),) + zeros,
+        residual=(_ZERO,) * q + (Fraction(ns[q] - left, d),) + h[q + 1 :],
+        level=q + 1,
+    )

@@ -30,7 +30,6 @@ built here from their definitions, not by the library.
 import math
 from fractions import Fraction
 from itertools import accumulate, combinations, product
-from operator import itemgetter
 
 from smdc.covers import CASE_3
 from smdc.exactlp import (
@@ -316,6 +315,31 @@ def slice_f_value(weights, alpha):
     return min(sum(lam[j:], _ZERO) / (alpha - j) for j in range(alpha))
 
 
+def scan_least_ratio(ns, alpha):
+    """(S_j, alpha - j) at the least j < alpha minimizing S_j / (alpha - j),
+    S_j the sum of ns[j:], by comparing every j's ratio as a `Fraction`."""
+    best = None
+    for j in range(alpha):
+        s = sum(ns[j:])
+        if best is None or Fraction(s, alpha - j) < Fraction(*best):
+            best = (s, alpha - j)
+    return best
+
+
+def fraction_greedy_allocation(r0, entropies):
+    """(stored, residual, level) by the definition, in `Fraction`s: source
+    alpha stores min(h_alpha, r0 - sum of the h_beta before it), clipped at
+    zero, and the level is the first source with a residual, else None."""
+    r0, h = as_fraction(r0), as_fractions(entropies)
+    stored, before = [], _ZERO
+    for x in h:
+        stored.append(min(x, max(_ZERO, r0 - before)))
+        before += x
+    residual = [x - s for x, s in zip(h, stored)]
+    level = next((a for a, x in enumerate(residual, 1) if x), None)
+    return tuple(stored), tuple(residual), level
+
+
 def fraction_subset_entropy(pmf, members):
     """Base-2 entropy of the marginal on `members`, the marginal summed in
     `Fraction`s over `pmf.probabilities` and each mass read by float()."""
@@ -333,16 +357,18 @@ def fraction_subset_entropy(pmf, members):
 
 def joint_subset_entropy(pmf, members):
     """Base-2 entropy of the marginal on the nonempty set `members`, its
-    integer counts summed from the joint in one pass with no cache."""
-    # one variable gives bare symbols as keys, which group alike
-    key = itemgetter(*(m - 1 for m in sorted(set(members))))
+    integer counts summed in one pass over `pmf.probabilities`, in the
+    pmf's order, with no cache."""
+    table = pmf.probabilities
+    d = math.lcm(*(p.denominator for p in table.values()))
+    idx = [m - 1 for m in sorted(set(members))]
     counts = {}
-    for outcome, n in pmf._counts.items():
-        k = key(outcome)
-        counts[k] = counts.get(k, 0) + n
+    for outcome, p in table.items():
+        k = tuple(outcome[i] for i in idx)
+        counts[k] = counts.get(k, 0) + p.numerator * (d // p.denominator)
     h = 0.0
     for n in counts.values():
-        fp = n / pmf._denominator
+        fp = n / d
         h -= fp * math.log2(fp)
     return max(h, 0.0)
 

@@ -108,8 +108,11 @@ class TestSubsetEntropy:
 def pmfs(draw):
     """Pmfs from every kind of table: explicit masses with mixed
     denominators, products of marginals, uniform multisets, and text with
-    unreduced masses such as 4/12."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    unreduced masses such as 4/12.  Alphabets have 1 to 9 symbols, so
+    their codes take fields of 0 to 4 bits, and at most 256 outcomes."""
+    sizes = []
+    for _ in range(draw(st.integers(1, 4))):
+        sizes.append(draw(st.integers(1, min(9, 256 // math.prod(sizes)))))
     outcomes = list(product(*(range(k) for k in sizes)))
     kind = draw(st.sampled_from(["masses", "independent", "uniform", "text"]))
     if kind == "independent":
@@ -150,6 +153,26 @@ class TestIntegerMarginals:
             u = [m for m in range(1, n + 1) if mask >> (m - 1) & 1]
             assert pmf.subset_entropy(u).hex() == fraction_subset_entropy(pmf, u).hex()
 
+    @pytest.mark.parametrize("sizes", [[17, 2, 3], [1, 5, 1, 4], [3, 1]])
+    def test_wide_and_one_symbol_alphabets_from_text(self, sizes):
+        # an alphabet of 17 takes a 5-bit field and one of 1 symbol none
+        rng = random.Random(str(sizes))
+        outcomes = list(product(*(range(k) for k in sizes)))
+        rng.shuffle(outcomes)
+        weights = [rng.randint(0, 9) for _ in outcomes]
+        weights[0] += 1
+        lines = [f"{len(sizes)} " + " ".join(map(str, sizes))]
+        lines += [" ".join(map(str, o)) + f" {w}/{sum(weights)}" for o, w in zip(outcomes, weights)]
+        pmf = pmf_from_text("\n".join(lines))
+        assert list(pmf.probabilities.items()) == [
+            (o, F(w, sum(weights))) for o, w in zip(outcomes, weights) if w
+        ]
+        n = len(sizes)
+        for mask in range(1, 2**n):
+            u = [m for m in range(1, n + 1) if mask >> (m - 1) & 1]
+            want = fraction_subset_entropy(pmf, u).hex()
+            assert pmf.subset_entropy(u).hex() == joint_subset_entropy(pmf, u).hex() == want
+
 
 def _shaped(u, rnd):
     """The variable set u as a tuple, list, set or, when it can be one,
@@ -160,19 +183,18 @@ def _shaped(u, rnd):
     return rnd.choice(shapes)(u)
 
 
-def _expected(pmf, u, given):
-    """The float.hex of H(u | given), or the message of the ValueError it
-    raises: u's indices are checked first, then given's."""
-    n = pmf.variable_count
+def _expected(n, h, u, given):
+    """The float.hex of H(u | given) on n variables, h mapping each
+    nonempty variable set to its entropy, or the message of the ValueError
+    it raises: u's indices are checked first, then given's."""
     for m in sorted(u) + sorted(given or ()):
         if not 1 <= m <= n:
             return f"variable index {m} out of range"
     if not u:
         return "entropy of an empty variable set is not defined"
     if not given:
-        return joint_subset_entropy(pmf, u).hex()
-    both = set(u) | set(given)
-    return (joint_subset_entropy(pmf, both) - joint_subset_entropy(pmf, given)).hex()
+        return h[frozenset(u)].hex()
+    return (h[frozenset(u) | frozenset(given)] - h[frozenset(given)]).hex()
 
 
 class TestEntropyCache:
@@ -186,6 +208,8 @@ class TestEntropyCache:
         n = pmf.variable_count
         sets = [tuple(m for m in range(1, n + 1) if mask >> m - 1 & 1) for mask in range(2**n)]
         sets += [(0,), (n + 1,), (1, n + 2), (0, n + 1)]
+        # the oracle's entropies, each summed once from the joint
+        h = {frozenset(u): joint_subset_entropy(pmf, u) for u in sets[1 : 2**n]}
         queries = [(u, None) for u in sets] + [(u, g) for u in sets for g in sets]
         rnd.shuffle(queries)
         for u, given in queries:
@@ -196,7 +220,7 @@ class TestEntropyCache:
                     got = pmf.conditional_entropy(_shaped(u, rnd), _shaped(given, rnd)).hex()
             except ValueError as err:
                 got = str(err)
-            assert got == _expected(pmf, u, given), (u, given)
+            assert got == _expected(n, h, u, given), (u, given)
 
     @pytest.mark.parametrize("order", ["up", "down", "shuffled"])
     def test_marginals_stay_within_the_budget(self, order):

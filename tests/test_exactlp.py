@@ -472,6 +472,25 @@ class TestRows:
         assert (lp.int_rows, lp.int_rhs, lp.scales) == ([scaled[:-1]], [scaled[-1]], [sigma])
         assert all(type(a) is int for a in lp.int_rows[0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5), st.integers(-60, 60),
+           st.integers(1, 60), st.sampled_from([LE, GE]))
+    @example([0, 3], 0, 7, LE)
+    @example([2, -4], 12, 18, GE)
+    def test_int_rows_match_the_fraction_rhs(self, coeffs, num, den, sense):
+        got, want = LinearProgram(len(coeffs)), LinearProgram(len(coeffs))
+        got.add_ints(coeffs, sense, num, den)
+        want.add([F(a) for a in coeffs], sense, F(num, den))
+        for name in ("int_rows", "int_rhs", "scales", "rows", "rhs", "senses"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.scales == [F(num, den).denominator]
+        assert all(type(a) is int for a in got.int_rows[0] + got.int_rhs)
+
+    def test_int_rows_need_a_positive_denominator(self):
+        for den in (0, -3):
+            with pytest.raises(ValueError, match="denominator must be positive"):
+                LinearProgram(2).add_ints([1, 2], LE, 1, den)
+
     def test_int_rows_keep_their_errors(self):
         lp = LinearProgram(2)
         with pytest.raises(TypeError):

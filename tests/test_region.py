@@ -11,6 +11,7 @@ import smdc.exactlp as exactlp
 import smdc.region as region
 from smdc.region import (
     MAX_MEMBERSHIP_GROUND,
+    GreedyAllocation,
     SubsetCoefficients,
     audit_level,
     f_alpha,
@@ -29,10 +30,12 @@ from oracles import (
     LE,
     brute_lp_max,
     fraction_audit_level,
+    fraction_greedy_allocation,
     fraction_rate_split,
     g_m,
     greedy_matches_region,
     packing_lp,
+    scan_least_ratio,
     slice_f_value,
     smdca_f,
     subset_system_member,
@@ -230,6 +233,36 @@ class TestOneSortProfile:
         want = tuple(slice_f_value(lam, a) for a in range(1, len(lam) + 1))
         assert f_profile(lam) == want
         assert tuple(f_value(lam, a) for a in range(1, len(lam) + 1)) == want
+
+
+# integer weights with many zeros, with ties, or with one dominant weight
+sweep_weights = st.one_of(
+    st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]), min_size=1, max_size=24),
+    st.lists(st.sampled_from([3, 3, 3, 4]), min_size=1, max_size=24),
+    st.lists(st.integers(1, 4), min_size=1, max_size=24).flatmap(
+        lambda w: st.integers(0, len(w) - 1).map(lambda i: w[:i] + [60 * len(w)] + w[i + 1 :])
+    ),
+)
+
+
+class TestLeastRatioSweep:
+    """One pointer sweep over the levels gives, level by level, the least j
+    minimizing S_j / (alpha - j) that a scan over every j gives, and so does
+    a sweep over one level."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_weights)
+    @example([0] * 24)
+    @example([1] * 24)
+    @example([1440] + [1] * 23)
+    @example([5, 5, 0, 0])
+    def test_sweep_matches_a_scan(self, w):
+        ns = sorted(w, reverse=True)
+        L = len(ns)
+        sweep = region._least_ratios(ns, range(1, L + 1))
+        for a in range(1, L + 1):
+            assert sweep[a - 1] == scan_least_ratio(ns, a)
+            assert region._least_ratios(ns, (a,)) == [sweep[a - 1]]
 
 
 def tied_member_query(rng, scheme, L):
@@ -496,6 +529,29 @@ class TestGreedy:
         values = [g_m(m, lam, h, 0) for m in (1, 2, 3)]
         assert max(values) == values[0]
         assert greedy_matches_region(lam, h, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.builds(F, st.integers(0, 6), st.sampled_from([1, 2, 3])), min_size=1, max_size=8),
+        st.sampled_from(["zero", "all", "above", "prefix", "any"]),
+        st.data(),
+    )
+    def test_integer_split_matches_the_fraction_oracle(self, h, budget, data):
+        total = sum(h, F(0))
+        if budget == "zero":
+            r0 = F(0)
+        elif budget == "all":
+            r0 = total
+        elif budget == "above":
+            r0 = total + data.draw(st.builds(F, st.integers(1, 5), st.integers(1, 4)))
+        elif budget == "prefix":
+            # the budget ends exactly where a source ends: a tie
+            r0 = sum(h[: data.draw(st.integers(0, len(h)))], F(0))
+        else:
+            r0 = data.draw(st.builds(F, st.integers(0, 30), st.integers(1, 6)))
+        alloc = greedy_allocation(r0, h)
+        assert alloc == GreedyAllocation(*fraction_greedy_allocation(r0, h))
+        assert all(type(x) is F for x in alloc.stored_at_zero + alloc.residual)
 
     def test_matches_region_random(self):
         rng = random.Random(23)
