@@ -14,29 +14,28 @@ deficits (all zero when the weights are balanced; the base case, two
 encoders, is the shifted cover too).  A shifted cover gives the child
 that drops a parent's tau-th element the same weight for every parent,
 so a level's alpha weights are built once and shared by all its
-parents.  The descent runs on integer numerators and keys every subset
-by its bit mask, as `EncoderSet.mask` does; the finished chain takes its
-sets from the shared `subsets_of_size` families.  It is audited exactly
-(every level as `region.audit_level` checks `f_alpha`'s packings, a
+parents.  The conditional variant attaches to each subset a family of
+disjoint "adversary" sets of fixed size and pushes every parent's split
+of its weight through the covers onto its children.
+
+Both builders run on one integer core: every subset keyed by its bit
+mask, as `EncoderSet.mask`, each level, descent and split level held as
+integer numerators over one denominator.  The core is audited exactly,
+and a bad construction raises `AssertionError` instead of returning:
+every level as `region.audit_level` checks `f_alpha`'s packings, a
 cover at every subset of positive weight on levels 2..L, every cover's
-children and covering inequality, every descent's parent-sum identity),
-so a bad construction raises `AssertionError` instead of propagating.
-
-The conditional variant additionally attaches to each subset a family
-of disjoint "adversary" sets of fixed size and splits the level weights
-across them.  Each descent pushes every parent's split through the
-chain's covers onto its children, so each child collects the adversary
-sets of all its parents.  The push and both audits run on bit masks and
-on integer numerators, each level or descent put over one denominator
-once, with one `Fraction` per entry the push returns.
+children and covering inequality, every descent's parent-sum identity,
+and the split's sets and level totals.  Only then is it converted, once,
+to the sets of the shared `subsets_of_size` families and one `Fraction`
+per distinct numerator.  `verify_chain` and `verify_conditional` put a
+given chain on the core once and run the same audits.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 from ._record import Record
 from .exactlp import as_fraction, as_fractions, over_common_denominator
@@ -52,8 +51,6 @@ from .subsets import (
     subsets_of_size,
 )
 
-_ZERO = Fraction(0)
-
 CASE_BASE = "base"
 CASE_1 = "case1"
 CASE_2 = "case2"
@@ -61,18 +58,15 @@ CASE_3 = "case3"
 
 
 def verify_cover(u: EncoderSet, weights: dict[EncoderSet, Fraction]) -> bool:
-    """Exact check that child -> weight covers every element of parent u."""
-    counts, d = over_common_denominator(weights.values())
-    return _children_fit(u, weights) and _covers(tuple(counts), d, len(u) - 1)
-
-
-def _children_fit(u: EncoderSet, children) -> bool:
-    """Each child is u less one element."""
+    """Exact check that child -> weight covers every element of parent u,
+    each child u less one element."""
     if len(u.members) < 2:
         raise ValueError("children require a set of size at least 2")
+    counts, d = over_common_denominator(weights.values())
     L, size, mask = u.ground_size, len(u.members) - 1, u.mask
-    return all(v.ground_size == L and v.mask.bit_count() == size and not v.mask & ~mask
-               for v in children)
+    return all(
+        v.ground_size == L and v.mask.bit_count() == size and not v.mask & ~mask for v in weights
+    ) and _covers(tuple(counts), d, size)
 
 
 def _covers(counts: tuple[int, ...], d: int, size: int) -> bool:
@@ -124,48 +118,40 @@ class ChainReport(Record):
         return not self.failures
 
 
-# mask-keyed construction --------------------------------------------------
-#
-# The descent keys every subset by its bit mask over the caller's encoder
-# indices, bit e for encoder e.  `ground` lists the encoders by
-# nonincreasing weight, ties broken by index, so the top element and a
-# parent's tau-th element are read along it.  A family comes in
-# combinations order along the ground, and a parent's children drop its
-# members in reverse ground order.  At the chain boundary each mask is
-# looked up in the shared families.
+# the integer core --------------------------------------------------------
 
 
-def _masks(ground, size):
-    """The size-subsets of `ground` as masks, in combinations order."""
-    return [sum(c) for c in combinations([1 << e for e in ground], size)]
+def _family(ground, size) -> dict[int, list[int]]:
+    """mask -> its children, for the size-subsets of `ground` in
+    combinations order, each dropping its members in reverse ground order.
+    The descent's ground lists the encoders by nonincreasing weight."""
+    family = {}
+    for c in combinations([1 << e for e in ground], size):
+        u = sum(c)
+        family[u] = [u ^ b for b in reversed(c)]
+    return family
 
 
-def _children(u, ground):
-    """The children of mask u, dropping its members in reverse ground order."""
-    return [u ^ 1 << e for e in reversed(ground) if u >> e & 1]
-
-
-def _descend(lam, ns, ground, alpha, level, events):
-    """Covers taking the given optimal level alpha down to alpha-1.
-
-    lam: encoder -> weight (nonincreasing along ground), and ns: encoder ->
-    its numerator over one denominator; level: mask -> weight, with
-    positive total.  Returns parent mask -> child mask -> weight.
-    """
+def _descend(ns, D, ground, alpha, level, d, events):
+    """Covers taking the optimal level alpha, mask -> numerator over d with
+    a positive total, down to alpha-1, for the weights ns over D, ns
+    nonincreasing along ground: parent -> child -> numerator, and their
+    one denominator."""
     top, rest = ns[ground[0]], sum(ns[e] for e in ground[1:])
     if alpha >= 3 and top * (alpha - 2) > rest:
         events.append((alpha, CASE_2))
-        return _case2(lam, ns, ground, alpha, level, events)
+        return _case2(ns, D, ground, alpha, level, d, events)
     if len(ground) == 2:
         events.append((alpha, CASE_BASE))
     else:
         events.append((alpha, CASE_1 if top * (alpha - 1) <= rest else CASE_3))
-    return _case3(lam, ground, alpha, level)
+    return _case3(ns, D, ground, alpha, level, d)
 
 
-def _case2(lam, ns, ground, alpha, level, events):
+def _case2(ns, D, ground, alpha, level, d, events):
     """Top weight dominates: all mass sits on subsets containing the top
-    element, so recurse on the remaining ground with level alpha-1."""
+    element, so recurse on the remaining ground with level alpha-1; a
+    parent without it takes the uniform cover, 1 / (alpha - 1) a child."""
     top = 1 << ground[0]
     sub_level = {}
     for u, c in level.items():
@@ -175,68 +161,175 @@ def _case2(lam, ns, ground, alpha, level, events):
             raise AssertionError(
                 f"{CASE_2}: positive weight on mask {u:#b} missing the dominant element"
             )
-    sub_covers = _descend(lam, ns, ground[1:], alpha - 1, sub_level, events)
+    sub_covers, g = _descend(ns, D, ground[1:], alpha - 1, sub_level, d, events)
+    G = lcm(g, alpha - 1)
+    k, uniform = G // g, G // (alpha - 1)
     covers = {}
-    uniform = Fraction(1, alpha - 1)
-    for u in _masks(ground, alpha):
-        children = _children(u, ground)
+    for u, children in _family(ground, alpha).items():
         if u & top:
             sub = sub_covers[u ^ top]
-            covers[u] = {v: sub.get(v ^ top, _ZERO) if v & top else _ZERO for v in children}
+            covers[u] = {v: sub.get(v ^ top, 0) * k if v & top else 0 for v in children}
         else:
             covers[u] = dict.fromkeys(children, uniform)
-    return covers
+    return covers, G
 
 
-def _case3(lam, ground, alpha, level):
+def _case3(ns, D, ground, alpha, level, d):
     """Start from the uniform cover scaled down by the element deficits
     and push the deficit differences onto the children that drop a
-    low-weight element.  Balanced weights leave no deficits, and the
-    cover stays uniform.
-
-    The child that drops the tau-th element of a parent weighs base plus
-    the deficit differences delta_2..delta_tau, whatever the parent, so
-    the alpha weights are built once per level and shared.  With the level
-    as integers c over d, the loads tilde and the deficits b = lam - tilde
-    are integers over dl * d, and the weights integers over
-    dl * (alpha - 1) * f, f the level total over d.
-    """
-    cs, d = over_common_denominator(level.values())
-    f = sum(cs)
+    low-weight element (none when the weights are balanced).  The child
+    that drops a parent's tau-th element weighs base plus the deficit
+    differences delta_2..delta_tau, whatever the parent, so the alpha
+    weights are built once per level and shared: integers over D * f *
+    (alpha - 1), f the level total over d, reduced by their gcd."""
+    f = sum(level.values())
     if f <= 0:
         raise AssertionError(f"{CASE_3}: needs a positive level total")
-    top = ground[:alpha]
-    ls, dl = over_common_denominator([lam[e] for e in top])
-    # b = lam - tilde, tilde[e] the level weight on the subsets holding e
-    b = [n * d - sum(c for u, c in zip(level, cs) if u >> e & 1) * dl for n, e in zip(ls, top)]
+    # b = lam - tilde over D * d, tilde[e] the level weight on the subsets holding e
+    b = [ns[e] * d - sum(c for u, c in level.items() if u >> e & 1) * D for e in ground[:alpha]]
     # base = (1 - beta / f) / (alpha - 1), beta = sum_{m<alpha} b_1 - b_m,
     # and delta_2 + ... + delta_tau = (b_1 - b_tau) / f telescopes; unit
-    # is 1 over the denominator dl * f
-    unit = dl * f
+    # is 1 over the denominator D * f
+    unit = D * f
     head = unit - sum(b[0] - x for x in b[1 : alpha - 1])
-    den = unit * (alpha - 1)
     # children drop the parent's alpha-th element first
-    weights = [
-        Fraction(head + (alpha - 1) * (b[0] - b[tau - 1]), den) for tau in range(alpha, 0, -1)
-    ]
-    return {u: dict(zip(_children(u, ground), weights)) for u in _masks(ground, alpha)}
+    weights = [head + (alpha - 1) * (b[0] - b[tau - 1]) for tau in range(alpha, 0, -1)]
+    k = gcd(unit * (alpha - 1), *weights)
+    weights = [w // k for w in weights]
+    covers = {u: dict(zip(children, weights)) for u, children in _family(ground, alpha).items()}
+    return covers, unit * (alpha - 1) // k
 
 
-def _reconstruct(covers, level, ground, alpha):
-    """Level alpha-1 as cover-weighted parent sums; `level` may omit
-    zero-weight subsets.  The weighted parents and their cover weights go
-    over one denominator apiece, so the sums run on integers."""
-    live = [(gu, c) for u, gu in covers.items() if (c := level.get(u))]
-    cs, dc = over_common_denominator([c for _, c in live])
-    ws, dw = over_common_denominator([w for gu, _ in live for w in gu.values()])
-    nxt = dict.fromkeys(_masks(ground, alpha - 1), 0)
-    weights = iter(ws)
-    for (gu, _), c in zip(live, cs):
-        for v, n in zip(gu, weights):
-            if n:
-                nxt[v] += n * c
-    d = dc * dw
-    return {v: Fraction(n, d) if n else _ZERO for v, n in nxt.items()}
+def _reconstruct(covers, g, level, d, ground, alpha):
+    """Level alpha-1 as cover-weighted parent sums, over d * g reduced by
+    the gcd; `level` may omit zero-weight subsets."""
+    nxt = dict.fromkeys(map(sum, combinations([1 << e for e in ground], alpha - 1)), 0)
+    for u, c in level.items():
+        if c:
+            for v, n in covers[u].items():
+                if n:
+                    nxt[v] += n * c
+    k = gcd(d * g, *nxt.values())
+    return {v: n // k for v, n in nxt.items()}, d * g // k
+
+
+def _core(lam):
+    """lam's chain as its core: levels 1..L, each its whole family in the
+    descent's order, covers on the descents p..2 for p positive weights,
+    and the case events.  Level p is the one subset of the p largest
+    weights, weighted by the smallest of them; the levels above vanish."""
+    L = len(lam)
+    ns, D = over_common_denominator(lam)
+    ns = dict(enumerate(ns, 1))
+    ground = tuple(sorted(ns, key=lambda e: (-ns[e], e)))
+    p = sum(1 for n in ns.values() if n > 0)
+    events: list[tuple[int, str]] = []
+    levels = {alpha: ({}, 1) for alpha in range(p + 1, L + 1)}
+    covers = {}
+    if p:
+        levels[p] = {sum(1 << e for e in ground[:p]): ns[ground[p - 1]]}, D
+    for alpha in range(p, 1, -1):
+        covers[alpha] = _descend(ns, D, ground, alpha, *levels[alpha], events)
+        levels[alpha - 1] = _reconstruct(*covers[alpha], *levels[alpha], ground, alpha)
+    for alpha in range(max(p, 1), L + 1):  # absent subsets as zero
+        for u in map(sum, combinations([1 << e for e in range(1, L + 1)], alpha)):
+            levels[alpha][0].setdefault(u, 0)
+    return levels, covers, events
+
+
+def _is_family(keys, L: int, alpha: int) -> bool:
+    """Exactly the alpha-subsets of {1..L}: as many distinct masks, each one."""
+    check_ground(L)  # past the cap, raise as enumerating would
+    outside = ~((1 << L + 1) - 2)
+    return len(keys) == comb(L, alpha) and all(
+        u.bit_count() == alpha and not u & outside for u in keys)
+
+
+def _audit(lam, levels, covers, sets) -> list[str]:
+    """`verify_chain`'s checks on a core whose keys name the sets `sets`
+    maps them to; the covering inequality once per distinct weight vector."""
+    L = len(lam)
+    if set(levels) != set(range(1, L + 1)):
+        return ["levels must cover 1..L"]
+    failures: list[str] = []
+    profile = None
+    for alpha in range(1, L + 1):
+        level, d = levels[alpha]
+        if not _is_family(level, L, alpha):
+            failures.append(f"level {alpha}: wrong subset family")
+            continue
+        profile = profile or f_profile(lam)
+        subsets = [sets[u] for u in level]
+        failures += audit_counts(lam, alpha, profile[alpha - 1], subsets, level.values(), d)
+    one, d = levels[1]
+    if one.keys() != {1 << l for l in range(1, L + 1)} or any(
+        one[1 << l] * w.denominator != w.numerator * d for l, w in enumerate(lam, 1)
+    ):
+        failures.append("level 1 must equal the weight vector")
+    for alpha in range(2, L + 1):
+        per_u = covers.get(alpha, ({},))[0]
+        failures += [f"descent {alpha}: no cover at {sets[u]}"
+                     for u, n in levels[alpha][0].items() if n > 0 and u not in per_u]
+    for alpha, (per_u, g) in covers.items():
+        if not 2 <= alpha <= L:
+            failures.append(f"descent {alpha}: no such level")
+            continue
+        (up, du), (lo, dl) = levels[alpha], levels[alpha - 1]
+        covering: dict[tuple, bool] = {}  # (numerators, size) -> inequality holds
+        recon = dict.fromkeys(lo, 0)
+        for u, gu in per_u.items():
+            ns, size = tuple(gu.values()), u.bit_count() - 1
+            if size < 1:
+                raise ValueError("children require a set of size at least 2")
+            if (ns, size) not in covering:
+                covering[ns, size] = _covers(ns, g, size)
+            # each child v, u less one element, collects upper[u] * g_u(v) at
+            # level alpha-1
+            ok, c, out = covering[ns, size], up.get(u, 0), ~u
+            for v, n in gu.items():
+                ok = ok and v.bit_count() == size and not v & out
+                recon[v] = recon.get(v, 0) + c * n
+            if not ok:
+                failures.append(f"descent {alpha}: invalid cover at {sets[u]}")
+        # recon[v] / (du * g) against lower[v], in lower's order
+        if not (recon.keys() == lo.keys() and all(
+            r * dl == n * du * g for r, n in zip(recon.values(), lo.values())
+        )):
+            failures.append(f"descent {alpha}: parent-sum identity fails")
+    return failures
+
+
+def _check(failures: list[str], what: str) -> None:
+    if failures:
+        raise AssertionError(f"{what} fails its audit: " + "; ".join(failures))
+
+
+def _sets(L: int) -> dict[int, EncoderSet]:
+    """mask -> the shared `EncoderSet`, for every subset of {1..L}."""
+    family = {u.mask: u for k in range(1, L + 1) for u in subsets_of_size(L, k)}
+    return {0: EncoderSet((), L), **family}
+
+
+def _public(per_u, d: int, sets) -> dict:
+    """key -> key -> numerator over d as set -> set -> `Fraction`, one per distinct numerator."""
+    fr = {n: Fraction(n, d) for n in {n for gu in per_u.values() for n in gu.values()}}
+    return {sets[u]: {sets[v]: fr[n] for v, n in gu.items()} for u, gu in per_u.items()}
+
+
+def _key(u: EncoderSet, L: int, sets: dict) -> int:
+    """u's key, recorded in `sets`: its mask, and for a set over another
+    ground a bit past the ground's too, so that it fails the audit."""
+    k = u.mask if u.ground_size == L else u.mask | 1 << L + 1 + u.ground_size
+    sets[k] = u
+    return k
+
+
+def _keyed(per_u, L: int, sets: dict):
+    """The inverse of `_public`, over one denominator."""
+    ns, d = over_common_denominator([w for gu in per_u.values() for w in gu.values()])
+    it = iter(ns)
+    return {_key(u, L, sets): {_key(v, L, sets): n for v, n in zip(gu, it)}
+            for u, gu in per_u.items()}, d
 
 
 # chain construction ------------------------------------------------------
@@ -264,41 +357,14 @@ def yz_chain(weights) -> CoefficientChain:
     smallest of them, and the descent runs from there down to level 1.
     """
     lam = _chain_weights(weights)
-    L = len(lam)
-    by_encoder = dict(enumerate(lam, 1))
-    ns = dict(enumerate(over_common_denominator(lam)[0], 1))
-    ground = tuple(sorted(ns, key=lambda e: (-ns[e], e)))
-    p = sum(1 for x in lam if x.numerator > 0)
-
-    events: list[tuple[int, str]] = []
-    levels_m: dict[int, dict[int, Fraction]] = {alpha: {} for alpha in range(p + 1, L + 1)}
-    covers_m: dict[int, dict] = {}
-    if p:
-        levels_m[p] = {sum(1 << e for e in ground[:p]): by_encoder[ground[p - 1]]}
-    for alpha in range(p, 1, -1):
-        g = _descend(by_encoder, ns, ground, alpha, levels_m[alpha], events)
-        covers_m[alpha] = g
-        levels_m[alpha - 1] = _reconstruct(g, levels_m[alpha], ground, alpha)
-
-    sets: dict[int, EncoderSet] = {}
-    levels: dict[int, SubsetCoefficients] = {}
-    for alpha, lvl in levels_m.items():
-        family = subsets_of_size(L, alpha)
-        sets.update((u.mask, u) for u in family)
-        assignment = {sets[u]: c for u, c in lvl.items()}
-        # enumerate the whole family so absent subsets read as zero
-        for u in family:
-            assignment.setdefault(u, _ZERO)
-        levels[alpha] = SubsetCoefficients(assignment)
-    covers = {
-        alpha: {sets[u]: {sets[v]: w for v, w in gu.items()} for u, gu in per_u.items()}
-        for alpha, per_u in covers_m.items()
-    }
-
-    chain = CoefficientChain(lam, levels, covers, events)
-    if failures := verify_chain(chain).failures:
-        raise AssertionError("chain fails its audit: " + "; ".join(failures))
-    return chain
+    levels, covers, events = _core(lam)
+    sets = _sets(len(lam))
+    _check(_audit(lam, levels, covers, sets), "chain")
+    out = {}
+    for alpha, (level, d) in levels.items():
+        fr = {n: Fraction(n, d) for n in set(level.values())}
+        out[alpha] = SubsetCoefficients({sets[u]: fr[n] for u, n in level.items()})
+    return CoefficientChain(lam, out, {a: _public(*c, sets) for a, c in covers.items()}, events)
 
 
 def han_chain(L: int) -> CoefficientChain:
@@ -309,73 +375,18 @@ def han_chain(L: int) -> CoefficientChain:
     return yz_chain((Fraction(1, L),) * L)
 
 
-def _is_family(subsets, L: int, alpha: int) -> bool:
-    """Exactly the alpha-subsets of {1..L}: as many distinct keys, each one."""
-    check_ground(L)  # past the cap, raise as enumerating would
-    return len(subsets) == comb(L, alpha) and all(
-        u.ground_size == L and len(u.members) == alpha for u in subsets
-    )
-
-
 def verify_chain(chain: CoefficientChain) -> ChainReport:
-    """Exact structural audit: per-level feasibility and optimality, a
-    cover at every subset of positive weight on levels 2..L, each cover's
-    children and inequality (once per distinct weight vector), and every
-    descent's parent-sum identity, keyed by mask (a set over another
-    ground fails its family or cover check); each level and each
-    descent's weights go over one denominator once."""
-    failures: list[str] = []
-    lam = chain.weights
-    L = chain.ground_size
-    if set(chain.levels) != set(range(1, L + 1)):
-        return ChainReport(["levels must cover 1..L"])
-    counts, by_mask = {}, {}  # alpha -> numerators, and (mask -> numerator, denominator)
-    profile = None
-    for alpha in range(1, L + 1):
-        assignment = chain.levels[alpha].assignment
-        cs, d = over_common_denominator(assignment.values())
-        counts[alpha], by_mask[alpha] = cs, ({u.mask: n for u, n in zip(assignment, cs)}, d)
-        if not _is_family(assignment, L, alpha):
-            failures.append(f"level {alpha}: wrong subset family")
-            continue
-        profile = profile or f_profile(lam)
-        failures += audit_counts(lam, alpha, profile[alpha - 1], assignment, cs, d)
-    level1 = {EncoderSet((l,), L): w for l, w in enumerate(lam, 1)}
-    if chain.levels[1].assignment != level1:
-        failures.append("level 1 must equal the weight vector")
-    for alpha in range(2, L + 1):
-        per_u = chain.covers.get(alpha, {})
-        failures += [
-            f"descent {alpha}: no cover at {u}"
-            for u, n in zip(chain.levels[alpha].assignment, counts[alpha])
-            if n > 0 and u not in per_u
-        ]
-    for alpha, per_u in chain.covers.items():
-        if not 2 <= alpha <= L:
-            failures.append(f"descent {alpha}: no such level")
-            continue
-        ws, g = over_common_denominator([w for gu in per_u.values() for w in gu.values()])
-        (up, du), (lo, dl) = by_mask[alpha], by_mask[alpha - 1]
-        covering: dict[tuple, bool] = {}  # (numerators, size) -> inequality holds
-        recon = dict.fromkeys(lo, 0)
-        i = 0
-        for u, gu in per_u.items():
-            ns, i = tuple(ws[i : i + len(gu)]), i + len(gu)
-            key = ns, len(u.members) - 1
-            if key not in covering:
-                covering[key] = _covers(ns, g, key[1])
-            if not (_children_fit(u, gu) and covering[key]):
-                failures.append(f"descent {alpha}: invalid cover at {u}")
-            # each child v at level alpha-1 collects upper[u] * g_u(v)
-            c = up.get(u.mask, 0)
-            for v, n in zip(gu, ns):
-                recon[v.mask] = recon.get(v.mask, 0) + c * n
-        # recon[v] / (du * g) against lower[v], in lower's order
-        if not (recon.keys() == lo.keys() and all(
-            r * dl == n * du * g for r, n in zip(recon.values(), lo.values())
-        )):
-            failures.append(f"descent {alpha}: parent-sum identity fails")
-    return ChainReport(failures)
+    """Exact structural audit: per-level feasibility and optimality, level
+    1 against the weights, a cover at every subset of positive weight on
+    levels 2..L, each cover's children and inequality, and every descent's
+    parent-sum identity, on the chain put on the core once."""
+    L, sets = chain.ground_size, {}
+    levels = {}
+    for alpha, coeffs in chain.levels.items():
+        ns, d = over_common_denominator(coeffs.assignment.values())
+        levels[alpha] = {_key(u, L, sets): n for u, n in zip(coeffs.assignment, ns)}, d
+    covers = {alpha: _keyed(per_u, L, sets) for alpha, per_u in chain.covers.items()}
+    return ChainReport(_audit(chain.weights, levels, covers, sets))
 
 
 # conditional chains ------------------------------------------------------
@@ -386,98 +397,87 @@ def conditional_chain(weights, n_secure: int) -> ConditionalAssignment:
 
     The top level alpha = L - n_secure pairs each subset with its
     complement; descents push weights through the same covers as the
-    unconditional chain.
+    unconditional chain, whose core is built and audited but not returned.
     """
     lam = _chain_weights(weights)
     L = len(lam)
     if not 0 <= n_secure <= L - 1:
         raise ValueError(f"n_secure must be in 0..{L - 1}, got {n_secure}")
-    assignment = ConditionalAssignment(lam, n_secure, _push(yz_chain(lam), n_secure))
-    if failures := verify_conditional(assignment).failures:
-        raise AssertionError("conditional chain fails its audit: " + "; ".join(failures))
-    return assignment
+    levels, covers, _ = _core(lam)
+    sets = _sets(L)
+    _check(_audit(lam, levels, covers, sets), "chain")
+    split = _push(levels, covers, L, n_secure, sets)
+    _check(_audit_split(lam, n_secure, split, sets), "conditional chain")
+    return ConditionalAssignment(lam, n_secure, {a: _public(*s, sets) for a, s in split.items()})
 
 
-def _push(chain: CoefficientChain, n_secure: int):
-    """The adversary split of every level from L - n_secure down to 1.
-
-    Each level's split is carried on masks as integers over one running
-    denominator: a descent puts the level's covers over one denominator G
-    and multiplies the running one by G, and a restart takes the fresh
-    level's denominator.
-    """
-    L = chain.ground_size
+def _push(levels, covers, L: int, n_secure: int, sets):
+    """The split of every level from L - n_secure down to 1 on the core,
+    alpha -> (subset -> adversary set -> numerator, denominator): a descent
+    multiplies the denominator by its covers' one, a restart takes the
+    fresh level's."""
     top = L - n_secure
-    level = chain.levels[top].assignment
-    cs, d = over_common_denominator(level.values())
-    ground = range(1, L + 1)
-    sets = {u.mask: u for k in {*ground[:top], n_secure} - {0} for u in subsets_of_size(L, k)}
-    sets[0] = EncoderSet((), L)
-    full = sum(1 << e for e in ground)
-    split = {top: ({u.mask: {full ^ u.mask: c} for u, c in zip(level, cs)}, d)}
+    level, d = levels[top]
+    full = (1 << L + 1) - 2
+    split = {top: ({u: {full ^ u: c} for u, c in level.items()}, d)}
     for alpha in range(top, 1, -1):
-        per_u = chain.covers.get(alpha)
+        # a vanished level has no covers: push zeros to keep the keys, the
+        # children in lex order
+        per_u, g = covers.get(alpha, (None, 1))
+        kids = None if per_u else _family(range(1, L + 1), alpha)
         lower: dict[int, dict[int, int]] = {}
-        if per_u:
-            gs, g = over_common_denominator([w for gu in per_u.values() for w in gu.values()])
-            weights = iter(gs)
-            g_int = {u.mask: [(v.mask, n) for v, n in zip(gu, weights)] for u, gu in per_u.items()}
-            d *= g
+        d *= g
         for u, parts in split[alpha][0].items():
-            # a vanished level has no covers: push zeros to keep the keys,
-            # the children in lex order
-            for v, n in g_int[u] if per_u else dict.fromkeys(_children(u, ground), 0).items():
+            for v, n in per_u[u].items() if per_u else dict.fromkeys(kids[u], 0).items():
                 into = lower.setdefault(v, {})
                 for a, s in parts.items():
                     into[a] = into.get(a, 0) + n * s
         if not per_u:
             # restart from the fresh optimum below, each subset's whole
             # weight on its smallest adversary set
-            fresh = chain.levels[alpha - 1].assignment
-            fs, d = over_common_denominator([fresh[sets[v]] for v in lower])
-            for into, n in zip(lower.values(), fs):
-                into[min(into, key=lambda a: sets[a].members)] = n
+            fresh, d = levels[alpha - 1]
+            for v, into in lower.items():
+                into[min(into, key=lambda a: sets[a].members)] = fresh[v]
         split[alpha - 1] = lower, d
-    return {
-        alpha: {sets[u]: {sets[a]: Fraction(n, d) if n else _ZERO for a, n in parts.items()}
-                for u, parts in per_level.items()}
-        for alpha, (per_level, d) in split.items()
-    }
+    return split
 
 
-def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
-    """Each level's family and its adversary sets, and the subsets' totals,
-    on numerators over one denominator per level, audited as a level."""
-    failures: list[str] = []
-    lam = assignment.weights
-    L = assignment.ground_size
-    N = assignment.n_secure
+def _audit_split(lam, N: int, split, sets) -> list[str]:
+    """`verify_conditional`'s checks on a split's core whose keys name the
+    sets `sets` maps them to."""
+    L = len(lam)
     if not 0 <= N <= L - 1:
-        return ChainReport([f"n_secure must be in 0..{L - 1}"])
-    top = L - N
-    if set(assignment.split) != set(range(1, top + 1)):
-        return ChainReport(["levels must cover 1..L-N"])
+        return [f"n_secure must be in 0..{L - 1}"]
+    if set(split) != set(range(1, L - N + 1)):
+        return ["levels must cover 1..L-N"]
+    failures: list[str] = []
     profile = None
-    for alpha in range(1, top + 1):
-        per_u = assignment.split[alpha]
+    for alpha in range(1, L - N + 1):
+        per_u, d = split[alpha]
         if not _is_family(per_u, L, alpha):
             failures.append(f"level {alpha}: wrong subset family")
             continue
-        ns, d = over_common_denominator([s for parts in per_u.values() for s in parts.values()])
-        totals, i = [], 0
         for u, parts in per_u.items():
-            row, i = ns[i : i + len(parts)], i + len(parts)
-            for a, n in zip(parts, row):
-                if len(a.members) != N:
-                    failures.append(f"level {alpha}: adversary size != {N} at {u}")
-                if a.mask & u.mask:
-                    failures.append(f"level {alpha}: adversary overlaps {u}")
+            for a, n in parts.items():
+                if a.bit_count() != N:
+                    failures.append(f"level {alpha}: adversary size != {N} at {sets[u]}")
+                if a & u:
+                    failures.append(f"level {alpha}: adversary overlaps {sets[u]}")
                 if n < 0:
-                    failures.append(f"level {alpha}: negative split weight at {u}")
-            totals.append(sum(row))
+                    failures.append(f"level {alpha}: negative split weight at {sets[u]}")
         profile = profile or f_profile(lam)
-        failures += audit_counts(lam, alpha, profile[alpha - 1], per_u, totals, d)
-    return ChainReport(failures)
+        totals = [sum(parts.values()) for parts in per_u.values()]
+        subsets = [sets[u] for u in per_u]
+        failures += audit_counts(lam, alpha, profile[alpha - 1], subsets, totals, d)
+    return failures
+
+
+def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
+    """Each level's family and its adversary sets, and the subsets' totals
+    audited as a level, on the split put on the core once."""
+    L, sets = assignment.ground_size, {}
+    split = {alpha: _keyed(per_u, L, sets) for alpha, per_u in assignment.split.items()}
+    return ChainReport(_audit_split(assignment.weights, assignment.n_secure, split, sets))
 
 
 # line-oriented serialization ---------------------------------------------

@@ -20,7 +20,7 @@ of the textbook two-phase tableau.  Optimal solves return a primal
 vertex and a dual vector whose objective matches the primal exactly;
 infeasible systems return a Farkas certificate.  Both are re-verified
 against the integer rows straight off the tableau, before one `Fraction`
-is built per returned entry.
+is built per returned entry (for `feasible`, per entry read).
 
 Conventions for `max c.x, rows, x >= 0`: dual[i] >= 0 on `<=` rows and
 <= 0 on `>=` rows, with A^T.dual >= c componentwise and b.dual == value;
@@ -155,12 +155,27 @@ class LpSolution(Record):
 
 
 class FeasibilityResult(Record):
+    """A point when feasible, else a Farkas certificate, held once as
+    integers over one denominator, `scaled` = (ns, d > 0); `point` and
+    `certificate` build their `Fraction`s only when read."""
+
     _fields = ("feasible", "point", "certificate")
-    __slots__ = _fields + ("scaled",)  # the point or certificate as (ns, d > 0)
+    __slots__ = ("feasible", "scaled")
 
     def __init__(self, feasible: bool, point: Vector | None = None,
                  certificate: Vector | None = None, scaled: tuple | None = None) -> None:
-        self._init(feasible, point, certificate, scaled)
+        vector = point if feasible else certificate
+        if scaled is None and vector is not None:
+            scaled = over_common_denominator(vector)
+        self._init(feasible, scaled)
+
+    @property
+    def point(self) -> Vector | None:
+        return _fractions(*self.scaled) if self.feasible and self.scaled is not None else None
+
+    @property
+    def certificate(self) -> Vector | None:
+        return None if self.feasible or self.scaled is None else _fractions(*self.scaled)
 
 
 class _Tableau:
@@ -402,12 +417,13 @@ def solve_max(lp: LinearProgram) -> LpSolution:
 
 def feasible(lp: LinearProgram) -> FeasibilityResult:
     """The dual phase alone: an exact point, or a verified Farkas
-    certificate, each also as integers over one denominator (`scaled`)."""
+    certificate, as integers over one denominator (`scaled`); its
+    `Fraction`s are built only if read."""
     tab = _Tableau(lp)
     r = tab.dual_phase()
     if r is not None:
         ns, d = _farkas(lp, tab, r)
-        return FeasibilityResult(False, None, _fractions(ns, d), (ns, d))
+        return FeasibilityResult(False, scaled=(ns, d))
     xs = tab.point()
     _check_point(lp, xs, tab.D)
-    return FeasibilityResult(True, _fractions(xs, tab.D), None, (xs, tab.D))
+    return FeasibilityResult(True, scaled=(xs, tab.D))

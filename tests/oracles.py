@@ -11,13 +11,13 @@ of integers over a running determinant; both take the same pivots, so
 `reference_solve_max` and `reference_feasible` must give exactly the
 library's answers.  `packing_lp` is the LP that defines f_alpha, for
 the closed form and the laid-out packings to match.  The chain audits,
-f_alpha's closed form, subset entropies, the membership
-rate split, the case-3 covers, the level reconstruction and the
-conditional push have `Fraction`-per-step references here too, which
-the library's integer sums must match exactly, down to the insertion
-order of every dict.  Subset entropies also have a one-pass reference
-that sums each marginal straight from the joint's integer counts, which
-the library's cached and projected marginals must match bit for bit.
+f_alpha's closed form, subset entropies, the membership rate split and
+the two chain builders have `Fraction`-per-step references here too,
+which the library's integer sums must match exactly, down to the
+insertion order of every dict.  Subset entropies also have a one-pass
+reference that sums each marginal straight from the joint's integer
+counts, which the library's cached and projected marginals must match
+bit for bit.
 The all-access hyperplanes g_m, whose maximum the greedy split must
 attain, are theorem checks that only the tests call.  On the codec side,
 `lagrange_product` is the Lagrange basis by its product formula, over
@@ -31,7 +31,14 @@ import math
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 
-from smdc.covers import CASE_3
+from smdc.covers import (
+    CASE_1,
+    CASE_2,
+    CASE_3,
+    CASE_BASE,
+    CoefficientChain,
+    ConditionalAssignment,
+)
 from smdc.exactlp import (
     INFEASIBLE,
     OPTIMAL,
@@ -45,7 +52,7 @@ from smdc.exactlp import (
     over_common_denominator,
 )
 from smdc.gf import GF
-from smdc.region import f_profile, f_value, greedy_allocation
+from smdc.region import SubsetCoefficients, f_profile, f_value, greedy_allocation
 from smdc.subsets import EncoderSet, subsets_of_size
 
 LE = "<="
@@ -459,10 +466,67 @@ def fraction_rate_split(rates, entropies, levels, solve=feasible):
     return {alpha: tuple(x[p] for p in rank) for x, alpha in zip(shares, levels)}, None
 
 
+def fraction_yz_chain(weights):
+    """`covers.yz_chain` with a `Fraction` per step and no audit: the same
+    descent from the top level p, p the count of positive weights, read
+    along the encoders by nonincreasing weight, ties broken by index; the
+    dominant-weight recursion, the shifted cover built parent by parent,
+    and each level below summed parent by parent.  Subsets are bit masks,
+    bit e for encoder e, until the chain is returned, with every dict in
+    the library's insertion order."""
+    lam = dict(enumerate(as_fractions(weights), 1))
+    L = len(lam)
+    ground = tuple(sorted(lam, key=lambda e: (-lam[e], e)))
+    p = sum(1 for x in lam.values() if x > 0)
+    events = []
+    levels = {alpha: {} for alpha in range(p + 1, L + 1)}
+    covers = {}
+    if p:
+        levels[p] = {sum(1 << e for e in ground[:p]): lam[ground[p - 1]]}
+    for alpha in range(p, 1, -1):
+        covers[alpha] = _fraction_descend(lam, ground, alpha, levels[alpha], events)
+        levels[alpha - 1] = fraction_reconstruct(covers[alpha], levels[alpha], ground, alpha)
+    sets = {u.mask: u for k in range(1, L + 1) for u in subsets_of_size(L, k)}
+    out = {}
+    for alpha, level in levels.items():
+        assignment = {sets[u]: c for u, c in level.items()}
+        for u in subsets_of_size(L, alpha):
+            assignment.setdefault(u, _ZERO)
+        out[alpha] = SubsetCoefficients(assignment)
+    return CoefficientChain(tuple(lam.values()), out, {
+        alpha: {sets[u]: {sets[v]: w for v, w in gu.items()} for u, gu in per_u.items()}
+        for alpha, per_u in covers.items()
+    }, events)
+
+
+def _fraction_descend(lam, ground, alpha, level, events):
+    """The covers from level alpha down, after the case the weights take."""
+    top, rest = lam[ground[0]], sum((lam[e] for e in ground[1:]), _ZERO)
+    if alpha >= 3 and top * (alpha - 2) > rest:
+        events.append((alpha, CASE_2))
+        t = 1 << ground[0]
+        sub_level = {u ^ t: c for u, c in level.items() if u & t}
+        sub = _fraction_descend(lam, ground[1:], alpha - 1, sub_level, events)
+        covers = {}
+        for members in combinations(ground, alpha):
+            u = sum(1 << e for e in members)
+            children = [u ^ 1 << e for e in reversed(members)]
+            if u & t:
+                covers[u] = {v: sub[u ^ t][v ^ t] if v & t else _ZERO for v in children}
+            else:
+                covers[u] = dict.fromkeys(children, Fraction(1, alpha - 1))
+        return covers
+    if len(ground) == 2:
+        events.append((alpha, CASE_BASE))
+    else:
+        events.append((alpha, CASE_1 if top * (alpha - 1) <= rest else CASE_3))
+    return fraction_case3(lam, ground, alpha, level)
+
+
 def fraction_case3(lam, ground, alpha, level):
-    """`covers._case3` with the weights built parent by parent, O(alpha^2)
-    `Fraction` operations per parent.  Subsets are bit masks, bit e for
-    encoder e."""
+    """The shifted cover with the weights built parent by parent, O(alpha^2)
+    `Fraction` operations per parent: lam is encoder -> weight and level
+    mask -> weight."""
     f_val = sum(level.values(), _ZERO)
     if f_val <= 0:
         raise AssertionError(f"{CASE_3}: needs a positive level total")
@@ -492,8 +556,8 @@ def fraction_case3(lam, ground, alpha, level):
 
 
 def fraction_reconstruct(covers, level, ground, alpha):
-    """`covers._reconstruct` with one `Fraction` multiply and add per
-    parent and child."""
+    """Level alpha-1 as cover-weighted parent sums, one `Fraction` multiply
+    and add per parent and child."""
     nxt = {sum(1 << e for e in v): _ZERO for v in combinations(ground, alpha - 1)}
     for u, gu in covers.items():
         c = level.get(u)
@@ -504,9 +568,16 @@ def fraction_reconstruct(covers, level, ground, alpha):
     return nxt
 
 
+def fraction_conditional_chain(weights, n_secure):
+    """`covers.conditional_chain` with a `Fraction` per step and no audit:
+    `fraction_yz_chain`'s levels pushed through its covers."""
+    lam = as_fractions(weights)
+    return ConditionalAssignment(lam, n_secure, fraction_push(fraction_yz_chain(lam), n_secure))
+
+
 def fraction_push(chain, n_secure):
-    """`covers._push` with one `Fraction` multiply and add per parent,
-    child and adversary set."""
+    """The adversary split of a chain's levels from L - n_secure down, with
+    one `Fraction` multiply and add per parent, child and adversary set."""
     top = chain.ground_size - n_secure
     split = {top: {u: {complement(u): c} for u, c in chain.levels[top].assignment.items()}}
     for alpha in range(top, 1, -1):

@@ -6,7 +6,6 @@ import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -38,9 +37,9 @@ from oracles import (
     complement,
     fraction_audit_level,
     fraction_case3,
-    fraction_push,
-    fraction_reconstruct,
+    fraction_conditional_chain,
     fraction_verify_cover,
+    fraction_yz_chain,
 )
 
 F = Fraction
@@ -522,6 +521,30 @@ class TestIntegerAudits:
             "level 2: adversary size != 1 at {3,4}",
         ]
 
+    def test_a_set_over_another_ground_takes_no_native_sets_place(self):
+        # {1,2} over four encoders has the mask of {1,2} over three, and
+        # fails the family, cover, identity and adversary checks it meets
+        chain = han_chain(3)
+        level = chain.levels[2].assignment
+        level[EncoderSet((1, 2), 4)] = level.pop(eset([1, 2], 3))
+        assert verify_chain(chain).failures == [
+            "level 2: wrong subset family",
+            "descent 2: no cover at {1,2}",
+            "descent 3: parent-sum identity fails",
+            "descent 2: parent-sum identity fails",
+        ]
+        chain = han_chain(3)
+        weights = chain.covers[3][eset([1, 2, 3], 3)]
+        weights[EncoderSet((1, 2), 4)] = weights.pop(eset([1, 2], 3))
+        assert verify_chain(chain).failures == [
+            "descent 3: invalid cover at {1,2,3}",
+            "descent 3: parent-sum identity fails",
+        ]
+        cond = conditional_chain((1, 1, 1), 1)
+        parts = cond.split[2][eset([1, 2], 3)]
+        parts[EncoderSet((3,), 4)] = parts.pop(eset([3], 3))
+        assert verify_conditional(cond).failures == ["level 2: adversary size != 1 at {1,2}"]
+
     @pytest.mark.parametrize("d", [1, 5, 10**30])
     def test_capacity_bound_is_exact(self, d):
         lam = (F(2), F(1), F(1))
@@ -606,13 +629,6 @@ def tied_lambda(rng, L):
     return lam
 
 
-def fraction_descent():
-    """The chain builders on the `Fraction` descent and push."""
-    return mock.patch.multiple(
-        cov, _case3=fraction_case3, _reconstruct=fraction_reconstruct, _push=fraction_push
-    )
-
-
 def dict_orders(chain):
     """Every level and cover dict of a chain, as lists in insertion order."""
     levels = [(a, list(c.assignment.items())) for a, c in chain.levels.items()]
@@ -623,9 +639,32 @@ def dict_orders(chain):
     return levels, covers
 
 
+def split_orders(cond):
+    """Every level and adversary dict of a split, as lists in insertion order."""
+    return [
+        (a, [(u, list(parts.items())) for u, parts in per_u.items()])
+        for a, per_u in cond.split.items()
+    ]
+
+
+def corrupt_first_call(monkeypatch, name, change):
+    """Wrap the builders' step `name` so that `change` alters what its
+    first call returns, whatever its arguments."""
+    real, calls = getattr(cov, name), []
+
+    def wrapped(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if not calls:
+            change(out)
+        calls.append(name)
+        return out
+
+    monkeypatch.setattr(cov, name, wrapped)
+
+
 class TestIntegerDescent:
-    """The descent on shared integer cover weights and the integer push must
-    give the `Fraction` descent's chains exactly, in the same dict order."""
+    """The builders on the integer core must give the standalone `Fraction`
+    builders' chains exactly, in the same dict order."""
 
     def test_chains_match_the_fraction_descent(self):
         rng = random.Random(2011)
@@ -634,41 +673,89 @@ class TestIntegerDescent:
             L = rng.randint(1, 7)
             lam = tied_lambda(rng, L)
             chain = yz_chain(lam)
-            with fraction_descent():
-                ref = yz_chain(lam)
+            ref = fraction_yz_chain(lam)
             assert chain_to_text(chain) == chain_to_text(ref)
             assert dict_orders(chain) == dict_orders(ref)
             assert chain.case_events == ref.case_events
             cases.update(case for _, case in chain.case_events)
             for n in range(L):
                 got = conditional_chain(lam, n)
-                with fraction_descent():
-                    want = conditional_chain(lam, n)
+                want = fraction_conditional_chain(lam, n)
                 assert conditional_to_text(got) == conditional_to_text(want)
-                assert [
-                    (a, [(u, list(parts.items())) for u, parts in per_u.items()])
-                    for a, per_u in got.split.items()
-                ] == [
-                    (a, [(u, list(parts.items())) for u, parts in per_u.items()])
-                    for a, per_u in want.split.items()
-                ]
+                assert split_orders(got) == split_orders(want)
         assert cases == {CASE_BASE, CASE_1, CASE_2, CASE_3}
 
     @pytest.mark.parametrize(
         "lam,n", [((1, 1, 0), 1), ((1, 0, 0), 2), ((2, 0, 1, 0), 2), ((0, 0, 3, 3), 1)]
     )
     def test_restart_on_a_vanished_level(self, lam, n):
-        got = conditional_chain(lam, n)
-        with fraction_descent():
-            want = conditional_chain(lam, n)
+        got, want = conditional_chain(lam, n), fraction_conditional_chain(lam, n)
         assert conditional_to_text(got) == conditional_to_text(want)
+        assert split_orders(got) == split_orders(want)
 
-    def test_level_total_must_be_positive(self):
-        ground = (1, 2, 3)
-        lam = {1: F(1), 2: F(1), 3: F(1)}
-        for case3 in (cov._case3, fraction_case3):
-            with pytest.raises(AssertionError, match="positive level total"):
-                case3(lam, ground, 2, {1 << 1 | 1 << 2: F(0)})
+    def test_level_total_must_be_positive(self, monkeypatch):
+        # level 2 zeroed inside the descent: its shifted cover has no total
+        # to scale by
+        corrupt_first_call(monkeypatch, "_reconstruct", lambda out: out[0].update(
+            dict.fromkeys(out[0], 0)))
+        with pytest.raises(AssertionError, match="positive level total"):
+            yz_chain((1, 1, 1))
+        with pytest.raises(AssertionError, match="positive level total"):
+            fraction_case3({1: F(1), 2: F(1), 3: F(1)}, (1, 2, 3), 2, {1 << 1 | 1 << 2: F(0)})
+
+
+class TestInternalAudit:
+    """The builders audit their integer core before anything is returned:
+    one cover weight or one level count changed inside the descent fails
+    it, and the failures name the level or descent."""
+
+    BUILDERS = [yz_chain, lambda lam: conditional_chain(lam, 1)]
+
+    @staticmethod
+    def first(mapping):
+        return next(iter(mapping))
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=["yz", "conditional"])
+    def test_a_cover_weight(self, monkeypatch, build):
+        def lower(out):
+            covers, _ = out
+            gu = covers[self.first(covers)]
+            gu[self.first(gu)] -= 1
+
+        corrupt_first_call(monkeypatch, "_case3", lower)
+        with pytest.raises(AssertionError) as err:
+            build((1, 1, 1, 1))
+        message = str(err.value)
+        assert message.startswith("chain fails its audit: ")
+        assert "descent 4: invalid cover at {1,2,3,4}" in message
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=["yz", "conditional"])
+    def test_a_level_count(self, monkeypatch, build):
+        def raise_one(out):
+            level, _ = out
+            level[self.first(level)] += 1
+
+        corrupt_first_call(monkeypatch, "_reconstruct", raise_one)
+        with pytest.raises(AssertionError) as err:
+            build((1, 1, 1, 1))
+        message = str(err.value)
+        assert message.startswith("chain fails its audit: ")
+        assert "level 3: total differs from the optimum" in message
+        assert "descent 4: parent-sum identity fails" in message
+
+    def test_a_split_count(self, monkeypatch):
+        def raise_one(split):
+            per_u, _ = split[1]
+            parts = per_u[self.first(per_u)]
+            parts[self.first(parts)] += 1
+
+        corrupt_first_call(monkeypatch, "_push", raise_one)
+        with pytest.raises(AssertionError) as err:
+            conditional_chain((1, 1, 1, 1), 1)
+        assert str(err.value) == (
+            "conditional chain fails its audit: level 1: capacity exceeded at encoder 1; "
+            "level 1: total differs from the optimum"
+        )
 
 
 class TestLpFree:
