@@ -39,11 +39,12 @@ from math import comb, gcd, lcm
 
 from ._record import Record
 from .exactlp import as_fraction, as_fractions, over_common_denominator
-from .region import SubsetCoefficients, audit_counts, f_profile
+from .region import SubsetCoefficients, _least_ratios, audit_counts
 # re-exported: the benchmark tracer (perfbench/tracing.py) wraps covers.f_alpha
 from .region import f_alpha  # noqa: F401
 from .subsets import (
     MAX_CHAIN_GROUND,
+    MAX_SHARED_FAMILY,
     EncoderSet,
     check_ground,
     format_subset,
@@ -55,6 +56,8 @@ CASE_BASE = "base"
 CASE_1 = "case1"
 CASE_2 = "case2"
 CASE_3 = "case3"
+
+_ZERO = Fraction(0)
 
 
 def verify_cover(u: EncoderSet, weights: dict[EncoderSet, Fraction]) -> bool:
@@ -120,39 +123,65 @@ class ChainReport(Record):
 
 # the integer core --------------------------------------------------------
 
+# (n, alpha) -> `_family(n, alpha)`, and L -> `_sets(L)`, built on first use
+# and kept while they hold at most MAX_SHARED_FAMILY subsets
+_FAMILIES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
+_SETS: dict[int, list] = {}
 
-def _family(ground, size) -> dict[int, list[int]]:
-    """mask -> its children, for the size-subsets of `ground` in
-    combinations order, each dropping its members in reverse ground order.
-    The descent's ground lists the encoders by nonincreasing weight."""
-    family = {}
-    for c in combinations([1 << e for e in ground], size):
-        u = sum(c)
-        family[u] = [u ^ b for b in reversed(c)]
+
+def _family(n: int, alpha: int) -> dict[int, tuple[int, ...]]:
+    """mask -> its children, for the alpha-subsets of the bits 1..n in
+    combinations order along n, n-1, .., 1, each dropping its members
+    lowest bit first.  The core gives the encoder of weight rank r (0 the
+    heaviest) bit L - r, so this is the descent's order along the encoders
+    by nonincreasing weight, and the ground less its L - n heaviest
+    encoders is the bits 1..n."""
+    family = _FAMILIES.get((n, alpha))
+    if family is None:
+        family = {}
+        for c in combinations([1 << i for i in range(n, 0, -1)], alpha):
+            u = sum(c)
+            family[u] = tuple([u ^ b for b in reversed(c)])
+        if len(family) <= MAX_SHARED_FAMILY:
+            _FAMILIES[n, alpha] = family
     return family
 
 
-def _descend(ns, D, ground, alpha, level, d, events):
+def _sets(L: int) -> list:
+    """mask -> the shared `EncoderSet`, for every subset of {1..L}, as a
+    list indexed by mask."""
+    sets = _SETS.get(L)
+    if sets is None:
+        sets = [None] * (2 << L)
+        sets[0] = EncoderSet((), L)
+        for k in range(1, L + 1):
+            for u in subsets_of_size(L, k):
+                sets[u.mask] = u
+        if 1 << L <= MAX_SHARED_FAMILY:
+            _SETS[L] = sets
+    return sets
+
+
+def _descend(w, D, n, alpha, level, d, events):
     """Covers taking the optimal level alpha, mask -> numerator over d with
-    a positive total, down to alpha-1, for the weights ns over D, ns
-    nonincreasing along ground: parent -> child -> numerator, and their
-    one denominator."""
-    top, rest = ns[ground[0]], sum(ns[e] for e in ground[1:])
+    a positive total, down to alpha-1 on the bits 1..n, bit i weighing
+    w[i] / D: parent -> child -> numerator, and their one denominator."""
+    top, rest = w[n], sum(w[1:n])
     if alpha >= 3 and top * (alpha - 2) > rest:
         events.append((alpha, CASE_2))
-        return _case2(ns, D, ground, alpha, level, d, events)
-    if len(ground) == 2:
+        return _case2(w, D, n, alpha, level, d, events)
+    if n == 2:
         events.append((alpha, CASE_BASE))
     else:
         events.append((alpha, CASE_1 if top * (alpha - 1) <= rest else CASE_3))
-    return _case3(ns, D, ground, alpha, level, d)
+    return _case3(w, D, n, alpha, level, d)
 
 
-def _case2(ns, D, ground, alpha, level, d, events):
+def _case2(w, D, n, alpha, level, d, events):
     """Top weight dominates: all mass sits on subsets containing the top
     element, so recurse on the remaining ground with level alpha-1; a
     parent without it takes the uniform cover, 1 / (alpha - 1) a child."""
-    top = 1 << ground[0]
+    top = 1 << n
     sub_level = {}
     for u, c in level.items():
         if u & top:
@@ -161,11 +190,11 @@ def _case2(ns, D, ground, alpha, level, d, events):
             raise AssertionError(
                 f"{CASE_2}: positive weight on mask {u:#b} missing the dominant element"
             )
-    sub_covers, g = _descend(ns, D, ground[1:], alpha - 1, sub_level, d, events)
+    sub_covers, g = _descend(w, D, n - 1, alpha - 1, sub_level, d, events)
     G = lcm(g, alpha - 1)
     k, uniform = G // g, G // (alpha - 1)
     covers = {}
-    for u, children in _family(ground, alpha).items():
+    for u, children in _family(n, alpha).items():
         if u & top:
             sub = sub_covers[u ^ top]
             covers[u] = {v: sub.get(v ^ top, 0) * k if v & top else 0 for v in children}
@@ -174,7 +203,7 @@ def _case2(ns, D, ground, alpha, level, d, events):
     return covers, G
 
 
-def _case3(ns, D, ground, alpha, level, d):
+def _case3(w, D, n, alpha, level, d):
     """Start from the uniform cover scaled down by the element deficits
     and push the deficit differences onto the children that drop a
     low-weight element (none when the weights are balanced).  The child
@@ -185,8 +214,10 @@ def _case3(ns, D, ground, alpha, level, d):
     f = sum(level.values())
     if f <= 0:
         raise AssertionError(f"{CASE_3}: needs a positive level total")
-    # b = lam - tilde over D * d, tilde[e] the level weight on the subsets holding e
-    b = [ns[e] * d - sum(c for u, c in level.items() if u >> e & 1) * D for e in ground[:alpha]]
+    # b = lam - tilde over D * d, tilde[e] the level weight on the subsets
+    # holding e, for the alpha heaviest bits n, n-1, ..
+    b = [w[e] * d - sum(c for u, c in level.items() if u >> e & 1) * D
+         for e in range(n, n - alpha, -1)]
     # base = (1 - beta / f) / (alpha - 1), beta = sum_{m<alpha} b_1 - b_m,
     # and delta_2 + ... + delta_tau = (b_1 - b_tau) / f telescopes; unit
     # is 1 over the denominator D * f
@@ -195,75 +226,91 @@ def _case3(ns, D, ground, alpha, level, d):
     # children drop the parent's alpha-th element first
     weights = [head + (alpha - 1) * (b[0] - b[tau - 1]) for tau in range(alpha, 0, -1)]
     k = gcd(unit * (alpha - 1), *weights)
-    weights = [w // k for w in weights]
-    covers = {u: dict(zip(children, weights)) for u, children in _family(ground, alpha).items()}
+    weights = [x // k for x in weights]
+    covers = {u: dict(zip(children, weights)) for u, children in _family(n, alpha).items()}
     return covers, unit * (alpha - 1) // k
 
 
-def _reconstruct(covers, g, level, d, ground, alpha):
+def _reconstruct(covers, g, level, d, L, alpha):
     """Level alpha-1 as cover-weighted parent sums, over d * g reduced by
     the gcd; `level` may omit zero-weight subsets."""
-    nxt = dict.fromkeys(map(sum, combinations([1 << e for e in ground], alpha - 1)), 0)
+    nxt = dict.fromkeys(_family(L, alpha - 1), 0)
     for u, c in level.items():
         if c:
             for v, n in covers[u].items():
                 if n:
                     nxt[v] += n * c
     k = gcd(d * g, *nxt.values())
-    return {v: n // k for v, n in nxt.items()}, d * g // k
+    if k != 1:
+        nxt = {v: n // k for v, n in nxt.items()}
+    return nxt, d * g // k
 
 
 def _core(lam):
-    """lam's chain as its core: levels 1..L, each its whole family in the
-    descent's order, covers on the descents p..2 for p positive weights,
-    and the case events.  Level p is the one subset of the p largest
-    weights, weighted by the smallest of them; the levels above vanish."""
+    """lam's chain as its core, keyed by rank masks: the encoder of rank r
+    (0 the heaviest, ties by index) is bit L - r.  Returns levels 1..L,
+    each its whole family in the descent's order, covers on the descents
+    p..2 for p positive weights, the case events, and rank mask -> shared
+    `EncoderSet`, from one relabeling of the 2^L masks.  Level p is the
+    one subset of the p largest weights, weighted by the smallest of them;
+    the levels above vanish."""
     L = len(lam)
     ns, D = over_common_denominator(lam)
-    ns = dict(enumerate(ns, 1))
-    ground = tuple(sorted(ns, key=lambda e: (-ns[e], e)))
-    p = sum(1 for n in ns.values() if n > 0)
+    order = sorted(range(L), key=lambda e: -ns[e])  # a stable sort: ties by index
+    w = [0, *[ns[e] for e in reversed(order)]]  # bit i weighs w[i] / D
+    real = [0]  # rank mask m -> real mask, at m // 2
+    for e in reversed(order):
+        real += [x | 2 << e for x in real]
+    shared = _sets(L)
+    sets = [None] * (2 << L)
+    sets[::2] = [shared[x] for x in real]
+    p = sum(n > 0 for n in ns)
     events: list[tuple[int, str]] = []
     levels = {alpha: ({}, 1) for alpha in range(p + 1, L + 1)}
     covers = {}
     if p:
-        levels[p] = {sum(1 << e for e in ground[:p]): ns[ground[p - 1]]}, D
+        levels[p] = {((1 << p) - 1) << (L - p + 1): w[L - p + 1]}, D
     for alpha in range(p, 1, -1):
-        covers[alpha] = _descend(ns, D, ground, alpha, *levels[alpha], events)
-        levels[alpha - 1] = _reconstruct(*covers[alpha], *levels[alpha], ground, alpha)
-    for alpha in range(max(p, 1), L + 1):  # absent subsets as zero
-        for u in map(sum, combinations([1 << e for e in range(1, L + 1)], alpha)):
-            levels[alpha][0].setdefault(u, 0)
-    return levels, covers, events
+        covers[alpha] = _descend(w, D, L, alpha, *levels[alpha], events)
+        levels[alpha - 1] = _reconstruct(*covers[alpha], *levels[alpha], L, alpha)
+    for alpha in range(max(p, 1), L + 1):  # absent subsets as zero, in lex order
+        level, family = levels[alpha][0], _family(L, alpha)
+        if len(level) < len(family):
+            for u in sorted(family, key=lambda m: sets[m].members):
+                level.setdefault(u, 0)
+    return levels, covers, events, sets
 
 
 def _is_family(keys, L: int, alpha: int) -> bool:
-    """Exactly the alpha-subsets of {1..L}: as many distinct masks, each one."""
+    """Exactly the alpha-subsets of {1..L}: as many distinct masks as the
+    family, and the family's."""
     check_ground(L)  # past the cap, raise as enumerating would
-    outside = ~((1 << L + 1) - 2)
-    return len(keys) == comb(L, alpha) and all(
-        u.bit_count() == alpha and not u & outside for u in keys)
+    return len(keys) == comb(L, alpha) and keys == _family(L, alpha).keys()
 
 
 def _audit(lam, levels, covers, sets) -> list[str]:
     """`verify_chain`'s checks on a core whose keys name the sets `sets`
-    maps them to; the covering inequality once per distinct weight vector."""
+    maps them to, on lam's numerators over one denominator, read once;
+    the covering inequality once per distinct weight vector."""
     L = len(lam)
     if set(levels) != set(range(1, L + 1)):
         return ["levels must cover 1..L"]
+    caps, D = over_common_denominator(lam)
     failures: list[str] = []
-    profile = None
+    ratios = None
     for alpha in range(1, L + 1):
         level, d = levels[alpha]
-        if not _is_family(level, L, alpha):
+        if not _is_family(level.keys(), L, alpha):
             failures.append(f"level {alpha}: wrong subset family")
             continue
-        profile = profile or f_profile(lam)
-        subsets = [sets[u] for u in level]
-        failures += audit_counts(lam, alpha, profile[alpha - 1], subsets, level.values(), d)
+        # f_alpha = s / (k D)
+        ratios = ratios or _least_ratios(sorted(caps, reverse=True), range(1, L + 1))
+        s, k = ratios[alpha - 1]
+        failures += audit_counts(caps, D, alpha, (s, k * D), map(sets.__getitem__, level),
+                                 level.values(), d)
     one, d = levels[1]
-    if one.keys() != {1 << l for l in range(1, L + 1)} or any(
-        one[1 << l] * w.denominator != w.numerator * d for l, w in enumerate(lam, 1)
+    if not _is_family(one.keys(), L, 1) or any(
+        n * D != caps[sets[u].members[0] - 1] * d for u, n in one.items()
     ):
         failures.append("level 1 must equal the weight vector")
     for alpha in range(2, L + 1):
@@ -279,22 +326,23 @@ def _audit(lam, levels, covers, sets) -> list[str]:
         recon = dict.fromkeys(lo, 0)
         for u, gu in per_u.items():
             ns, size = tuple(gu.values()), u.bit_count() - 1
-            if size < 1:
-                raise ValueError("children require a set of size at least 2")
-            if (ns, size) not in covering:
-                covering[ns, size] = _covers(ns, g, size)
+            ok = covering.get((ns, size))
+            if ok is None:
+                if size < 1:
+                    raise ValueError("children require a set of size at least 2")
+                ok = covering[ns, size] = _covers(ns, g, size)
             # each child v, u less one element, collects upper[u] * g_u(v) at
             # level alpha-1
-            ok, c, out = covering[ns, size], up.get(u, 0), ~u
+            c, out = up.get(u, 0), ~u
             for v, n in gu.items():
                 ok = ok and v.bit_count() == size and not v & out
                 recon[v] = recon.get(v, 0) + c * n
             if not ok:
                 failures.append(f"descent {alpha}: invalid cover at {sets[u]}")
         # recon[v] / (du * g) against lower[v], in lower's order
-        if not (recon.keys() == lo.keys() and all(
-            r * dl == n * du * g for r, n in zip(recon.values(), lo.values())
-        )):
+        dg = du * g
+        if not (recon.keys() == lo.keys()
+                and [r * dl for r in recon.values()] == [n * dg for n in lo.values()]):
             failures.append(f"descent {alpha}: parent-sum identity fails")
     return failures
 
@@ -304,16 +352,15 @@ def _check(failures: list[str], what: str) -> None:
         raise AssertionError(f"{what} fails its audit: " + "; ".join(failures))
 
 
-def _sets(L: int) -> dict[int, EncoderSet]:
-    """mask -> the shared `EncoderSet`, for every subset of {1..L}."""
-    family = {u.mask: u for k in range(1, L + 1) for u in subsets_of_size(L, k)}
-    return {0: EncoderSet((), L), **family}
-
-
 def _public(per_u, d: int, sets) -> dict:
-    """key -> key -> numerator over d as set -> set -> `Fraction`, one per distinct numerator."""
-    fr = {n: Fraction(n, d) for n in {n for gu in per_u.values() for n in gu.values()}}
+    """key -> key -> numerator over d as set -> set -> `Fraction`."""
+    fr = _fractions(set().union(*map(dict.values, per_u.values())), d)
     return {sets[u]: {sets[v]: fr[n] for v, n in gu.items()} for u, gu in per_u.items()}
+
+
+def _fractions(ns, d: int) -> dict[int, Fraction]:
+    """n -> Fraction(n, d) for the distinct numerators ns, zero shared."""
+    return {n: Fraction(n, d) if n else _ZERO for n in ns}
 
 
 def _key(u: EncoderSet, L: int, sets: dict) -> int:
@@ -357,12 +404,11 @@ def yz_chain(weights) -> CoefficientChain:
     smallest of them, and the descent runs from there down to level 1.
     """
     lam = _chain_weights(weights)
-    levels, covers, events = _core(lam)
-    sets = _sets(len(lam))
+    levels, covers, events, sets = _core(lam)
     _check(_audit(lam, levels, covers, sets), "chain")
     out = {}
     for alpha, (level, d) in levels.items():
-        fr = {n: Fraction(n, d) for n in set(level.values())}
+        fr = _fractions(set(level.values()), d)
         out[alpha] = SubsetCoefficients({sets[u]: fr[n] for u, n in level.items()})
     return CoefficientChain(lam, out, {a: _public(*c, sets) for a, c in covers.items()}, events)
 
@@ -403,8 +449,7 @@ def conditional_chain(weights, n_secure: int) -> ConditionalAssignment:
     L = len(lam)
     if not 0 <= n_secure <= L - 1:
         raise ValueError(f"n_secure must be in 0..{L - 1}, got {n_secure}")
-    levels, covers, _ = _core(lam)
-    sets = _sets(L)
+    levels, covers, _, sets = _core(lam)
     _check(_audit(lam, levels, covers, sets), "chain")
     split = _push(levels, covers, L, n_secure, sets)
     _check(_audit_split(lam, n_secure, split, sets), "conditional chain")
@@ -421,18 +466,23 @@ def _push(levels, covers, L: int, n_secure: int, sets):
     full = (1 << L + 1) - 2
     split = {top: ({u: {full ^ u: c} for u, c in level.items()}, d)}
     for alpha in range(top, 1, -1):
-        # a vanished level has no covers: push zeros to keep the keys, the
-        # children in lex order
         per_u, g = covers.get(alpha, (None, 1))
-        kids = None if per_u else _family(range(1, L + 1), alpha)
+        restart = not per_u
+        if restart:
+            # a vanished level has no covers: push zeros to keep the keys,
+            # the children in lex order, each parent dropping its last
+            # member first
+            bit = {sets[1 << i].members[0]: 1 << i for i in range(1, L + 1)}
+            per_u = {u: dict.fromkeys([u ^ bit[m] for m in reversed(sets[u].members)], 0)
+                     for u in split[alpha][0]}
         lower: dict[int, dict[int, int]] = {}
         d *= g
         for u, parts in split[alpha][0].items():
-            for v, n in per_u[u].items() if per_u else dict.fromkeys(kids[u], 0).items():
+            for v, n in per_u[u].items():
                 into = lower.setdefault(v, {})
                 for a, s in parts.items():
                     into[a] = into.get(a, 0) + n * s
-        if not per_u:
+        if restart:
             # restart from the fresh optimum below, each subset's whole
             # weight on its smallest adversary set
             fresh, d = levels[alpha - 1]
@@ -450,11 +500,12 @@ def _audit_split(lam, N: int, split, sets) -> list[str]:
         return [f"n_secure must be in 0..{L - 1}"]
     if set(split) != set(range(1, L - N + 1)):
         return ["levels must cover 1..L-N"]
+    caps, D = over_common_denominator(lam)
     failures: list[str] = []
-    profile = None
+    ratios = None
     for alpha in range(1, L - N + 1):
         per_u, d = split[alpha]
-        if not _is_family(per_u, L, alpha):
+        if not _is_family(per_u.keys(), L, alpha):
             failures.append(f"level {alpha}: wrong subset family")
             continue
         for u, parts in per_u.items():
@@ -465,10 +516,11 @@ def _audit_split(lam, N: int, split, sets) -> list[str]:
                     failures.append(f"level {alpha}: adversary overlaps {sets[u]}")
                 if n < 0:
                     failures.append(f"level {alpha}: negative split weight at {sets[u]}")
-        profile = profile or f_profile(lam)
+        ratios = ratios or _least_ratios(sorted(caps, reverse=True), range(1, L - N + 1))
+        s, k = ratios[alpha - 1]
         totals = [sum(parts.values()) for parts in per_u.values()]
-        subsets = [sets[u] for u in per_u]
-        failures += audit_counts(lam, alpha, profile[alpha - 1], subsets, totals, d)
+        failures += audit_counts(caps, D, alpha, (s, k * D), map(sets.__getitem__, per_u),
+                                 totals, d)
     return failures
 
 

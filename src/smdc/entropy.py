@@ -35,7 +35,7 @@ from typing import Iterable, Mapping
 from ._record import Record
 from .covers import CoefficientChain, ConditionalAssignment, verify_cover
 from .exactlp import as_fraction, over_common_denominator
-from .subsets import EncoderSet, subsets_of_size, windows
+from .subsets import EncoderSet, as_ints, subsets_of_size, windows
 
 TOLERANCE = 1e-9
 MAX_STATES = 10**7
@@ -49,7 +49,7 @@ _ONE = Fraction(1)
 def _state_space(alphabet_sizes) -> tuple[int, ...]:
     """The alphabet sizes, checked to be positive and to span at most
     MAX_STATES outcomes; called before any outcome table is built."""
-    sizes = tuple(map(int, alphabet_sizes))
+    sizes = as_ints(alphabet_sizes, "alphabet size")
     if not sizes or min(sizes) < 1:
         raise ValueError("alphabet sizes must be positive")
     states = 1
@@ -76,7 +76,10 @@ class JointPMF:
         offsets = list(accumulate(widths, initial=0))
         table: dict[int, Fraction] = {}
         for outcome, p in probabilities.items():
-            outcome = tuple(map(int, outcome))
+            symbols = tuple(map(int, outcome))
+            # one comparison for a tuple of ints; else refuse a symbol that
+            # int() would truncate
+            outcome = symbols if symbols == outcome else as_ints(outcome, "symbol")
             if len(outcome) != len(sizes):
                 raise ValueError(f"outcome {outcome} has wrong arity")
             code = 0

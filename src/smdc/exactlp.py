@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from ._record import Record
@@ -119,7 +120,8 @@ class LinearProgram:
             raise ValueError(f"denominator must be positive, got {den}")
         g = gcd(num, den)
         sigma = den // g
-        self._append([a * sigma for a in coeffs], sense, num // g, sigma)
+        row = [a * sigma for a in coeffs] if sigma != 1 else list(coeffs)
+        self._append(row, sense, num // g, sigma)
 
     def _append(self, row: list[int], sense: str, b: int, sigma: int) -> None:
         if len(row) != self.num_vars:
@@ -229,7 +231,8 @@ class _Tableau:
         p, br = s * row[c], beta[r]
         for i, other in enumerate(T):
             if other[c] and i != r:
-                other = self.current(i)
+                if at[i] != D:
+                    other = self.current(i)
                 f = s * other[c]
                 T[i] = new = [(p * a - f * t) // D if t else p * a // D
                               for a, t in zip(other, row)]
@@ -264,10 +267,12 @@ class _Tableau:
                 c = min(cols, key=nonbasic.__getitem__)
             else:
                 D = self.D
-                r = min(rows, key=lambda i: beta[i] * D // at[i])
-                c = max(range(self.n), key=T[r].__getitem__)
-                if T[r][c] <= 0:
+                now = [beta[i] * D // at[i] for i in rows]
+                r = rows[now.index(min(now))]  # the first most negative
+                top = max(T[r])
+                if top <= 0:
                     return r
+                c = T[r].index(top)  # the first largest entry
                 key ^= (1 << basis[r]) | (1 << nonbasic[c])
                 if key in seen:
                     self.bland = True
@@ -360,9 +365,8 @@ def _check_point(lp: LinearProgram, xs: Sequence[int], d: int) -> None:
     """The point xs / d, d > 0, against every integer row."""
     if any(v < 0 for v in xs):
         raise AssertionError("solver returned a negative component")
-    support = [(j, v) for j, v in enumerate(xs) if v]
     for row, sense, rhs in zip(lp.int_rows, lp.senses, lp.int_rhs):
-        lhs = sum(row[j] * v for j, v in support)
+        lhs = sum(map(mul, row, xs))
         ok = lhs <= rhs * d if sense == LE else lhs >= rhs * d
         if not ok:
             raise AssertionError("solver returned an infeasible point")
@@ -371,7 +375,7 @@ def _check_point(lp: LinearProgram, xs: Sequence[int], d: int) -> None:
 def _check_certificate(lp: LinearProgram, zs: Sequence[int]) -> None:
     """zs, multipliers of the integer rows, over any positive denominator."""
     _check_signs(lp, zs, "certificate", 1)
-    if sum(z * b for z, b in zip(zs, lp.int_rhs)) <= 0:
+    if sum(map(mul, zs, lp.int_rhs)) <= 0:
         raise AssertionError("certificate combination is not positive")
     if any(col > 0 for col in _column_sums(lp, zs)):
         raise AssertionError("certificate column combination is positive")

@@ -28,8 +28,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd, lcm
+from operator import gt
 
 from ._record import Record
 from .exactlp import GE, LE, LinearProgram, as_fraction, as_fractions, feasible
@@ -45,7 +46,21 @@ MAX_MEMBERSHIP_GROUND = 24
 _ZERO = Fraction(0)
 
 
+def _scaled(values, what: str) -> tuple[tuple[Fraction, ...], list[int], int]:
+    """values as `Fraction`s, refused when empty or negative, with their
+    numerators over one denominator: each value's ratio is read once, and
+    the signs are checked on the numerators."""
+    v = as_fractions(values)
+    if not v:
+        raise ValueError(f"{what} must be nonempty")
+    ns, d = over_common_denominator(v)
+    if min(ns) < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    return v, ns, d
+
+
 def _nonnegative(values, what: str) -> tuple[Fraction, ...]:
+    """values as `Fraction`s, refused when empty or negative."""
     v = as_fractions(values)
     if not v:
         raise ValueError(f"{what} must be nonempty")
@@ -86,11 +101,11 @@ class GreedyAllocation(Record):
         self._init(stored_at_zero, residual, level)
 
 
-def _level_weights(weights, alpha: int) -> tuple[Fraction, ...]:
-    lam = _nonnegative(weights, "weights")
-    if not 1 <= alpha <= len(lam):
-        raise ValueError(f"alpha must be in 1..{len(lam)}, got {alpha}")
-    return lam
+def _level_weights(weights, alpha: int) -> tuple[tuple[Fraction, ...], list[int], int]:
+    scaled = _scaled(weights, "weights")
+    if not 1 <= alpha <= len(scaled[0]):
+        raise ValueError(f"alpha must be in 1..{len(scaled[0])}, got {alpha}")
+    return scaled
 
 
 def _least_ratios(ns, alphas) -> list[tuple[int, int]]:
@@ -113,48 +128,58 @@ def _least_ratios(ns, alphas) -> list[tuple[int, int]]:
     return out
 
 
-def _profile(lam, alphas) -> list[Fraction]:
-    """f_alpha at each alpha of the ascending `alphas`, from one sort of
-    the weights: over one denominator d, the numerators sorted
-    nonincreasing give integer suffix sums S_j, and each level builds one
-    `Fraction`."""
-    ns, d = over_common_denominator(lam)
-    ns.sort(reverse=True)
-    return [Fraction(s, k * d) for s, k in _least_ratios(ns, alphas)]
+def _profile(ns, d: int, alphas) -> list[Fraction]:
+    """f_alpha at each alpha of the ascending `alphas` for the weights ns
+    / d, from one sort: the numerators sorted nonincreasing give integer
+    suffix sums S_j, and each level builds one `Fraction`."""
+    return [Fraction(s, k * d) for s, k in _least_ratios(sorted(ns, reverse=True), alphas)]
 
 
 def f_value(weights, alpha: int) -> Fraction:
     """The level-alpha coefficient in closed form: with the weights sorted
     nonincreasing, the minimum over j < alpha of the sum of all but the j
     largest weights divided by alpha - j."""
-    return _profile(_level_weights(weights, alpha), (alpha,))[0]
+    _, ns, d = _level_weights(weights, alpha)
+    return _profile(ns, d, (alpha,))[0]
 
 
 def audit_level(lam, alpha: int, coeffs: SubsetCoefficients) -> list[str]:
     """Every subset of size alpha, every coefficient nonnegative, every
     encoder within its capacity, and the total equal to `f_value`; the
     subsets must lie in {1..len(lam)}."""
+    f = f_value(lam, alpha)
+    _, caps, D = _level_weights(lam, alpha)
     counts, d = over_common_denominator(coeffs.assignment.values())
-    return audit_counts(lam, alpha, f_value(lam, alpha), coeffs.assignment, counts, d)
+    return audit_counts(caps, D, alpha, (f.numerator, f.denominator), coeffs.assignment,
+                        counts, d)
 
 
-def audit_counts(lam, alpha: int, f: Fraction, subsets, counts, d: int) -> list[str]:
-    """`audit_level` on counts over one denominator d, against f =
-    f_alpha(lam); one pass sums every encoder's load."""
-    failures = []
-    if any(len(u.members) != alpha for u in subsets):
-        failures.append(f"level {alpha}: subset of another size")
-    if any(n < 0 for n in counts):
-        failures.append(f"level {alpha}: negative coefficient")
-    load = [0] * (len(lam) + 1)
+def audit_counts(caps, D: int, alpha: int, f: tuple[int, int], subsets, counts,
+                 d: int) -> list[str]:
+    """`audit_level` on integers: the weights caps / D, f_alpha of them as
+    (numerator, denominator) and the counts over d.  One pass over the
+    subsets sums every encoder's load, the total and the checks."""
+    load = [0] * (len(caps) + 1)
+    total, other_size, negative = 0, False, False
     for u, n in zip(subsets, counts):
+        members = u.members
+        if len(members) != alpha:
+            other_size = True
         if n:
-            for l in u.members:
+            total += n
+            if n < 0:
+                negative = True
+            for l in members:
                 load[l] += n
-    for l, cap in enumerate(lam, 1):
-        if load[l] * cap.denominator > cap.numerator * d:
+    failures = []
+    if other_size:
+        failures.append(f"level {alpha}: subset of another size")
+    if negative:
+        failures.append(f"level {alpha}: negative coefficient")
+    for l, cap in enumerate(caps, 1):
+        if load[l] * D > cap * d:
             failures.append(f"level {alpha}: capacity exceeded at encoder {l}")
-    if sum(counts) * f.denominator != f.numerator * d:
+    if total * f[1] != f[0] * d:
         failures.append(f"level {alpha}: total differs from the optimum")
     return failures
 
@@ -169,8 +194,7 @@ def f_alpha(weights, alpha: int) -> SubsetCoefficients:
     (McNaughton's wrap-around rule), give one alpha-subset per cut of
     [0, f).  So at most L subsets carry weight, and only those are
     listed.  The packing is re-checked exactly by `audit_level`."""
-    lam = _level_weights(weights, alpha)
-    ns, d = over_common_denominator(lam)
+    lam, ns, d = _level_weights(weights, alpha)
     order = sorted(range(len(lam)), key=ns.__getitem__, reverse=True)
     ((s, k),) = _least_ratios([ns[l] for l in order], (alpha,))
     heavy, rest = [l + 1 for l in order[: alpha - k]], order[alpha - k :]
@@ -190,8 +214,8 @@ def f_alpha(weights, alpha: int) -> SubsetCoefficients:
 
 def f_profile(weights) -> tuple[Fraction, ...]:
     """(f_1, ..., f_L); nonincreasing, with f_1 equal to the weight sum."""
-    lam = _nonnegative(weights, "weights")
-    return tuple(_profile(lam, range(1, len(lam) + 1)))
+    _, ns, d = _scaled(weights, "weights")
+    return tuple(_profile(ns, d, range(1, len(ns) + 1)))
 
 
 def min_sum_rate(entropies) -> Fraction:
@@ -204,17 +228,40 @@ def min_sum_rate(entropies) -> Fraction:
 def smdca_hyperplane(m: int, weights, entropies) -> Fraction:
     """Right-hand side of the m-th all-access supporting hyperplane:
     f_m(lam) times H_1 + ... + H_m, plus f_alpha(lam) H_alpha above m."""
-    lam = _nonnegative(weights, "weights")
+    _, ns, d = _scaled(weights, "weights")
     h = _nonnegative(entropies, "entropies")
-    if len(h) != len(lam):
+    if len(h) != len(ns):
         raise ValueError("weights and entropies must have equal length")
-    if not 1 <= m <= len(lam):
-        raise ValueError(f"m must be in 1..{len(lam)}, got {m}")
-    prof = _profile(lam, range(1, len(lam) + 1))
+    if not 1 <= m <= len(ns):
+        raise ValueError(f"m must be in 1..{len(ns)}, got {m}")
+    prof = _profile(ns, d, range(1, len(ns) + 1))
     return prof[m - 1] * sum(h[:m], _ZERO) + sum((f * x for f, x in zip(prof[m:], h[m:])), _ZERO)
 
 
 # membership ------------------------------------------------------------
+
+
+# (L, levels) -> the sorted-chamber LP's rows, at most one per (L, N)
+_CHAMBERS: dict[tuple[int, int], tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = {}
+
+
+def _chamber(L: int, top: int):
+    """The rows of `_rate_split`'s LP over L encoders for the levels
+    1..top, which depend on nothing else: column (alpha, j) for j < alpha,
+    level by level; the demand row of each level, (alpha - j) at its
+    columns, and the prefix row of each k, k - j wherever j < k."""
+    rows = _CHAMBERS.get((L, top))
+    if rows is None:
+        js = [j for alpha in range(1, top + 1) for j in range(alpha)]
+        demand, start = [], 0
+        for alpha in range(1, top + 1):
+            row = [0] * len(js)
+            row[start : start + alpha] = range(alpha, 0, -1)
+            demand.append(tuple(row))
+            start += alpha
+        prefix = [tuple([k - j if k > j else 0 for j in js]) for k in range(1, L + 1)]
+        rows = _CHAMBERS[L, top] = demand, prefix
+    return rows
 
 
 def _rate_split(rates, entropies, levels):
@@ -230,23 +277,21 @@ def _rate_split(rates, entropies, levels):
     transfers, which keep every level's sum of its alpha smallest shares.
     Else (None, lam): with w the Farkas multipliers of the prefix rows,
     lam sorts as the suffix sums of w, so lam.r < sum_a f_a(lam) H_a,
-    as coprime integers.  The witness is re-checked exactly.
+    as coprime integers.  The witness is re-checked exactly, one pass
+    per level.
     """
     L = len(rates)
     r, D = over_common_denominator(rates)
+    hs, dh = over_common_denominator(entropies)
     order = sorted(range(L), key=r.__getitem__)
     rank = sorted(range(L), key=order.__getitem__)  # encoder -> sorted position
     r = [r[l] for l in order]
-    js = [j for alpha in levels for j in range(alpha)]  # column (alpha, j)
-    lp = LinearProgram(len(js))
-    start = 0
-    for alpha, h in zip(levels, entropies):
-        row = [0] * len(js)
-        row[start : start + alpha] = range(alpha, 0, -1)
-        lp.add_ints(row, GE, h.numerator, h.denominator)
-        start += alpha
-    for k, cap in enumerate(accumulate(r), 1):
-        lp.add_ints([k - j if k > j else 0 for j in js], LE, cap, D)
+    demand, prefix = _chamber(L, len(levels))
+    lp = LinearProgram(len(demand[0]))
+    for row, h in zip(demand, hs):
+        lp.add_ints(row, GE, h, dh)
+    for row, cap in zip(prefix, accumulate(r)):
+        lp.add_ints(row, LE, cap, D)
     res = feasible(lp)
     ns, d = res.scaled
     if not res.feasible:
@@ -263,9 +308,9 @@ def _rate_split(rates, entropies, levels):
     D = e
     shares = []
     for alpha in levels:
-        x = list(accumulate(next(heights) for _ in range(alpha)))
+        x = list(accumulate(islice(heights, alpha)))
         shares.append(x + [x[-1]] * (L - alpha))
-    load = [sum(col) for col in zip(*shares)]
+    load = list(map(sum, zip(*shares)))
     load[-1] += sum(r) - sum(load)
     # r is majorized by load: move mass from the first entry above its rate
     # to the last one below it, the same fraction t = num / den in every
@@ -285,16 +330,16 @@ def _rate_split(rates, entropies, levels):
         if den != 1:
             r = [v * den for v in r]
             D *= den
-    for x, alpha, h in zip(shares, levels, entropies):
-        if any(v < 0 for v in x) or (
-            sum(sorted(x)[:alpha]) * h.denominator < h.numerator * D
-        ):
-            raise AssertionError("witness misses a level demand")
-    if any(sum(col) > cap for col, cap in zip(zip(*shares), r)):
-        raise AssertionError("witness exceeds an encoder rate")
     # a level's top shares repeat: one Fraction per distinct numerator
     made = {n: Fraction(n, D) for n in set().union(*shares)}
-    return {alpha: tuple(made[x[p]] for p in rank) for x, alpha in zip(shares, levels)}, None
+    witness = {}
+    for x, alpha, h in zip(shares, levels, hs):
+        if min(x) < 0 or sum(sorted(x)[:alpha]) * dh < h * D:
+            raise AssertionError("witness misses a level demand")
+        witness[alpha] = tuple([made[x[p]] for p in rank])
+    if any(map(gt, map(sum, zip(*shares)), r)):
+        raise AssertionError("witness exceeds an encoder rate")
+    return witness, None
 
 
 def _separates(w, cap: int, r0: Fraction, rates, entropies, levels) -> bool:

@@ -69,7 +69,7 @@ class EncoderSet(Record):
 
     @classmethod
     def of(cls, members, ground_size: int) -> "EncoderSet":
-        return cls(tuple(sorted(set(int(m) for m in members))), ground_size)
+        return cls(tuple(sorted(set(as_ints(members, "encoder index")))), ground_size)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -88,6 +88,19 @@ class EncoderSet(Record):
             EncoderSet(c, self.ground_size)
             for c in combinations(self.members, len(self.members) - 1)
         ]
+
+
+def as_ints(values, what: str) -> tuple[int, ...]:
+    """values read by int(), refusing any that int() would truncate: each
+    must equal its int, or be a string, which int() reads only when it
+    spells a whole number.  A tuple of ints costs one comparison."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        for x, n in zip(values, ints):
+            if n != x and not isinstance(x, (str, bytes)):
+                raise ValueError(f"{what} {x!r} is not a whole number")
+    return ints
 
 
 def format_subset(u: EncoderSet) -> str:

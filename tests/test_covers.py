@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -756,6 +757,55 @@ class TestInternalAudit:
             "conditional chain fails its audit: level 1: capacity exceeded at encoder 1; "
             "level 1: total differs from the optimum"
         )
+
+
+class TestShapeTables:
+    """What a build touches that depends on L alone comes from tables built
+    once: the families of rank masks with their children, and every
+    subset's shared set.  A table past MAX_SHARED_FAMILY is built for the
+    call and dropped, with the same chain."""
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_families_run_in_the_descents_order(self, n):
+        bits = [1 << i for i in range(n, 0, -1)]
+        for alpha in range(0, n + 2):
+            want = {sum(c): tuple(sum(c) ^ b for b in reversed(c))
+                    for c in combinations(bits, alpha)}
+            got = cov._family(n, alpha)
+            assert list(got.items()) == list(want.items())
+
+    def test_sets_are_the_shared_family_objects(self):
+        for L in range(1, 8):
+            sets = cov._sets(L)
+            assert sets[0] == EncoderSet((), L)
+            for k in range(1, L + 1):
+                assert all(sets[u.mask] is u for u in subsets_of_size(L, k))
+
+    def test_the_tables_stay_within_the_cap(self):
+        for L in range(1, 9):
+            lam = [F(l % 4 + 1, 1 + l % 3) for l in range(L)]
+            verify_chain(yz_chain(lam))
+            conditional_chain(lam, L // 2)
+        assert all(len(f) <= cov.MAX_SHARED_FAMILY for f in cov._FAMILIES.values())
+        assert all(1 << L <= cov.MAX_SHARED_FAMILY for L in cov._SETS)
+        assert (8, 4) in cov._FAMILIES and 8 in cov._SETS
+
+    @pytest.mark.parametrize("lam", [(1, 5, 1, 2, 3, 1), (9, 1, 1, 1, 1, 1), (0, 2, 0, 1, 3, 1)])
+    def test_past_the_cap_nothing_is_kept_and_the_chain_is_the_same(self, monkeypatch, lam):
+        want = chain_to_text(yz_chain(lam))
+        want_cond = [conditional_to_text(conditional_chain(lam, n)) for n in range(len(lam))]
+        monkeypatch.setattr(cov, "MAX_SHARED_FAMILY", 4)
+        monkeypatch.setattr(cov, "_FAMILIES", {})
+        monkeypatch.setattr(cov, "_SETS", {})
+        chain = yz_chain(lam)
+        assert chain_to_text(chain) == want
+        assert verify_chain(chain).ok
+        for n in range(len(lam)):
+            cond = conditional_chain(lam, n)
+            assert conditional_to_text(cond) == want_cond[n]
+            assert verify_conditional(cond).ok
+        assert cov._FAMILIES and all(len(f) <= 4 for f in cov._FAMILIES.values())
+        assert (6, 3) not in cov._FAMILIES and not cov._SETS
 
 
 class TestLpFree:

@@ -1,4 +1,5 @@
 import math
+import re
 import random
 import time
 from fractions import Fraction
@@ -275,6 +276,22 @@ class TestPmfValidation:
         pmf = JointPMF([2, 2], {(0, 1): F(1, 2), ("0", "1"): F(1, 4), (1.0, 1): F(1, 4)})
         assert pmf.probabilities == {(0, 1): F(3, 4), (1, 1): F(1, 4)}
         assert pmf.probabilities == JointPMF([2, 2], {(0, 1): F(3, 4), (1, 1): F(1, 4)}).probabilities
+
+    @pytest.mark.parametrize("symbol", [0.9, 1.5, F(1, 2), F(3, 2)])
+    def test_a_symbol_that_is_no_whole_number_is_refused(self, symbol):
+        # int() would file 0.9 as symbol 0 and 3/2 as symbol 1
+        with pytest.raises(ValueError, match=f"^symbol {re.escape(repr(symbol))} is not a whole number$"):
+            JointPMF([2], {(symbol,): F(1, 2), (1,): F(1, 2)})
+
+    @pytest.mark.parametrize("size", [2.7, 2.5, F(5, 2)])
+    def test_an_alphabet_size_that_is_no_whole_number_is_refused(self, size):
+        with pytest.raises(ValueError, match=f"^alphabet size {re.escape(repr(size))} is not a whole number$"):
+            JointPMF([size, 2], {(0, 0): F(1)})
+
+    def test_whole_numbers_of_any_type_still_read(self):
+        pmf = JointPMF([2.0, "2", F(2)], {(1.0, "1", F(1)): F(1, 2), (0, 0, 0): F(1, 2)})
+        assert pmf.alphabet_sizes == (2, 2, 2)
+        assert pmf.probabilities == {(1, 1, 1): F(1, 2), (0, 0, 0): F(1, 2)}
 
     def test_a_large_table_reads_back_equal(self):
         rng = random.Random(11)

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import re
+from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
@@ -149,6 +151,16 @@ class TestEncoderSet:
     def test_index_below_one_is_named(self, members):
         with pytest.raises(ValueError, match=f"^encoder index {members[0]} is below 1$"):
             EncoderSet(members, 3)
+
+    @pytest.mark.parametrize("index", [1.9, 2.5, F(3, 2)])
+    def test_of_refuses_an_index_that_is_no_whole_number(self, index):
+        # int() would read 1.9 as encoder 1
+        with pytest.raises(ValueError, match=f"^encoder index {re.escape(repr(index))} is not a whole number$"):
+            EncoderSet.of([index, 3], 3)
+
+    def test_of_reads_whole_numbers_of_any_type(self):
+        assert EncoderSet.of([2.0, "1", F(3)], 3) == EncoderSet((1, 2, 3), 3)
+        assert EncoderSet.of((m for m in (3, 1)), 3) == EncoderSet((1, 3), 3)
 
     def test_membership(self):
         u = EncoderSet.of([3, 1], 4)
