@@ -18,17 +18,22 @@ parents.  The conditional variant attaches to each subset a family of
 disjoint "adversary" sets of fixed size and pushes every parent's split
 of its weight through the covers onto its children.
 
-Both builders run on one integer core: every subset keyed by its bit
-mask, as `EncoderSet.mask`, each level, descent and split level held as
-integer numerators over one denominator.  The core is audited exactly,
-and a bad construction raises `AssertionError` instead of returning:
-every level as `region.audit_level` checks `f_alpha`'s packings, a
-cover at every subset of positive weight on levels 2..L, every cover's
-children and covering inequality, every descent's parent-sum identity,
-and the split's sets and level totals.  Only then is it converted, once,
-to the sets of the shared `subsets_of_size` families and one `Fraction`
-per distinct numerator.  `verify_chain` and `verify_conditional` put a
-given chain on the core once and run the same audits.
+Both builders run on one integer core: each level, descent and split
+level held as integer numerators over one denominator, every subset
+keyed by a bit mask over the encoders' weight ranks, so that the
+descent's families, in its order and with their children, are tables
+that depend on L alone, built once (`_family`), as is the map from each
+mask to its shared set (`_sets`); one relabeling of the 2^L masks per
+chain names the sets.  The core is audited exactly, and a bad
+construction raises `AssertionError` instead of returning: every level
+as `region.audit_level` checks `f_alpha`'s packings, a cover at every
+subset of positive weight on levels 2..L, every cover's children and
+covering inequality, every descent's parent-sum identity, and the
+split's sets and level totals.  Only then is it converted, once, to the
+sets of the shared `subsets_of_size` families and one `Fraction` per
+distinct numerator of a level or descent.  `verify_chain` and
+`verify_conditional` put a given chain on the core once, keyed by the
+sets' own masks, and run the same audits.
 """
 from __future__ import annotations
 
@@ -124,7 +129,7 @@ class ChainReport(Record):
 # the integer core --------------------------------------------------------
 
 # (n, alpha) -> `_family(n, alpha)`, and L -> `_sets(L)`, built on first use
-# and kept while they hold at most MAX_SHARED_FAMILY subsets
+# and kept while they hold at most MAX_SHARED_FAMILY children or sets
 _FAMILIES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 _SETS: dict[int, list] = {}
 
@@ -142,7 +147,7 @@ def _family(n: int, alpha: int) -> dict[int, tuple[int, ...]]:
         for c in combinations([1 << i for i in range(n, 0, -1)], alpha):
             u = sum(c)
             family[u] = tuple([u ^ b for b in reversed(c)])
-        if len(family) <= MAX_SHARED_FAMILY:
+        if len(family) * alpha <= MAX_SHARED_FAMILY:
             _FAMILIES[n, alpha] = family
     return family
 

@@ -19,8 +19,10 @@ per-level rate allocation that Robin Hood transfers carry from the LP's
 sorted blocks onto the rates.  Both are read off the LP's integers,
 built, moved and re-checked exactly as integers over one denominator,
 with one `Fraction` per returned entry; no arithmetic uses floats.  The
-LP's rows are added as ints with integer right-hand sides, and the
-all-access greedy split runs on integer numerators too.
+LP's rows depend only on L and the constraining levels, so they are
+built once per shape (`_chamber`) and added as ints with integer
+right-hand sides, and the all-access greedy split runs on integer
+numerators too.
 """
 
 from __future__ import annotations
