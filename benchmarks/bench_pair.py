@@ -6,9 +6,9 @@
 OLD and NEW are checkouts (each with src/smdc).  Both libraries are
 imported into this one process, as perfbench/run.py's `load_library`
 imports one, and each builds the same seeded region-exact decks from
-perfbench/workloads.py.  The operations then run alternately, slot by
-slot, OLD first on even passes and NEW first on odd ones, so host drift
-falls on both trees alike.  A deck is built afresh for every pass, so
+perfbench/workloads.py.  The operations then run in pairs, slot by
+slot, the tree that goes first alternating from pair to pair and from
+pass to pass, so host drift and warm caches fall on both trees alike.  A deck is built afresh for every pass, so
 no pmf carries cached entropies into a repeat.  As the benchmark's
 op_cost_refs does, each slot's times are summed up by their median
 across the decks; per kind and over all slots it prints the geometric
@@ -77,12 +77,11 @@ def main():
     for index in range(args.decks):
         for rep in range(args.repeats):
             decks = [w.deck(args.seed, index, lib) for w, lib in zip(works, libs)]
-            order = (0, 1) if rep % 2 == 0 else (1, 0)
-            for ops in zip(*decks):
+            for position, ops in enumerate(zip(*decks)):
                 if ops[0].slot != ops[1].slot:
                     sys.exit("bench_pair: the two trees built different decks")
                 spent = [0.0, 0.0]
-                for side in order:
+                for side in (0, 1) if (index + rep + position) % 2 == 0 else (1, 0):
                     op = ops[side]
                     out = works[side].run(op, libs[side], tracer)
                     if not out.ok:

@@ -413,6 +413,9 @@ def yz_chain(weights) -> CoefficientChain:
     _check(_audit(lam, levels, covers, sets), "chain")
     out = {}
     for alpha, (level, d) in levels.items():
+        if alpha == 1:  # audited equal to the weights: their Fractions
+            out[1] = SubsetCoefficients({sets[u]: lam[sets[u].members[0] - 1] for u in level})
+            continue
         fr = _fractions(set(level.values()), d)
         out[alpha] = SubsetCoefficients({sets[u]: fr[n] for u, n in level.items()})
     return CoefficientChain(lam, out, {a: _public(*c, sets) for a, c in covers.items()}, events)

@@ -73,7 +73,7 @@ def as_fraction(x) -> Fraction:
 
 
 def as_fractions(xs) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(x) for x in xs)
+    return tuple(map(as_fraction, xs))
 
 
 def over_common_denominator(xs) -> tuple[list[int], int]:
