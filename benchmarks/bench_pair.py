@@ -6,9 +6,12 @@
 OLD and NEW are checkouts (each with src/smdc).  Both libraries are
 imported into this one process, as perfbench/run.py's `load_library`
 imports one, and each builds the same seeded region-exact decks from
-perfbench/workloads.py.  The operations then run in pairs, slot by
-slot, the tree that goes first alternating from pair to pair and from
-pass to pass, so host drift and warm caches fall on both trees alike.  A deck is built afresh for every pass, so
+perfbench/workloads.py.  Each pass over a deck starts from fresh
+imports, prepared and warmed up as perfbench/run.py sets up a deck, so
+whatever a library builds on first use is paid as in the benchmark.  The
+operations then run in pairs, slot by slot, the tree that goes first
+alternating from pair to pair and from pass to pass, so host drift and
+warm caches fall on both trees alike.  A deck is built afresh for every pass, so
 no pmf carries cached entropies into a repeat.  As the benchmark's
 op_cost_refs does, each slot's times are summed up by their median
 across the decks; per kind and over all slots it prints the geometric
@@ -65,18 +68,20 @@ def main():
     from tracing import NullTracer
     from workloads import RegionWorkload
 
-    libs = [load(args.old.resolve()), load(args.new.resolve())]
+    roots = [args.old.resolve(), args.new.resolve()]
     works = [RegionWorkload(), RegionWorkload()]
-    for work, lib in zip(works, libs):
-        work.prepare(lib, args.seed)
-        for op in work.warmup(args.seed, lib):
-            work.run(op, lib, NullTracer())
     times = defaultdict(lambda: ([], []))  # slot -> (OLD's, NEW's) seconds
     kinds, wins, pairs = {}, defaultdict(int), defaultdict(int)
     tracer = NullTracer()
     for index in range(args.decks):
         for rep in range(args.repeats):
-            decks = [w.deck(args.seed, index, lib) for w, lib in zip(works, libs)]
+            # a fresh set-up per pass, as the benchmark runs each deck
+            libs, decks = [load(root) for root in roots], []
+            for work, lib in zip(works, libs):
+                work.prepare(lib, args.seed)
+                decks.append(work.deck(args.seed, index, lib))
+                for op in work.warmup(args.seed, lib):
+                    work.run(op, lib, tracer)
             for position, ops in enumerate(zip(*decks)):
                 if ops[0].slot != ops[1].slot:
                     sys.exit("bench_pair: the two trees built different decks")

@@ -130,19 +130,13 @@ def _least_ratios(ns, alphas) -> list[tuple[int, int]]:
     return out
 
 
-def _profile(ns, d: int, alphas) -> list[Fraction]:
-    """f_alpha at each alpha of the ascending `alphas` for the weights ns
-    / d, from one sort: the numerators sorted nonincreasing give integer
-    suffix sums S_j, and each level builds one `Fraction`."""
-    return [Fraction(s, k * d) for s, k in _least_ratios(sorted(ns, reverse=True), alphas)]
-
-
 def f_value(weights, alpha: int) -> Fraction:
     """The level-alpha coefficient in closed form: with the weights sorted
     nonincreasing, the minimum over j < alpha of the sum of all but the j
     largest weights divided by alpha - j."""
     _, ns, d = _level_weights(weights, alpha)
-    return _profile(ns, d, (alpha,))[0]
+    ((s, k),) = _least_ratios(sorted(ns, reverse=True), (alpha,))
+    return Fraction(s, k * d)
 
 
 def audit_level(lam, alpha: int, coeffs: SubsetCoefficients) -> list[str]:
@@ -215,9 +209,13 @@ def f_alpha(weights, alpha: int) -> SubsetCoefficients:
 
 
 def f_profile(weights) -> tuple[Fraction, ...]:
-    """(f_1, ..., f_L); nonincreasing, with f_1 equal to the weight sum."""
+    """(f_1, ..., f_L); nonincreasing, with f_1 equal to the weight sum:
+    from one sort of the weights' numerators over one denominator d, each
+    level's least ratio s / k of integer suffix sums, and one `Fraction`
+    s / (k d) per level."""
     _, ns, d = _scaled(weights, "weights")
-    return tuple(_profile(ns, d, range(1, len(ns) + 1)))
+    ratios = _least_ratios(sorted(ns, reverse=True), range(1, len(ns) + 1))
+    return tuple([Fraction(s, k * d) for s, k in ratios])
 
 
 def min_sum_rate(entropies) -> Fraction:
@@ -230,13 +228,12 @@ def min_sum_rate(entropies) -> Fraction:
 def smdca_hyperplane(m: int, weights, entropies) -> Fraction:
     """Right-hand side of the m-th all-access supporting hyperplane:
     f_m(lam) times H_1 + ... + H_m, plus f_alpha(lam) H_alpha above m."""
-    _, ns, d = _scaled(weights, "weights")
+    prof = f_profile(weights)
     h = _nonnegative(entropies, "entropies")
-    if len(h) != len(ns):
+    if len(h) != len(prof):
         raise ValueError("weights and entropies must have equal length")
-    if not 1 <= m <= len(ns):
-        raise ValueError(f"m must be in 1..{len(ns)}, got {m}")
-    prof = _profile(ns, d, range(1, len(ns) + 1))
+    if not 1 <= m <= len(prof):
+        raise ValueError(f"m must be in 1..{len(prof)}, got {m}")
     return prof[m - 1] * sum(h[:m], _ZERO) + sum((f * x for f, x in zip(prof[m:], h[m:])), _ZERO)
 
 
@@ -267,7 +264,8 @@ def _chamber(L: int, top: int):
 
 
 def _rate_split(rates, entropies, levels):
-    """Per-level rate split by one LP over the encoders sorted by rate.
+    """Per-level rate split by one LP over the encoders sorted by rate,
+    the rates and the entropies each given as (numerators, denominator).
 
     With the rates ascending, column (alpha, j) for j < alpha is a block
     of height mu on the L - j highest-rate encoders, of which any alpha
@@ -282,9 +280,8 @@ def _rate_split(rates, entropies, levels):
     as coprime integers.  The witness is re-checked exactly, one pass
     per level.
     """
-    L = len(rates)
-    r, D = over_common_denominator(rates)
-    hs, dh = over_common_denominator(entropies)
+    (r, D), (hs, dh) = rates, entropies
+    L = len(r)
     order = sorted(range(L), key=r.__getitem__)
     rank = sorted(range(L), key=order.__getitem__)  # encoder -> sorted position
     r = [r[l] for l in order]
@@ -344,26 +341,29 @@ def _rate_split(rates, entropies, levels):
     return witness, None
 
 
-def _separates(w, cap: int, r0: Fraction, rates, entropies, levels) -> bool:
+def _separates(w, cap: int, r0: int, rates, entropies, levels) -> bool:
     """cap r0 + w.r < sum_a min(f_a(w), cap) H_a for integer weights w and
-    cap (sum(w) for none), on integers: f_a(w) = s / k from one sort, and
-    both sides times lcm(k) and the denominators of the rates and H."""
+    cap (sum(w) for none), with r0 and the rates as numerators over one
+    denominator, (numerators, dr) = rates, and the entropies as (hn, dh):
+    on integers, f_a(w) = s / k from one sort, and both sides times
+    lcm(k), dr and dh."""
     ratios = _least_ratios(sorted(w, reverse=True), levels)
     K = lcm(*(k for _, k in ratios))
-    rn, dr = over_common_denominator((r0, *rates))
-    hn, dh = over_common_denominator(entropies)
-    lhs = sum(x * y for x, y in zip((cap, *w), rn)) * dh * K
+    (rn, dr), (hn, dh) = rates, entropies
+    lhs = (cap * r0 + sum(x * y for x, y in zip(w, rn))) * dh * K
     return lhs < dr * sum(min(s * (K // k), cap * K) * n for (s, k), n in zip(ratios, hn))
 
 
 def _member_inputs(rates, entropies, n_secure: int):
-    """Validated rates, entropies and constraining levels of a query."""
-    r = _nonnegative(rates, "rates")
-    L = len(r)
+    """Validated rates, entropies and constraining levels of a query, the
+    rates and the entropies as `_scaled` gives them: their `Fraction`s,
+    and their numerators over one denominator."""
+    r = _scaled(rates, "rates")
+    L = len(r[0])
     if not 0 <= n_secure <= L - 1:
         raise ValueError(f"n_secure must be in 0..{L - 1}, got {n_secure}")
-    h = _nonnegative(entropies, "entropies")
-    if len(h) != L - n_secure:
+    h = _scaled(entropies, "entropies")
+    if len(h[0]) != L - n_secure:
         raise ValueError("entropies must have one entry per constraining level")
     if L > MAX_MEMBERSHIP_GROUND:
         raise ValueError(f"membership supports at most L={MAX_MEMBERSHIP_GROUND}")
@@ -381,9 +381,11 @@ def smdca_member(r0, rates, entropies) -> MembershipVerdict:
     encoder stores the greedy prefix, and the rates must carry the
     residual in the plain region."""
     r0 = as_fraction(r0)
-    r, h, levels = _member_inputs(rates, entropies, 0)
+    (r, _, _), (h, *hs), levels = _member_inputs(rates, entropies, 0)
     alloc = greedy_allocation(r0, h)
-    split, lam = _rate_split(r, alloc.residual, levels)
+    # r0 and the rates over one denominator, for the LP and the hyperplane
+    (r0n, *rn), D = over_common_denominator((r0, *r))
+    split, lam = _rate_split((rn, D), over_common_denominator(alloc.residual), levels)
     if split is not None:
         witness = {a: (alloc.stored_at_zero[a - 1],) + split[a] for a in levels}
         return MembershipVerdict(member=True, witness=witness)
@@ -393,7 +395,7 @@ def smdca_member(r0, rates, entropies) -> MembershipVerdict:
     q = alloc.level
     ((s, k),) = _least_ratios(sorted(lam, reverse=True), (q,))
     w = [x * k for x in lam]
-    if not _separates(w, s, r0, r, h, levels):
+    if not _separates(w, s, r0n, (rn, D), hs, levels):
         raise AssertionError("certificate must violate the all-access hyperplane")
     den = max(s, k * max(lam))
     return MembershipVerdict(
@@ -404,11 +406,11 @@ def smdca_member(r0, rates, entropies) -> MembershipVerdict:
 
 def ssmdc_member(rates, entropies, n_secure: int) -> MembershipVerdict:
     """Membership for the secure variant: only levels 1..L-N constrain."""
-    r, h, levels = _member_inputs(rates, entropies, n_secure)
-    witness, lam = _rate_split(r, h, levels)
+    (_, *rs), (_, *hs), levels = _member_inputs(rates, entropies, n_secure)
+    witness, lam = _rate_split(rs, hs, levels)
     if witness is not None:
         return MembershipVerdict(member=True, witness=witness)
-    if not _separates(lam, sum(lam), _ZERO, r, h, levels):
+    if not _separates(lam, sum(lam), 0, rs, hs, levels):
         raise AssertionError("Farkas certificate must violate a supporting hyperplane")
     return MembershipVerdict(member=False, certificate=tuple(Fraction(x, max(lam)) for x in lam))
 

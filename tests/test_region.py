@@ -302,6 +302,13 @@ def vertex_from(seed):
     return solve
 
 
+def scaled_split(rates, entropies, levels):
+    """`fraction_rate_split` as `region._rate_split` is called, with the
+    rates and the entropies each as (numerators, denominator)."""
+    (rn, D), (hn, dh) = rates, entropies
+    return fraction_rate_split([F(n, D) for n in rn], [F(n, dh) for n in hn], levels)
+
+
 class TestIntegerRateSplit:
     """The rate split on integer numerators must give the `Fraction` split's
     verdict, witness and certificate exactly."""
@@ -313,7 +320,7 @@ class TestIntegerRateSplit:
         for L in list(range(1, MAX_MEMBERSHIP_GROUND + 1)) * 2:
             rates, h, n, r0 = tied_member_query(rng, scheme, L)
             got = decide(scheme, rates, h, n, r0)
-            with mock.patch.object(region, "_rate_split", fraction_rate_split):
+            with mock.patch.object(region, "_rate_split", scaled_split):
                 want = decide(scheme, rates, h, n, r0)
             assert got == want
             if got.witness is not None:
@@ -337,7 +344,7 @@ class TestIntegerRateSplit:
                 else:
                     rates = [point * F(rng.randint(70, 90), 100) for _ in range(L)]
                 got = decide(scheme, rates, h, n, r0)
-                with mock.patch.object(region, "_rate_split", fraction_rate_split):
+                with mock.patch.object(region, "_rate_split", scaled_split):
                     want = decide(scheme, rates, h, n, r0)
                 assert got == want
                 if member:
@@ -351,7 +358,8 @@ class TestIntegerRateSplit:
             r = exactlp.as_fractions(rates)
             levels = range(1, L + 1)
             with mock.patch.object(region, "feasible", vertex_from(trial)):
-                got = region._rate_split(r, h, levels)
+                got = region._rate_split(exactlp.over_common_denominator(r),
+                                         exactlp.over_common_denominator(h), levels)
             assert got == fraction_rate_split(r, h, levels, solve=vertex_from(trial))
 
 
