@@ -61,16 +61,6 @@ def _scaled(values, what: str) -> tuple[tuple[Fraction, ...], list[int], int]:
     return v, ns, d
 
 
-def _nonnegative(values, what: str) -> tuple[Fraction, ...]:
-    """values as `Fraction`s, refused when empty or negative."""
-    v = as_fractions(values)
-    if not v:
-        raise ValueError(f"{what} must be nonempty")
-    if any(x.numerator < 0 for x in v):
-        raise ValueError(f"{what} must be nonnegative")
-    return v
-
-
 @dataclass(frozen=True)
 class SubsetCoefficients:
     """Optimal weights on the subsets of one size for one weight vector."""
@@ -220,7 +210,7 @@ def f_profile(weights) -> tuple[Fraction, ...]:
 
 def min_sum_rate(entropies) -> Fraction:
     """Sum over levels of (L/alpha) times the level entropy."""
-    h = _nonnegative(entropies, "entropies")
+    h = _scaled(entropies, "entropies")[0]
     L = len(h)
     return sum((Fraction(L, a) * h[a - 1] for a in range(1, L + 1)), _ZERO)
 
@@ -229,7 +219,7 @@ def smdca_hyperplane(m: int, weights, entropies) -> Fraction:
     """Right-hand side of the m-th all-access supporting hyperplane:
     f_m(lam) times H_1 + ... + H_m, plus f_alpha(lam) H_alpha above m."""
     prof = f_profile(weights)
-    h = _nonnegative(entropies, "entropies")
+    h = _scaled(entropies, "entropies")[0]
     if len(h) != len(prof):
         raise ValueError("weights and entropies must have equal length")
     if not 1 <= m <= len(prof):
@@ -428,11 +418,13 @@ def greedy_allocation(r0, entropies) -> GreedyAllocation:
     budget and sources are compared as integer numerators over one
     denominator, and only the split level builds new `Fraction`s.
     """
-    r0 = as_fraction(r0)
-    if r0.numerator < 0:
+    num, den = as_fraction(r0).as_integer_ratio()
+    if num < 0:
         raise ValueError("r0 must be nonnegative")
-    h = _nonnegative(entropies, "entropies")
-    (left, *ns), d = over_common_denominator((r0, *h))
+    h, ns, dh = _scaled(entropies, "entropies")
+    # the budget and the sources over one denominator
+    d = lcm(den, dh)
+    left, ns = num * (d // den), [x * (d // dh) for x in ns]
     q = 0  # the sources before q fit the budget whole
     while q < len(ns) and ns[q] <= left:
         left -= ns[q]
