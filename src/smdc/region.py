@@ -230,7 +230,7 @@ def smdca_hyperplane(m: int, weights, entropies) -> Fraction:
 # membership ------------------------------------------------------------
 
 
-# (L, levels) -> the sorted-chamber LP's rows, at most one per (L, N)
+# (L, top) -> `_chamber(L, top)`, one per ground size and secrecy threshold
 _CHAMBERS: dict[tuple[int, int], tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = {}
 
 
