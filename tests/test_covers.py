@@ -774,13 +774,6 @@ class TestShapeTables:
             got = cov._family(n, alpha)
             assert list(got.items()) == list(want.items())
 
-    def test_sets_are_the_shared_family_objects(self):
-        for L in range(1, 8):
-            sets = cov._sets(L)
-            assert sets[0] == EncoderSet((), L)
-            for k in range(1, L + 1):
-                assert all(sets[u.mask] is u for u in subsets_of_size(L, k))
-
     def test_the_tables_stay_within_the_cap(self):
         for L in range(1, 9):
             lam = [F(l % 4 + 1, 1 + l % 3) for l in range(L)]
