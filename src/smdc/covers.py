@@ -129,7 +129,8 @@ class ChainReport(Record):
 # the integer core --------------------------------------------------------
 
 # (n, alpha) -> `_family(n, alpha)`, and L -> `_sets(L)`, built on first use
-# and kept while they hold at most MAX_SHARED_FAMILY children or sets
+# and kept, as `subsets_of_size` keeps its families, while they hold at most
+# MAX_SHARED_FAMILY subsets
 _FAMILIES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 _SETS: dict[int, list] = {}
 
@@ -147,7 +148,7 @@ def _family(n: int, alpha: int) -> dict[int, tuple[int, ...]]:
         for c in combinations([1 << i for i in range(n, 0, -1)], alpha):
             u = sum(c)
             family[u] = tuple([u ^ b for b in reversed(c)])
-        if len(family) * alpha <= MAX_SHARED_FAMILY:
+        if len(family) <= MAX_SHARED_FAMILY:
             _FAMILIES[n, alpha] = family
     return family
 

@@ -762,8 +762,8 @@ class TestInternalAudit:
 class TestShapeTables:
     """What a build touches that depends on L alone comes from tables built
     once: the families of rank masks with their children, and every
-    subset's shared set.  A table of more than MAX_SHARED_FAMILY children
-    or sets is built for the call and dropped, with the same chain."""
+    subset's shared set.  A table of more than MAX_SHARED_FAMILY subsets is
+    built for the call and dropped, with the same chain."""
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_families_run_in_the_descents_order(self, n):
@@ -779,8 +779,7 @@ class TestShapeTables:
             lam = [F(l % 4 + 1, 1 + l % 3) for l in range(L)]
             verify_chain(yz_chain(lam))
             conditional_chain(lam, L // 2)
-        assert all(len(f) * alpha <= cov.MAX_SHARED_FAMILY
-                   for (_, alpha), f in cov._FAMILIES.items())
+        assert all(len(f) <= cov.MAX_SHARED_FAMILY for f in cov._FAMILIES.values())
         assert all(1 << L <= cov.MAX_SHARED_FAMILY for L in cov._SETS)
         assert (8, 4) in cov._FAMILIES and 8 in cov._SETS
 
@@ -798,7 +797,7 @@ class TestShapeTables:
             cond = conditional_chain(lam, n)
             assert conditional_to_text(cond) == want_cond[n]
             assert verify_conditional(cond).ok
-        assert all(len(f) * alpha <= 4 for (_, alpha), f in cov._FAMILIES.items())
+        assert all(len(f) <= 4 for f in cov._FAMILIES.values())
         assert (6, 3) not in cov._FAMILIES and not cov._SETS
 
 
