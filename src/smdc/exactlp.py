@@ -11,16 +11,20 @@ Each row records the D at which it was last written and is brought up to
 the current D (times D over that D, exact by Bareiss) only when a pivot
 eliminates in it or a read needs its value; signs and ratios read it as
 it stands.  Feasibility is a dual simplex from the slack basis, with no
-phase-1 objective: the most negative row leaves and its largest positive
-entry enters, with Bland's rule once a basis repeats, and a negative row
-with no positive entry is itself the Farkas certificate.  `solve_max`
-follows it with Bland's primal simplex on the same tableau; when the
-slack basis is feasible (every row `<=` with b >= 0) it takes the pivots
-of the textbook two-phase tableau.  Optimal solves return a primal
-vertex and a dual vector whose objective matches the primal exactly;
-infeasible systems return a Farkas certificate.  Both are re-verified
-against the integer rows straight off the tableau, before one `Fraction`
-is built per returned entry (for `feasible`, per entry read).
+phase-1 objective: a negative row with no positive entry is itself the
+Farkas certificate, and the first one is returned before any further
+pivot; otherwise the most negative row leaves and its largest positive
+entry enters, with Bland's rule once a basis repeats.  A feasible system
+has no such row, so the exit moves no feasible path and no optimum.  An
+LP may have no variables at all: it is feasible exactly when every
+right-hand side allows zero.  `solve_max` follows it with Bland's primal
+simplex on the same tableau; when the slack basis is feasible (every row
+`<=` with b >= 0) it takes the pivots of the textbook two-phase tableau.
+Optimal solves return a primal vertex and a dual vector whose objective
+matches the primal exactly; infeasible systems return a Farkas
+certificate.  Both are re-verified against the integer rows straight off
+the tableau, before one `Fraction` is built per returned entry (for
+`feasible`, per entry read).
 
 Conventions for `max c.x, rows, x >= 0`: dual[i] >= 0 on `<=` rows and
 <= 0 on `>=` rows, with A^T.dual >= c componentwise and b.dual == value;
@@ -88,8 +92,8 @@ class LinearProgram:
     """maximize objective . x  subject to added rows and x >= 0."""
 
     def __init__(self, num_vars: int, objective: Sequence | None = None):
-        if num_vars < 1:
-            raise ValueError("need at least one variable")
+        if num_vars < 0:
+            raise ValueError(f"num_vars must be nonnegative, got {num_vars}")
         self.num_vars = num_vars
         self.objective = [_ZERO] * num_vars if objective is None else list(as_fractions(objective))
         if len(self.objective) != num_vars:
@@ -247,11 +251,14 @@ class _Tableau:
 
     def dual_phase(self) -> int | None:
         """Pivot to a feasible basis and return None, or return a row
-        whose basic variable is negative at every x_N >= 0.  The leaving
-        row has the most negative beta at the current D, the entering
-        column the largest positive entry in that row; once a basis
-        repeats, both go by the least variable index (Bland's rule) for
-        the rest of the solve."""
+        whose basic variable is negative at every x_N >= 0.  Before each
+        pivot, the first negative row with no positive entry is returned
+        as it stands: it is already the Farkas certificate, and a
+        feasible system never has one.  Otherwise the leaving row has the
+        most negative beta at the current D, the entering column the
+        largest positive entry in that row; once a basis repeats, both go
+        by the least variable index (Bland's rule) for the rest of the
+        solve."""
         T, beta, at, basis, nonbasic = self.T, self.beta, self.at, self.basis, self.nonbasic
         key = sum(1 << v for v in basis)
         seen = {key}
@@ -259,19 +266,18 @@ class _Tableau:
             rows = [i for i in range(self.m) if beta[i] < 0]
             if not rows:
                 return None
+            for i in rows:
+                if max(T[i], default=0) <= 0:
+                    return i
             if self.bland:
                 r = min(rows, key=basis.__getitem__)
                 cols = [j for j, a in enumerate(T[r]) if a > 0]
-                if not cols:
-                    return r
                 c = min(cols, key=nonbasic.__getitem__)
             else:
                 D = self.D
                 now = [beta[i] * D // at[i] for i in rows]
                 r = rows[now.index(min(now))]  # the first most negative
                 top = max(T[r])
-                if top <= 0:
-                    return r
                 c = T[r].index(top)  # the first largest entry
                 key ^= (1 << basis[r]) | (1 << nonbasic[c])
                 if key in seen:

@@ -236,20 +236,22 @@ _CHAMBERS: dict[tuple[int, int], tuple[list[tuple[int, ...]], list[tuple[int, ..
 
 def _chamber(L: int, top: int):
     """The rows of `_rate_split`'s LP over L encoders for the levels
-    1..top, which depend on nothing else: column (alpha, j) for j < alpha,
-    level by level; the demand row of each level, (alpha - j) at its
-    columns, and the prefix row of each k, k - j wherever j < k."""
+    1..top, which depend on nothing else: column (alpha, j) for 1 <= j <
+    alpha, level by level; the cap row of each level alpha >= 2, (alpha -
+    j) at its columns, and the prefix row of each k, alpha (k - j)^+ - k
+    (alpha - j) at column (alpha, j)."""
     rows = _CHAMBERS.get((L, top))
     if rows is None:
-        js = [j for alpha in range(1, top + 1) for j in range(alpha)]
-        demand, start = [], 0
-        for alpha in range(1, top + 1):
-            row = [0] * len(js)
-            row[start : start + alpha] = range(alpha, 0, -1)
-            demand.append(tuple(row))
-            start += alpha
-        prefix = [tuple([k - j if k > j else 0 for j in js]) for k in range(1, L + 1)]
-        rows = _CHAMBERS[L, top] = demand, prefix
+        cols = [(alpha, j) for alpha in range(2, top + 1) for j in range(1, alpha)]
+        caps, start = [], 0
+        for alpha in range(2, top + 1):
+            row = [0] * len(cols)
+            row[start : start + alpha - 1] = range(alpha - 1, 0, -1)
+            caps.append(tuple(row))
+            start += alpha - 1
+        prefix = [tuple([a * max(k - j, 0) - k * (a - j) for a, j in cols])
+                  for k in range(1, L + 1)]
+        rows = _CHAMBERS[L, top] = caps, prefix
     return rows
 
 
@@ -257,47 +259,61 @@ def _rate_split(rates, entropies, levels):
     """Per-level rate split by one LP over the encoders sorted by rate,
     the rates and the entropies each given as (numerators, denominator).
 
-    With the rates ascending, column (alpha, j) for j < alpha is a block
-    of height mu on the L - j highest-rate encoders, of which any alpha
-    encoders hold at least (alpha - j) mu.  Rows: one demand row per
-    level, sum_j (alpha - j) mu >= H_alpha, and one prefix row per k: the
-    blocks' load on the k lowest-rate encoders is at most the sum of
-    their rates.  Returns (witness, None) when the LP is feasible: the
+    With the rates ascending, a block (alpha, j) of height mu sits on the
+    L - j highest-rate encoders, and any alpha encoders hold at least
+    (alpha - j) mu of it.  The LP is written relative to the superposition
+    split, which puts H_alpha / alpha of each level on every encoder: its
+    columns are nu = mu / alpha for the blocks 1 <= j < alpha, and block 0
+    takes what is left of the level's demand, H_alpha / alpha - sum_j
+    (alpha - j) nu.  Rows: one cap row per level alpha >= 2, which keeps
+    block 0 nonnegative, and one prefix row per k, whose slack is the sum
+    of the k lowest rates less the blocks' load on those encoders, k S
+    with S = sum_alpha H_alpha / alpha at nu = 0.  So the slack basis is
+    the superposition split: a rate vector that dominates it is a member
+    with no pivot.  Returns (witness, None) when the LP is feasible: the
     blocks' per-level loads, carried onto the rates by Robin Hood
     transfers, which keep every level's sum of its alpha smallest shares.
     Else (None, lam): with w the Farkas multipliers of the prefix rows,
-    lam sorts as the suffix sums of w, so lam.r < sum_a f_a(lam) H_a,
-    as coprime integers.  The witness is re-checked exactly, one pass
-    per level.
+    lam sorts as the suffix sums of w, so lam.r < sum_a f_a(lam) H_a, as
+    coprime integers.  The witness is re-checked exactly, one pass per
+    level.
     """
     (r, D), (hs, dh) = rates, entropies
     L = len(r)
     order = sorted(range(L), key=r.__getitem__)
     rank = sorted(range(L), key=order.__getitem__)  # encoder -> sorted position
     r = [r[l] for l in order]
-    demand, prefix = _chamber(L, len(levels))
-    lp = LinearProgram(len(demand[0]))
-    for row, h in zip(demand, hs):
-        lp.add_ints(row, GE, h, dh)
-    for row, cap in zip(prefix, accumulate(r)):
-        lp.add_ints(row, LE, cap, D)
+    caps, prefix = _chamber(L, len(levels))
+    # S = sn / sd, reduced
+    A = lcm(*levels)
+    sn, sd = sum(h * (A // a) for a, h in zip(levels, hs)), dh * A
+    g = gcd(sn, sd)
+    sn, sd = sn // g, sd // g
+    lp = LinearProgram(len(prefix[0]))
+    for row, a, h in zip(caps, levels[1:], hs[1:]):
+        lp.add_ints(row, LE, h, dh * a)
+    for k, (row, R) in enumerate(zip(prefix, accumulate(r)), 1):
+        lp.add_ints(row, LE, R * sd - k * sn * D, D * sd)
     res = feasible(lp)
     ns, d = res.scaled
     if not res.feasible:
-        lam = list(accumulate(-n for n in reversed(ns[len(levels):])))[::-1]
+        lam = list(accumulate(-n for n in reversed(ns[len(caps):])))[::-1]
         if not lam[0] > 0:
             raise AssertionError("separating certificate cannot be identically zero")
         g = gcd(*lam)
         return None, tuple(lam[p] // g for p in rank)
-    # the point and the rates over one denominator D; a level's shares are
-    # the prefix sums of its block heights
-    e = lcm(D, d)
+    # the point, the rates and each level's H_alpha / alpha over one
+    # denominator e; a level's shares are the prefix sums of its block
+    # heights
+    e = lcm(D, d, *[dh * a // gcd(h, a) for a, h in zip(levels, hs)])
     r = [x * (e // D) for x in r]
-    heights = iter([x * (e // d) for x in ns])
+    nu = iter([x * (e // d) for x in ns])
     D = e
     shares = []
-    for alpha in levels:
-        x = list(accumulate(islice(heights, alpha)))
+    for alpha, h in zip(levels, hs):
+        free = list(islice(nu, alpha - 1))
+        head = h * e // (dh * alpha) - sum((alpha - j) * x for j, x in enumerate(free, 1))
+        x = list(accumulate([head] + [alpha * x for x in free]))
         shares.append(x + [x[-1]] * (L - alpha))
     load = list(map(sum, zip(*shares)))
     load[-1] += sum(r) - sum(load)

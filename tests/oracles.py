@@ -179,8 +179,9 @@ def subset_system_member(rates, entropies, levels, r0=None):
 class FractionSimplex:
     """`exactlp._Tableau` with one normalised `Fraction` per cell: the
     condensed tableau x_B = beta + T x_N over the slacks of the rows
-    scaled by the lcm of their denominators, the same dual phase, switch
-    to Bland's rule, primal phase and read-out."""
+    scaled by the lcm of their denominators, the same dual phase (with
+    its exit at the first negative row that has no positive entry),
+    switch to Bland's rule, primal phase and read-out."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -230,17 +231,17 @@ class FractionSimplex:
             rows = [i for i in range(self.m) if self.beta[i] < 0]
             if not rows:
                 return None
+            # a negative row with no positive entry is a Farkas row
+            for i in rows:
+                if all(t <= 0 for t in self.T[i]):
+                    return i
             if self.bland:
                 r = min(rows, key=lambda i: self.basis[i])
                 cols = [j for j in range(self.n) if self.T[r][j] > 0]
-                if not cols:
-                    return r
                 c = min(cols, key=lambda j: self.nonbasic[j])
             else:
                 r = min(rows, key=lambda i: self.beta[i])
                 c = max(range(self.n), key=lambda j: self.T[r][j])
-                if not self.T[r][c] > 0:
-                    return r
             self._pivot(r, c)
             if not self.bland:
                 self.bland = sorted(self.basis) in seen
@@ -424,31 +425,43 @@ def packing_lp(lam, alpha):
 
 
 def fraction_rate_split(rates, entropies, levels, solve=feasible):
-    """`region._rate_split` with a `Fraction` per step: O(L^2) `Fraction`
+    """`region._rate_split` with a `Fraction` per step: the LP relative to
+    the superposition split built from its definition, O(L^2) `Fraction`
     adds for the shares, and every Robin Hood transfer and re-check in
     `Fraction`s.  `solve` stands in for `exactlp.feasible`."""
     L = len(rates)
     order = sorted(range(L), key=rates.__getitem__)
     rank = sorted(range(L), key=order.__getitem__)
     r = [rates[l] for l in order]
-    cols = [(ai, j) for ai, alpha in enumerate(levels) for j in range(alpha)]
+    # nu[alpha, j] = mu[alpha, j] / alpha for the blocks 1 <= j < alpha
+    cols = [(alpha, j) for alpha in levels if alpha > 1 for j in range(1, alpha)]
+    S = sum((h / alpha for alpha, h in zip(levels, entropies)), _ZERO)
     lp = LinearProgram(len(cols))
-    for ai, (alpha, h) in enumerate(zip(levels, entropies)):
-        lp.add([alpha - j if bi == ai else 0 for bi, j in cols], GE, h)
-    for k, cap in enumerate(accumulate(r), 1):
-        lp.add([max(k - j, 0) for _, j in cols], LE, cap)
+    caps = 0
+    for alpha, h in zip(levels, entropies):
+        if alpha > 1:
+            lp.add([alpha - j if a == alpha else 0 for a, j in cols], LE, h / alpha)
+            caps += 1
+    for k, R in enumerate(accumulate(r), 1):
+        lp.add([a * max(k - j, 0) - k * (a - j) for a, j in cols], LE, R - k * S)
     res = solve(lp)
     if not res.feasible:
-        w = [-y for y in res.certificate[len(levels):]]
+        w = [-y for y in res.certificate[caps:]]
         lam = list(accumulate(reversed(w)))[::-1]
         if not lam[0] > 0:
             raise AssertionError("separating certificate cannot be identically zero")
         # coprime integers, as `region._rate_split` returns them
         return None, tuple(over_common_denominator(lam[p] / lam[0] for p in rank)[0])
-    shares = [[_ZERO] * L for _ in levels]
-    for (ai, j), mu in zip(cols, res.point):
-        for p in range(j, L):
-            shares[ai][p] += mu
+    nu = dict(zip(cols, res.point))
+    shares = []
+    for alpha, h in zip(levels, entropies):
+        mu = [h / alpha - sum((alpha - j) * nu[alpha, j] for j in range(1, alpha))]
+        mu += [alpha * nu[alpha, j] for j in range(1, alpha)]
+        x = [_ZERO] * L
+        for j, height in enumerate(mu):
+            for p in range(j, L):
+                x[p] += height
+        shares.append(x)
     load = [sum(col, _ZERO) for col in zip(*shares)]
     load[-1] += sum(r, _ZERO) - sum(load, _ZERO)
     while (i := next((p for p in range(L) if load[p] > r[p]), None)) is not None:
@@ -464,6 +477,42 @@ def fraction_rate_split(rates, entropies, levels, solve=feasible):
     if any(sum(col, _ZERO) > cap for col, cap in zip(zip(*shares), r)):
         raise AssertionError("witness exceeds an encoder rate")
     return {alpha: tuple(x[p] for p in rank) for x, alpha in zip(shares, levels)}, None
+
+
+def chamber_member(rates, entropies, levels):
+    """Membership by the sorted-chamber LP that the rate split replaced:
+    over the encoders sorted by rate, column (alpha, j) for every j <
+    alpha is a block of height mu on the L - j highest-rate encoders;
+    one demand row per level, sum_j (alpha - j) mu >= H_alpha, and one
+    prefix row per k, the blocks' load on the k lowest-rate encoders at
+    most the sum of their rates.  Solved by the general simplex, and the
+    point or the Farkas certificate re-checked here."""
+    r = sorted(rates)
+    cols = [(alpha, j) for alpha in levels for j in range(alpha)]
+    lp = LinearProgram(len(cols))
+    for alpha, h in zip(levels, entropies):
+        lp.add([a - j if a == alpha else 0 for a, j in cols], GE, h)
+    for k, R in enumerate(accumulate(r), 1):
+        lp.add([max(k - j, 0) for _, j in cols], LE, R)
+    res = feasible(lp)
+    rows, senses, rhs = lp.rows, lp.senses, lp.rhs
+    if res.feasible:
+        x = res.point
+        ok = all(v >= 0 for v in x) and all(
+            (lhs >= b if s == GE else lhs <= b)
+            for row, s, b in zip(rows, senses, rhs)
+            for lhs in [sum(a * v for a, v in zip(row, x))]
+        )
+    else:
+        y = res.certificate
+        ok = (
+            all(c >= 0 if s == GE else c <= 0 for c, s in zip(y, senses))
+            and all(sum(c * row[j] for c, row in zip(y, rows)) <= 0 for j in range(len(cols)))
+            and sum(c * b for c, b in zip(y, rhs)) > 0
+        )
+    if not ok:
+        raise AssertionError("sorted-chamber LP returned an unchecked answer")
+    return res.feasible
 
 
 def fraction_yz_chain(weights):

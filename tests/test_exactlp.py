@@ -154,6 +154,39 @@ class TestFeasible:
         res = feasible(lp)
         assert res.feasible
 
+    def test_a_farkas_row_stops_before_any_pivot(self):
+        # the most negative row, x >= 5, has a positive entry, but the
+        # second, 0 x >= 1, has none: it is returned with no pivot
+        lp = LinearProgram(1)
+        lp.add([1], GE, 5)
+        lp.add([0], GE, 1)
+        tab = _Tableau(lp)
+        with mock.patch.object(tab, "_pivot", side_effect=AssertionError("pivoted")):
+            assert tab.dual_phase() == 1
+        assert feasible(lp).certificate == (0, 1)
+        assert solve_max(lp) == LpSolution(INFEASIBLE, certificate=(F(0), F(1)))
+
+    @pytest.mark.parametrize("rhs, ok", [((0, -1, F(-1, 2)), True), ((0, F(1, 3)), False)])
+    def test_no_variables(self, rhs, ok):
+        # feasible exactly when every right-hand side allows zero
+        lp = LinearProgram(0)
+        for b in rhs:
+            lp.add([], LE, -b)
+        res = feasible(lp)
+        assert res.feasible is ok
+        if ok:
+            zeros = (F(0),) * len(rhs)
+            assert res.point == () and solve_max(lp) == LpSolution(OPTIMAL, F(0), (), zeros)
+        else:
+            assert sum(c * b for c, b in zip(res.certificate, map(F, rhs))) < 0
+            assert solve_max(lp).status == INFEASIBLE
+        assert feasible(lp) == reference_feasible(lp)
+        assert solve_max(lp) == reference_solve_max(lp)
+
+    def test_negative_variable_count(self):
+        with pytest.raises(ValueError, match="num_vars must be nonnegative"):
+            LinearProgram(-1)
+
 
 class TestRandomAgainstOracle:
     def test_random_bounded_lps(self):
@@ -573,9 +606,10 @@ def sparse_lp_specs(draw):
 
 
 def membership_lps(L):
-    """The LPs that a member and a non-member query of each scheme at L
-    hands to `feasible`: rates a little above the superposition point, and
-    at 70-90% of it."""
+    """The LPs that a member and a non-member query at L hand to
+    `feasible`, both with the lowest rate near H_1 and the others far
+    above the superposition point, so that the dual phase pivots (rates
+    that dominate the point, or that sum to less than it, take none)."""
     import smdc.region as region
 
     rng = random.Random(f"lazy-{L}")
@@ -588,9 +622,9 @@ def membership_lps(L):
     h = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(L)]
     point = sum((x / a for a, x in enumerate(h, 1)), F(0))
     with mock.patch.object(region, "feasible", capture):
-        for scale in (F(1), F(rng.randint(70, 90), 100)):
-            rates = [point * scale + F(rng.randint(0, 4), 8) * (scale == 1) for _ in range(L)]
-            assert region.smdc_member(rates, h).member == (scale == 1)
+        for low, member in ((h[0] + F(1, 8), True), (h[0] * F(9, 10), False)):
+            rates = [low] + [2 * point + h[0] for _ in range(L - 1)]
+            assert region.smdc_member(rates, h).member is member
     return lps
 
 

@@ -29,6 +29,7 @@ from smdc.subsets import EncoderSet
 from oracles import (
     LE,
     brute_lp_max,
+    chamber_member,
     fraction_audit_level,
     fraction_greedy_allocation,
     fraction_rate_split,
@@ -293,7 +294,7 @@ def vertex_from(seed):
         rnd = random.Random(seed)
         lp.objective = [F(rnd.randint(0, 3)) for _ in range(lp.num_vars)]
         sol = exactlp.solve_max(lp)
-        found = sol.primal or sol.certificate
+        found = sol.primal if sol.status == "optimal" else sol.certificate
         return exactlp.FeasibilityResult(
             sol.status == "optimal", sol.primal, sol.certificate,
             exactlp.over_common_denominator(found),
@@ -691,6 +692,67 @@ class TestMembershipProperties:
             verdict = decide(scheme, rates, h, n, r0)
         assert verdict.member == decide(scheme, rates, h, n, r0).member
         check_verdict(verdict, rates, h, n, r0)
+
+
+def superposition_queries(scheme, L):
+    """Queries at L whose rates sit exactly at the superposition point of
+    the constraining levels (of the greedy residual, for all-access), each
+    with the witness that puts H_alpha / alpha of every level on every
+    encoder.  Some entropies are zero, but the point is positive; for the
+    secure scheme N = L - 1, where one level constrains, and a random N."""
+    rng = random.Random(f"superposition-{scheme}-{L}")
+    ns = sorted({L - 1, rng.randint(1, L - 1)}) if scheme == "secure" and L > 1 else [0]
+    for n in ns:
+        h = [F(0) if rng.random() < 0.3 else F(rng.randint(1, 12), rng.randint(1, 4))
+             for _ in range(L - n)]
+        h[0] = F(rng.randint(1, 12), rng.randint(1, 4))
+        r0, residual, stored = None, h, None
+        if scheme == "all-access":
+            r0 = sum(h, F(0)) * F(rng.randint(0, 9), 10)
+            alloc = greedy_allocation(r0, h)
+            residual, stored = alloc.residual, alloc.stored_at_zero
+        point = sum((x / a for a, x in enumerate(residual, 1)), F(0))
+        witness = {a: (stored[a - 1:a] if stored else ()) + (x / a,) * L
+                   for a, x in enumerate(residual, 1)}
+        yield [point] * L, h, n, r0, witness
+
+
+class TestSuperpositionStart:
+    """The rate split's LP starts at the superposition split: there every
+    prefix row has zero slack, and any rate below it is cut off."""
+
+    @pytest.mark.parametrize("scheme", ["plain", "secure", "all-access"])
+    def test_the_point_is_a_member_with_its_witness(self, scheme):
+        for L in range(1, MAX_MEMBERSHIP_GROUND + 1):
+            for rates, h, n, r0, witness in superposition_queries(scheme, L):
+                verdict = decide(scheme, rates, h, n, r0)
+                assert verdict.member and verdict.witness == witness, (L, n)
+                check_verdict(verdict, rates, h, n, r0)
+
+    @pytest.mark.parametrize("scheme", ["plain", "secure", "all-access"])
+    def test_one_rate_lowered_is_cut_off(self, scheme):
+        rng = random.Random(f"lowered-{scheme}")
+        for L in range(1, MAX_MEMBERSHIP_GROUND + 1):
+            for rates, h, n, r0, _ in superposition_queries(scheme, L):
+                for eps in (F(1, 10**12), rates[0] * F(rng.randint(1, 100), 100)):
+                    lowered = list(rates)
+                    lowered[rng.randrange(L)] -= eps
+                    verdict = decide(scheme, lowered, h, n, r0)
+                    assert not verdict.member, (L, n, eps)
+                    check_verdict(verdict, lowered, h, n, r0)
+
+    @pytest.mark.parametrize("scheme", ["plain", "secure", "all-access"])
+    def test_verdicts_match_the_sorted_chamber_lp(self, scheme):
+        rng = random.Random(f"chamber-{scheme}")
+        verdicts = set()
+        for L in range(1, MAX_MEMBERSHIP_GROUND + 1):
+            rates, h, n, r0 = tied_member_query(rng, scheme, L)
+            verdict = decide(scheme, rates, h, n, r0)
+            residual = h if r0 is None else greedy_allocation(r0, h).residual
+            assert verdict.member == chamber_member(rates, residual, range(1, L - n + 1)), L
+            check_verdict(verdict, rates, h, n, r0)
+            verdicts.add(verdict.member)
+        assert verdicts == {True, False}
 
 
 def cap_queries(scheme, member, L=MAX_MEMBERSHIP_GROUND):
