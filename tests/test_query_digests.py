@@ -176,27 +176,27 @@ DIGESTS = {
     "entropy 2,3,2,3,2": "7a1f719c172e53576f4ba7e46529049434f0ae41c692ae278ba5bc16e387b5bd",
     "entropy 1,1,2,1,3,1": "d6e89ae81ddccefdbc55352085fe26eec7e8956771d46bb8018fb656c479ff84",
     "entropy 2,2,2,2,2,2,2,2": "117aeb97264bbe5aa82d0b7307a9763f7837fc45826f7aec5d799e0d868370c7",
-    "member plain L=2": "df6bf1759f468963afaf12ad530bebb60cfd81358cbe1d7ffa4a08ddf4db9356",
-    "member plain L=3": "4f98ab7112d55bde155216a5f1a339a2aa6d52210477990d5b20f0c6a7e81237",
-    "member plain L=4": "7de748028c7c072e49e0d22304b689cc9cd118ab8e6126064bbbb53ec9c72f07",
-    "member plain L=5": "6ef554625e6f49ea004247ad983b5bad9b0d385226c982fdb928672ab6a92333",
-    "member plain L=6": "e062e006b193587a6bb3d9e185ba0a5ea4106acdd8a5483239e36e15979efc95",
-    "member plain L=7": "5e05c586dde02901af6568878eaf31fa362754c075f81f7476c75182a8d683f0",
-    "member plain L=8": "dc8b8f6ade36740b0235d165cdfe7ed9206d7b606f580b97b5d31d7ea07ca3a1",
-    "member all-access L=2": "22462368487bf6bb6a523d5bdf74f79db050b16f8499892180ea66a0d3bf145d",
-    "member all-access L=3": "639fecc35d81aa057119869ddece6dfa8849708b419077636e841473dfb88e0b",
+    "member plain L=2": "b20c6716bcbcfe6b3b4db2f98a359dbbe2052c887837deb97a6f05cf460d12af",
+    "member plain L=3": "2f2c1bdfb1d440921abcabb14d193a19f8435eaca51af1c009072e05c7423f56",
+    "member plain L=4": "5434578a18acef66211137837a2c8520a8ebc03540e2c40c571ee7d1f367fb7a",
+    "member plain L=5": "6f2b2b2cd4b43682c2d1808c1ea6523347f419afbdc2cd243fccc5ec496e7e87",
+    "member plain L=6": "68a91add180d73ecc6f5247b124791edaca875bf2752e6572efa954dde90fa52",
+    "member plain L=7": "7178c2914079647b8de9b743bf8f67843e6b85fb71f7f3e8e282125f33e70a49",
+    "member plain L=8": "988798a685c22f5cf3d3bf38a889f3fc8b3362d536965b83ac145260ec82cf03",
+    "member all-access L=2": "71230aa129b977ad212ce6b9c2448a1460092b54f247355ede669113fd9b7788",
+    "member all-access L=3": "7ceadbd577f849f21816ede8b055112babb9e63bbba62e4b277bc2942220b794",
     "member all-access L=4": "d690b8dc9f8e64eeafe7333587f1e14a5499203b7eeb6895088f88cacf2b2210",
     "member all-access L=5": "e93bf569efcf400e35cc3669ae0e42b864a769dafe1846eb1ba2667ac2ba6ab7",
-    "member all-access L=6": "60363c9f8bf4c6a3c74cf8098c1d577edd2e529002f3cbead31c49fa2a6f6bc5",
-    "member all-access L=7": "410e31fe1c763bb0a9b4bb60861d2c931ded9792bfb893930e4b5b22ad46875d",
-    "member all-access L=8": "e37ce4fe07000d62d4ba4c2c70c98385de386b1dab4883a0eef2ca03317f6fa8",
+    "member all-access L=6": "186d0972cf34049a11cadea3835f1303f9485535f107540319a30be624462620",
+    "member all-access L=7": "e3f4fcc61afc1af167f9dcaf70bcfbd501353f987e21d253b54a4bab66dba6d8",
+    "member all-access L=8": "b9bb695673b77a8bff22c0dc250bb1bfb9e2608b88f1d1a2ba86ae1801fcd50b",
     "member secure L=2": "e1ffc50f655858517f2db039d7a2b23cae6805b3cc998a71e0d64d0864a84e0f",
-    "member secure L=3": "3a7c39f05d6d6d32179578db30b89d12656da065ef71c232ba0251bfe3de237a",
-    "member secure L=4": "5badc4a8fb0cf6230b679e232cf3b7267fb6dd92b85e9c03412bff58ad368cfe",
-    "member secure L=5": "0d8de08a86fa3b38d86f15ae66c839c000067148c0fa741340cfa2df1a737687",
-    "member secure L=6": "e270de7d8e14cb2ae8fd453f4bd92b6f9d4298f7bfe6216cb0bd543579c98f98",
-    "member secure L=7": "fd3c0ae6c2d84925f4fb702eeaac354e040a23dc98b03ff81b0acbb36d15fc92",
-    "member secure L=8": "a249104871ff1879611c9826dd7cb6071b59603ea63685f8edb311714dc91e1d",
+    "member secure L=3": "aae8542435a003b2bb275755bfbdd0f3bf10a7223a71ded5f598547ab564ab75",
+    "member secure L=4": "eaedac791dc0c2a44cbffb268f76398bb1fd5cdb60e3e238aeaf1ef0c05e4edb",
+    "member secure L=5": "4bc59cec7eecac3c761183affe114d40079c4cdf3e209d92c5639348d1eb4295",
+    "member secure L=6": "e025479f7949e15fe16c581d4cc7a3c9ecce1dfa47e591ecee01a18bbae2e745",
+    "member secure L=7": "69324c7e2beaa1c6b84fd4b2c41334edeb280aaadfb44a7f4ed708d1f88899e8",
+    "member secure L=8": "d5789bd5f032dc1de58f1abf8c20dabf2272a4b99e537c5f19eb6b6b6b4f530c",
     "greedy": "ae94358e3a0844440216ffd88e3de508977b994f3bdb279a38d49233fae1fc75",
     "profile L=1": "18cb6edce69ea6adf66bc03df60ee87ebd98ec08c9bc3e290585c74d534c815a",
     "profile L=2": "78b2f89a32d661aca111378e2c82493220fe1e97e73b1ba36a6500f8d3f6ce74",
