@@ -33,7 +33,8 @@ split's sets and level totals.  Only then is it converted, once, to the
 sets of the shared `subsets_of_size` families and one `Fraction` per
 distinct numerator of a level or descent.  `verify_chain` and
 `verify_conditional` put a given chain on the core once, keyed by the
-sets' own masks, and run the same audits.
+sets' own masks, and run the same audits; a split, which carries no
+covers, must also be the one `conditional_chain` builds.
 """
 from __future__ import annotations
 
@@ -145,9 +146,17 @@ def _family(n: int, alpha: int) -> dict[int, tuple[int, ...]]:
     family = _FAMILIES.get((n, alpha))
     if family is None:
         family = {}
+        # each child is a key of the family (n, alpha - 1); when that family
+        # is kept and its masks pass 256, past the ints Python shares, the
+        # child is that very int, not a copy of it
+        below = {}
+        if n >= 8 and 1 < alpha and comb(n, alpha - 1) <= MAX_SHARED_FAMILY:
+            below = _family(n, alpha - 1)
+        same = dict(zip(below, below)).__getitem__ if below else None
         for c in combinations([1 << i for i in range(n, 0, -1)], alpha):
             u = sum(c)
-            family[u] = tuple([u ^ b for b in reversed(c)])
+            children = [u ^ b for b in reversed(c)]
+            family[u] = tuple(map(same, children) if same else children)
         if len(family) <= MAX_SHARED_FAMILY:
             _FAMILIES[n, alpha] = family
     return family
@@ -535,10 +544,29 @@ def _audit_split(lam, N: int, split, sets) -> list[str]:
 
 def verify_conditional(assignment: ConditionalAssignment) -> ChainReport:
     """Each level's family and its adversary sets, and the subsets' totals
-    audited as a level, on the split put on the core once."""
+    audited as a level, on the split put on the core once.  A split
+    carries no covers, and level totals alone pass splits that no chain
+    descends to, so once its levels pass, the split must be the one
+    `conditional_chain` builds for its weights and N, records of weight
+    zero aside."""
     L, sets = assignment.ground_size, {}
     split = {alpha: _keyed(per_u, L, sets) for alpha, per_u in assignment.split.items()}
-    return ChainReport(_audit_split(assignment.weights, assignment.n_secure, split, sets))
+    failures = _audit_split(assignment.weights, assignment.n_secure, split, sets)
+    if failures:
+        return ChainReport(failures)
+    if L > MAX_CHAIN_GROUND:
+        return ChainReport([f"descent: chains support at most L={MAX_CHAIN_GROUND}, got {L}"])
+    built = conditional_chain(assignment.weights, assignment.n_secure).split
+    return ChainReport([
+        f"descent {alpha}: adversary split at {u} is not the chain's"
+        for alpha in sorted(assignment.split, reverse=True)
+        for u, parts in assignment.split[alpha].items()
+        if _positive(parts) != _positive(built[alpha][u])
+    ])
+
+
+def _positive(parts: dict) -> dict:
+    return {a: s for a, s in parts.items() if s}
 
 
 # line-oriented serialization ---------------------------------------------
@@ -632,25 +660,7 @@ def conditional_from_text(text: str) -> ConditionalAssignment:
 
 def verify_text(text: str) -> ChainReport:
     """Read and audit a chain file of either kind, told apart by its header,
-    the first nonblank line.  A conditional file carries no covers, so once
-    its levels pass, its split must be the one `conditional_chain` builds
-    for its weights and N, records of weight zero aside."""
+    the first nonblank line."""
     if not next(iter(_lines(text)), "").startswith(_COND_KIND):
         return verify_chain(chain_from_text(text))
-    cond = conditional_from_text(text)
-    report = verify_conditional(cond)
-    if not report.ok:
-        return report
-    if (L := cond.ground_size) > MAX_CHAIN_GROUND:
-        return ChainReport([f"descent: chains support at most L={MAX_CHAIN_GROUND}, got {L}"])
-    built = conditional_chain(cond.weights, cond.n_secure).split
-    return ChainReport([
-        f"descent {alpha}: adversary split at {u} is not the chain's"
-        for alpha in sorted(cond.split, reverse=True)
-        for u, parts in cond.split[alpha].items()
-        if _positive(parts) != _positive(built[alpha][u])
-    ])
-
-
-def _positive(parts: dict) -> dict:
-    return {a: s for a, s in parts.items() if s}
+    return verify_conditional(conditional_from_text(text))

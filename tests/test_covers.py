@@ -19,6 +19,7 @@ from smdc.covers import (
     CASE_2,
     CASE_3,
     CASE_BASE,
+    ConditionalAssignment,
     chain_from_text,
     chain_to_text,
     conditional_chain,
@@ -954,8 +955,9 @@ def _on_largest_adversary(text):
 
 
 class TestConditionalDescent:
-    """A conditional file carries no covers, so `verify_text` checks its
-    descent against the chain built for the file's weights and N."""
+    """A conditional split carries no covers, so `verify_conditional`, and
+    `verify_text` through it, checks its descent against the chain built
+    for its weights and N."""
 
     BUILT = conditional_to_text(conditional_chain((1, 3, 3, 3), 1))
 
@@ -969,8 +971,27 @@ class TestConditionalDescent:
     def test_a_split_no_chain_builds_fails(self, tamper, failures):
         text = tamper(self.BUILT)
         assert text != self.BUILT
-        assert verify_conditional(conditional_from_text(text)).ok
+        assert verify_conditional(conditional_from_text(text)).failures == failures
         assert cov.verify_text(text).failures == failures
+
+    def test_a_level_one_split_no_chain_builds_fails(self):
+        # level 2 as built for (1, 1, 1) and N = 1, level 1 moved onto one
+        # adversary set per subset: every level total holds, but with X1
+        # and X2 independent fair bits and X3 = X1 the inequality fails
+        built = conditional_chain((1, 1, 1), 1)
+        moved = ConditionalAssignment(built.weights, 1, {
+            2: built.split[2],
+            1: {eset([1], 3): {eset([2], 3): F(0), eset([3], 3): F(1)},
+                eset([2], 3): {eset([1], 3): F(1), eset([3], 3): F(0)},
+                eset([3], 3): {eset([1], 3): F(1), eset([2], 3): F(0)}},
+        })
+        assert verify_conditional(moved).failures == [
+            f"descent 1: adversary split at {{{e}}} is not the chain's" for e in (1, 2, 3)
+        ]
+        pmf = JointPMF([2] * 3, {(a, b, a): F(1, 4) for a in (0, 1) for b in (0, 1)})
+        for split, lhs in ((built, 2.0), (moved, 1.0)):
+            report = check_conditional_yz(pmf, split, 2)
+            assert (report.lhs, report.rhs) == pytest.approx((lhs, 1.5), abs=1e-12)
 
     def test_the_moved_split_breaks_the_inequality(self):
         # X1 and X2 = X3 = X4, two independent fair bits
