@@ -16,7 +16,9 @@ no pmf carries cached entropies into a repeat.  As the benchmark's
 op_cost_refs does, each slot's times are summed up by their median
 across the decks; per kind and over all slots it prints the geometric
 mean of NEW's slot medians over OLD's (below 1 means NEW is faster) and
-how many op pairs NEW won.
+how many op pairs NEW won.  Membership queries are split into members
+and non-members by the verdict each is built to have, so work moved from
+one to the other shows.
 Every answer goes through the workload's oracle; a wrong one stops the
 run.  perfbench/ is only imported, never changed.
 """
@@ -51,6 +53,13 @@ def load(root: Path) -> SimpleNamespace:
     for name in [m for m in sys.modules if m == "smdc" or m.startswith("smdc.")]:
         del sys.modules[name]
     return lib
+
+
+def kind_of(op) -> str:
+    """The op's kind, with membership split by its known verdict."""
+    if op.kind == "member":
+        return "member" if op.expected else "nonmember"
+    return op.kind
 
 
 def main():
@@ -93,12 +102,12 @@ def main():
                         sys.exit(f"bench_pair: wrong {op.kind} answer from "
                                  f"{(args.old, args.new)[side]}")
                     spent[side] = sum(out.times.values())
-                key = ops[0].slot
-                kinds[key] = ops[0].kind
+                key, kind = ops[0].slot, kind_of(ops[0])
+                kinds[key] = kind
                 for side in (0, 1):
                     times[key][side].append(spent[side])
-                pairs[ops[0].kind] += 1
-                wins[ops[0].kind] += spent[1] < spent[0]
+                pairs[kind] += 1
+                wins[kind] += spent[1] < spent[0]
     ratios = defaultdict(list)
     for key, (old, new) in times.items():
         ratios[kinds[key]].append(statistics.median(new) / statistics.median(old))
