@@ -272,7 +272,8 @@ def _rate_split(rates, entropies, levels):
     the superposition split: a rate vector that dominates it is a member
     with no pivot.  Returns (witness, None) when the LP is feasible: the
     blocks' per-level loads, carried onto the rates by Robin Hood
-    transfers, which keep every level's sum of its alpha smallest shares.
+    transfers, which keep every level's sum of its alpha smallest shares
+    (none when no encoder is loaded past its rate).
     Else (None, lam): with w the Farkas multipliers of the prefix rows,
     lam sorts as the suffix sums of w, so lam.r < sum_a f_a(lam) H_a, as
     coprime integers.  The witness is re-checked exactly, one pass per
@@ -316,10 +317,12 @@ def _rate_split(rates, entropies, levels):
         x = list(accumulate([head] + [alpha * x for x in free]))
         shares.append(x + [x[-1]] * (L - alpha))
     load = list(map(sum, zip(*shares)))
-    load[-1] += sum(r) - sum(load)
-    # r is majorized by load: move mass from the first entry above its rate
-    # to the last one below it, the same fraction t = num / den in every
-    # level, after scaling every vector and D by den
+    if any(map(gt, load, r)):
+        # with the slack on the last entry, r is majorized by load
+        load[-1] += sum(r) - sum(load)
+    # move mass from the first entry above its rate to the last one below
+    # it, the same fraction t = num / den in every level, after scaling
+    # every vector and D by den
     while (i := next((p for p in range(L) if load[p] > r[p]), None)) is not None:
         k = max(p for p in range(i) if load[p] < r[p])
         num = min(load[i] - r[i], r[k] - load[k])

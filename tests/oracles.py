@@ -463,7 +463,8 @@ def fraction_rate_split(rates, entropies, levels, solve=feasible):
                 x[p] += height
         shares.append(x)
     load = [sum(col, _ZERO) for col in zip(*shares)]
-    load[-1] += sum(r, _ZERO) - sum(load, _ZERO)
+    if any(x > cap for x, cap in zip(load, r)):
+        load[-1] += sum(r, _ZERO) - sum(load, _ZERO)
     while (i := next((p for p in range(L) if load[p] > r[p]), None)) is not None:
         k = max(p for p in range(i) if load[p] < r[p])
         t = min(load[i] - r[i], r[k] - load[k]) / (load[i] - load[k])
