@@ -12,7 +12,12 @@ the level, and is audited exactly (`audit_level`, on the integer core
 `audit_counts` that the chain audits share).  Membership, shared by the
 three schemes, is one LP with O(L^2) entries over the encoders sorted by
 rate: f_alpha is symmetric, so the worst weight vector is ordered
-opposite to the rates.
+opposite to the rates.  The LP is written relative to the superposition
+split, which puts H_alpha / alpha of each level on every encoder: one cap
+row per level alpha >= 2 and one prefix row per k, shifted by the
+superposition load, so its slack basis is that split.  A rate vector
+that dominates it is a member with no pivot, and one whose total falls
+short of it meets a Farkas row before any pivot.
 Non-members come back with the separating weights lambda read off the
 Farkas multipliers of its prefix rows; members come back with a
 per-level rate allocation that Robin Hood transfers carry from the LP's
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd, lcm
-from operator import gt
+from operator import gt, mul
 
 from ._record import Record
 from .exactlp import GE, LE, LinearProgram, as_fraction, as_fractions, feasible
@@ -306,15 +311,15 @@ def _rate_split(rates, entropies, levels):
     # the point, the rates and each level's H_alpha / alpha over one
     # denominator e; a level's shares are the prefix sums of its block
     # heights
-    e = lcm(D, d, *[dh * a // gcd(h, a) for a, h in zip(levels, hs)])
+    e = lcm(D, d, dh * A)
     r = [x * (e // D) for x in r]
     nu = iter([x * (e // d) for x in ns])
     D = e
     shares = []
     for alpha, h in zip(levels, hs):
         free = list(islice(nu, alpha - 1))
-        head = h * e // (dh * alpha) - sum((alpha - j) * x for j, x in enumerate(free, 1))
-        x = list(accumulate([head] + [alpha * x for x in free]))
+        head = h * e // (dh * alpha) - sum(map(mul, range(alpha - 1, 0, -1), free))
+        x = list(accumulate([alpha * x for x in free], initial=head))
         shares.append(x + [x[-1]] * (L - alpha))
     load = list(map(sum, zip(*shares)))
     if any(map(gt, load, r)):

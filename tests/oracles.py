@@ -5,9 +5,12 @@ checked by enumerating basic feasible points of the polytope, linear
 systems by plain Gaussian elimination over Fractions.  Membership is
 decided by the full subset system, too large for vertex enumeration, so
 it goes through the general simplex, which no membership path uses, and
-its point or Farkas certificate is re-checked here.  `FractionSimplex`
-is the library's condensed tableau with one `Fraction` per cell instead
-of integers over a running determinant; both take the same pivots, so
+its point or Farkas certificate is re-checked here; `chamber_member` is
+the sorted-chamber LP that the rate split's LP, anchored at the
+superposition split, replaced, and the new LP must match its verdicts.
+`FractionSimplex` is the library's condensed tableau with one `Fraction`
+per cell instead of integers over a running determinant; both take the
+same pivots and stop at the same Farkas row, so
 `reference_solve_max` and `reference_feasible` must give exactly the
 library's answers.  `packing_lp` is the LP that defines f_alpha, for
 the closed form and the laid-out packings to match.  The chain audits,
