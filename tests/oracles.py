@@ -158,6 +158,12 @@ def subset_system_member(rates, entropies, levels, r0=None):
         coeffs = [0] * n
         coeffs[slot :: len(caps)] = [1] * len(levels)
         lp.add(coeffs, LE, cap)
+    return checked_feasible(lp)
+
+
+def checked_feasible(lp):
+    """`exactlp.feasible`'s verdict, its point or Farkas certificate
+    re-checked here in `Fraction`s."""
     res = feasible(lp)
     rows, senses, rhs = lp.rows, lp.senses, lp.rhs
     if res.feasible:
@@ -167,11 +173,12 @@ def subset_system_member(rates, entropies, levels, r0=None):
             l >= v if s == GE else l <= v for l, s, v in zip(lhs, senses, rhs)
         )
     else:
-        # y >= 0 on demand rows, <= 0 on capacity rows, y.A <= 0, y.b > 0
+        # y >= 0 on >= rows, <= 0 on <= rows, y.A <= 0, y.b > 0
         y = res.certificate
         ok = (
             all(c >= 0 if s == GE else c <= 0 for c, s in zip(y, senses))
-            and all(sum(c * row[j] for c, row in zip(y, rows)) <= 0 for j in range(n))
+            and all(sum(c * row[j] for c, row in zip(y, rows)) <= 0
+                    for j in range(lp.num_vars))
             and sum(c * v for c, v in zip(y, rhs)) > 0
         )
     if not ok:
@@ -498,25 +505,7 @@ def chamber_member(rates, entropies, levels):
         lp.add([a - j if a == alpha else 0 for a, j in cols], GE, h)
     for k, R in enumerate(accumulate(r), 1):
         lp.add([max(k - j, 0) for _, j in cols], LE, R)
-    res = feasible(lp)
-    rows, senses, rhs = lp.rows, lp.senses, lp.rhs
-    if res.feasible:
-        x = res.point
-        ok = all(v >= 0 for v in x) and all(
-            (lhs >= b if s == GE else lhs <= b)
-            for row, s, b in zip(rows, senses, rhs)
-            for lhs in [sum(a * v for a, v in zip(row, x))]
-        )
-    else:
-        y = res.certificate
-        ok = (
-            all(c >= 0 if s == GE else c <= 0 for c, s in zip(y, senses))
-            and all(sum(c * row[j] for c, row in zip(y, rows)) <= 0 for j in range(len(cols)))
-            and sum(c * b for c, b in zip(y, rhs)) > 0
-        )
-    if not ok:
-        raise AssertionError("sorted-chamber LP returned an unchecked answer")
-    return res.feasible
+    return checked_feasible(lp)
 
 
 def fraction_yz_chain(weights):
