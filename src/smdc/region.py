@@ -15,9 +15,11 @@ rate: f_alpha is symmetric, so the worst weight vector is ordered
 opposite to the rates.  The LP is written relative to the superposition
 split, which puts H_alpha / alpha of each level on every encoder: one cap
 row per level alpha >= 2 and one prefix row per k, shifted by the
-superposition load, so its slack basis is that split.  A rate vector
-that dominates it is a member with no pivot, and one whose total falls
-short of it meets a Farkas row before any pivot.
+superposition load, so its slack basis is that split, and one row with
+no entries per k below the top level, the hyperplane of lambda = 1 on
+the k lowest rates.  A rate vector that dominates the split is a member
+with no pivot, and one that fails a hyperplane of lambda = 1 on its k
+lowest rates meets a Farkas row before any pivot.
 Non-members come back with the separating weights lambda read off the
 Farkas multipliers of its prefix rows; members come back with a
 per-level rate allocation that Robin Hood transfers carry from the LP's
@@ -275,11 +277,17 @@ def _rate_split(rates, entropies, levels):
     of the k lowest rates less the blocks' load on those encoders, k S
     with S = sum_alpha H_alpha / alpha at nu = 0.  So the slack basis is
     the superposition split: a rate vector that dominates it is a member
-    with no pivot.  Returns (witness, None) when the LP is feasible: the
-    blocks' per-level loads, carried onto the rates by Robin Hood
-    transfers, which keep every level's sum of its alpha smallest shares
-    (none when no encoder is loaded past its rate).
-    Else (None, lam): with w the Farkas multipliers of the prefix rows,
+    with no pivot.  One more row per k < top has no entries: the
+    hyperplane of lambda = 1 on the k lowest rates, which must hold k
+    H_alpha / alpha of each level alpha <= k.  It is prefix row k plus k
+    times the cap rows above k, so it changes no verdict, and a rate
+    vector that fails it stops at that row before any pivot.
+
+    Returns (witness, None) when the LP is feasible: the blocks'
+    per-level loads, carried onto the rates by Robin Hood transfers, which
+    keep every level's sum of its alpha smallest shares (none when no
+    encoder is loaded past its rate).  Else (None, lam): with w the Farkas
+    multipliers of the prefix rows, each plus that of its hyperplane row,
     lam sorts as the suffix sums of w, so lam.r < sum_a f_a(lam) H_a, as
     coprime integers.  The witness is re-checked exactly, one pass per
     level.
@@ -290,20 +298,30 @@ def _rate_split(rates, entropies, levels):
     rank = sorted(range(L), key=order.__getitem__)  # encoder -> sorted position
     r = [r[l] for l in order]
     caps, prefix = _chamber(L, len(levels))
-    # S = sn / sd, reduced
+    # S_k = sum of H_alpha / alpha up to level k, over dh A
     A = lcm(*levels)
-    sn, sd = sum(h * (A // a) for a, h in zip(levels, hs)), dh * A
-    g = gcd(sn, sd)
-    sn, sd = sn // g, sd // g
+    S = list(accumulate(h * (A // a) for a, h in zip(levels, hs)))
     lp = LinearProgram(len(prefix[0]))
     for row, a, h in zip(caps, levels[1:], hs[1:]):
         lp.add_ints(row, LE, h, dh * a)
-    for k, (row, R) in enumerate(zip(prefix, accumulate(r)), 1):
-        lp.add_ints(row, LE, R * sd - k * sn * D, D * sd)
+    R = list(accumulate(r))
+    for k, row in enumerate(prefix, 1):
+        lp.add_ints(row, LE, R[k - 1] * dh * A - k * S[-1] * D, D * dh * A)
+    # the hyperplane of lambda = 1 on the k lowest rates, k < top: they hold
+    # k H_alpha / alpha of every level alpha <= k.  Prefix row k plus k times
+    # the cap rows above k, a row with no entries: one that fails is a
+    # Farkas row before any pivot
+    zero = [0] * len(prefix[0])
+    for k in range(1, len(levels)):
+        lp.add_ints(zero, LE, R[k - 1] * dh * A - k * S[k - 1] * D, D * dh * A)
     res = feasible(lp)
     ns, d = res.scaled
     if not res.feasible:
-        lam = list(accumulate(-n for n in reversed(ns[len(caps):])))[::-1]
+        # w: the prefix rows' multipliers, each with its hyperplane row's
+        w = [-n for n in ns[len(caps) : len(caps) + L]]
+        for k, n in enumerate(ns[len(caps) + L :]):
+            w[k] -= n
+        lam = list(accumulate(reversed(w)))[::-1]
         if not lam[0] > 0:
             raise AssertionError("separating certificate cannot be identically zero")
         g = gcd(*lam)

@@ -454,9 +454,16 @@ def fraction_rate_split(rates, entropies, levels, solve=feasible):
             caps += 1
     for k, R in enumerate(accumulate(r), 1):
         lp.add([a * max(k - j, 0) - k * (a - j) for a, j in cols], LE, R - k * S)
+    # lambda = 1 on the k lowest rates, k < top, as a row with no entries
+    for k, R in enumerate(accumulate(r[: len(levels) - 1]), 1):
+        S_k = sum((h / alpha for alpha, h in zip(levels[:k], entropies)), _ZERO)
+        lp.add([0] * len(cols), LE, R - k * S_k)
     res = solve(lp)
     if not res.feasible:
-        w = [-y for y in res.certificate[caps:]]
+        y = res.certificate
+        w = [-x for x in y[caps : caps + L]]
+        for k, x in enumerate(y[caps + L :]):
+            w[k] -= x
         lam = list(accumulate(reversed(w)))[::-1]
         if not lam[0] > 0:
             raise AssertionError("separating certificate cannot be identically zero")

@@ -606,10 +606,12 @@ def sparse_lp_specs(draw):
 
 
 def membership_lps(L):
-    """The LPs that a member and a non-member query at L hand to
-    `feasible`, both with the lowest rate near H_1 and the others far
-    above the superposition point, so that the dual phase pivots (rates
-    that dominate the point, or that sum to less than it, take none)."""
+    """The LPs that two member queries at L hand to `feasible`: the lowest
+    one or two rates just above what levels 1 and 2 need of them, the
+    others far above the superposition point, so that the dual phase
+    pivots.  Rates that dominate the point take no pivot, and so does a
+    non-member that fails the hyperplane of lambda = 1 on its k lowest
+    rates."""
     import smdc.region as region
 
     rng = random.Random(f"lazy-{L}")
@@ -622,9 +624,9 @@ def membership_lps(L):
     h = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(L)]
     point = sum((x / a for a, x in enumerate(h, 1)), F(0))
     with mock.patch.object(region, "feasible", capture):
-        for low, member in ((h[0] + F(1, 8), True), (h[0] * F(9, 10), False)):
-            rates = [low] + [2 * point + h[0] for _ in range(L - 1)]
-            assert region.smdc_member(rates, h).member is member
+        for low in ([h[0] + F(1, 8)], [h[0] + h[1] / 2 + F(1, 8)] * 2):
+            rates = low + [2 * point + h[0] for _ in range(L - len(low))]
+            assert region.smdc_member(rates, h).member
     return lps
 
 
