@@ -179,8 +179,8 @@ DIGESTS = {
     "member plain L=2": "b20c6716bcbcfe6b3b4db2f98a359dbbe2052c887837deb97a6f05cf460d12af",
     "member plain L=3": "2f2c1bdfb1d440921abcabb14d193a19f8435eaca51af1c009072e05c7423f56",
     "member plain L=4": "5434578a18acef66211137837a2c8520a8ebc03540e2c40c571ee7d1f367fb7a",
-    "member plain L=5": "6f2b2b2cd4b43682c2d1808c1ea6523347f419afbdc2cd243fccc5ec496e7e87",
-    "member plain L=6": "68a91add180d73ecc6f5247b124791edaca875bf2752e6572efa954dde90fa52",
+    "member plain L=5": "7f549fe327172907148b4efdc2f97a9b0c2f1f211d5a8d341f1a6e13a492f8b6",
+    "member plain L=6": "7f3f7398b30ab73dece6729f7ec8ae2650039932fcbe44ef34de00746ef9afb6",
     "member plain L=7": "7178c2914079647b8de9b743bf8f67843e6b85fb71f7f3e8e282125f33e70a49",
     "member plain L=8": "988798a685c22f5cf3d3bf38a889f3fc8b3362d536965b83ac145260ec82cf03",
     "member all-access L=2": "71230aa129b977ad212ce6b9c2448a1460092b54f247355ede669113fd9b7788",
@@ -193,7 +193,7 @@ DIGESTS = {
     "member secure L=2": "e1ffc50f655858517f2db039d7a2b23cae6805b3cc998a71e0d64d0864a84e0f",
     "member secure L=3": "aae8542435a003b2bb275755bfbdd0f3bf10a7223a71ded5f598547ab564ab75",
     "member secure L=4": "eaedac791dc0c2a44cbffb268f76398bb1fd5cdb60e3e238aeaf1ef0c05e4edb",
-    "member secure L=5": "4bc59cec7eecac3c761183affe114d40079c4cdf3e209d92c5639348d1eb4295",
+    "member secure L=5": "fc53cbc995cfe84d00f4d3930480051580192cf02e9627975e24be77127c90ed",
     "member secure L=6": "e025479f7949e15fe16c581d4cc7a3c9ecce1dfa47e591ecee01a18bbae2e745",
     "member secure L=7": "69324c7e2beaa1c6b84fd4b2c41334edeb280aaadfb44a7f4ed708d1f88899e8",
     "member secure L=8": "d5789bd5f032dc1de58f1abf8c20dabf2272a4b99e537c5f19eb6b6b6b4f530c",
