@@ -42,7 +42,7 @@ from math import gcd, lcm
 from operator import gt, mul
 
 from ._record import Record
-from .exactlp import GE, LE, LinearProgram, as_fraction, as_fractions, feasible
+from .exactlp import LE, LinearProgram, as_fraction, as_fractions, feasible
 from .exactlp import over_common_denominator
 from .subsets import EncoderSet
 
