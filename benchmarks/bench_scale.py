@@ -9,7 +9,8 @@ median of K runs (one run with --quick): a plain encode and decode of
 decode of 4 KB sources at L=30, the build of the top layer's encode and
 decode matrix at L=30, plain and secure, the three membership
 queries at L=4, 6, 12, 20 and 24 (the cap) for a member and a
-non-member, yz_chain and conditional_chain at L=7, f_profile at L=8 and
+non-member, which are decided in closed form, and for a member that
+only the LP decides, yz_chain and conditional_chain at L=7, f_profile at L=8 and
 L=10, the Han, Yeung-Zhang and conditional checks on a pmf of five
 ternary variables and on one of four variables with 2-3 symbols, the
 construction of that five-variable pmf from its table, the stream
@@ -117,7 +118,10 @@ MEMBER_QUERIES = {
 def member_cases(rng, sizes):
     """Each membership query at every L of sizes: rates a little above the
     superposition point r_l = sum_a H_a / a are members, rates at 70-90%
-    of it violate the all-ones hyperplane."""
+    of it violate the all-ones hyperplane; both are decided in closed
+    form.  The gap member's lowest rate is H_1 + 1/8, below the point, and
+    the others are twice the point: every hyperplane of lambda = 1 on the
+    k lowest rates holds, so only the LP decides it."""
     out = {}
     for L in sizes:
         h = [Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(L)]
@@ -127,9 +131,10 @@ def member_cases(rng, sizes):
             cases = {
                 "member": [point + Fraction(rng.randint(0, 4), 8) for _ in range(L)],
                 "nonmember": [point * Fraction(rng.randint(70, 90), 100) for _ in range(L)],
+                "gap": [hs[0] + Fraction(1, 8)] + [2 * point] * (L - 1),
             }
             for verdict, rates in cases.items():
-                if query(rates, hs).member != (verdict == "member"):
+                if query(rates, hs).member != (verdict != "nonmember"):
                     raise AssertionError(f"{name} at L={L}: wrong {verdict} verdict")
                 out[f"region.{name}.L{L}.{verdict}"] = lambda q=query, r=rates, h=hs: q(r, h)
     return out

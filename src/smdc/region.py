@@ -10,26 +10,27 @@ An explicit optimal packing (`f_alpha`) is laid out from the same closed
 form by McNaughton's wrap-around rule, with no LP and no enumeration of
 the level, and is audited exactly (`audit_level`, on the integer core
 `audit_counts` that the chain audits share).  Membership, shared by the
-three schemes, is one LP with O(L^2) entries over the encoders sorted by
-rate: f_alpha is symmetric, so the worst weight vector is ordered
-opposite to the rates.  The LP is written relative to the superposition
-split, which puts H_alpha / alpha of each level on every encoder: one cap
-row per level alpha >= 2 and one prefix row per k, shifted by the
-superposition load, so its slack basis is that split, and one row with
-no entries per k below the top level, the hyperplane of lambda = 1 on
-the k lowest rates.  A rate vector that dominates the split is a member
-with no pivot, and one that fails a hyperplane of lambda = 1 on its k
-lowest rates meets a Farkas row before any pivot.
-Non-members come back with the separating weights lambda read off the
-Farkas multipliers of its prefix rows; members come back with a
-per-level rate allocation that Robin Hood transfers carry from the LP's
-sorted blocks onto the rates.  Both are read off the LP's integers,
-built, moved and re-checked exactly as integers over one denominator,
-with one `Fraction` per returned entry; no arithmetic uses floats.  The
-LP's rows depend only on L and the constraining levels, so they are
-built once per shape (`_chamber`) and added as ints with integer
-right-hand sides, and the all-access greedy split runs on integer
-numerators too.
+three schemes, works over the encoders sorted by rate: f_alpha is
+symmetric, so the worst weight vector is ordered opposite to the rates.
+Two cases have closed forms on the integer prefix sums of the sorted
+rates.  A rate vector whose lowest rate is at least the superposition
+point S = sum_alpha H_alpha / alpha is a member, with the superposition
+split (H_alpha / alpha of each level on every encoder) as its witness.
+One whose k lowest rates sum to less than k sum_{alpha <= k} H_alpha /
+alpha is a non-member, separated by lambda = 1 on those k rates.  Only
+the rate vectors between the two build an LP, with O(L^2) entries,
+written relative to the superposition split: one cap row per level alpha
+>= 2 and one prefix row per k, shifted by the superposition load, so its
+slack basis is that split.  Its non-members come back with the
+separating weights lambda read off the Farkas multipliers of its prefix
+rows; its members come back with a per-level rate allocation that Robin
+Hood transfers carry from the LP's sorted blocks onto the rates.  Both
+are built, moved and re-checked exactly as integers over one
+denominator, with one `Fraction` per returned entry; no arithmetic uses
+floats.  The LP's rows depend only on L and the constraining levels, so
+they are built once per shape (`_chamber`) and added as ints with
+integer right-hand sides, and the all-access greedy split runs on
+integer numerators too.
 """
 
 from __future__ import annotations
@@ -263,8 +264,50 @@ def _chamber(L: int, top: int):
 
 
 def _rate_split(rates, entropies, levels):
-    """Per-level rate split by one LP over the encoders sorted by rate,
-    the rates and the entropies each given as (numerators, denominator).
+    """Per-level rate split over the encoders sorted by rate, the rates and
+    the entropies each given as (numerators, denominator).
+
+    Two cases are decided in closed form, on the integer prefix sums R_k
+    of the sorted rates and S_k = sum_{alpha <= k} H_alpha / alpha, with S
+    = S_top.  Superposition coding puts H_alpha / alpha of each level on
+    every encoder (Yeung-Zhang), so a rate vector whose lowest rate is at
+    least S is a member with that split as its witness.  Any k encoders
+    hold k H_alpha / alpha of every level alpha <= k (the sum-rate
+    converse, by Han's inequality), so R_k >= k S_min(k, top), and a rate
+    vector that fails it is a non-member, separated by lambda = 1 on its k
+    lowest rates.  For k >= top that fails at k = top first: once R_top >=
+    top S, the rate at top and every rate above it is at least S.  So k =
+    top is tried first, then k = 1..top - 1: the order in which the dual
+    phase meets these hyperplanes when the LP carries each as a row with
+    no entries after its prefix rows, so each certificate is that LP's.
+    Only the rate vectors between the two go to `_lp_split`, where every
+    such row would hold and so never be picked.
+
+    Returns (witness, None) for a member, re-checked by `_witness`, else
+    (None, lam) with lam coprime integers and lam.r < sum_a f_a(lam) H_a.
+    """
+    (r, D), (hs, dh) = rates, entropies
+    L, top = len(r), len(levels)
+    order = sorted(range(L), key=r.__getitem__)
+    rank = sorted(range(L), key=order.__getitem__)  # encoder -> sorted position
+    r = [r[l] for l in order]
+    # S_k over dh A, the rates over D
+    A = lcm(*levels)
+    S = list(accumulate(h * (A // a) for a, h in zip(levels, hs)))
+    E = dh * A
+    if r[0] * E >= S[-1] * D:
+        shares = [[h * (A // a) * D] * L for a, h in zip(levels, hs)]
+        return _witness(shares, [x * E for x in r], D * E, levels, hs, dh, rank), None
+    R = list(accumulate(r[:top]))
+    for k in (top, *range(1, top)):
+        if R[k - 1] * E < k * S[k - 1] * D:
+            return None, tuple([int(p < k) for p in rank])
+    return _lp_split((r, D), entropies, levels, rank)
+
+
+def _lp_split(rates, entropies, levels, rank):
+    """`_rate_split` by one LP, the rates sorted ascending and rank giving
+    each encoder's position among them.
 
     With the rates ascending, a block (alpha, j) of height mu sits on the
     L - j highest-rate encoders, and any alpha encoders hold at least
@@ -276,51 +319,30 @@ def _rate_split(rates, entropies, levels):
     block 0 nonnegative, and one prefix row per k, whose slack is the sum
     of the k lowest rates less the blocks' load on those encoders, k S
     with S = sum_alpha H_alpha / alpha at nu = 0.  So the slack basis is
-    the superposition split: a rate vector that dominates it is a member
-    with no pivot.  One more row per k < top has no entries: the
-    hyperplane of lambda = 1 on the k lowest rates, which must hold k
-    H_alpha / alpha of each level alpha <= k.  It is prefix row k plus k
-    times the cap rows above k, so it changes no verdict, and a rate
-    vector that fails it stops at that row before any pivot.
+    the superposition split.
 
     Returns (witness, None) when the LP is feasible: the blocks'
     per-level loads, carried onto the rates by Robin Hood transfers, which
     keep every level's sum of its alpha smallest shares (none when no
     encoder is loaded past its rate).  Else (None, lam): with w the Farkas
-    multipliers of the prefix rows, each plus that of its hyperplane row,
-    lam sorts as the suffix sums of w, so lam.r < sum_a f_a(lam) H_a, as
-    coprime integers.  The witness is re-checked exactly, one pass per
-    level.
+    multipliers of the prefix rows, lam sorts as the suffix sums of w, so
+    lam.r < sum_a f_a(lam) H_a, as coprime integers.
     """
     (r, D), (hs, dh) = rates, entropies
     L = len(r)
-    order = sorted(range(L), key=r.__getitem__)
-    rank = sorted(range(L), key=order.__getitem__)  # encoder -> sorted position
-    r = [r[l] for l in order]
     caps, prefix = _chamber(L, len(levels))
-    # S_k = sum of H_alpha / alpha up to level k, over dh A
+    # S = sum of H_alpha / alpha, over dh A
     A = lcm(*levels)
-    S = list(accumulate(h * (A // a) for a, h in zip(levels, hs)))
+    S = sum(h * (A // a) for a, h in zip(levels, hs))
     lp = LinearProgram(len(prefix[0]))
     for row, a, h in zip(caps, levels[1:], hs[1:]):
         lp.add_ints(row, LE, h, dh * a)
-    R = list(accumulate(r))
-    for k, row in enumerate(prefix, 1):
-        lp.add_ints(row, LE, R[k - 1] * dh * A - k * S[-1] * D, D * dh * A)
-    # the hyperplane of lambda = 1 on the k lowest rates, k < top: they hold
-    # k H_alpha / alpha of every level alpha <= k.  Prefix row k plus k times
-    # the cap rows above k, a row with no entries: one that fails is a
-    # Farkas row before any pivot
-    zero = [0] * len(prefix[0])
-    for k in range(1, len(levels)):
-        lp.add_ints(zero, LE, R[k - 1] * dh * A - k * S[k - 1] * D, D * dh * A)
+    for k, (row, R) in enumerate(zip(prefix, accumulate(r)), 1):
+        lp.add_ints(row, LE, R * dh * A - k * S * D, D * dh * A)
     res = feasible(lp)
     ns, d = res.scaled
     if not res.feasible:
-        # w: the prefix rows' multipliers, each with its hyperplane row's
-        w = [-n for n in ns[len(caps) : len(caps) + L]]
-        for k, n in enumerate(ns[len(caps) + L :]):
-            w[k] -= n
+        w = [-n for n in ns[len(caps) :]]  # the prefix rows' multipliers
         lam = list(accumulate(reversed(w)))[::-1]
         if not lam[0] > 0:
             raise AssertionError("separating certificate cannot be identically zero")
@@ -361,6 +383,14 @@ def _rate_split(rates, entropies, levels):
         if den != 1:
             r = [v * den for v in r]
             D *= den
+    return _witness(shares, r, D, levels, hs, dh, rank), None
+
+
+def _witness(shares, r, D, levels, hs, dh, rank):
+    """Each level's shares on the sorted encoders, over D, as `Fraction`s
+    per encoder, re-checked exactly, one pass per level: no share is
+    negative, the alpha smallest hold H_alpha (hs over dh), and no
+    encoder's load exceeds its rate r / D."""
     # a level's top shares repeat: one Fraction per distinct numerator
     made = {n: Fraction(n, D) for n in set().union(*shares)}
     witness = {}
@@ -370,7 +400,7 @@ def _rate_split(rates, entropies, levels):
         witness[alpha] = tuple([made[x[p]] for p in rank])
     if any(map(gt, map(sum, zip(*shares)), r)):
         raise AssertionError("witness exceeds an encoder rate")
-    return witness, None
+    return witness
 
 
 def _separates(w, cap: int, r0: int, rates, entropies, levels) -> bool:

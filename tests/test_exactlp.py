@@ -608,10 +608,11 @@ def sparse_lp_specs(draw):
 def membership_lps(L):
     """The LPs that two member queries at L hand to `feasible`: the lowest
     one or two rates just above what levels 1 and 2 need of them, the
-    others far above the superposition point, so that the dual phase
-    pivots.  Rates that dominate the point take no pivot, and so does a
-    non-member that fails the hyperplane of lambda = 1 on its k lowest
-    rates."""
+    others far above the superposition point.  Their lowest rate is below
+    the point and every hyperplane of lambda = 1 on the k lowest rates
+    holds, so neither closed form decides them, and the dual phase pivots.
+    Rates that dominate the point, or that fail such a hyperplane, never
+    build an LP."""
     import smdc.region as region
 
     rng = random.Random(f"lazy-{L}")

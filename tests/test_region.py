@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from unittest import mock
 
 import pytest
@@ -358,9 +358,16 @@ class TestIntegerRateSplit:
             rates, h, _, _ = tied_member_query(rng, "plain", L)
             r = exactlp.as_fractions(rates)
             levels = range(1, L + 1)
+            qr, qh = exactlp.over_common_denominator(r), exactlp.over_common_denominator(h)
             with mock.patch.object(region, "feasible", vertex_from(trial)):
-                got = region._rate_split(exactlp.over_common_denominator(r),
-                                         exactlp.over_common_denominator(h), levels)
+                got = region._rate_split(qr, qh, levels)
+                if got[0] is not None:
+                    # a member that dominates the split never reaches the
+                    # LP: every member goes to the LP side itself
+                    order = sorted(range(L), key=r.__getitem__)
+                    rank = sorted(range(L), key=order.__getitem__)
+                    sorted_rates = ([qr[0][l] for l in order], qr[1])
+                    got = region._lp_split(sorted_rates, qh, levels, rank)
             assert got == fraction_rate_split(r, h, levels, solve=vertex_from(trial))
 
 
@@ -753,6 +760,102 @@ class TestSuperpositionStart:
             check_verdict(verdict, rates, h, n, r0)
             verdicts.add(verdict.member)
         assert verdicts == {True, False}
+
+
+def closed_form_queries(scheme, L):
+    """Queries at L of three kinds, relative to the superposition split of
+    the constraining levels (of the greedy residual, for all-access) and
+    S_k = sum_{alpha <= k} H_alpha / alpha: "member" rates dominate the
+    split; "hyperplane" rates break lambda = 1 on their k lowest rates,
+    R_k < k S_k, at a chosen k < top whose level has a positive entropy (so
+    that no lower k breaks) and at k = top; "gap" rates have their lowest
+    rate below S_top and hold every such hyperplane.  Rates are shuffled,
+    so that their sorted order is not their given one."""
+    rng = random.Random(f"closed-{scheme}-{L}")
+    n = rng.randint(1, L - 1) if scheme == "secure" and L > 1 else 0
+    top = L - n
+    h = [F(0) if rng.random() < 0.3 else F(rng.randint(1, 12), rng.randint(1, 4))
+         for _ in range(top)]
+    h[0] = F(rng.randint(1, 12), rng.randint(1, 4))
+    r0 = sum(h, F(0)) * F(rng.randint(0, 9), 10) if scheme == "all-access" else None
+    residual = h if r0 is None else greedy_allocation(r0, h).residual
+    S = list(accumulate(x / a for a, x in enumerate(residual, 1)))
+    big = L * S[-1] + 1  # above the split at any k: R_j >= j S_j past the low rates
+
+    def query(kind, rates):
+        rng.shuffle(rates)
+        return kind, rates, h, n, r0
+
+    yield query("member", [S[-1] + F(rng.randint(0, 3), 4) * (rng.random() < 0.5)
+                           for _ in range(L)])
+    positive = [k for k in range(1, top) if residual[k - 1]]
+    for k in ([rng.choice(positive)] if positive else []) + [top]:
+        # k rates just below S_k: above S_(k-1) when level k has entropy
+        step = residual[k - 1] / k or S[-1]
+        low = S[k - 1] - step * F(rng.randint(1, 99), 100)
+        yield query("hyperplane", [low] * k + [big] * (L - k))
+    if S[-1] > S[0]:
+        # the lowest rate between S_1 and S_top, the rest at twice the split
+        low = S[0] + (S[-1] - S[0]) * F(rng.randint(0, 99), 100)
+        yield query("gap", [low] + [2 * S[-1] + F(rng.randint(0, 3), 4) for _ in range(L - 1)])
+        # each rate as low as its hyperplane lets it, R_j >= j S_j for j up
+        # to top, with a little slack: often a non-member
+        tight = [low]
+        for j in range(2, top + 1):
+            need = j * S[j - 1] - sum(tight, F(0)) + F(rng.randint(0, 1), 8)
+            tight.append(max(tight[-1], need))
+        yield query("gap", tight + [max(tight[-1], S[-1])] * (L - top))
+
+
+def closed_form_kind(rates, residual):
+    """The kind of a query from its definition, in `Fraction`s."""
+    r, top = sorted(rates), len(residual)
+    S = list(accumulate(x / a for a, x in enumerate(residual, 1)))
+    if r[0] >= S[-1]:
+        return "member"
+    if any(sum(r[:k]) < k * S[min(k, top) - 1] for k in range(1, len(r) + 1)):
+        return "hyperplane"
+    return "gap"
+
+
+class TestClosedForms:
+    """The rate split decides a rate vector that dominates the superposition
+    split, and one that breaks a hyperplane of lambda = 1 on its k lowest
+    rates, in closed form, with no LP; only the points between them build
+    one.  Every answer must be the full LP's, entry-free hyperplane rows
+    included, in verdict, witness and certificate."""
+
+    @pytest.mark.parametrize("scheme", ["plain", "secure", "all-access"])
+    def test_closed_forms_match_the_fraction_split(self, scheme):
+        kinds, verdicts = set(), set()
+        for L in range(1, MAX_MEMBERSHIP_GROUND + 1):
+            for kind, rates, h, n, r0 in closed_form_queries(scheme, L):
+                residual = h if r0 is None else greedy_allocation(r0, h).residual
+                assert closed_form_kind(rates, residual) == kind, (L, rates)
+                calls = []
+
+                def counted(lp):
+                    calls.append(lp)
+                    return exactlp.feasible(lp)
+
+                with mock.patch.object(region, "feasible", counted):
+                    got = decide(scheme, rates, h, n, r0)
+                assert len(calls) == (kind == "gap"), (L, kind)
+                with mock.patch.object(region, "_rate_split", scaled_split):
+                    want = decide(scheme, rates, h, n, r0)
+                assert got == want, (L, kind)
+                if got.member:
+                    assert list(got.witness) == list(want.witness)
+                assert got.member is (kind == "member") or kind == "gap"
+                if kind == "hyperplane":
+                    # lambda is carried by the k lowest rates alone
+                    low = min(rates)
+                    assert [x > 0 for x in got.certificate] == [x == low for x in rates]
+                check_verdict(got, rates, h, n, r0)
+                kinds.add(kind)
+                verdicts.add((kind, got.member))
+        assert kinds == {"member", "hyperplane", "gap"}
+        assert ("gap", True) in verdicts and ("gap", False) in verdicts
 
 
 def cap_queries(scheme, member, L=MAX_MEMBERSHIP_GROUND):
