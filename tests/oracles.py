@@ -15,7 +15,9 @@ same pivots and stop at the same Farkas row, so
 library's answers.  `packing_lp` is the LP that defines f_alpha, for
 the closed form and the laid-out packings to match.  The chain audits,
 f_alpha's closed form, subset entropies, the membership rate split and
-the two chain builders have `Fraction`-per-step references here too,
+the two chain builders have `Fraction`-per-step references here too
+(the rate split's builds the full LP for every query, where the library
+decides two cases in closed form),
 which the library's integer sums must match exactly, down to the
 insertion order of every dict.  Subset entropies also have a one-pass
 reference that sums each marginal straight from the joint's integer
@@ -435,10 +437,12 @@ def packing_lp(lam, alpha):
 
 
 def fraction_rate_split(rates, entropies, levels, solve=feasible):
-    """`region._rate_split` with a `Fraction` per step: the LP relative to
-    the superposition split built from its definition, O(L^2) `Fraction`
-    adds for the shares, and every Robin Hood transfer and re-check in
-    `Fraction`s.  `solve` stands in for `exactlp.feasible`."""
+    """`region._rate_split` with a `Fraction` per step and no closed form:
+    every query builds the LP relative to the superposition split from its
+    definition, with one row of no entries per hyperplane of lambda = 1 on
+    the k lowest rates, k < top, after the prefix rows, then O(L^2)
+    `Fraction` adds for the shares, and every Robin Hood transfer and
+    re-check in `Fraction`s.  `solve` stands in for `exactlp.feasible`."""
     L = len(rates)
     order = sorted(range(L), key=rates.__getitem__)
     rank = sorted(range(L), key=order.__getitem__)
