@@ -15,22 +15,26 @@ symmetric, so the worst weight vector is ordered opposite to the rates.
 Two cases have closed forms on the integer prefix sums of the sorted
 rates.  A rate vector whose lowest rate is at least the superposition
 point S = sum_alpha H_alpha / alpha is a member, with the superposition
-split (H_alpha / alpha of each level on every encoder) as its witness.
-One whose k lowest rates sum to less than k sum_{alpha <= k} H_alpha /
-alpha is a non-member, separated by lambda = 1 on those k rates.  Only
-the rate vectors between the two build an LP, with O(L^2) entries,
-written relative to the superposition split: one cap row per level alpha
->= 2 and one prefix row per k, shifted by the superposition load, so its
+split (H_alpha / alpha of each level on every encoder) as its witness:
+one value per level, re-checked on its own numerators.  One whose k
+lowest rates sum to less than k sum_{alpha <= k} H_alpha / alpha is a
+non-member, separated by lambda = 1 on those k rates.  Only the rate
+vectors between the two build an LP, with O(L^2) entries, written
+relative to the superposition split: one cap row per level alpha >= 2
+and one prefix row per k, shifted by the superposition load, so its
 slack basis is that split.  Its non-members come back with the
 separating weights lambda read off the Farkas multipliers of its prefix
 rows; its members come back with a per-level rate allocation that Robin
 Hood transfers carry from the LP's sorted blocks onto the rates.  Both
 are built, moved and re-checked exactly as integers over one
-denominator, with one `Fraction` per returned entry; no arithmetic uses
-floats.  The LP's rows depend only on L and the constraining levels, so
-they are built once per shape (`_chamber`) and added as ints with
-integer right-hand sides, and the all-access greedy split runs on
-integer numerators too.
+denominator, with one `Fraction` per distinct returned entry; no
+arithmetic uses floats.  Every non-member's weights are re-checked
+against their hyperplane (`_separates`).  The LP's rows depend only on L
+and the constraining levels, so they are built once per shape
+(`_chamber`) and added as ints with integer right-hand sides.  The
+all-access greedy split (`_greedy_split`) runs on the integer numerators
+that the query's validation already holds, and hands the residual to the
+rate split as integers.
 """
 
 from __future__ import annotations
@@ -271,38 +275,54 @@ def _rate_split(rates, entropies, levels):
     of the sorted rates and S_k = sum_{alpha <= k} H_alpha / alpha, with S
     = S_top.  Superposition coding puts H_alpha / alpha of each level on
     every encoder (Yeung-Zhang), so a rate vector whose lowest rate is at
-    least S is a member with that split as its witness.  Any k encoders
-    hold k H_alpha / alpha of every level alpha <= k (the sum-rate
-    converse, by Han's inequality), so R_k >= k S_min(k, top), and a rate
-    vector that fails it is a non-member, separated by lambda = 1 on its k
-    lowest rates.  For k >= top that fails at k = top first: once R_top >=
-    top S, the rate at top and every rate above it is at least S.  So k =
-    top is tried first, then k = 1..top - 1: the order in which the dual
-    phase meets these hyperplanes when the LP carries each as a row with
-    no entries after its prefix rows, so each certificate is that LP's.
-    Only the rate vectors between the two go to `_lp_split`, where every
-    such row would hold and so never be picked.
+    least S is a member with that split as its witness, built and
+    re-checked by `_superposition` with one value per level.  Any k
+    encoders hold k H_alpha / alpha of every level alpha <= k (the
+    sum-rate converse, by Han's inequality), so R_k >= k S_min(k, top),
+    and a rate vector that fails it is a non-member, separated by lambda =
+    1 on its k lowest rates.  For k >= top that fails at k = top first:
+    once R_top >= top S, the rate at top and every rate above it is at
+    least S.  So k = top is tried first, then k = 1..top - 1: the order in
+    which the dual phase meets these hyperplanes when the LP carries each
+    as a row with no entries after its prefix rows, so each certificate is
+    that LP's.  Only the rate vectors between the two go to `_lp_split`,
+    where every such row would hold and so never be picked.
 
-    Returns (witness, None) for a member, re-checked by `_witness`, else
-    (None, lam) with lam coprime integers and lam.r < sum_a f_a(lam) H_a.
+    Returns (witness, None) for a member, else (None, lam) with lam
+    coprime integers and lam.r < sum_a f_a(lam) H_a.
     """
     (r, D), (hs, dh) = rates, entropies
     L, top = len(r), len(levels)
+    # H_alpha / alpha over E = dh A, and S_k their prefix sums
+    A = lcm(*levels)
+    E = dh * A
+    split = [h * (A // a) for a, h in zip(levels, hs)]
+    S = list(accumulate(split))
+    if min(r) * E >= S[-1] * D:
+        return _superposition(split, E, rates, entropies, levels), None
     order = sorted(range(L), key=r.__getitem__)
     rank = sorted(range(L), key=order.__getitem__)  # encoder -> sorted position
     r = [r[l] for l in order]
-    # S_k over dh A, the rates over D
-    A = lcm(*levels)
-    S = list(accumulate(h * (A // a) for a, h in zip(levels, hs)))
-    E = dh * A
-    if r[0] * E >= S[-1] * D:
-        shares = [[h * (A // a) * D] * L for a, h in zip(levels, hs)]
-        return _witness(shares, [x * E for x in r], D * E, levels, hs, dh, rank), None
     R = list(accumulate(r[:top]))
     for k in (top, *range(1, top)):
         if R[k - 1] * E < k * S[k - 1] * D:
             return None, tuple([int(p < k) for p in rank])
     return _lp_split((r, D), entropies, levels, rank)
+
+
+def _superposition(split, E, rates, entropies, levels):
+    """The superposition witness: each level's share split / E, H_alpha /
+    alpha, on every encoder, one `Fraction` per level.  Re-checked exactly
+    on those numerators: none is negative, alpha of them hold H_alpha (hs
+    over dh), and their sum is within the lowest rate (of r over D)."""
+    (r, D), (hs, dh) = rates, entropies
+    for x, alpha, h in zip(split, levels, hs):
+        if x < 0 or alpha * x * dh < h * E:
+            raise AssertionError("witness misses a level demand")
+    if sum(split) * D > min(r) * E:
+        raise AssertionError("witness exceeds an encoder rate")
+    L = len(r)
+    return {alpha: (Fraction(x, E),) * L for x, alpha in zip(split, levels)}
 
 
 def _lp_split(rates, entropies, levels, rank):
@@ -387,10 +407,10 @@ def _lp_split(rates, entropies, levels, rank):
 
 
 def _witness(shares, r, D, levels, hs, dh, rank):
-    """Each level's shares on the sorted encoders, over D, as `Fraction`s
-    per encoder, re-checked exactly, one pass per level: no share is
-    negative, the alpha smallest hold H_alpha (hs over dh), and no
-    encoder's load exceeds its rate r / D."""
+    """`_lp_split`'s witness: each level's shares on the sorted encoders,
+    over D, as `Fraction`s per encoder, re-checked exactly, one pass per
+    level: no share is negative, the alpha smallest hold H_alpha (hs over
+    dh), and no encoder's load exceeds its rate r / D."""
     # a level's top shares repeat: one Fraction per distinct numerator
     made = {n: Fraction(n, D) for n in set().union(*shares)}
     witness = {}
@@ -441,28 +461,33 @@ def smdc_member(rates, entropies) -> MembershipVerdict:
 def smdca_member(r0, rates, entropies) -> MembershipVerdict:
     """Membership with an all-access encoder of rate r0: the all-access
     encoder stores the greedy prefix, and the rates must carry the
-    residual in the plain region."""
-    r0 = as_fraction(r0)
-    (r, _, _), (h, *hs), levels = _member_inputs(rates, entropies, 0)
-    alloc = greedy_allocation(r0, h)
-    # r0 and the rates over one denominator, for the LP and the hyperplane
-    (r0n, *rn), D = over_common_denominator((r0, *r))
-    split, lam = _rate_split((rn, D), over_common_denominator(alloc.residual), levels)
+    residual in the plain region.  The greedy split runs on the
+    entropies' numerators, as the query's validation gives them."""
+    num, den = as_fraction(r0).as_integer_ratio()
+    (_, rn, D), (h, hn, dh), levels = _member_inputs(rates, entropies, 0)
+    if num < 0:
+        raise ValueError("r0 must be nonnegative")
+    q, left, residual, d = _greedy_split(num, den, hn, dh)
+    split, lam = _rate_split((rn, D), (residual, d), levels)
     if split is not None:
-        witness = {a: (alloc.stored_at_zero[a - 1],) + split[a] for a in levels}
+        stored = _stored_at_zero(h, q, left, d)
+        witness = {a: (stored[a - 1],) + split[a] for a in levels}
         return MembershipVerdict(member=True, witness=witness)
     # the residual's violated hyperplane lam.r < sum_a f_a(lam) h'_a is
-    # g_q(lam) at the split level q, the all-access hyperplane at lambda0 =
-    # f_q(lam) = s / k; times k, over max(s, k max(lam)) to reach at most 1
-    q = alloc.level
-    ((s, k),) = _least_ratios(sorted(lam, reverse=True), (q,))
+    # g_m(lam) at the split level m, the all-access hyperplane at lambda0 =
+    # f_m(lam) = s / k; times k, over max(s, k max(lam)) to reach at most 1
+    m = q + 1
+    ((s, k),) = _least_ratios(sorted(lam, reverse=True), (m,))
     w = [x * k for x in lam]
-    if not _separates(w, s, r0n, (rn, D), hs, levels):
+    # r0 and the rates over one denominator, for the hyperplane
+    e = lcm(den, D)
+    rates_e = ([x * (e // D) for x in rn], e)
+    if not _separates(w, s, num * (e // den), rates_e, (hn, dh), levels):
         raise AssertionError("certificate must violate the all-access hyperplane")
-    den = max(s, k * max(lam))
+    scale = max(s, k * max(lam))
     return MembershipVerdict(
-        member=False, certificate=tuple(Fraction(x, den) for x in w),
-        certificate_lambda0=Fraction(s, den), certificate_m=q,
+        member=False, certificate=_shared_fractions(w, scale),
+        certificate_lambda0=Fraction(s, scale), certificate_m=m,
     )
 
 
@@ -474,7 +499,13 @@ def ssmdc_member(rates, entropies, n_secure: int) -> MembershipVerdict:
         return MembershipVerdict(member=True, witness=witness)
     if not _separates(lam, sum(lam), 0, rs, hs, levels):
         raise AssertionError("Farkas certificate must violate a supporting hyperplane")
-    return MembershipVerdict(member=False, certificate=tuple(Fraction(x, max(lam)) for x in lam))
+    return MembershipVerdict(member=False, certificate=_shared_fractions(lam, max(lam)))
+
+
+def _shared_fractions(ns, d) -> tuple[Fraction, ...]:
+    """ns / d as `Fraction`s, one built per distinct numerator."""
+    made = {n: Fraction(n, d) for n in set(ns)}
+    return tuple([made[n] for n in ns])
 
 
 # all-access greedy allocation -------------------------------------------
@@ -488,24 +519,47 @@ def greedy_allocation(r0, entropies) -> GreedyAllocation:
     split level (the first with a residual) gets the leftover budget,
     everything above stays with the randomly accessible encoders.  The
     budget and sources are compared as integer numerators over one
-    denominator, and only the split level builds new `Fraction`s.
+    denominator (`_greedy_split`), and only the split level builds new
+    `Fraction`s.
     """
     num, den = as_fraction(r0).as_integer_ratio()
     if num < 0:
         raise ValueError("r0 must be nonnegative")
-    h, ns, dh = _scaled(entropies, "entropies")
-    # the budget and the sources over one denominator
-    d = lcm(den, dh)
-    left, ns = num * (d // den), [x * (d // dh) for x in ns]
-    q = 0  # the sources before q fit the budget whole
-    while q < len(ns) and ns[q] <= left:
-        left -= ns[q]
-        q += 1
-    if q == len(ns):
-        return GreedyAllocation(stored_at_zero=h, residual=(_ZERO,) * q, level=None)
-    zeros = (_ZERO,) * (len(ns) - q - 1)
+    h, hn, dh = _scaled(entropies, "entropies")
+    q, left, residual, d = _greedy_split(num, den, hn, dh)
+    stored = _stored_at_zero(h, q, left, d)
+    if q == len(h):
+        return GreedyAllocation(stored_at_zero=stored, residual=(_ZERO,) * q, level=None)
     return GreedyAllocation(
-        stored_at_zero=h[:q] + (Fraction(left, d),) + zeros,
-        residual=(_ZERO,) * q + (Fraction(ns[q] - left, d),) + h[q + 1 :],
+        stored_at_zero=stored,
+        residual=(_ZERO,) * q + (Fraction(residual[q], d),) + h[q + 1 :],
         level=q + 1,
     )
+
+
+def _greedy_split(num: int, den: int, hn, dh: int) -> tuple[int, int, list[int], int]:
+    """The greedy split of the budget num / den >= 0 over the sources hn /
+    dh, on integers over one denominator d: (q, left, residual, d), with
+    the sources before q stored whole, left what remains of the budget
+    (below source q, if any), and residual the numerators of what the
+    randomly accessible encoders carry, zero before q and source q less
+    left at q."""
+    d = lcm(den, dh)
+    left, residual = num * (d // den), [x * (d // dh) for x in hn]
+    q = 0
+    while q < len(residual) and residual[q] <= left:
+        left -= residual[q]
+        residual[q] = 0
+        q += 1
+    if q < len(residual):
+        residual[q] -= left
+    return q, left, residual, d
+
+
+def _stored_at_zero(h, q: int, left: int, d: int) -> tuple[Fraction, ...]:
+    """What the all-access encoder stores of the sources h after
+    `_greedy_split` gave (q, left, _, d): h before q whole, left / d of
+    source q, nothing above it."""
+    if q == len(h):
+        return h
+    return h[:q] + (Fraction(left, d),) + (_ZERO,) * (len(h) - q - 1)

@@ -17,7 +17,8 @@ the closed form and the laid-out packings to match.  The chain audits,
 f_alpha's closed form, subset entropies, the membership rate split and
 the two chain builders have `Fraction`-per-step references here too
 (the rate split's builds the full LP for every query, where the library
-decides two cases in closed form),
+decides two cases in closed form, and `fraction_member` puts a whole
+verdict together from it and the greedy split's),
 which the library's integer sums must match exactly, down to the
 insertion order of every dict.  Subset entropies also have a one-pass
 reference that sums each marginal straight from the joint's integer
@@ -57,7 +58,13 @@ from smdc.exactlp import (
     over_common_denominator,
 )
 from smdc.gf import GF
-from smdc.region import SubsetCoefficients, f_profile, f_value, greedy_allocation
+from smdc.region import (
+    MembershipVerdict,
+    SubsetCoefficients,
+    f_profile,
+    f_value,
+    greedy_allocation,
+)
 from smdc.subsets import EncoderSet, subsets_of_size
 
 LE = "<="
@@ -499,6 +506,33 @@ def fraction_rate_split(rates, entropies, levels, solve=feasible):
     if any(sum(col, _ZERO) > cap for col, cap in zip(zip(*shares), r)):
         raise AssertionError("witness exceeds an encoder rate")
     return {alpha: tuple(x[p] for p in rank) for x, alpha in zip(shares, levels)}, None
+
+
+def fraction_member(rates, entropies, levels, r0=None):
+    """A membership verdict from the `Fraction` oracles alone: the greedy
+    split by `fraction_greedy_allocation` when there is an all-access
+    budget r0, the residual's rate split by `fraction_rate_split`, and the
+    certificate scaled from its definition, lambda over max(lambda) for a
+    plain one; lambda with lambda0 = f_m(lambda) at the split level m,
+    both over the larger of f_m(lambda) and max(lambda), for an
+    all-access one."""
+    stored, residual, level = None, as_fractions(entropies), None
+    if r0 is not None:
+        stored, residual, level = fraction_greedy_allocation(r0, entropies)
+    split, lam = fraction_rate_split(as_fractions(rates), residual, levels)
+    if split is not None:
+        if stored is not None:
+            split = {a: (stored[a - 1],) + x for a, x in split.items()}
+        return MembershipVerdict(member=True, witness=split)
+    if r0 is None:
+        top = max(lam)
+        return MembershipVerdict(member=False, certificate=tuple(Fraction(x, top) for x in lam))
+    f = slice_f_value(lam, level)
+    top = max(f, max(lam))
+    return MembershipVerdict(
+        member=False, certificate=tuple(x / top for x in lam),
+        certificate_lambda0=f / top, certificate_m=level,
+    )
 
 
 def chamber_member(rates, entropies, levels):

@@ -32,6 +32,7 @@ from oracles import (
     chamber_member,
     fraction_audit_level,
     fraction_greedy_allocation,
+    fraction_member,
     fraction_rate_split,
     g_m,
     greedy_matches_region,
@@ -461,6 +462,27 @@ class TestSmdcaMember:
         assert lhs < rhs
         assert max(tuple(lam) + (lam0,)) == 1
 
+    @pytest.mark.parametrize("r0, rates, h, error, match", [
+        # a float budget is refused before anything else is read
+        (0.5, [1, 1], [1, 1], TypeError, "floats"),
+        (-0.5, [], [-1], TypeError, "floats"),
+        # malformed rates or entropies, before a negative budget
+        (-1, [], [1], ValueError, "rates must be nonempty"),
+        (-1, [1, 0.5], [1, 1], TypeError, "floats"),
+        (-1, [1, -1], [1, 1], ValueError, "rates must be nonnegative"),
+        (-1, [1, 1], [], ValueError, "entropies must be nonempty"),
+        (-1, [1, 1], [1, -1], ValueError, "entropies must be nonnegative"),
+        (-1, [1, 1], [1], ValueError, "one entry per constraining level"),
+        (-1, [1] * (MAX_MEMBERSHIP_GROUND + 1), [1] * (MAX_MEMBERSHIP_GROUND + 1),
+         ValueError, f"at most L={MAX_MEMBERSHIP_GROUND}"),
+        # then the budget's sign
+        (-1, [1, 1], [1, 1], ValueError, "r0 must be nonnegative"),
+        ("-1/2", [0, 0], [0, 0], ValueError, "r0 must be nonnegative"),
+    ])
+    def test_error_precedence(self, r0, rates, h, error, match):
+        with pytest.raises(error, match=match):
+            smdca_member(r0, rates, h)
+
     def test_reduces_to_greedy_residual(self):
         rng = random.Random(31)
         for _ in range(40):
@@ -762,6 +784,30 @@ class TestSuperpositionStart:
         assert verdicts == {True, False}
 
 
+class TestSuperpositionRecheck:
+    """The superposition witness is re-checked on the numerators it is
+    built from: a share one unit low misses its level's demand, and one
+    unit high, with the lowest rate exactly at the point, exceeds it."""
+
+    @pytest.mark.parametrize("scheme", ["plain", "secure", "all-access"])
+    @pytest.mark.parametrize("step, message", [(-1, "misses a level demand"),
+                                               (1, "exceeds an encoder rate")])
+    def test_a_share_moved_by_one_unit_is_refused(self, scheme, step, message):
+        real = region._superposition
+        for L in (1, 2, 5, MAX_MEMBERSHIP_GROUND):
+            for rates, h, n, r0, _ in superposition_queries(scheme, L):
+                for level in range(L - n):
+
+                    def moved(split, *args, level=level):
+                        split = list(split)
+                        split[level] += step
+                        return real(split, *args)
+
+                    with mock.patch.object(region, "_superposition", moved):
+                        with pytest.raises(AssertionError, match=message):
+                            decide(scheme, rates, h, n, r0)
+
+
 def closed_form_queries(scheme, L):
     """Queries at L of three kinds, relative to the superposition split of
     the constraining levels (of the greedy residual, for all-access) and
@@ -856,6 +902,70 @@ class TestClosedForms:
                 verdicts.add((kind, got.member))
         assert kinds == {"member", "hyperplane", "gap"}
         assert ("gap", True) in verdicts and ("gap", False) in verdicts
+
+
+def oracle_queries(scheme, L):
+    """Closed-form queries at L, with entropies often zero or tied, and
+    for all-access each of the budgets 0, H_1 + ... + H_q at a random q,
+    the total, and above it.  Per budget, with S_k = sum_{alpha <= k}
+    H_alpha / alpha of the constraining levels (of the greedy residual,
+    for all-access): a member whose lowest rate is exactly S_top, the rest
+    tied at it or above it; and, where some S_k > 0, a non-member whose k
+    lowest rates are tied below S_k, the rest far above the split."""
+    rng = random.Random(f"oracle-{scheme}-{L}")
+    n = rng.randint(1, L - 1) if scheme == "secure" and L > 1 else 0
+    top = L - n
+    values = [F(0), F(rng.randint(1, 12), rng.randint(1, 4)), F(rng.randint(1, 12), 3)]
+    h = [rng.choice(values) for _ in range(top)]
+    budgets = [None]
+    if scheme == "all-access":
+        total = sum(h, F(0))
+        budgets = [F(0), sum(h[: rng.randint(1, top)], F(0)), total,
+                   total + F(rng.randint(1, 8), rng.randint(1, 4))]
+    for r0 in budgets:
+        residual = h if r0 is None else fraction_greedy_allocation(r0, h)[1]
+        S = list(accumulate(x / a for a, x in enumerate(residual, 1)))
+        rates = [S[-1]] + [S[-1] + F(rng.randint(0, 3), 4) * (rng.random() < 0.5)
+                           for _ in range(L - 1)]
+        rng.shuffle(rates)
+        yield "member", rates, h, n, r0
+        positive = [k for k in range(1, top + 1) if S[k - 1]]
+        if positive:
+            k = rng.choice(positive)
+            rates = [S[k - 1] * F(rng.randint(1, 99), 100)] * k + [L * S[-1] + 1] * (L - k)
+            rng.shuffle(rates)
+            yield "hyperplane", rates, h, n, r0
+
+
+class TestClosedFormsAgainstTheOracles:
+    """A closed-form answer, built straight from the query's integers,
+    must be the `Fraction` oracles' answer: the greedy split's, and the
+    full LP's verdict, witness and certificate."""
+
+    @pytest.mark.parametrize("scheme", ["plain", "secure", "all-access"])
+    def test_verdict_witness_and_certificate(self, scheme):
+        def no_lp(lp):
+            raise AssertionError("a closed-form query built an LP")
+
+        kinds = set()
+        for L in range(1, MAX_MEMBERSHIP_GROUND + 1):
+            for kind, rates, h, n, r0 in oracle_queries(scheme, L):
+                if r0 is not None:
+                    want = GreedyAllocation(*fraction_greedy_allocation(r0, h))
+                    assert greedy_allocation(r0, h) == want, (L, r0)
+                with mock.patch.object(region, "feasible", no_lp):
+                    got = decide(scheme, rates, h, n, r0)
+                want = fraction_member(rates, h, range(1, L - n + 1), r0)
+                assert got == want, (L, kind, r0)
+                assert got.member is (kind == "member")
+                if got.member:
+                    assert list(got.witness) == list(want.witness)
+                    values = [x for w in got.witness.values() for x in w]
+                else:
+                    values = list(got.certificate)
+                assert all(type(x) is F for x in values)
+                kinds.add(kind)
+        assert kinds == {"member", "hyperplane"}
 
 
 def cap_queries(scheme, member, L=MAX_MEMBERSHIP_GROUND):
