@@ -9,27 +9,22 @@ only the integer row; pivots divide exactly by the previous pivot,
 and `fractions.Fraction` appears only when the answer is read back.
 Each row records the D at which it was last written and is brought up to
 the current D (times D over that D, exact by Bareiss) only when a pivot
-eliminates in it or a read needs its value; signs and ratios read it as
-it stands.  Feasibility is a dual simplex from the slack basis, with no
+eliminates in it or a read needs its value; signs read it as it stands.
+Feasibility is a dual simplex from the slack basis, with no
 phase-1 objective: a negative row with no positive entry is itself the
 Farkas certificate, and the first one is returned before any further
 pivot; otherwise the most negative row leaves and its largest positive
 entry enters, with Bland's rule once a basis repeats.  A feasible system
-has no such row, so the exit moves no feasible path and no optimum.  An
-LP may have no variables at all: it is feasible exactly when every
-right-hand side allows zero.  `solve_max` follows it with Bland's primal
-simplex on the same tableau; when the slack basis is feasible (every row
-`<=` with b >= 0) it takes the pivots of the textbook two-phase tableau.
-Optimal solves return a primal vertex and a dual vector whose objective
-matches the primal exactly; infeasible systems return a Farkas
-certificate.  Both are re-verified against the integer rows straight off
-the tableau, before one `Fraction` is built per returned entry (for
-`feasible`, per entry read).
+has no such row, so the exit moves no feasible path.  An LP may have no
+variables at all: it is feasible exactly when every right-hand side
+allows zero.  `feasible` returns an exact point or a Farkas certificate,
+either re-verified against the integer rows straight off the tableau;
+one `Fraction` is built per entry read.  There is no objective: the
+library decides membership, and nothing in it solves to optimality.
 
-Conventions for `max c.x, rows, x >= 0`: dual[i] >= 0 on `<=` rows and
-<= 0 on `>=` rows, with A^T.dual >= c componentwise and b.dual == value;
-certificate[i] >= 0 on `>=` rows and <= 0 on `<=` rows, with
-certificate^T.A <= 0 componentwise and certificate^T.b > 0.
+Conventions for `rows, x >= 0`: certificate[i] >= 0 on `>=` rows and
+<= 0 on `<=` rows, with certificate^T.A <= 0 componentwise and
+certificate^T.b > 0.
 """
 
 from __future__ import annotations
@@ -46,12 +41,8 @@ LE = "<="
 GE = ">="
 
 _ZERO = Fraction(0)
-Vector = tuple[Fraction, ...]  # an exact point, dual or certificate
+Vector = tuple[Fraction, ...]  # an exact point or certificate
 _LONE_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 def as_fraction(x) -> Fraction:
@@ -89,15 +80,12 @@ def over_common_denominator(xs) -> tuple[list[int], int]:
 
 
 class LinearProgram:
-    """maximize objective . x  subject to added rows and x >= 0."""
+    """The system of added rows with x >= 0."""
 
-    def __init__(self, num_vars: int, objective: Sequence | None = None):
+    def __init__(self, num_vars: int):
         if num_vars < 0:
             raise ValueError(f"num_vars must be nonnegative, got {num_vars}")
         self.num_vars = num_vars
-        self.objective = [_ZERO] * num_vars if objective is None else list(as_fractions(objective))
-        if len(self.objective) != num_vars:
-            raise ValueError("objective length does not match num_vars")
         self.senses: list[str] = []
         # row i times sigma_i, the lcm of its denominators, in integers
         self.int_rows: list[list[int]] = []
@@ -152,14 +140,6 @@ class LinearProgram:
         return len(self.int_rows)
 
 
-class LpSolution(Record):
-    __slots__ = _fields = ("status", "value", "primal", "dual", "certificate")
-
-    def __init__(self, status: str, value: Fraction | None = None, primal: Vector | None = None,
-                 dual: Vector | None = None, certificate: Vector | None = None) -> None:
-        self._init(status, value, primal, dual, certificate)
-
-
 class FeasibilityResult(Record):
     """A point when feasible, else a Farkas certificate, held once as
     integers over one denominator, `scaled` = (ns, d > 0); `point` and
@@ -185,8 +165,7 @@ class FeasibilityResult(Record):
 
 
 class _Tableau:
-    """Condensed integer tableau (Tucker form); shared by solve_max and
-    feasible.
+    """Condensed integer tableau (Tucker form), pivoted by `feasible`.
 
     Variable j < n is x_j and variable n + i is row i's slack: s_i =
     b_i - a_i.x on a `<=` row and a_i.x - b_i on a `>=` row, both times
@@ -197,8 +176,6 @@ class _Tableau:
     is |det| of the basis, so every pivot divides exactly by the previous
     D (Edmonds 1967, Bareiss 1968) and no gcd is taken; at_i is the D at
     which row i was last written, and T_i D / at_i is integral too.
-    Phase 2 appends the objective, times K, as one more row of the same
-    form.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -212,7 +189,6 @@ class _Tableau:
         self.basis = list(range(n, n + m))  # the variable of each row
         self.nonbasic = list(range(n))      # the variable of each column
         self.D = 1
-        self.K = 1
         self.bland = False                  # set once a basis repeats
 
     def current(self, i: int) -> list[int]:
@@ -227,25 +203,25 @@ class _Tableau:
     def _pivot(self, r: int, c: int) -> None:
         """Swap row r's basic variable with column c's: T'_ij = (p T_ij -
         T_ic T_rj) / D, column c keeps T_ic and row r becomes -T_rj with D
-        at column c.  A negative pivot p negates every row, keeping D > 0;
-        a row with 0 at column c stays as it was written."""
+        at column c.  The pivot p = T_rc is positive, as the dual phase
+        picks it, so D stays positive; a row with 0 at column c stays as it
+        was written."""
         T, beta, at, D = self.T, self.beta, self.at, self.D
         row = self.current(r)
-        s = 1 if row[c] > 0 else -1
-        p, br = s * row[c], beta[r]
+        p, br = row[c], beta[r]
         for i, other in enumerate(T):
             if other[c] and i != r:
                 if at[i] != D:
                     other = self.current(i)
-                f = s * other[c]
+                f = other[c]
                 T[i] = new = [(p * a - f * t) // D if t else p * a // D
                               for a, t in zip(other, row)]
                 new[c] = f
                 beta[i] = (p * beta[i] - f * br) // D
                 at[i] = p
-        T[r] = new = [-s * t for t in row]
-        new[c] = s * D
-        beta[r] = -s * br
+        T[r] = new = [-t for t in row]
+        new[c] = D
+        beta[r] = -br
         at[r] = self.D = p
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
@@ -285,41 +261,6 @@ class _Tableau:
                 seen.add(key)
             self._pivot(r, c)
 
-    def primal_phase(self) -> str:
-        """Price the objective into a row of its own, then Bland's rule:
-        the least variable with a positive entry there enters, and the
-        least ratio beta_i / -T_ic, the same at any D, leaves, ties to the
-        least basic variable."""
-        T, beta, basis, nonbasic = self.T, self.beta, self.basis, self.nonbasic
-        costs, self.K = over_common_denominator(self.lp.objective)
-        costs += [0] * self.m
-        z, z0 = [self.D * costs[v] for v in nonbasic], 0
-        for i in range(self.m):
-            cb = costs[basis[i]]
-            if cb:
-                z = [a + cb * t for a, t in zip(z, self.current(i))]
-                z0 += cb * beta[i]
-        T.append(z)
-        beta.append(z0)
-        self.at.append(self.D)
-        while True:
-            cols = [j for j, d in enumerate(T[-1]) if d > 0]
-            if not cols:
-                return OPTIMAL
-            c = min(cols, key=nonbasic.__getitem__)
-            r = None
-            for i in range(self.m):
-                a = -T[i][c]
-                if a > 0:
-                    if r is not None:
-                        lhs, rhs = beta[i] * best_a, beta[r] * a
-                        if lhs > rhs or (lhs == rhs and basis[i] > basis[r]):
-                            continue
-                    r, best_a = i, a
-            if r is None:
-                return UNBOUNDED
-            self._pivot(r, c)
-
     # extraction: integers over one positive denominator ---------------
 
     def point(self) -> list[int]:
@@ -330,18 +271,17 @@ class _Tableau:
                 x[v] = self.beta[i] * self.D // self.at[i]
         return x
 
-    def multipliers(self, i: int, sign: int = 1) -> list[int]:
-        """sign times row i at the slack columns (at_i at its own basic
-        slack) as multipliers of the integer rows over at_i, a `<=` row's
-        slack negated: the duals over at_m K from the objective row, or with
-        sign -1 from row r, beta_r < 0 and no positive entry, the Farkas
-        multipliers y >= 0 of the slack rows: y.A~ >= 0, y.b~ = beta_r < 0."""
+    def multipliers(self, r: int) -> list[int]:
+        """Row r, beta_r < 0 and no positive entry, negated at the slack
+        columns (at_r at its own basic slack): the Farkas multipliers y >= 0
+        of the slack rows, y.A~ >= 0 and y.b~ = beta_r < 0, as multipliers
+        of the integer rows over at_r, a `<=` row's slack negated."""
         ys = [0] * self.m
         for j, v in enumerate(self.nonbasic):
             if v >= self.n:
-                ys[v - self.n] = sign * self.T[i][j]
-        if i < self.m and self.basis[i] >= self.n:
-            ys[self.basis[i] - self.n] = self.at[i]
+                ys[v - self.n] = -self.T[r][j]
+        if self.basis[r] >= self.n:
+            ys[self.basis[r] - self.n] = self.at[r]
         return [y if s == GE else -y for y, s in zip(ys, self.lp.senses)]
 
 
@@ -360,13 +300,6 @@ def _column_sums(lp: LinearProgram, zs: Sequence[int]) -> list[int]:
     return cols
 
 
-def _check_signs(lp: LinearProgram, zs: Sequence[int], what: str, sign: int) -> None:
-    """sign * z >= 0 on `>=` rows and <= 0 on `<=` rows."""
-    for z, sense in zip(zs, lp.senses):
-        if (sign * z < 0) if sense == GE else (sign * z > 0):
-            raise AssertionError(f"{what} sign mismatch on {sense} row")
-
-
 def _check_point(lp: LinearProgram, xs: Sequence[int], d: int) -> None:
     """The point xs / d, d > 0, against every integer row."""
     if any(v < 0 for v in xs):
@@ -380,49 +313,20 @@ def _check_point(lp: LinearProgram, xs: Sequence[int], d: int) -> None:
 
 def _check_certificate(lp: LinearProgram, zs: Sequence[int]) -> None:
     """zs, multipliers of the integer rows, over any positive denominator."""
-    _check_signs(lp, zs, "certificate", 1)
+    for z, sense in zip(zs, lp.senses):
+        if (z < 0) if sense == GE else (z > 0):
+            raise AssertionError(f"certificate sign mismatch on {sense} row")
     if sum(map(mul, zs, lp.int_rhs)) <= 0:
         raise AssertionError("certificate combination is not positive")
     if any(col > 0 for col in _column_sums(lp, zs)):
         raise AssertionError("certificate column combination is positive")
 
 
-def _check_optimal(lp: LinearProgram, value: Fraction, xs: Sequence[int], d: int,
-                   zs: Sequence[int], e: int) -> None:
-    """The point xs / d and duals zs / e (of the integer rows), d, e > 0."""
-    _check_point(lp, xs, d)
-    cs, dc = over_common_denominator(lp.objective)
-    if sum(c * v for c, v in zip(cs, xs)) * value.denominator != value.numerator * dc * d:
-        raise AssertionError("objective value mismatch")
-    _check_signs(lp, zs, "dual", -1)
-    if sum(z * b for z, b in zip(zs, lp.int_rhs)) * value.denominator != value.numerator * e:
-        raise AssertionError("strong duality violated")
-    # column j: y^T A_j = cols[j] / e >= c_j = cs[j] / dc
-    for col, c in zip(_column_sums(lp, zs), cs):
-        if col * dc < c * e:
-            raise AssertionError("dual infeasible")
-
-
 def _farkas(lp: LinearProgram, tab: _Tableau, r: int) -> tuple[list[int], int]:
     """Row r's Farkas certificate, verified, as numerators over at_r."""
-    zs = tab.multipliers(r, -1)
+    zs = tab.multipliers(r)
     _check_certificate(lp, zs)
     return [z * sigma for z, sigma in zip(zs, lp.scales)], tab.at[r]
-
-
-def solve_max(lp: LinearProgram) -> LpSolution:
-    """Solve to optimality, with exact strong duality verified internally."""
-    tab = _Tableau(lp)
-    r = tab.dual_phase()
-    if r is not None:
-        return LpSolution(status=INFEASIBLE, certificate=_fractions(*_farkas(lp, tab, r)))
-    if tab.primal_phase() == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED)
-    xs, zs, e = tab.point(), tab.multipliers(tab.m), tab.at[tab.m] * tab.K
-    value = Fraction(tab.beta[tab.m], e)
-    _check_optimal(lp, value, xs, tab.D, zs, e)
-    dual = _fractions([z * sigma for z, sigma in zip(zs, lp.scales)], e)
-    return LpSolution(OPTIMAL, value, _fractions(xs, tab.D), dual)
 
 
 def feasible(lp: LinearProgram) -> FeasibilityResult:

@@ -10,17 +10,20 @@ the sorted-chamber LP that the rate split's LP, anchored at the
 superposition split, replaced, and the new LP must match its verdicts.
 `FractionSimplex` is the library's condensed tableau with one `Fraction`
 per cell instead of integers over a running determinant; both take the
-same pivots and stop at the same Farkas row, so
-`reference_solve_max` and `reference_feasible` must give exactly the
-library's answers.  `packing_lp` is the LP that defines f_alpha, for
-the closed form and the laid-out packings to match.  The chain audits,
-f_alpha's closed form, subset entropies, the membership rate split and
-the two chain builders have `Fraction`-per-step references here too
-(the rate split's builds the full LP for every query, where the library
-decides two cases in closed form, and `fraction_member` puts a whole
-verdict together from it and the greedy split's),
-which the library's integer sums must match exactly, down to the
-insertion order of every dict.  Subset entropies also have a one-pass
+same pivots and stop at the same Farkas row, so `reference_feasible`
+must give exactly the library's answers.  The library solves no LP to
+optimality; `reference_solve_max` does, with the Fraction tableau's own
+primal phase (Bland's rule) after the dual phase, and is itself checked
+against vertex enumeration.  `packing_lp` is the LP that defines
+f_alpha, and `packing_optimum_is` pins its optimum with two `feasible`
+calls, a packing and a dual cover, for the closed form and the laid-out
+packings to match.  The chain audits, f_alpha's closed form, subset
+entropies, the membership rate split and the two chain builders have
+`Fraction`-per-step references here too (the rate split's builds the
+full LP for every query, where the library decides two cases in closed
+form, and `fraction_member` puts a whole verdict together from it and
+the greedy split's), which the library's integer sums must match
+exactly, down to the insertion order of every dict.  Subset entropies also have a one-pass
 reference that sums each marginal straight from the joint's integer
 counts, which the library's cached and projected marginals must match
 bit for bit.
@@ -34,6 +37,7 @@ built here from their definitions, not by the library.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 
@@ -46,12 +50,8 @@ from smdc.covers import (
     ConditionalAssignment,
 )
 from smdc.exactlp import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
     FeasibilityResult,
     LinearProgram,
-    LpSolution,
     as_fraction,
     as_fractions,
     feasible,
@@ -72,6 +72,15 @@ GE = ">="
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+# `reference_solve_max`'s answer: the value, primal vertex and duals of an
+# optimum, or the Farkas certificate of an infeasible system
+LpSolution = namedtuple("LpSolution", "status value primal dual certificate",
+                        defaults=(None, None, None, None))
 
 
 def solve_square(A, b):
@@ -200,7 +209,8 @@ class FractionSimplex:
     condensed tableau x_B = beta + T x_N over the slacks of the rows
     scaled by the lcm of their denominators, the same dual phase (with
     its exit at the first negative row that has no positive entry),
-    switch to Bland's rule, primal phase and read-out."""
+    switch to Bland's rule and read-out; and a primal phase of its own,
+    which the library does not have."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -266,8 +276,11 @@ class FractionSimplex:
                 self.bland = sorted(self.basis) in seen
                 seen.append(sorted(self.basis))
 
-    def primal_phase(self) -> str:
-        cost = list(self.lp.objective) + [_ZERO] * self.m
+    def primal_phase(self, objective) -> str:
+        """Price `objective` into a row of its own, then Bland's rule: the
+        least variable with a positive entry there enters, and the least
+        ratio leaves, ties to the least basic variable."""
+        cost = list(as_fractions(objective)) + [_ZERO] * self.m
         self.z = [cost[v] for v in self.nonbasic]
         for i, v in enumerate(self.basis):
             for j in range(self.n):
@@ -315,13 +328,16 @@ class FractionSimplex:
         )
 
 
-def reference_solve_max(lp):
-    """`exactlp.solve_max` on the Fraction tableau, without its checks."""
+def reference_solve_max(lp, objective):
+    """max objective.x over the rows of `lp` and x >= 0 on the Fraction
+    tableau: the dual phase, then the primal phase.  An optimum's duals
+    are >= 0 on `<=` rows and <= 0 on `>=` rows, with A^T.dual >= objective
+    componentwise and b.dual == value."""
     sx = FractionSimplex(lp)
     r = sx.dual_phase()
     if r is not None:
         return LpSolution(status=INFEASIBLE, certificate=sx.farkas(r))
-    if sx.primal_phase() == UNBOUNDED:
+    if sx.primal_phase(objective) == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
     return LpSolution(OPTIMAL, sx.z0, sx.primal(), sx.dual())
 
@@ -433,14 +449,29 @@ def fraction_audit_level(lam, alpha, coeffs):
 
 def packing_lp(lam, alpha):
     """The packing LP that defines f_alpha: one column per alpha-subset of
-    {1..L}, lex ordered, whose total weight is maximized under one
-    capacity row per encoder.  Returns the subsets and the LP."""
+    {1..L}, lex ordered, whose total weight f_alpha is the maximum under
+    one capacity row per encoder.  Returns the subsets and the rows."""
     L = len(lam)
     family = subsets_of_size(L, alpha)
-    lp = LinearProgram(len(family), [1] * len(family))
+    lp = LinearProgram(len(family))
     for l in range(1, L + 1):
         lp.add([1 if l in u else 0 for u in family], LE, lam[l - 1])
     return family, lp
+
+
+def packing_optimum_is(lam, alpha, f):
+    """Whether the packing LP's optimum is f, by weak duality from two
+    `feasible` calls, each answer re-verified exactly: a packing of total
+    >= f, and a cover y >= 0 with sum(y_l, l in u) >= 1 on every
+    alpha-subset u and lam.y <= f.  The packing fails for f above the
+    optimum, the cover below it."""
+    family, packing = packing_lp(lam, alpha)
+    packing.add([1] * len(family), GE, f)
+    cover = LinearProgram(len(lam))
+    for u in family:
+        cover.add([1 if l in u else 0 for l in range(1, len(lam) + 1)], GE, 1)
+    cover.add(lam, LE, f)
+    return feasible(packing).feasible and feasible(cover).feasible
 
 
 def fraction_rate_split(rates, entropies, levels, solve=feasible):

@@ -31,7 +31,6 @@ from smdc.entropy import (
     permutation_identity,
     random_pmf,
 )
-from smdc.exactlp import solve_max
 from smdc.region import (
     f_alpha,
     f_profile,
@@ -43,7 +42,7 @@ from smdc.region import (
 )
 from smdc.rs import encode_matrix, ramp_spec
 
-from oracles import GF16, greedy_matches_region, packing_lp, random_product_table
+from oracles import GF16, greedy_matches_region, packing_optimum_is, random_product_table
 
 F = Fraction
 TOL = 1e-9
@@ -121,8 +120,7 @@ def test_criterion_3_chain_correctness():
         audit = verify_chain(chain)
         assert audit.ok, (lam, audit.failures)
         for alpha in range(1, L + 1):
-            _, lp = packing_lp(lam, alpha)
-            assert chain.levels[alpha].total == solve_max(lp).value
+            assert packing_optimum_is(lam, alpha, chain.levels[alpha].total)
         cases.update(c for _, c in chain.case_events)
     assert cases[CASE_1] > 0 and cases[CASE_2] > 0 and cases[CASE_3] > 0, cases
     report(

@@ -1,4 +1,3 @@
-import hashlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -10,27 +9,24 @@ from hypothesis import strategies as st
 
 from smdc.exactlp import (
     GE,
-    INFEASIBLE,
     LE,
-    OPTIMAL,
-    UNBOUNDED,
     LinearProgram,
-    LpSolution,
     _Tableau,
     _check_certificate,
-    _check_optimal,
     _check_point,
     as_fraction,
     as_fractions,
     feasible,
     over_common_denominator,
-    solve_max,
 )
 
 from oracles import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
     FractionSimplex,
+    LpSolution,
     brute_lp_max,
-    packing_lp,
     reference_feasible,
     reference_solve_max,
 )
@@ -39,14 +35,18 @@ F = Fraction
 
 
 def lp_single_upper():
-    lp = LinearProgram(1, [1])
+    lp = LinearProgram(1)
     lp.add([1], LE, 5)
     return lp
 
 
 class TestSolveMax:
+    """The library decides feasibility only; `reference_solve_max`, the
+    Fraction tableau's optimum, is the tests' LP solver, checked here on
+    LPs with known optima."""
+
     def test_single_variable(self):
-        sol = solve_max(lp_single_upper())
+        sol = reference_solve_max(lp_single_upper(), [1])
         assert sol.status == OPTIMAL
         assert sol.value == 5
         assert sol.primal == (F(5),)
@@ -54,11 +54,11 @@ class TestSolveMax:
 
     def test_packing_triangle(self):
         # expected values frozen from the vertex-enumeration oracle below
-        lp = LinearProgram(3, [1, 1, 1])
+        lp = LinearProgram(3)
         lp.add([1, 1, 0], LE, 2)
         lp.add([1, 0, 1], LE, 1)
         lp.add([0, 1, 1], LE, 1)
-        sol = solve_max(lp)
+        sol = reference_solve_max(lp, [1, 1, 1])
         assert sol.status == OPTIMAL
         assert sol.value == 2
         assert sol.primal == (F(1), F(1), F(0))
@@ -72,53 +72,55 @@ class TestSolveMax:
         assert (status, value) == ("optimal", F(2))
 
     def test_infeasible_with_certificate(self):
-        lp = LinearProgram(1, [1])
+        lp = LinearProgram(1)
         lp.add([1], LE, -1)
-        sol = solve_max(lp)
-        assert sol.status == INFEASIBLE
-        assert sol.certificate is not None
-        # solve_max re-verifies the certificate; check orientation here too
-        (c,) = sol.certificate
+        res = feasible(lp)
+        assert not res.feasible
+        # feasible re-verifies the certificate; check orientation here too
+        (c,) = res.certificate
         assert c < 0
+        assert reference_solve_max(lp, [1]) == LpSolution(INFEASIBLE, certificate=res.certificate)
 
     def test_unbounded(self):
-        lp = LinearProgram(2, [1, 0])
+        lp = LinearProgram(2)
         lp.add([0, 1], LE, 1)
-        assert solve_max(lp).status == UNBOUNDED
+        assert reference_solve_max(lp, [1, 0]).status == UNBOUNDED
 
     def test_mixed_senses(self):
-        lp = LinearProgram(2, [1, 2])
+        lp = LinearProgram(2)
         lp.add([1, 1], LE, 4)
         lp.add([1, 0], GE, 1)
-        sol = solve_max(lp)
+        res = feasible(lp)
+        assert res.feasible and res.point == (F(1), F(0))
+        sol = reference_solve_max(lp, [1, 2])
         assert sol.status == OPTIMAL
         assert sol.value == 7
         assert sol.primal == (F(1), F(3))
 
     def test_degenerate_beale(self):
         # cycles under naive most-negative pivoting; Bland must terminate
-        lp = LinearProgram(4, [F(3, 4), -150, F(1, 50), -6])
+        lp = LinearProgram(4)
         lp.add([F(1, 4), -60, -F(1, 25), 9], LE, 0)
         lp.add([F(1, 2), -90, -F(1, 50), 3], LE, 0)
         lp.add([0, 0, 1, 0], LE, 1)
-        sol = solve_max(lp)
+        sol = reference_solve_max(lp, [F(3, 4), -150, F(1, 50), -6])
         assert sol.status == OPTIMAL
         assert sol.value == F(1, 20)
 
     def test_duality_on_optimal(self):
-        lp = LinearProgram(2, [2, 3])
+        lp = LinearProgram(2)
         lp.add([1, 2], LE, 7)
         lp.add([3, 1], LE, 9)
-        sol = solve_max(lp)
+        sol = reference_solve_max(lp, [2, 3])
         dual_obj = sum(y * b for y, b in zip(sol.dual, lp.rhs))
         assert dual_obj == sol.value
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
-            LinearProgram(1, [0.5])
+            reference_solve_max(lp_single_upper(), [0.5])
 
     def test_dimension_mismatch(self):
-        lp = LinearProgram(2, [1, 1])
+        lp = LinearProgram(2)
         with pytest.raises(ValueError):
             lp.add([1], LE, 1)
         with pytest.raises(ValueError):
@@ -164,7 +166,7 @@ class TestFeasible:
         with mock.patch.object(tab, "_pivot", side_effect=AssertionError("pivoted")):
             assert tab.dual_phase() == 1
         assert feasible(lp).certificate == (0, 1)
-        assert solve_max(lp) == LpSolution(INFEASIBLE, certificate=(F(0), F(1)))
+        assert feasible(lp) == reference_feasible(lp)
 
     @pytest.mark.parametrize("rhs, ok", [((0, -1, F(-1, 2)), True), ((0, F(1, 3)), False)])
     def test_no_variables(self, rhs, ok):
@@ -176,12 +178,12 @@ class TestFeasible:
         assert res.feasible is ok
         if ok:
             zeros = (F(0),) * len(rhs)
-            assert res.point == () and solve_max(lp) == LpSolution(OPTIMAL, F(0), (), zeros)
+            assert res.point == ()
+            assert reference_solve_max(lp, []) == LpSolution(OPTIMAL, F(0), (), zeros)
         else:
             assert sum(c * b for c, b in zip(res.certificate, map(F, rhs))) < 0
-            assert solve_max(lp).status == INFEASIBLE
+            assert reference_solve_max(lp, []).status == INFEASIBLE
         assert feasible(lp) == reference_feasible(lp)
-        assert solve_max(lp) == reference_solve_max(lp)
 
     def test_negative_variable_count(self):
         with pytest.raises(ValueError, match="num_vars must be nonnegative"):
@@ -207,23 +209,22 @@ class TestRandomAgainstOracle:
                 senses.append(LE)
                 rhs.append(F(box))
             obj = [F(rng.randint(-3, 3)) for _ in range(n)]
-            lp = LinearProgram(n, obj)
+            lp = LinearProgram(n)
             for r, s, b in zip(rows, senses, rhs):
                 lp.add(r, s, b)
-            sol = solve_max(lp)
+            sol = reference_solve_max(lp, obj)
             status, value = brute_lp_max(obj, rows, senses, rhs, n)
             assert sol.status == status, f"trial {trial}"
             if status == "optimal":
                 assert sol.value == value, f"trial {trial}"
 
     def test_determinism(self):
-        lp1 = LinearProgram(3, [1, 1, 1])
-        lp2 = LinearProgram(3, [1, 1, 1])
+        lp1, lp2 = LinearProgram(3), LinearProgram(3)
         for lp in (lp1, lp2):
-            lp.add([1, 1, 0], LE, 2)
-            lp.add([1, 0, 1], LE, 1)
+            lp.add([1, 1, 0], GE, 2)
+            lp.add([1, 0, 1], GE, 1)
             lp.add([0, 1, 1], LE, 1)
-        assert solve_max(lp1).primal == solve_max(lp2).primal
+        assert feasible(lp1).point == feasible(lp2).point
 
 
 # zeros and small denominators are common, so rows are often degenerate
@@ -234,7 +235,8 @@ coef = st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4)])
 def lp_specs(draw):
     """(objective, [(coeffs, sense, rhs), ...]) with mixed senses, negative
     right-hand sides, zero rows, and duplicate or scaled (redundant) rows;
-    about a third come out unbounded, a third infeasible."""
+    about a third come out unbounded, a third infeasible.  The objective is
+    for `reference_solve_max`; `build` makes the rows alone."""
     n = draw(st.integers(1, 4))
     objective = draw(st.lists(coef, min_size=n, max_size=n))
     rows = []
@@ -252,14 +254,14 @@ def lp_specs(draw):
 
 def build(spec):
     objective, rows = spec
-    lp = LinearProgram(len(objective), objective)
+    lp = LinearProgram(len(objective))
     for coeffs, sense, rhs in rows:
         lp.add(coeffs, sense, rhs)
     return lp
 
 
-# feasible at the slack basis; the primal phase pivots on the first row's
-# entry -3 at beta = 0, a degenerate pivot on a negative entry
+# feasible at the slack basis; the oracle's primal phase pivots on the first
+# row's entry -3 at beta = 0, a degenerate pivot on a negative entry
 NEGATIVE_PIVOT = ([F(5, 4)], [([F(-3, 2)], GE, 0), ([F(1, 2)], GE, -1)])
 BEALE = (
     [F(3, 4), -150, F(1, 50), -6],
@@ -280,6 +282,19 @@ CYCLE = (
 )
 
 
+def assert_optimum(lp, objective, sol):
+    """An optimum of `reference_solve_max` re-checked in `Fraction`s: its
+    point and duals are feasible, with equal values."""
+    c, rows, rhs, x, y = as_fractions(objective), lp.rows, lp.rhs, sol.primal, sol.dual
+    assert all(v >= 0 for v in x)
+    for row, sense, b, yi in zip(rows, lp.senses, rhs, y):
+        lhs = sum(a * v for a, v in zip(row, x))
+        assert (lhs <= b and yi >= 0) if sense == LE else (lhs >= b and yi <= 0)
+    for j, cj in enumerate(c):
+        assert sum(yi * row[j] for yi, row in zip(y, rows)) >= cj
+    assert sum(cj * v for cj, v in zip(c, x)) == sol.value == sum(yi * b for yi, b in zip(y, rhs))
+
+
 class TestAgainstFractionTableau:
     """The integer tableau must take the Fraction tableau's pivots, so every
     field of every answer is the same."""
@@ -291,19 +306,26 @@ class TestAgainstFractionTableau:
     @example(CYCLE)
     def test_same_answers(self, spec):
         lp = build(spec)
-        assert solve_max(lp) == reference_solve_max(lp)
         assert feasible(lp) == reference_feasible(lp)
+        sol = reference_solve_max(lp, spec[0])
+        if sol.status == OPTIMAL:
+            assert_optimum(lp, spec[0], sol)
+        else:
+            # the oracle's Farkas row is the dual phase's, as `feasible`'s is
+            assert sol.status == UNBOUNDED or sol.certificate == feasible(lp).certificate
 
     def test_negative_pivot_example(self):
-        # x enters, and the least ratio is the first row's 0 / 3; the pivot
-        # on -3 negates every row, so D becomes 3, not -3
+        # the slack basis is feasible, so the dual phase takes no pivot
         tab = _Tableau(build(NEGATIVE_PIVOT))
         assert tab.dual_phase() is None
         assert (tab.T[0], tab.beta[:2]) == ([-3], [0, 2])
-        assert tab.primal_phase() == OPTIMAL
-        # x = -s_0 / 3 and s_1 = (6 - s_0) / 3
-        assert (tab.D, tab.basis) == (3, [0, 2])
-        assert (tab.T[:2], tab.beta[:2]) == ([[-1], [-1]], [0, 6])
+        assert feasible(build(NEGATIVE_PIVOT)).point == (F(0),)
+        # the oracle's primal phase: x enters, and the least ratio is the
+        # first row's 0 / 3, so x = -s_0 / 3 and s_1 = 2 - s_0 / 3
+        sx = FractionSimplex(build(NEGATIVE_PIVOT))
+        assert sx.dual_phase() is None
+        assert sx.primal_phase(NEGATIVE_PIVOT[0]) == OPTIMAL
+        assert (sx.basis, sx.T, sx.beta) == ([0, 2], [[F(-1, 3)], [F(-1, 3)]], [0, 2])
 
     def test_repeated_basis_switches_to_bland(self):
         lp = build(CYCLE)
@@ -322,32 +344,6 @@ class TestAgainstFractionTableau:
         assert sx.dual_phase() == r and sx.bland
         res = feasible(lp)
         assert not res.feasible and res == reference_feasible(lp)
-        assert solve_max(lp) == reference_solve_max(lp)
-
-
-class TestSamePivotsWithoutPhase1:
-    """With every row `<=` and b >= 0 the slack basis is feasible, and
-    Bland's rule takes the pivots of the two-phase tableau this one
-    replaced: the packing LPs that define f_alpha give its answers field
-    for field."""
-
-    def test_f_alpha_matches_the_two_phase_dump(self):
-        rng = random.Random(14)
-        digest = hashlib.sha256()
-        for trial in range(180):
-            L = trial % 9 + 1
-            lam = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(L)]
-            if rng.random() < 0.3:
-                lam[rng.randrange(L)] = F(rng.randint(10, 60))
-            for alpha in range(1, L + 1):
-                family, lp = packing_lp(lam, alpha)
-                sol = solve_max(lp)
-                fields = (alpha, [(u.members, str(x)) for u, x in zip(family, sol.primal)])
-                digest.update(repr(fields).encode())
-        # the same loop on the dense two-phase tableau
-        assert digest.hexdigest() == (
-            "690868843919a7541fe861931d5355c36873401d1e28848259117eff57f44376"
-        )
 
 
 def _first_break(constraints):
@@ -431,25 +427,6 @@ class TestRechecks:
             _rechecks_at_the_boundary(
                 lambda c: _check_certificate(lp, row_multipliers(lp, c)[0]), y, along
             )
-
-    @settings(max_examples=100, deadline=None)
-    @given(lp_specs())
-    @example(BEALE)
-    def test_optimal_recheck_rejects_another_value(self, spec):
-        lp = build(spec)
-        sol = solve_max(lp)
-        if sol.status != OPTIMAL:
-            return
-        tiny = F(1, 10**30)
-        point = over_common_denominator(sol.primal)
-        _check_optimal(lp, sol.value, *point, *row_multipliers(lp, sol.dual))
-        with pytest.raises(AssertionError, match="objective value mismatch"):
-            _check_optimal(lp, sol.value + tiny, *point, *row_multipliers(lp, sol.dual))
-        if sol.value:
-            # the scaled duals keep their signs but miss the value by a hair
-            dual = tuple(y * (1 + tiny) for y in sol.dual)
-            with pytest.raises(AssertionError, match="strong duality violated"):
-                _check_optimal(lp, sol.value, *point, *row_multipliers(lp, dual))
 
     @pytest.mark.parametrize(
         "coeffs, rhs",
@@ -549,13 +526,11 @@ def rows_at_D(tab):
 
 
 def fraction_rows(sx):
-    rows = [[*row, b] for row, b in zip(sx.T, sx.beta)]
-    return rows + ([[*sx.z, sx.z0]] if sx.z is not None else [])
+    return [[*row, b] for row, b in zip(sx.T, sx.beta)]
 
 
 def pivots_with_rows(tableau, read):
-    """(r, c, read(tableau)) after every pivot of a full solve: the dual
-    phase, then the primal phase if the dual phase finds a feasible basis."""
+    """(r, c, read(tableau)) after every pivot of the dual phase."""
     shots, pivot = [], tableau._pivot
 
     def record(r, c):
@@ -563,29 +538,25 @@ def pivots_with_rows(tableau, read):
         shots.append((r, c, read(tableau)))
 
     tableau._pivot = record
-    if tableau.dual_phase() is None:
-        tableau.primal_phase()
+    tableau.dual_phase()
     return shots
 
 
 def assert_lazy_rows_match(lp):
     """The integer tableau takes the Fraction tableau's pivots, and after
-    each one every row at the current D is D times the Fraction row (D K
-    times on the objective row).  Returns how many rows stood at an older D
-    when they were read."""
+    each one every row at the current D is D times the Fraction row.
+    Returns how many rows stood at an older D when they were read."""
     tab = _Tableau(lp)
-    got = pivots_with_rows(tab, lambda t: (t.D, t.K, list(t.at), rows_at_D(t)))
+    got = pivots_with_rows(tab, lambda t: (t.D, list(t.at), rows_at_D(t)))
     want = pivots_with_rows(FractionSimplex(lp), fraction_rows)
     assert [(r, c) for r, c, _ in got] == [(r, c) for r, c, _ in want]
     stale = 0
-    for (_, _, (D, K, at, rows)), (_, _, fractions) in zip(got, want):
+    for (_, _, (D, at, rows)), (_, _, fractions) in zip(got, want):
         assert len(rows) == len(fractions)
         for i, (row, frac) in enumerate(zip(rows, fractions)):
-            scale = D * K if i == lp.num_rows else D
-            assert row == [scale * x for x in frac]
+            assert row == [D * x for x in frac]
             stale += at[i] != D
     assert feasible(lp) == reference_feasible(lp)
-    assert solve_max(lp) == reference_solve_max(lp)
     return stale
 
 
@@ -595,14 +566,14 @@ sparse_coef = st.sampled_from([0] * 8 + [1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4
 
 @st.composite
 def sparse_lp_specs(draw):
+    """(a zero objective, rows) in `build`'s form; only the rows are read."""
     n = draw(st.integers(2, 6))
-    objective = draw(st.lists(sparse_coef, min_size=n, max_size=n))
     rows = [
         (draw(st.lists(sparse_coef, min_size=n, max_size=n)), draw(st.sampled_from([LE, GE])),
          draw(st.sampled_from([-3, -1, 0, 1, 2, F(5, 2)])))
         for _ in range(draw(st.integers(2, 8)))
     ]
-    return objective, rows
+    return [0] * n, rows
 
 
 def membership_lps(L):
@@ -648,7 +619,7 @@ class TestLazyRows:
         stale = 0
         for _ in range(40):
             n = rng.randint(3, 6)
-            lp = LinearProgram(n, [rng.choice([0, 0, 1, 2]) for _ in range(n)])
+            lp = LinearProgram(n)
             for _ in range(rng.randint(4, 9)):
                 coeffs = [rng.choice([0] * 6 + [1, -1, 2, -3, F(1, 2)]) for _ in range(n)]
                 lp.add(coeffs, rng.choice([LE, GE]), rng.randint(-3, 3))

@@ -11,7 +11,7 @@ import pytest
 from smdc.codec import BundleFormatError, ShareBundle
 from smdc.covers import ChainReport
 from smdc.entropy import InequalityReport
-from smdc.exactlp import FeasibilityResult, LpSolution
+from smdc.exactlp import FeasibilityResult
 from smdc.gf import GF256
 from smdc.region import GreedyAllocation
 from smdc.rs import CodeSpec
@@ -27,13 +27,6 @@ CASES = {
         EncoderSet(members=(1, 3), ground_size=4),
         EncoderSet((1, 3), 5),
         "EncoderSet(members=(1, 3), ground_size=4)",
-    ),
-    "LpSolution": (
-        LpSolution("optimal", F(1, 2), (F(1), F(0)), (F(1, 2),)),
-        LpSolution(status="optimal", value=F(1, 2), primal=(F(1), F(0)), dual=(F(1, 2),)),
-        LpSolution("optimal", F(1, 2), (F(1), F(0)), (F(1, 2),), (F(1),)),
-        "LpSolution(status='optimal', value=Fraction(1, 2), primal=(Fraction(1, 1), "
-        "Fraction(0, 1)), dual=(Fraction(1, 2),), certificate=None)",
     ),
     "FeasibilityResult": (
         FeasibilityResult(False, None, (F(-1), F(2))),

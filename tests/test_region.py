@@ -36,7 +36,8 @@ from oracles import (
     fraction_rate_split,
     g_m,
     greedy_matches_region,
-    packing_lp,
+    packing_optimum_is,
+    reference_solve_max,
     scan_least_ratio,
     slice_f_value,
     smdca_f,
@@ -104,8 +105,19 @@ class TestFAlpha:
     )
     def test_closed_form_matches_lp(self, lam, data):
         alpha = data.draw(st.integers(1, len(lam)))
-        _, lp = packing_lp(lam, alpha)
-        assert exactlp.solve_max(lp).value == f_value(lam, alpha)
+        assert packing_optimum_is(lam, alpha, f_value(lam, alpha))
+
+    def test_packing_oracle_pins_the_optimum(self):
+        # weak duality from both sides: a value off by 10^-6 either way fails
+        rng = random.Random(31)
+        tiny = F(1, 10**6)
+        for _ in range(30):
+            lam = [rand_frac(rng) for _ in range(rng.randint(1, 6))]
+            for alpha in range(1, len(lam) + 1):
+                f = f_value(lam, alpha)
+                assert packing_optimum_is(lam, alpha, f)
+                assert not packing_optimum_is(lam, alpha, f + tiny)
+                assert not packing_optimum_is(lam, alpha, f - tiny)
 
     # few distinct values, so zeros and ties among the weights are common
     @settings(max_examples=150, deadline=None)
@@ -122,8 +134,7 @@ class TestFAlpha:
     def test_layout_is_an_optimal_packing(self, lam):
         for alpha in range(1, len(lam) + 1):
             packing = f_alpha(lam, alpha)
-            _, lp = packing_lp(lam, alpha)
-            assert packing.total == exactlp.solve_max(lp).value
+            assert packing_optimum_is(lam, alpha, packing.total)
             assert all(len(u) == alpha for u in packing.assignment)
             assert all(v > 0 for v in packing.assignment.values())
             for l, cap in enumerate(lam, 1):
@@ -173,7 +184,7 @@ class TestLpFree:
         def refuse(*args, **kwargs):
             raise AssertionError("f_alpha reached an LP or a level enumeration")
 
-        for name in ("solve_max", "feasible", "subsets_of_size"):
+        for name in ("feasible", "subsets_of_size"):
             monkeypatch.setattr(region, name, refuse)
 
     @pytest.mark.parametrize(
@@ -287,14 +298,13 @@ def tied_member_query(rng, scheme, L):
 
 
 def vertex_from(seed):
-    """A feasibility solver that returns the optimum of a seeded random
-    objective: other vertices than the dual phase's, so Robin Hood transfers
-    run."""
+    """A feasibility solver that returns the oracle's optimum of a seeded
+    random objective: other vertices than the dual phase's, so Robin Hood
+    transfers run."""
 
     def solve(lp):
         rnd = random.Random(seed)
-        lp.objective = [F(rnd.randint(0, 3)) for _ in range(lp.num_vars)]
-        sol = exactlp.solve_max(lp)
+        sol = reference_solve_max(lp, [rnd.randint(0, 3) for _ in range(lp.num_vars)])
         found = sol.primal if sol.status == "optimal" else sol.certificate
         return exactlp.FeasibilityResult(
             sol.status == "optimal", sol.primal, sol.certificate,
