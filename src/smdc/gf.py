@@ -4,6 +4,12 @@ GF(256) carries all coding; the tests build GF(16) from the same class
 so that secrecy checks can enumerate the whole key space.  The stream
 matrix product, the one loop that touches every payload byte, dispatches
 to the compiled `_gfcore` kernel exactly when it is importable.
+
+`mul`, `inv` and `pow` check their operands on every call.  The matrix
+algorithms (`solve`, `lagrange_matrix`, `vandermonde`, the stream
+kernel) check their operands once per call and then do their field
+arithmetic as lookups in the log and exp tables, so no library algorithm
+calls a checked scalar operation per element.
 """
 
 from __future__ import annotations
@@ -72,20 +78,37 @@ class GF:
     # linear algebra -----------------------------------------------------
 
     def solve(self, matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int]:
-        """Exact solution of a square nonsingular system."""
+        """Exact solution of a square nonsingular system.
+
+        Every entry is checked once, then Gauss-Jordan elimination runs on
+        the log/exp tables (q = order - 1): with pivot p, each entry v of
+        the pivot row becomes exp[q - log p + log v], and each entry a of
+        another row, whose pivot-column entry is f, becomes a ^ exp[log f
+        + log b] where the pivot row holds b != 0.  Left of the pivot
+        column both rows are already zero, so only the rest is rewritten.
+        """
         n = len(matrix)
+        for row in matrix:
+            self._check(*row)
+        self._check(*rhs)
+        log, exp, q = self.log, self.exp, self.order - 1
         m = [list(row) + [v] for row, v in zip(matrix, rhs)]
         for col in range(n):
             piv = next((r for r in range(col, n) if m[r][col]), None)
             if piv is None:
                 raise ValueError("singular system")
             m[col], m[piv] = m[piv], m[col]
-            inv = self.inv(m[col][col])
-            m[col] = [self.mul(inv, v) for v in m[col]]
+            s = q - log[m[col][col]]
+            prow = [exp[s + log[v]] if v else 0 for v in m[col][col:]]
+            m[col][col:] = prow
             for r in range(n):
-                if r != col and m[r][col]:
-                    f = m[r][col]
-                    m[r] = [a ^ self.mul(f, b) for a, b in zip(m[r], m[col])]
+                f = m[r][col]
+                if r != col and f:
+                    lf = log[f]
+                    m[r][col:] = [
+                        a ^ exp[lf + log[b]] if b else a
+                        for a, b in zip(m[r][col:], prow)
+                    ]
         return [m[r][n] for r in range(n)]
 
     def lagrange_matrix(
@@ -123,7 +146,15 @@ class GF:
     def vandermonde(
         self, points: Sequence[int], width: int
     ) -> list[list[int]]:
-        return [[self.pow(x, j) for j in range(width)] for x in points]
+        """Rows x^0..x^(width-1), read from the exp table after one check of
+        the points (0^0 = 1)."""
+        self._check(*points)
+        log, exp, q = self.log, self.exp, self.order - 1
+        return [
+            [exp[log[x] * j % q] for j in range(width)] if x
+            else [int(j == 0) for j in range(width)]
+            for x in points
+        ]
 
     # stream kernel -------------------------------------------------------
 

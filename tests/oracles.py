@@ -31,7 +31,15 @@ The all-access hyperplanes g_m, whose maximum the greedy split must
 attain, are theorem checks that only the tests call.  On the codec side,
 `lagrange_product` is the Lagrange basis by its product formula, over
 a bitwise carry-less multiply that shares no table with `smdc.gf`, and
-`poly_eval` is Horner's rule over the same multiply.  The tests' small
+`poly_eval` is Horner's rule over the same multiply.  `checked_solve`
+and `checked_vandermonde` are `GF.solve` and `GF.vandermonde` written
+on the checked scalar `mul`, `inv` and `pow`, which the table-driven
+library versions must match entry for entry.  `layer_faults` certifies
+a codec layer against the paper's model by exact ranks, from an
+elimination of its own on `gf.mul` that shares nothing with
+`GF.solve`: share set U decodes the layer's message iff rank M_U -
+rank K_U equals the message length, and learns nothing of it iff rank
+M_U = rank K_U, where K_U is U's key columns.  The tests' small
 field `GF16`, product and uniform pmf tables and subset complements are
 built here from their definitions, not by the library.
 """
@@ -804,6 +812,86 @@ def poly_eval(coeffs, x, poly, order):
 
 # GF(2^4) under x^4 + x + 1: small enough to enumerate every key
 GF16 = GF(16, 0x13)
+
+
+def checked_solve(gf, matrix, rhs):
+    """Gauss-Jordan elimination with `GF.solve`'s pivot choice, on the
+    checked scalar operations: one `gf.inv` per pivot and one `gf.mul`
+    per product."""
+    n = len(matrix)
+    m = [list(row) + [v] for row, v in zip(matrix, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            raise ValueError("singular system")
+        m[col], m[piv] = m[piv], m[col]
+        inv = gf.inv(m[col][col])
+        m[col] = [gf.mul(inv, v) for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [a ^ gf.mul(f, b) for a, b in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
+
+
+def checked_vandermonde(gf, points, width):
+    """Rows x^0..x^(width - 1), one `gf.pow` per entry."""
+    return [[gf.pow(x, j) for j in range(width)] for x in points]
+
+
+# rank certificates for the codec's layers ----------------------------------
+
+
+def ranks(gf, rows, head):
+    """(rank of the first `head` columns of `rows`, rank of all columns),
+    from one forward elimination in column order on `gf.mul` and
+    `gf.inv`: the pivots that fall in the first `head` columns are those
+    columns' rank."""
+    m = [list(row) for row in rows]
+    width = len(m[0]) if m else 0
+    rank = head_rank = 0
+    for col in range(width):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is not None:
+            m[rank], m[piv] = m[piv], m[rank]
+            inv = gf.inv(m[rank][col])
+            prow = m[rank] = [gf.mul(inv, v) for v in m[rank]]
+            for r in range(rank + 1, len(m)):
+                f = m[r][col]
+                if f:
+                    m[r] = [a ^ gf.mul(f, b) for a, b in zip(m[r], prow)]
+            rank += 1
+        if col == head - 1:
+            head_rank = rank
+    return head_rank, rank
+
+
+def layer_leak(gf, rows, num_keys, shares):
+    """rank M_U - rank K_U: how many message symbols the shares U of a
+    linear layer determine, under uniform keys.  `rows` is the layer's
+    encode map, one row per share, message columns first and then
+    `num_keys` key columns; M_U is its rows in `shares` and K_U their key
+    columns, which the elimination takes first."""
+    split = len(rows[0]) - num_keys
+    keys, total = ranks(gf, [rows[i][split:] + rows[i][:split] for i in shares], num_keys)
+    return total - keys
+
+
+def layer_faults(gf, rows, num_keys, subsets):
+    """The share sets among `subsets` on which a layer breaks the paper's
+    decoding or secrecy constraint, each as (set, "decoding") or (set,
+    "secrecy").  Any message + keys shares must determine every message
+    symbol (rank M_U - rank K_U = message), and any `num_keys` or fewer
+    must determine none (rank M_U = rank K_U)."""
+    message = len(rows[0]) - num_keys
+    faults = []
+    for u in subsets:
+        leak = layer_leak(gf, rows, num_keys, u)
+        if len(u) >= message + num_keys and leak != message:
+            faults.append((tuple(u), "decoding"))
+        if len(u) <= num_keys and leak:
+            faults.append((tuple(u), "secrecy"))
+    return faults
 
 
 # sets and pmfs -------------------------------------------------------------

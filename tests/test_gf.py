@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from smdc.gf import GF256, backend, matmul_python
 
-from oracles import GF16, lagrange_product, slow_mul
+from oracles import GF16, checked_solve, checked_vandermonde, lagrange_product, slow_mul
 
 
 def slow_matmul(mat, streams, n, poly, order):
@@ -107,6 +107,88 @@ class TestLagrangeMatrix:
     def test_repeated_source_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             GF16.lagrange_matrix([3, 5, 3], [1])
+
+
+class TestSolve:
+    """`GF.solve` eliminates on the log/exp tables; `checked_solve` is the
+    same elimination on the checked `mul` and `inv`."""
+
+    @pytest.mark.parametrize("f", (GF16, GF256), ids=("gf16", "gf256"))
+    def test_matches_the_checked_elimination(self, f):
+        """Seeded random nonsingular systems, k = 1..40; half of them
+        mostly zeros, so that pivots are searched for and rows swapped."""
+        rng = random.Random(32)
+        solved = 0
+        for k in list(range(1, 41)) * 2:
+            sparse = rng.random() < 0.5
+            while True:
+                mat = [
+                    [rng.randrange(f.order) if not sparse or rng.random() < 0.2 else 0
+                     for _ in range(k)]
+                    for _ in range(k)
+                ]
+                rhs = [rng.randrange(f.order) for _ in range(k)]
+                try:
+                    want = checked_solve(f, mat, rhs)
+                except ValueError:
+                    with pytest.raises(ValueError, match="^singular system$"):
+                        f.solve(mat, rhs)
+                    continue
+                break
+            got = f.solve(mat, rhs)
+            assert got == want, (f.order, k)
+            for row, b in zip(mat, rhs):
+                acc = 0
+                for a, x in zip(row, got):
+                    acc ^= f.mul(a, x)
+                assert acc == b
+            solved += 1
+        assert solved == 80
+
+    @pytest.mark.parametrize(
+        "mat",
+        (
+            [[0]],
+            [[0, 0], [0, 0]],
+            [[1, 2], [2, 4]],  # the second row is twice the first
+            [[3, 7, 1], [5, 0, 9], [3, 7, 1]],  # a repeated row
+            [[1, 0, 4], [0, 1, 6], [0, 0, 0]],  # a zero last pivot
+        ),
+    )
+    def test_singular_system_raises(self, mat):
+        with pytest.raises(ValueError, match="^singular system$"):
+            GF256.solve(mat, [1] * len(mat))
+
+    @pytest.mark.parametrize(
+        "mat, rhs, bad",
+        (
+            ([[0, 0], [0, 256]], [1, 1], 256),  # singular as well: named first
+            ([[1, 0], [0, -1]], [1, 1], -1),  # log[-1] would read the last entry
+            ([[1, 0], [0, 1]], [1, 300], 300),
+            ([[0, 0], [0, 0]], [0, -2], -2),
+        ),
+    )
+    def test_non_element_named_before_elimination(self, mat, rhs, bad):
+        with pytest.raises(ValueError, match=f"^{bad} is not an element of GF\\(256\\)$"):
+            GF256.solve(mat, rhs)
+
+    def test_gf16_range(self):
+        with pytest.raises(ValueError, match="^16 is not an element of GF\\(16\\)$"):
+            GF16.solve([[1, 2], [3, 16]], [1, 1])
+
+
+class TestVandermonde:
+    @pytest.mark.parametrize("f", (GF16, GF256), ids=("gf16", "gf256"))
+    def test_every_point_every_width(self, f):
+        """Every field point, 0 included (0^0 = 1), at widths 0..8."""
+        points = list(range(f.order))
+        for width in range(9):
+            assert f.vandermonde(points, width) == checked_vandermonde(f, points, width)
+
+    @pytest.mark.parametrize("bad", (256, -1))
+    def test_points_checked(self, bad):
+        with pytest.raises(ValueError, match=f"^{bad} is not an element of GF\\(256\\)$"):
+            GF256.vandermonde([1, bad], 3)
 
 
 @pytest.mark.usefixtures("kernel")

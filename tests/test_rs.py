@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+from smdc.codec import _layer_spec
 from smdc.gf import GF256
 from smdc.rs import (
     CodeSpec,
@@ -14,7 +15,7 @@ from smdc.rs import (
     ramp_spec,
 )
 
-from oracles import GF16, poly_eval
+from oracles import GF16, layer_faults, layer_leak, poly_eval
 
 
 def encode(spec, *words):
@@ -176,3 +177,100 @@ class TestRampCode:
     def test_spec_point_disjointness(self):
         with pytest.raises(ValueError):
             CodeSpec(n=2, k=2, eval_points=(0, 1), message_points=(1,), key_points=(5,))
+
+
+def codec_layers(L, N):
+    """(alpha, encode map) of every coded layer at L encoders and N keys.
+    The plain scheme codes with N = 0, and so does the all-access one
+    after its uncoded bundle 0; the secure scheme has N >= 1 and sources
+    1..L - N."""
+    return [(a, encode_matrix(_layer_spec(L, N, a))) for a in range(1, L - N + 1)]
+
+
+def ramp_leak(size, alpha, N):
+    """Message symbols that `size` shares of an MDS ramp layer determine:
+    none up to N, then one per share until all alpha."""
+    return min(size, alpha + N) - min(size, N)
+
+
+def subsets_of(L):
+    return [[i for i in range(L) if mask >> i & 1] for mask in range(1 << L)]
+
+
+class TestLayerRanks:
+    """Every codec layer against the paper's decoding and secrecy
+    constraints, decided by exact ranks in `oracles.layer_faults`."""
+
+    @pytest.mark.parametrize(
+        "L, N", [(L, N) for L in range(1, 9) for N in (0, 2) if N < L] + [(10, 3)]
+    )
+    def test_every_subset(self, L, N):
+        subsets = subsets_of(L)
+        for alpha, rows in codec_layers(L, N):
+            assert layer_faults(GF256, rows, N, subsets) == [], (L, N, alpha)
+            for u in subsets:
+                assert layer_leak(GF256, rows, N, u) == ramp_leak(len(u), alpha, N)
+
+    @pytest.mark.parametrize(
+        "L, N, layers, per_size", [(30, 0, 30, 2), (30, 2, 28, 2), (60, 0, 6, 1), (60, 3, 6, 1)]
+    )
+    def test_seeded_subsets(self, L, N, layers, per_size):
+        """Seeded layers (at L = 60 the lowest two, the top one and three
+        more) at the sizes where a verdict turns, N and alpha + N with one
+        share below each, and at one random size."""
+        rng = random.Random(L * 10 + N)
+        coded = codec_layers(L, N)
+        if layers < len(coded):
+            coded = coded[:2] + rng.sample(coded[2:-1], layers - 3) + coded[-1:]
+        for alpha, rows in coded:
+            k = alpha + N
+            sizes = sorted({N, N + 1, k - 1, k, rng.randint(1, L)})
+            subsets = [rng.sample(range(L), size) for size in sizes for _ in range(per_size)]
+            assert layer_faults(GF256, rows, N, subsets) == [], (L, N, alpha)
+            for u in subsets:
+                assert layer_leak(GF256, rows, N, u) == ramp_leak(len(u), alpha, N)
+
+    @pytest.mark.parametrize("n_keys, a", ((1, 1), (1, 2), (2, 1)))
+    def test_agrees_with_enumeration(self, n_keys, a):
+        """The GF(16) layers of `test_exhaustive_secrecy_small_field`, over
+        every message and key: a share set decodes iff its shares fix the
+        message, and is secret iff their distribution is the same under
+        every message."""
+        L = 3
+        spec = ramp_spec(L, n_keys, a, gf=GF16)
+        rows = encode_matrix(spec)
+        msgs = list(product(range(16), repeat=a))
+        keys = list(product(range(16), repeat=n_keys))
+        shares = encode(spec, *[m + k for m in msgs for k in keys])
+        for u in subsets_of(L)[1:]:
+            seen = list(zip(*(shares[p] for p in u)))
+            by_msg = [Counter(seen[i * len(keys) : (i + 1) * len(keys)]) for i in range(len(msgs))]
+            owners = {}
+            for i, d in enumerate(by_msg):
+                for t in d:
+                    owners.setdefault(t, set()).add(i)
+            decodes = all(len(o) == 1 for o in owners.values())
+            secret = all(d == by_msg[0] for d in by_msg[1:])
+            leak = layer_leak(GF16, rows, n_keys, u)
+            assert (leak == a, leak == 0) == (decodes, secret), u
+            # the enumerated verdicts are the ones the ramp layer promises
+            assert secret == (len(u) <= n_keys) and decodes == (len(u) >= a + n_keys)
+
+    def test_repeated_point_fails(self):
+        """Share 1 evaluated at share 0's point: every threshold set that
+        holds both shares loses a rank."""
+        for N in (0, 2):
+            rows = encode_matrix(_layer_spec(8, N, 3))
+            rows[1] = rows[0]
+            faults = layer_faults(GF256, rows, N, subsets_of(8))
+            assert faults and all(why == "decoding" and u[:2] == (0, 1) for u, why in faults)
+
+    def test_dropped_key_columns_fail(self):
+        """Shares with the keys left out: a single share already shows the
+        message, so every set of at most N shares fails secrecy."""
+        N = 2
+        rows = [row[:3] + [0] * N for row in encode_matrix(_layer_spec(8, N, 3))]
+        faults = layer_faults(GF256, rows, N, subsets_of(8))
+        assert {u for u, why in faults if why == "secrecy"} == {
+            tuple(u) for u in subsets_of(8) if 1 <= len(u) <= N
+        }
